@@ -45,7 +45,7 @@ class BandedMatrix:
     diagonals: np.ndarray
 
     def __post_init__(self):
-        self.diagonals = np.ascontiguousarray(self.diagonals, dtype=np.float64)
+        self.diagonals = np.asarray(self.diagonals, dtype=np.float64)
         if self.diagonals.shape != (self.bandwidth + 1, self.dim):
             raise ValueError(
                 f"band storage shape {self.diagonals.shape} does not match "
@@ -110,11 +110,11 @@ def cholesky_banded(precision: BandedMatrix) -> BandedMatrix:
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded Cholesky")
     # dpbtrf leaves junk in the unused tail of each band row; zero it so
-    # factors compare cleanly and to_dense stays honest.
-    out = factor.copy()
+    # factors compare cleanly and to_dense stays honest. The factor is a
+    # fresh Fortran-ordered array, which the triangular solves take as is.
     for k in range(1, precision.bandwidth + 1):
-        out[k, precision.dim - k :] = 0.0
-    return BandedMatrix(dim=precision.dim, bandwidth=precision.bandwidth, diagonals=out)
+        factor[k, precision.dim - k :] = 0.0
+    return BandedMatrix(dim=precision.dim, bandwidth=precision.bandwidth, diagonals=factor)
 
 
 def solve_banded(factor: BandedMatrix, rhs: np.ndarray, mode: str = "full") -> np.ndarray:
@@ -150,7 +150,7 @@ def solve_banded(factor: BandedMatrix, rhs: np.ndarray, mode: str = "full") -> n
 def assemble_precision(
     design: np.ndarray, sigma2: np.ndarray, ridge_scale: float = 0.0
 ) -> BandedMatrix:
-    """Posterior precision of one stacked state path.
+    """Posterior precision of one stacked state path, or of B of them.
 
     For T design rows g(x_t)' of width d and innovation variances sigma2
     (one per coefficient), builds
@@ -163,9 +163,14 @@ def assemble_precision(
     K is block tridiagonal with d x d blocks; bandwidth is fixed at 2d-1
     and within-block sparsity is not exploited.
 
-    ``ridge_scale`` > 0 adds ridge_scale * max(diag K) to the diagonal.
-    This is opt-in; the recommended value when a model is genuinely on the
-    edge of positive definiteness is 1e-8.
+    With ``sigma2`` of shape (B, d) the result is the block-diagonal stack
+    of the B precisions, dim B*T*d with the same bandwidth: each path's band
+    storage ends in zeros, so every coupling across a path boundary is
+    exactly zero and one factorization serves all B paths.
+
+    ``ridge_scale`` > 0 adds ridge_scale * max(diag K) to the diagonal,
+    each path's own maximum. This is opt-in; the recommended value when a
+    model is genuinely on the edge of positive definiteness is 1e-8.
     """
     design = np.asarray(design, dtype=np.float64)
     if design.ndim != 2:
@@ -174,34 +179,33 @@ def assemble_precision(
     if t_len < 2:
         raise ValueError("state path needs at least two time points")
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.shape != (d,):
-        raise ValueError(f"sigma2 has shape {sigma2.shape}, expected ({d},)")
+    if sigma2.ndim not in (1, 2) or sigma2.shape[-1] != d:
+        raise ValueError(f"sigma2 has shape {sigma2.shape}, expected ({d},) or (B, {d})")
     if not np.all(sigma2 > 0.0):
         raise ValueError("innovation variances must be strictly positive")
 
-    dim = t_len * d
+    inv = 1.0 / sigma2.reshape(-1, 1, d)
     bandwidth = 2 * d - 1
-    diagonals = np.zeros((bandwidth + 1, dim))
+    # bands[k, b, t, j] = K_b[(t, j) + k, (t, j)] in lower band layout
+    bands = np.zeros((bandwidth + 1, inv.shape[0], t_len, d))
 
     # Likelihood part: per-t outer products g_t g_t' on the block diagonal.
-    for i in range(d):
-        for j in range(i + 1):
-            cols = np.arange(t_len) * d + j
-            diagonals[i - j, cols] += design[:, i] * design[:, j]
+    for k in range(d):
+        bands[k, :, :, : d - k] = design[:, k:] * design[:, : d - k]
 
     # Random-walk prior part: (D'D) kron diag(1/sigma2). D'D is tridiagonal
     # with diagonal (2, ..., 2, 1) and -1 off the diagonal: the first block
     # gets 1 from the initial condition beta_1 ~ N(0, Sigma) plus 1 from the
     # first difference, every interior block touches two differences, and
     # the last block touches only one.
-    inv = 1.0 / sigma2
-    for i in range(d):
-        cols = np.arange(t_len) * d + i
-        diagonals[0, cols] += 2.0 * inv[i]
-        diagonals[0, cols[-1]] -= inv[i]
-        diagonals[d, cols[:-1]] -= inv[i]
+    walk = np.full((t_len, 1), 2.0)
+    walk[-1] = 1.0
+    bands[0] += walk * inv
+    bands[d, :, :-1] = -inv
 
+    diagonals = bands.reshape(bandwidth + 1, -1)
     if ridge_scale > 0.0:
-        diagonals[0] += ridge_scale * diagonals[0].max()
+        per_path = diagonals[0].reshape(inv.shape[0], -1)
+        per_path += ridge_scale * per_path.max(axis=1, keepdims=True)
 
-    return BandedMatrix(dim=dim, bandwidth=bandwidth, diagonals=diagonals)
+    return BandedMatrix(dim=diagonals.shape[1], bandwidth=bandwidth, diagonals=diagonals)

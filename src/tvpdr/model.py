@@ -7,6 +7,9 @@ observation, a precision-based joint draw of each threshold's path, inverse
 gamma updates for the innovation variances, and, in monotone mode, a
 marginal/conditional split of each path so the T intercepts can be drawn
 inside the box that keeps fitted CDF values ordered across thresholds.
+Thresholds update in batches along a leading threshold axis: every draw
+below accepts one path or a stack of B paths, and stacked paths share one
+block-diagonal banded system.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .banded import BandedMatrix, assemble_precision, cholesky_banded, solve_banded
+from .banded import (BandedMatrix, NotPositiveDefiniteError, assemble_precision,
+                     cholesky_banded, solve_banded)
 from .distribution import ThresholdGrid
-from .samplers import RngHandle, as_generator, sample_truncated_mvn, sample_truncated_normal
+from .samplers import (RngHandle, as_generator, sample_gaussian_precision,
+                       sample_truncated_mvn, sample_truncated_normal)
 
 __all__ = [
     "LinkFunction",
@@ -44,7 +49,15 @@ __all__ = [
 
 
 class MonotonicityError(RuntimeError):
-    """Neighbor threshold paths cross; the truncation box is empty."""
+    """Neighbor threshold paths cross, or a fit cannot be put inside its box.
+
+    ``path`` is the offending threshold's position along the leading axis
+    of a batched draw (0 for a single path).
+    """
+
+    def __init__(self, message: str, path: int = 0):
+        super().__init__(message)
+        self.path = int(path)
 
 
 class EstimationError(RuntimeError):
@@ -96,13 +109,15 @@ def apply_design_transform(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """g(x_t)' beta_t for every t.
+    """g(x_t)' beta_t for every t; ``beta`` may carry a leading threshold axis.
 
     This einsum is the one accumulation order used everywhere the ordering
     constraint is produced or checked, so monotonicity comparisons are exact
-    in floating point rather than within some tolerance.
+    in floating point rather than within some tolerance. Its summation order
+    follows memory layout, so both operands are made C-contiguous: a batched
+    call then equals the per-threshold calls bit for bit.
     """
-    return np.einsum("td,td->t", design, beta)
+    return np.einsum("td,...td->...t", np.ascontiguousarray(design), np.ascontiguousarray(beta))
 
 
 @dataclass(frozen=True)
@@ -219,30 +234,31 @@ class PosteriorDraws:
         return self.beta.shape[3]
 
 
-def draw_latent(threshold: float, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng) -> np.ndarray:
+def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng) -> np.ndarray:
     """Latent utilities: one-sided truncated normals around the fitted index.
 
     Observations with y_t <= threshold draw from N(fit, 1) on (0, inf), the
-    rest on (-inf, 0), so the sign always reproduces the indicator.
+    rest on (-inf, 0), so the sign always reproduces the indicator. With B
+    thresholds and paths (B, T, d) this is one (B, T) draw.
     """
     mean = fitted_values(design, beta)
-    below = y <= threshold
+    below = y <= np.asarray(threshold)[..., None]
     lower = np.where(below, 0.0, -np.inf)
     upper = np.where(below, np.inf, 0.0)
     return sample_truncated_normal(mean, 1.0, lower, upper, rng)
 
 
 def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0) -> np.ndarray:
-    """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1})."""
+    """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1}).
+
+    With latents (B, T) and variances (B, d) the B paths come from one
+    stacked block-diagonal system and the result is (B, T, d).
+    """
     design = np.asarray(design, dtype=np.float64)
-    t_len, d = design.shape
+    latent = np.asarray(latent, dtype=np.float64)
     precision = assemble_precision(design, sigma2, ridge_scale)
-    b = (design * np.asarray(latent, dtype=np.float64)[:, None]).ravel()
-    factor = cholesky_banded(precision)
-    gen = as_generator(rng)
-    mu = solve_banded(factor, b, mode="full")
-    draw = mu + solve_banded(factor, gen.standard_normal(precision.dim), mode="backward")
-    return draw.reshape(t_len, d)
+    b = (design * latent[..., None]).ravel()
+    return sample_gaussian_precision(precision, b, rng).reshape(latent.shape + design.shape[1:])
 
 
 def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
@@ -250,20 +266,21 @@ def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
 
     Shape nu + (T-1)/2 and scale S + sum of squared increments / 2 per
     coefficient. With ``include_initial`` the initial condition joins the
-    sum of squares and the shape becomes nu + T/2.
+    sum of squares and the shape becomes nu + T/2. Paths (B, T, d) give
+    variances (B, d).
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 2 or beta.shape[0] < 2:
-        raise ValueError("beta must be (T, d) with T >= 2")
-    t_len, d = beta.shape
+    if beta.ndim not in (2, 3) or beta.shape[-2] < 2:
+        raise ValueError("beta must be (T, d) or (B, T, d) with T >= 2")
+    t_len, d = beta.shape[-2:]
     nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (d,))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), (d,))
     if not (np.all(nu > 0.0) and np.all(s > 0.0)):
         raise ValueError("prior parameters must be positive")
-    rss = np.sum(np.diff(beta, axis=0) ** 2, axis=0)
+    rss = np.sum(np.diff(beta, axis=-2) ** 2, axis=-2)
     if include_initial:
         shape = nu + 0.5 * t_len
-        scale = s + 0.5 * (rss + beta[0] ** 2)
+        scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)
     else:
         shape = nu + 0.5 * (t_len - 1)
         scale = s + 0.5 * rss
@@ -284,35 +301,32 @@ def _tridiag_submatrix(diag, off, keep):
     return BandedMatrix(dim=n, bandwidth=1, diagonals=bands)
 
 
-def _repair_ordering(beta, design, lower_path, upper_path):
+def _repair_ordering(beta, design, lower, upper):
     """Nudge intercepts so recomputed fits land inside [lower, upper].
 
     Truncation operates on the intercept, but the ordering is checked on the
-    recomputed inner product, whose rounding can differ by an ulp. This walks
-    each offending intercept with error feedback until the canonical fit is
-    inside its box. With continuous data this loop almost never runs; with a
-    degenerate box (equal bounds) an exact hit may be unrepresentable and the
-    closest value stands after the iteration cap.
+    recomputed inner product, whose rounding can differ by an ulp. Each
+    round moves every offending intercept by its fit's error and, where that
+    step is below the fit's resolution, by one fit-scale ulp. With
+    continuous data this almost never runs. A fit still outside its box
+    after the cap (an exact hit of a degenerate box may be unrepresentable)
+    raises MonotonicityError: left in place it would be an ordering crossing.
     """
+    for _ in range(64):
+        fits = fitted_values(design, beta)
+        row, t = np.nonzero(~((fits >= lower) & (fits <= upper)))
+        if row.size == 0:
+            return beta
+        ft = fits[row, t]
+        step = np.where(ft < lower[row, t], lower[row, t], upper[row, t]) - ft
+        beta[row, t, 0] += step
+        stuck = fitted_values(design[t], beta[row, t]) == ft
+        beta[row[stuck], t[stuck], 0] += np.copysign(np.spacing(np.abs(ft[stuck])), step[stuck])
     fits = fitted_values(design, beta)
-    bad = np.nonzero((fits < lower_path) | (fits > upper_path))[0]
-    for t in bad:
-        lo, up = lower_path[t], upper_path[t]
-        row = design[t : t + 1]
-        for _ in range(64):
-            ft = fitted_values(row, beta[t : t + 1])[0]
-            if lo <= ft <= up:
-                break
-            target = lo if ft < lo else up
-            step = target - ft
-            if step == 0.0 or not np.isfinite(step):
-                break
-            beta[t, 0] += step
-            ft2 = fitted_values(row, beta[t : t + 1])[0]
-            if ft2 == ft:
-                # below the resolution of the fit; force one fit-scale ulp
-                beta[t, 0] += np.copysign(np.spacing(abs(ft)), step)
-    return beta
+    row, t = np.argwhere(~((fits >= lower) & (fits <= upper)))[0]
+    raise MonotonicityError(
+        f"fit {fits[row, t]:.17g} stays outside its ordering box [{lower[row, t]:.17g}, "
+        f"{upper[row, t]:.17g}] at t={t} after 64 repair steps", path=row)
 
 
 def draw_beta_monotone(
@@ -336,88 +350,68 @@ def draw_beta_monotone(
 
     where c_t is the non-intercept part of the fitted value. ``lower_path``
     and ``upper_path`` are the neighboring thresholds' fitted paths, or None
-    when unbounded on that side. The intercept column of ``design`` must be
-    identically one, otherwise the box above would not be the constraint.
+    when unbounded on that side; infinite entries leave that side open. The
+    intercept column of ``design`` must be identically one, otherwise the
+    box above would not be the constraint.
+
+    With latents (B, T), variances (B, d) and neighbor paths (B, T) the B
+    thresholds are drawn together from one stacked block-diagonal system,
+    and their intercepts from one stacked tridiagonal system whose blocks
+    never couple. A MonotonicityError's ``path`` names the offending one.
     """
     gen = as_generator(rng)
     design = np.asarray(design, dtype=np.float64)
-    t_len, d = design.shape
+    d = design.shape[1]
     if not np.all(design[:, 0] == 1.0):
         raise ValueError("monotone updates require a leading intercept column of ones")
     latent = np.asarray(latent, dtype=np.float64)
+    single = latent.ndim == 1
+    lo_path = np.full(latent.shape, -np.inf) if lower_path is None else lower_path
+    up_path = np.full(latent.shape, np.inf) if upper_path is None else upper_path
+    lo_path, up_path = (np.asarray(p, dtype=np.float64) for p in (lo_path, up_path))
+    if lo_path.shape != latent.shape or up_path.shape != latent.shape:
+        raise ValueError("neighbor paths must have one entry per time point")
+    lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
 
     precision = assemble_precision(design, sigma2, ridge_scale)
-    factor = cholesky_banded(precision)
-    b = (design * latent[:, None]).ravel()
-    mu = solve_banded(factor, b, mode="full")
-    joint = mu + solve_banded(factor, gen.standard_normal(precision.dim), mode="backward")
-    beta = joint.reshape(t_len, d).copy()
+    b = (design * latent[..., None]).ravel()
+    beta = sample_gaussian_precision(precision, b, gen).reshape(latent.shape + (d,))
 
-    if lower_path is None and upper_path is None:
-        return beta
-
-    lo_path = (
-        np.full(t_len, -np.inf)
-        if lower_path is None
-        else np.asarray(lower_path, dtype=np.float64)
-    )
-    up_path = (
-        np.full(t_len, np.inf)
-        if upper_path is None
-        else np.asarray(upper_path, dtype=np.float64)
-    )
-    if lo_path.shape != (t_len,) or up_path.shape != (t_len,):
-        raise ValueError("neighbor paths must have one entry per time point")
+    if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
+        return beta[0] if single else beta
     if np.any(lo_path > up_path):
-        t_bad = int(np.argmax(lo_path > up_path))
-        raise MonotonicityError(
-            f"neighbor threshold paths cross at t={t_bad}: "
-            f"lower {lo_path[t_bad]:.6g} > upper {up_path[t_bad]:.6g}"
-        )
+        row, t = np.argwhere(lo_path > up_path)[0]
+        raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
+                                f"{lo_path[row, t]:.6g} > upper {up_path[row, t]:.6g}", path=row)
 
     # box on the intercepts given the non-intercept block
     rest = beta.copy()
-    rest[:, 0] = 0.0
+    rest[..., 0] = 0.0
     base = fitted_values(design, rest)
-    lo = lo_path - base
-    up = up_path - base
-
-    # conditional moments of the intercepts: K11 is tridiagonal because only
-    # the random-walk prior couples neighboring intercepts
-    pos = np.arange(t_len) * d
-    k_diag = precision.diagonals[0][pos]
-    k_off = precision.diagonals[d][pos[:-1]]
-    resid = mu.reshape(t_len, d).copy()
-    resid[:, 1:] -= beta[:, 1:]
-    rhs = precision.matvec(resid.ravel())[pos]
-    k11 = BandedMatrix(
-        dim=t_len, bandwidth=1, diagonals=np.vstack([k_diag, np.append(k_off, 0.0)])
-    )
-    mu1 = solve_banded(cholesky_banded(k11), rhs, mode="full")
-
+    lo = (lo_path - base).ravel()
+    up = (up_path - base).ravel()
     pinned = np.isfinite(lo) & (lo >= up)
-    x1 = np.empty(t_len)
-    x1[pinned] = lo[pinned]
     free = ~pinned
-    if free.any():
-        if pinned.any():
-            # condition the free intercepts on the pinned ones
-            w = np.zeros(t_len)
-            w[pinned] = x1[pinned] - mu1[pinned]
-            coupling = k11.matvec(w)[free]
-            k_ff = _tridiag_submatrix(k_diag, k_off, free)
-            mean_f = mu1[free] - solve_banded(cholesky_banded(k_ff), coupling, mode="full")
-        else:
-            k_ff = k11
-            mean_f = mu1
-        start = beta[:, 0] if warm_start is None else np.asarray(warm_start, dtype=np.float64)[:, 0]
-        init = np.clip(start[free], lo[free], up[free])
-        x1[free] = sample_truncated_mvn(
-            k_ff, mean_f, lo[free], up[free], init, sweeps, gen
-        )
 
-    beta[:, 0] = x1
-    return _repair_ordering(beta, design, lo_path, up_path)
+    # Conditional of the free intercepts given the rest and the pinned ones:
+    # precision K_ff and mean K_ff^{-1} (b - K rest)_f with the pinned values
+    # placed in rest. The intercept block of K is tridiagonal, since only the
+    # random-walk prior couples neighboring intercepts, and it is zero across
+    # path boundaries.
+    rest[..., 0] = np.where(pinned, lo, 0.0).reshape(lo_path.shape)
+    x1 = rest[..., 0].ravel()
+    if free.any():
+        pos = np.arange(lo.size) * d
+        rhs = (b - precision.matvec(rest.ravel()))[pos][free]
+        k_ff = _tridiag_submatrix(precision.diagonals[0][pos], precision.diagonals[d][pos], free)
+        mean_f = solve_banded(cholesky_banded(k_ff), rhs, mode="full")
+        start = beta if warm_start is None else np.asarray(warm_start, dtype=np.float64)
+        init = np.clip(start[..., 0].ravel()[free], lo[free], up[free])
+        x1[free] = sample_truncated_mvn(k_ff, mean_f, lo[free], up[free], init, sweeps, gen)
+
+    beta[..., 0] = x1.reshape(lo_path.shape)
+    beta = _repair_ordering(beta, design, lo_path, up_path)
+    return beta[0] if single else beta
 
 
 def initial_state(y: np.ndarray, grid: ThresholdGrid, t_len: int, d: int, link: LinkFunction) -> GibbsState:
@@ -438,11 +432,13 @@ def run_gibbs(spec: ModelSpec, data, rng=None) -> PosteriorDraws:
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
-    model design. Per iteration and per threshold, in order: latent draw,
-    path draw (monotone or not), variance draw. Monotone mode bounds each
-    threshold below by the current iteration's previous-threshold fit and
-    above by the last iteration's next-threshold fit, which leaves every
-    kept iteration exactly ordered across the whole grid.
+    model design. Thresholds update in batches: one latent draw, one path
+    draw (monotone or not) and one variance draw on each stacked batch. In
+    monotone mode a threshold sees the others only through its neighbors'
+    fits, which bound it below and above, so all even thresholds update
+    given the odd ones, then all odd ones given the even ones: a red-black
+    systematic-scan Gibbs sampler that leaves every kept iteration exactly
+    ordered across the whole grid. Unconstrained mode is one batch of all K.
     """
     y, x_raw = data
     y = np.asarray(y, dtype=np.float64)
@@ -474,35 +470,32 @@ def run_gibbs(spec: ModelSpec, data, rng=None) -> PosteriorDraws:
     out_beta = np.empty((kept, k, t_len, d))
     out_sigma2 = np.empty((kept, k, d))
 
+    colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
+    edge = np.full((1, t_len), np.inf)  # open bounds beyond the ends of the grid
+
     for it in range(spec.iterations):
-        fitted_before = state.fitted.copy() if spec.monotone else None
-        for j in range(k):
+        for batch in colors:
             try:
-                latent = draw_latent(grid.points[j], y, design, state.beta[j], gen)
+                latent = draw_latent(grid.points[batch], y, design, state.beta[batch], gen)
                 if spec.monotone:
-                    lower_path = state.fitted[j - 1] if j > 0 else None
-                    upper_path = fitted_before[j + 1] if j < k - 1 else None
-                    state.beta[j] = draw_beta_monotone(
-                        lower_path,
-                        upper_path,
-                        design,
-                        latent,
-                        state.sigma2[j],
-                        gen,
-                        sweeps=spec.truncation_sweeps,
-                        warm_start=state.beta[j],
+                    bounds = np.vstack([-edge, state.fitted, edge])
+                    beta = draw_beta_monotone(
+                        bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch],
+                        gen, sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
                         ridge_scale=spec.ridge_scale,
                     )
-                    state.fitted[j] = fitted_values(design, state.beta[j])
+                    state.fitted[batch] = fitted_values(design, beta)
                 else:
-                    state.beta[j] = draw_beta_unconstrained(
-                        design, latent, state.sigma2[j], gen, ridge_scale=spec.ridge_scale
+                    beta = draw_beta_unconstrained(
+                        design, latent, state.sigma2[batch], gen, ridge_scale=spec.ridge_scale
                     )
-                state.sigma2[j] = draw_sigma2(
-                    state.beta[j], nu, s, gen,
-                    include_initial=spec.include_initial_state_in_ig,
+                state.beta[batch] = beta
+                state.sigma2[batch] = draw_sigma2(
+                    beta, nu, s, gen, include_initial=spec.include_initial_state_in_ig,
                 )
             except Exception as exc:
+                row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
+                j = batch[exc.path if isinstance(exc, MonotonicityError) else row]
                 raise EstimationError(
                     f"iteration {it}, threshold {j} (y={grid.points[j]:.6g}): {exc}"
                 ) from exc

@@ -149,18 +149,13 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
 
     scalar = mean.ndim == sd.ndim == lower.ndim == upper.ndim == 0
     shape = np.broadcast_shapes(mean.shape, sd.shape, lower.shape, upper.shape)
-    a = np.broadcast_to((lower - mean) / sd, shape).ravel()
-    b = np.broadcast_to((upper - mean) / sd, shape).ravel()
-
-    z = _truncated_std_normal(a.copy(), b.copy(), gen)
-    draw = (np.broadcast_to(mean, shape).ravel()
-            + np.broadcast_to(sd, shape).ravel() * z)
+    mean, sd, lower, upper = (np.broadcast_to(v, shape).ravel() for v in (mean, sd, lower, upper))
+    z = _truncated_std_normal((lower - mean) / sd, (upper - mean) / sd, gen)
 
     # Rounding can land a draw exactly on a bound; push it one ulp inside so
     # the strict-containment contract holds everywhere downstream.
-    lo = np.broadcast_to(lower, shape).ravel()
-    up = np.broadcast_to(upper, shape).ravel()
-    draw = np.minimum(np.maximum(draw, np.nextafter(lo, np.inf)), np.nextafter(up, -np.inf))
+    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
+                      np.nextafter(upper, -np.inf))
     draw = draw.reshape(shape)
     return float(draw) if scalar else draw
 
@@ -168,17 +163,18 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
 def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng) -> np.ndarray:
     """One draw from N(K^{-1} b, K^{-1}) for banded SPD K.
 
-    Factorizes K = L L' once, gets the mean by a full solve and the noise by
-    a single back-substitution of iid normals: x = K^{-1}b + L'^{-1} z.
+    Factorizes K = L L' once and folds mean and noise into two triangular
+    solves with iid normals z: x = L'^{-1}(L^{-1} b + z), which is the mean
+    K^{-1} b plus the noise L'^{-1} z. On a block-diagonal stack of paths
+    this is one independent draw per path.
     """
     gen = as_generator(rng)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (precision.dim,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({precision.dim},)")
     factor = cholesky_banded(precision)
-    mu = solve_banded(factor, b, mode="full")
     z = gen.standard_normal(precision.dim)
-    return mu + solve_banded(factor, z, mode="backward")
+    return solve_banded(factor, solve_banded(factor, b, mode="forward") + z, mode="backward")
 
 
 def sample_truncated_mvn(

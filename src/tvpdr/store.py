@@ -10,6 +10,7 @@ time, so refitting with the same spec, data and seed reproduces every byte.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .model import PosteriorDraws
 __all__ = ["save_estimate", "load_estimate", "read_manifest", "StoreError"]
 
 FORMAT_TAG = "tvpdr-estimate-1"
+_BLOB = re.compile(r"(?:beta|sigma2)_(\d+)\.f64")
 
 
 class StoreError(ValueError):
@@ -32,7 +34,11 @@ def _fmt(value) -> str:
 
 
 def save_estimate(path: str, draws: PosteriorDraws) -> None:
-    """Write MANIFEST, grid.tsv and one beta/sigma2 blob per threshold."""
+    """Write MANIFEST, grid.tsv and one beta/sigma2 blob per threshold.
+
+    Re-saving into an estimate directory removes the blobs of thresholds
+    beyond the new grid, so no draws of an older, larger grid stay behind.
+    """
     os.makedirs(path, exist_ok=True)
     manifest = {
         "format": FORMAT_TAG,
@@ -63,6 +69,10 @@ def save_estimate(path: str, draws: PosteriorDraws) -> None:
             fh.write(np.ascontiguousarray(draws.beta[:, j], dtype="<f8").tobytes())
         with open(os.path.join(path, f"sigma2_{j}.f64"), "wb") as fh:
             fh.write(np.ascontiguousarray(draws.sigma2[:, j], dtype="<f8").tobytes())
+    for name in os.listdir(path):
+        stale = _BLOB.fullmatch(name)
+        if stale and int(stale.group(1)) >= draws.n_thresholds:
+            os.remove(os.path.join(path, name))
 
 
 def read_manifest(path: str) -> dict:

@@ -3,8 +3,9 @@
 Everything here is written against dense numpy/scipy primitives in the most
 literal way possible so it shares no code path with the package: dense
 precision assembly via kron, a one-threshold Gibbs sampler on top of
-scipy.stats.truncnorm and numpy.linalg, analytic distribution facts, and a
-batch-means Monte Carlo standard error.
+scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
+monotone Gibbs sampler, analytic distribution facts, and a batch-means Monte
+Carlo standard error.
 """
 
 from __future__ import annotations
@@ -80,6 +81,63 @@ def dense_gibbs_reference(
             kept_beta[it - burnin] = beta
             kept_sigma2[it - burnin] = sigma2
     return kept_beta, kept_sigma2
+
+
+def dense_monotone_gibbs_reference(
+    y: np.ndarray,
+    thresholds,
+    nu: float,
+    s: float,
+    iterations: int,
+    burnin: int,
+    chains: int,
+    rng: np.random.Generator,
+):
+    """Sequential-scan monotone Gibbs for intercept-only paths (d = 1).
+
+    Thresholds in grid order, one at a time: latents via scipy.stats.truncnorm,
+    then every path point beta_{j,t} in turn from its exact univariate full
+    conditional under the dense precision, truncated to
+    [beta_{j-1,t}, beta_{j+1,t}] (open at the grid ends), then the variance
+    by the inverse-gamma update. Single-site and literal: it shares neither
+    the red-black threshold order nor any banded code with the package.
+    ``chains`` independent chains run side by side, vectorized across chains
+    only, so their means give a Monte Carlo error free of autocorrelation
+    estimates. Returns the kept paths, (chains, kept, K, T).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    t_len, k = y.size, len(thresholds)
+    dtd = dense_precision(np.zeros((t_len, 1)), np.ones(1))
+    xtx = dense_precision(np.ones((t_len, 1)), np.ones(1)) - dtd
+    beta = np.tile(np.linspace(-1.0, 1.0, k)[None, :, None], (chains, 1, t_len))
+    sigma2 = np.full((chains, k), 0.01)
+    kept = np.empty((chains, iterations - burnin, k, t_len))
+    open_end = np.full((chains, t_len), np.inf)
+
+    for it in range(iterations):
+        for j in range(k):
+            below = y <= thresholds[j]
+            fit = beta[:, j]
+            a = np.where(below, -fit, -np.inf)
+            b = np.where(below, np.inf, -fit)
+            z = stats.truncnorm.rvs(a, b, loc=fit, scale=1.0, random_state=rng)
+
+            prec = xtx + dtd / sigma2[:, j, None, None]  # (chains, T, T)
+            lower = beta[:, j - 1] if j > 0 else -open_end
+            upper = beta[:, j + 1] if j < k - 1 else open_end
+            for t in range(t_len):
+                ktt = prec[:, t, t]
+                others = np.einsum("cs,cs->c", prec[:, t], beta[:, j]) - ktt * beta[:, j, t]
+                m = (z[:, t] - others) / ktt
+                sd = 1.0 / np.sqrt(ktt)
+                beta[:, j, t] = stats.truncnorm.rvs((lower[:, t] - m) / sd, (upper[:, t] - m) / sd,
+                                                    loc=m, scale=sd, random_state=rng)
+
+            rss = np.sum(np.diff(beta[:, j], axis=1) ** 2, axis=1)
+            sigma2[:, j] = (s + 0.5 * rss) / rng.gamma(nu + 0.5 * (t_len - 1), size=chains)
+        if it >= burnin:
+            kept[:, it - burnin] = beta
+    return kept
 
 
 def batch_means_se(chain: np.ndarray, n_batches: int = 25) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.special import ndtr
 
 from tvpdr.banded import assemble_precision
@@ -23,7 +24,7 @@ from tvpdr.model import (
 )
 from tvpdr.samplers import RngHandle
 
-from reference import batch_means_se, inverse_gamma_cdf, kolmogorov_distance
+from reference import batch_means_se, dense_precision, inverse_gamma_cdf, kolmogorov_distance
 
 
 def small_problem(seed=0, t_len=12, d=2):
@@ -273,4 +274,118 @@ def test_run_gibbs_wraps_update_failures(monkeypatch):
 
     monkeypatch.setattr(model_mod, "draw_sigma2", boom)
     with pytest.raises(EstimationError, match=r"iteration 0, threshold 0 \(y="):
+        run_gibbs(spec, (y, x))
+
+
+def test_stacked_precision_is_block_diagonal_of_single_paths():
+    # one assembly for B paths must equal the B single-path assemblies side
+    # by side, ridge included (each path's own diagonal max), with every
+    # coupling across a path boundary exactly zero
+    rng = np.random.default_rng(22)
+    worst = 0.0
+    for t_len, d, n_paths in [(2, 1, 3), (6, 2, 4), (9, 3, 5)]:
+        design = rng.normal(size=(t_len, d))
+        sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
+        for ridge in (0.0, 1e-3):
+            stacked = assemble_precision(design, sigma2, ridge)
+            singles = [assemble_precision(design, sigma2[b], ridge) for b in range(n_paths)]
+            assert stacked.bandwidth == 2 * d - 1
+            assert np.array_equal(stacked.diagonals, np.hstack([m.diagonals for m in singles]))
+
+            dense = stacked.to_dense()
+            blocks = []
+            for b in range(n_paths):
+                k = dense_precision(design, sigma2[b])
+                blocks.append(k + ridge * np.max(np.diag(k)) * np.eye(t_len * d))
+            want = block_diag(*blocks)
+            worst = max(worst, np.max(np.abs(dense - want)) / np.max(np.abs(want)))
+            assert np.all(dense[want == 0.0] == 0.0)
+    assert worst <= 1e-12
+
+
+def test_batched_fitted_values_match_single_calls_bitwise():
+    # the ordering guarantee compares fits exactly, so the batched fit must
+    # be the per-threshold fit to the last bit, whatever the memory layout
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 5, 8):
+        design = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3, size=(40, d))
+        beta = rng.normal(size=(6, 40, d)) * 10.0 ** rng.uniform(-3, 3, size=(6, 40, d))
+        singles = np.stack([fitted_values(design, b) for b in beta])
+        assert np.array_equal(fitted_values(design, beta), singles)
+        assert np.array_equal(singles[0], np.einsum("td,td->t", design, beta[0]))
+        assert np.array_equal(fitted_values(np.asfortranarray(design), beta[0]), singles[0])
+        assert np.array_equal(fitted_values(design, np.asfortranarray(beta[0])), singles[0])
+
+
+def test_draws_accept_a_leading_threshold_axis():
+    y, x = small_problem(seed=26, t_len=10, d=2)
+    beta = np.zeros((3, 10, 2))
+    z = draw_latent(np.array([-0.5, 0.0, 0.5]), y, x, beta, RngHandle(27))
+    assert z.shape == (3, 10)
+    assert np.all((z > 0.0) == (y <= np.array([-0.5, 0.0, 0.5])[:, None]))
+    sig = np.full((3, 2), 0.3)
+    assert draw_beta_unconstrained(x, z, sig, RngHandle(28)).shape == (3, 10, 2)
+    assert draw_sigma2(beta, 3.0, 0.01, RngHandle(29)).shape == (3, 2)
+    lower = np.vstack([np.full(10, -np.inf), np.full((2, 10), -1.0)])
+    upper = np.vstack([np.full((2, 10), 1.0), np.full(10, np.inf)])
+    b = draw_beta_monotone(lower, upper, x, z, sig, RngHandle(30))
+    fits = fitted_values(x, b)
+    assert b.shape == (3, 10, 2)
+    assert np.all((fits >= lower) & (fits <= upper))
+
+
+@pytest.mark.parametrize("n_thresholds", [2, 3, 4])
+def test_run_gibbs_monotone_small_grids_stay_ordered(n_thresholds):
+    # even and odd color sets of every size up to two thresholds each
+    y, x = small_problem(seed=24, t_len=30, d=3)
+    lo = float(np.quantile(y, 0.2))
+    step = float(np.quantile(y, 0.8) - lo) / (n_thresholds - 1)
+    grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
+    assert grid.n == n_thresholds
+    spec = ModelSpec(d=3, grid=grid, iterations=60, burnin=10, seed=n_thresholds)
+    draws = run_gibbs(spec, (y, x))
+    for it in range(draws.kept):
+        fits = np.stack([fitted_values(x, draws.beta[it, j]) for j in range(grid.n)])
+        assert np.all(np.diff(fits, axis=0) >= 0.0)
+
+
+def test_repair_leftover_raises():
+    # a degenerate box [1e-20, 1e-20] next to an O(1) slope term: the fit
+    # intercept + slope can only land on multiples of the slope's ulp, so no
+    # intercept puts it on the box and the repair must give up loudly
+    t_len = 8
+    x = np.ones((t_len, 2))
+    box = np.full(t_len, 1e-20)
+    z = np.linspace(-1.0, 1.0, t_len)
+    with pytest.raises(MonotonicityError, match=r"outside its ordering box .* at t=\d+ after"):
+        draw_beta_monotone(box, box, x, z, np.array([0.3, 0.3]), RngHandle(25))
+
+
+def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):
+    import tvpdr.model as model_mod
+
+    y, x = small_problem(seed=31, t_len=12)
+    grid = build_threshold_grid(float(y.min()), float(y.max()), 0.5)
+    assert grid.n >= 5
+
+    # monotone: the even batch is thresholds 0, 2, 4, ...; its row 1 is threshold 2
+    def leftover(*args, **kwargs):
+        raise MonotonicityError("forced leftover at t=3", path=1)
+
+    monkeypatch.setattr(model_mod, "draw_beta_monotone", leftover)
+    with pytest.raises(EstimationError, match=r"iteration 0, threshold 2 \(y=.*at t=3"):
+        run_gibbs(ModelSpec(d=2, grid=grid, iterations=3, burnin=1), (y, x))
+
+    # unconstrained: one batch; a pivot failure in block 3 names threshold 3
+    real = model_mod.assemble_precision
+    t_len, d = x.shape
+
+    def broken(design, sigma2, ridge_scale=0.0):
+        k = real(design, sigma2, ridge_scale)
+        k.diagonals[0, 3 * t_len * d + 5] = -1.0
+        return k
+
+    monkeypatch.setattr(model_mod, "assemble_precision", broken)
+    spec = ModelSpec(d=2, grid=grid, iterations=3, burnin=1, monotone=False)
+    with pytest.raises(EstimationError, match=r"iteration 0, threshold 3 \(y=.*not positive definite"):
         run_gibbs(spec, (y, x))

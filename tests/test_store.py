@@ -178,3 +178,14 @@ def test_blob_problems(tmp_path):
         fh.write(data[:-8])  # one float64 short
     with pytest.raises(StoreError, match="manifest implies"):
         load_estimate(where)
+
+
+def test_resave_smaller_grid_removes_stale_blobs(tmp_path):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws(seed=1, k=5))
+    small = make_draws(seed=2, k=3)
+    save_estimate(where, small)
+    blobs = [f"{kind}_{j}.f64" for j in range(3) for kind in ("beta", "sigma2")]
+    assert sorted(os.listdir(where)) == sorted(["MANIFEST", "grid.tsv", *blobs])
+    back = load_estimate(where)
+    np.testing.assert_array_equal(back.beta, small.beta)

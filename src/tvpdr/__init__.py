@@ -5,25 +5,13 @@ quarterly inflation) by stacking probit regressions across a threshold
 grid, with random-walk coefficient paths sampled jointly through banded
 precision algebra and an in-sampler ordering constraint that keeps the
 implied CDF monotone draw by draw.
+
+The names below are the workflow: data, fit, store, read, evaluate. The
+sampler's building blocks stay in their modules (``tvpdr.banded``,
+``tvpdr.samplers``, ``tvpdr.model``).
 """
 
-from .banded import (
-    BandedMatrix,
-    NotPositiveDefiniteError,
-    assemble_precision,
-    cholesky_banded,
-    solve_banded,
-)
-from .data import (
-    AlignedDesign,
-    MacroDataset,
-    assemble_design,
-    format_quarter,
-    inflation,
-    load_csv,
-    load_schema,
-    parse_quarter,
-)
+from .data import AlignedDesign, MacroDataset, assemble_design, load_csv, load_schema
 from .distribution import (
     ConditionalCdf,
     Quantile,
@@ -34,7 +22,6 @@ from .distribution import (
     conditional_cdf,
     forecast_predictive,
     quantile_from_cdf,
-    rearrange,
 )
 from .evaluation import (
     BacktestPlan,
@@ -47,16 +34,9 @@ from .evaluation import (
 )
 from .model import (
     EstimationError,
-    GibbsState,
     ModelSpec,
     MonotonicityError,
     PosteriorDraws,
-    apply_design_transform,
-    draw_beta_monotone,
-    draw_beta_unconstrained,
-    draw_latent,
-    draw_sigma2,
-    fitted_values,
     hash_data,
     run_gibbs,
 )
@@ -64,18 +44,12 @@ from .risk import (
     RiskReportRow,
     RiskSpec,
     compare_distributions,
-    counterfactual_shift,
     deflation_risk,
     distribution_mean,
     excess_inflation_risk,
 )
-from .samplers import (
-    RngHandle,
-    sample_gaussian_precision,
-    sample_truncated_mvn,
-    sample_truncated_normal,
-)
-from .store import StoreError, load_estimate, read_manifest, save_estimate
+from .samplers import RngHandle
+from .store import StoreError, draw_buffers, load_estimate, read_manifest, save_estimate
 
 __version__ = "0.1.0"
 
@@ -84,14 +58,11 @@ __all__ = [
     "BacktestPlan",
     "BacktestRecord",
     "BacktestResult",
-    "BandedMatrix",
     "ConditionalCdf",
     "EstimationError",
-    "GibbsState",
     "MacroDataset",
     "ModelSpec",
     "MonotonicityError",
-    "NotPositiveDefiniteError",
     "PosteriorDraws",
     "Quantile",
     "RiskReportRow",
@@ -99,44 +70,27 @@ __all__ = [
     "RngHandle",
     "StoreError",
     "ThresholdGrid",
-    "apply_design_transform",
     "assemble_design",
-    "assemble_precision",
     "build_threshold_grid",
     "cdf_derivative",
     "cdf_interpolate",
-    "cholesky_banded",
     "compare_distributions",
     "conditional_cdf",
-    "counterfactual_shift",
     "deflation_risk",
     "distribution_mean",
-    "draw_beta_monotone",
-    "draw_beta_unconstrained",
-    "draw_latent",
-    "draw_sigma2",
+    "draw_buffers",
     "excess_inflation_risk",
     "expanding_window_backtest",
-    "fitted_values",
-    "forecast_predictive",
-    "format_quarter",
     "hash_data",
-    "inflation",
     "load_csv",
     "load_estimate",
     "load_schema",
-    "parse_quarter",
     "pit",
     "pit_uniformity_band",
     "quantile_from_cdf",
     "quantile_score",
     "read_manifest",
-    "rearrange",
     "run_gibbs",
-    "sample_gaussian_precision",
-    "sample_truncated_mvn",
-    "sample_truncated_normal",
     "save_estimate",
-    "solve_banded",
     "__version__",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -40,13 +41,12 @@ from .risk import (
     DEFAULT_PROBES,
     RiskSpec,
     compare_distributions,
-    counterfactual_shift,
     deflation_risk,
     distribution_mean,
     excess_inflation_risk,
 )
 from .samplers import RngHandle
-from .store import StoreError, load_estimate, save_estimate
+from .store import StoreError, draw_buffers, load_estimate, save_estimate
 
 __all__ = ["main"]
 
@@ -115,9 +115,18 @@ def _load_dataset(args):
     raise ValueError("need --price-column or --target to define the outcome")
 
 
-def _aligned_design(args, dataset):
+def _aligned_design(args, dataset, transform):
     aligned = assemble_design(dataset, args.covariates, lag=args.lag)
-    return aligned, apply_design_transform(aligned.x, args.design_transform)
+    return aligned, apply_design_transform(aligned.x, transform)
+
+
+def _row(aligned, date) -> int:
+    """Aligned row of an origin quarter; the last row when no date is given."""
+    if not date:
+        return len(aligned.y) - 1
+    if date not in aligned.origin_dates:
+        raise ValueError(f"no aligned row at {date}")
+    return aligned.origin_dates.index(date)
 
 
 def _build_spec(args, aligned, x_design) -> ModelSpec:
@@ -136,16 +145,24 @@ def _build_spec(args, aligned, x_design) -> ModelSpec:
     )
 
 
-def _load_matching_estimate(args, aligned):
-    """Stored draws, refused unless they were fit to this exact aligned data."""
-    return load_estimate(args.estimate, expect_data_hash=hash_data(aligned.y, aligned.x))
+def _load_for_reading(args):
+    """Dataset, aligned rows, design and stored draws for a read command.
+
+    The draws are refused unless they were fit to this exact aligned data,
+    and the design transform is the one stored with them.
+    """
+    ds = _load_dataset(args)
+    aligned = assemble_design(ds, args.covariates, lag=args.lag)
+    draws = load_estimate(args.estimate, expect_data_hash=hash_data(aligned.y, aligned.x))
+    return ds, aligned, apply_design_transform(aligned.x, draws.design_transform), draws
 
 
 def _cmd_estimate(args) -> int:
     ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds)
+    aligned, x_design = _aligned_design(args, ds, args.design_transform)
     spec = _build_spec(args, aligned, x_design)
-    draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed))
+    draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed),
+                      buffers=partial(draw_buffers, args.out))
     save_estimate(args.out, draws)
     _print_rows([
         ("estimate", args.out),
@@ -159,19 +176,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds)
-    draws = _load_matching_estimate(args, aligned)
-    link = LINKS[draws.link]
-    if args.date:
-        if args.date not in aligned.origin_dates:
-            raise ValueError(f"no aligned row at {args.date}")
-        row = aligned.origin_dates.index(args.date)
-    else:
-        row = len(aligned.y) - 1
-    pred = forecast_predictive(
-        draws, x_design[row], RngHandle(args.seed, stream=args.stream), link
-    )
+    _, aligned, x_design, draws = _load_for_reading(args)
+    pred = forecast_predictive(draws, x_design[_row(aligned, args.date)],
+                               RngHandle(args.seed, stream=args.stream), LINKS[draws.link])
     rows = [("statistic", "value", "censored")]
     for tau in args.taus:
         q = quantile_from_cdf(pred, tau)
@@ -183,23 +190,16 @@ def _cmd_forecast(args) -> int:
 
 def _conditioning_cdf(args, aligned, x_design, draws) -> ConditionalCdf:
     link = LINKS[draws.link]
-    if getattr(args, "predictive", False):
+    if args.predictive:
         return forecast_predictive(
-            draws, x_design[-1], RngHandle(args.seed, stream=getattr(args, "stream", 0)), link
+            draws, x_design[-1], RngHandle(args.seed, stream=args.stream), link
         )
-    if args.date:
-        if args.date not in aligned.origin_dates:
-            raise ValueError(f"no aligned row at {args.date}")
-        t = aligned.origin_dates.index(args.date)
-    else:
-        t = len(aligned.y) - 1
+    t = _row(aligned, args.date)
     return conditional_cdf(draws, x_design[t], t, link)
 
 
 def _cmd_risk(args) -> int:
-    ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds)
-    draws = _load_matching_estimate(args, aligned)
+    _, aligned, x_design, draws = _load_for_reading(args)
     cdf = _conditioning_cdf(args, aligned, x_design, draws)
     spec = RiskSpec(lower_target=args.lower, upper_target=args.upper,
                     alpha=args.alpha, gamma=args.gamma)
@@ -221,20 +221,13 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_counterfactual(args) -> int:
-    ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds)
-    draws = _load_matching_estimate(args, aligned)
+    ds, aligned, x_design, draws = _load_for_reading(args)
     link = LINKS[draws.link]
-    shifted = counterfactual_shift(ds, args.variable, args.delta, (args.start, args.end))
-    aligned_s, x_design_s = _aligned_design(args, shifted)
+    shifted = ds.with_shift(args.variable, args.delta, (args.start, args.end))
+    aligned_s, x_design_s = _aligned_design(args, shifted, draws.design_transform)
     if aligned_s.origin_dates != aligned.origin_dates:
         raise ValueError("shifted dataset no longer aligns with the baseline sample")
-    if args.date:
-        if args.date not in aligned.origin_dates:
-            raise ValueError(f"no aligned row at {args.date}")
-        t = aligned.origin_dates.index(args.date)
-    else:
-        t = len(aligned.y) - 1
+    t = _row(aligned, args.date)
     base = conditional_cdf(draws, x_design[t], t, link)
     counter = conditional_cdf(draws, x_design_s[t], t, link)
     table = compare_distributions(base, counter, probes=args.probes)
@@ -248,7 +241,7 @@ def _cmd_counterfactual(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds)
+    aligned, x_design = _aligned_design(args, ds, args.design_transform)
     spec = _build_spec(args, aligned, x_design)
     plan = BacktestPlan(
         initial_start=args.initial_start,
@@ -328,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="one-step-ahead predictive distribution")
     _add_data_options(p)
     p.add_argument("--estimate", required=True, help="directory written by estimate")
-    p.add_argument("--design-transform", choices=("identity", "quadratic"), default="identity")
     p.add_argument("--date", help="forecast origin quarter (default: last aligned row)")
     p.add_argument("--taus", type=_comma_floats, default=(0.05, 0.5, 0.95))
     p.add_argument("--seed", type=int, default=0)
@@ -338,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("risk", help="target-range risk measures from a stored estimate")
     _add_data_options(p)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--design-transform", choices=("identity", "quadratic"), default="identity")
     p.add_argument("--date", help="conditioning quarter (default: last aligned row)")
     p.add_argument("--predictive", action="store_true",
                    help="use the one-step-ahead curve instead of an in-sample quarter")
@@ -354,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterfactual", help="same draws, shifted covariate path")
     _add_data_options(p)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--design-transform", choices=("identity", "quadratic"), default="identity")
     p.add_argument("--variable", required=True, help="series to shift")
     p.add_argument("--delta", type=float, required=True, help="amount added to the series")
     p.add_argument("--start", required=True, help="first shifted quarter")

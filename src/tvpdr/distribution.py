@@ -22,7 +22,6 @@ __all__ = [
     "ConditionalCdf",
     "Quantile",
     "build_threshold_grid",
-    "rearrange",
     "conditional_cdf",
     "quantile_from_cdf",
     "forecast_predictive",
@@ -122,21 +121,12 @@ class Quantile(float):
         return obj
 
 
-def rearrange(values: np.ndarray) -> np.ndarray:
-    """Monotone rearrangement: sort the curve values ascending.
-
-    Works on a single curve or row-wise on a (draws, K) matrix. Leaves
-    already-sorted input equal to itself and preserves the value set.
-    """
-    return np.sort(np.asarray(values, dtype=np.float64), axis=-1)
-
-
 def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
     """Posterior-mean CDF at in-sample time t for design point x.
 
     Under monotone estimation at an in-sample point the per-draw curves are
     already ordered and the average needs no adjustment; otherwise the
-    averaged curve is rearranged before finalization.
+    averaged curve is rearranged (sorted ascending) before finalization.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (draws.d,):
@@ -146,7 +136,7 @@ def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
     fits = np.einsum("nkd,d->nk", draws.beta[:, :, t, :], x)
     values = link.cdf(fits).mean(axis=0)
     if np.any(np.diff(values) < 0.0):
-        values = rearrange(values)
+        values = np.sort(values)
     return ConditionalCdf(grid=draws.grid, values=values, x=x, time_index=t)
 
 
@@ -164,7 +154,7 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
     last = draws.beta[:, :, -1, :]
     prop = last + gen.standard_normal(last.shape) * np.sqrt(draws.sigma2)
     values = link.cdf(np.einsum("nkd,d->nk", prop, x_next)).mean(axis=0)
-    values = rearrange(values)
+    values = np.sort(values)
     return ConditionalCdf(grid=draws.grid, values=values, x=x_next, time_index="predictive")
 
 

@@ -204,7 +204,11 @@ class GibbsState:
 
 @dataclass(eq=False)
 class PosteriorDraws:
-    """Kept draws, iteration-major, plus enough metadata to reproduce them."""
+    """Kept draws, iteration-major, plus enough metadata to reproduce them.
+
+    ``beta`` is indexed (kept, K, T, d) whatever its memory layout: a loaded
+    estimate's is a read-only view of its time-major blob.
+    """
 
     grid: ThresholdGrid
     beta: np.ndarray    # (kept, K, T, d)
@@ -427,7 +431,11 @@ def initial_state(y: np.ndarray, grid: ThresholdGrid, t_len: int, d: int, link: 
     return GibbsState(beta=beta, sigma2=sigma2, fitted=fitted)
 
 
-def run_gibbs(spec: ModelSpec, data, rng=None) -> PosteriorDraws:
+def _in_memory(kept: int, k: int, t_len: int, d: int):
+    return np.empty((kept, k, t_len, d)), np.empty((kept, k, d))
+
+
+def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorDraws:
     """Full Gibbs pass over thresholds and iterations.
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
@@ -439,6 +447,11 @@ def run_gibbs(spec: ModelSpec, data, rng=None) -> PosteriorDraws:
     given the odd ones, then all odd ones given the even ones: a red-black
     systematic-scan Gibbs sampler that leaves every kept iteration exactly
     ordered across the whole grid. Unconstrained mode is one batch of all K.
+
+    ``buffers(kept, K, T, d)`` returns the writable (kept, K, T, d) and
+    (kept, K, d) arrays that receive the kept draws and become the result's
+    ``beta`` and ``sigma2``. The default keeps them in memory;
+    ``store.draw_buffers`` streams them to disk.
     """
     y, x_raw = data
     y = np.asarray(y, dtype=np.float64)
@@ -467,8 +480,7 @@ def run_gibbs(spec: ModelSpec, data, rng=None) -> PosteriorDraws:
 
     state = initial_state(y, grid, t_len, d, link)
     kept = spec.iterations - spec.burnin
-    out_beta = np.empty((kept, k, t_len, d))
-    out_sigma2 = np.empty((kept, k, d))
+    out_beta, out_sigma2 = buffers(kept, k, t_len, d)
 
     colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
     edge = np.full((1, t_len), np.inf)  # open bounds beyond the ends of the grid

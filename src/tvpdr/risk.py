@@ -22,7 +22,6 @@ __all__ = [
     "excess_inflation_risk",
     "distribution_mean",
     "compare_distributions",
-    "counterfactual_shift",
 ]
 
 DEFAULT_PROBES = (3.0, 4.0, 5.0, 6.0)
@@ -129,11 +128,3 @@ def compare_distributions(
         rows.append(RiskReportRow(label=label, mean=distribution_mean(cdf), exceedance=exceedance))
     return rows
 
-
-def counterfactual_shift(dataset, variable: str, delta: float, periods) -> object:
-    """Dataset copy with one series shifted by delta over a period range.
-
-    ``periods`` is an inclusive (start, end) pair of quarter labels. All
-    other series, and the series outside the range, are untouched.
-    """
-    return dataset.with_shift(variable, delta, periods)

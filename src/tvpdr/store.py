@@ -1,14 +1,33 @@
-"""On-disk estimate directories: raw draws plus a plain-text manifest.
+"""On-disk estimate directories: two raw draw blobs plus a plain-text manifest.
 
-An estimate is a directory, not a single file, so the heavy arrays stay as
-flat little-endian float64 blobs one threshold apiece while everything a
-consumer needs to trust them (hashes, seed, shapes, grid) sits in MANIFEST
-as sorted key=value lines. Nothing in the directory depends on wall-clock
-time, so refitting with the same spec, data and seed reproduces every byte.
+An estimate is a directory. MANIFEST holds everything a consumer needs to
+trust the draws (hashes, seed, shapes, grid, design transform) as sorted
+key=value lines, grid.tsv lists the thresholds, and the draws are two flat
+little-endian float64 blobs:
+
+- ``beta.f64`` is C-ordered (T, kept, K, d). It is time-major, so every
+  draw at one quarter is one contiguous slab.
+- ``sigma2.f64`` is C-ordered (kept, K, d).
+
+``load_estimate`` maps both blobs read-only and hands ``beta`` back as its
+(kept, K, T, d) view, so a query at one quarter reads one slab from disk
+rather than the whole estimate. ``draw_buffers`` gives a fit writable maps of
+temp blobs inside the destination, so kept draws stream to disk as they are
+drawn and never sit in RAM; ``save_estimate`` then only flushes and renames
+them.
+
+A save never rewrites a blob in place. Each is written under a temp name and
+moved over the old one, so a reader that has the previous estimate mapped
+keeps its draws. The old MANIFEST goes first and the new one is written
+last: a save that dies midway leaves a directory that refuses to load, never
+one that mixes draws. Nothing in the directory depends on wall-clock time,
+so refitting with the same spec, data and seed reproduces every byte.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import re
 
@@ -17,10 +36,12 @@ import numpy as np
 from .distribution import ThresholdGrid
 from .model import PosteriorDraws
 
-__all__ = ["save_estimate", "load_estimate", "read_manifest", "StoreError"]
+__all__ = ["save_estimate", "load_estimate", "read_manifest", "draw_buffers", "StoreError"]
 
-FORMAT_TAG = "tvpdr-estimate-1"
-_BLOB = re.compile(r"(?:beta|sigma2)_(\d+)\.f64")
+FORMAT_TAG = "tvpdr-estimate-2"
+_V1_TAG = "tvpdr-estimate-1"
+_V1_BLOB = re.compile(r"(?:beta|sigma2)_\d+\.f64")
+_PARTIAL = ".partial"
 
 
 class StoreError(ValueError):
@@ -33,11 +54,61 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def save_estimate(path: str, draws: PosteriorDraws) -> None:
-    """Write MANIFEST, grid.tsv and one beta/sigma2 blob per threshold.
+def draw_buffers(path: str, kept: int, k: int, t_len: int, d: int):
+    """Writable (kept, K, T, d) and (kept, K, d) arrays backed by temp blobs in ``path``.
 
-    Re-saving into an estimate directory removes the blobs of thresholds
-    beyond the new grid, so no draws of an older, larger grid stay behind.
+    Pass ``functools.partial(draw_buffers, path)`` as ``run_gibbs``'s
+    ``buffers`` to stream kept draws to disk; ``save_estimate(path, draws)``
+    then moves these blobs into place without copying them. Until that save,
+    nothing a reader of ``path`` loads is touched, so a fit that fails leaves
+    the previous estimate as it was.
+    """
+    os.makedirs(path, exist_ok=True)
+    beta = np.memmap(os.path.join(path, "beta.f64" + _PARTIAL), dtype="<f8", mode="w+",
+                     shape=(t_len, kept, k, d))
+    sigma2 = np.memmap(os.path.join(path, "sigma2.f64" + _PARTIAL), dtype="<f8", mode="w+",
+                       shape=(kept, k, d))
+    return beta.transpose(1, 2, 0, 3), sigma2
+
+
+def _is_buffer(disk: np.ndarray, partial: str) -> bool:
+    """True when ``disk`` is the whole writable map of the temp blob ``partial``."""
+    return (isinstance(disk, np.memmap) and disk.filename == os.path.abspath(partial)
+            and disk.flags.c_contiguous and disk.flags.writeable and disk.dtype == "<f8"
+            and os.path.isfile(partial) and os.path.getsize(partial) == disk.nbytes)
+
+
+def _put_blob(path: str, name: str, disk: np.ndarray) -> None:
+    """Store ``disk`` (already in the blob's axis order) as ``name``, by rename.
+
+    A buffer from ``draw_buffers`` is flushed and renamed. Any other array is
+    written slab by slab along its first axis through one reused buffer.
+    """
+    final = os.path.join(path, name)
+    partial = final + _PARTIAL
+    if _is_buffer(disk, partial):
+        disk.flush()
+    else:
+        buf = np.empty(disk.shape[1:], dtype="<f8")
+        with open(partial, "wb") as fh:
+            for slab in disk:
+                np.copyto(buf, slab)
+                fh.write(buf)
+    os.replace(partial, final)
+
+
+def _put_text(path: str, name: str, text: str) -> None:
+    final = os.path.join(path, name)
+    with open(final + _PARTIAL, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(final + _PARTIAL, final)
+
+
+def save_estimate(path: str, draws: PosteriorDraws) -> None:
+    """Write the two draw blobs, grid.tsv and, last, MANIFEST.
+
+    Blobs of the per-threshold layout of older versions are removed, so a
+    re-save over such a directory leaves only this version's files.
     """
     os.makedirs(path, exist_ok=True)
     manifest = {
@@ -56,23 +127,17 @@ def save_estimate(path: str, draws: PosteriorDraws) -> None:
         "grid_max": float(draws.grid.max_value),
         "grid_step": float(draws.grid.step),
     }
-    with open(os.path.join(path, "MANIFEST"), "w", encoding="utf-8") as fh:
-        for key in sorted(manifest):
-            fh.write(f"{key}={_fmt(manifest[key])}\n")
-    with open(os.path.join(path, "grid.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("index\tthreshold\n")
-        for j, y in enumerate(draws.grid.points):
-            fh.write(f"{j}\t{_fmt(float(y))}\n")
-    for j in range(draws.n_thresholds):
-        # C order over (kept, T, d): iteration-major, time-major, coefficient-minor
-        with open(os.path.join(path, f"beta_{j}.f64"), "wb") as fh:
-            fh.write(np.ascontiguousarray(draws.beta[:, j], dtype="<f8").tobytes())
-        with open(os.path.join(path, f"sigma2_{j}.f64"), "wb") as fh:
-            fh.write(np.ascontiguousarray(draws.sigma2[:, j], dtype="<f8").tobytes())
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(path, "MANIFEST"))
+    _put_blob(path, "beta.f64", draws.beta.transpose(2, 0, 1, 3))
+    _put_blob(path, "sigma2.f64", draws.sigma2)
+    _put_text(path, "grid.tsv", "index\tthreshold\n" + "".join(
+        f"{j}\t{_fmt(float(y))}\n" for j, y in enumerate(draws.grid.points)))
     for name in os.listdir(path):
-        stale = _BLOB.fullmatch(name)
-        if stale and int(stale.group(1)) >= draws.n_thresholds:
+        if _V1_BLOB.fullmatch(name):
             os.remove(os.path.join(path, name))
+    _put_text(path, "MANIFEST", "".join(f"{key}={_fmt(manifest[key])}\n"
+                                        for key in sorted(manifest)))
 
 
 def read_manifest(path: str) -> dict:
@@ -89,17 +154,22 @@ def read_manifest(path: str) -> dict:
                 raise StoreError(f"{name}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             out[key] = value
+    if out.get("format") == _V1_TAG:
+        raise StoreError(f"{path}: format {_V1_TAG} (one blob per threshold) is no longer "
+                         "read; refit the estimate with `tvpdr estimate`")
     if out.get("format") != FORMAT_TAG:
         raise StoreError(f"{path}: unsupported format {out.get('format')!r}")
     return out
 
 
 def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDraws:
-    """Read an estimate directory back into PosteriorDraws.
+    """Map an estimate directory back into PosteriorDraws.
 
     Shapes come from the manifest and every blob must match them exactly.
-    Pass ``expect_data_hash`` (from hashing the data you are about to use)
-    to refuse an estimate that was fit to something else.
+    ``beta`` and ``sigma2`` are read-only views of the mapped blobs, so only
+    the parts a caller reads are loaded. Pass ``expect_data_hash`` (from
+    hashing the data you are about to use) to refuse an estimate that was
+    fit to something else.
     """
     man = read_manifest(path)
     try:
@@ -136,16 +206,10 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
     grid = ThresholdGrid(points=np.array(points), min_value=grid_min,
                          max_value=grid_max, step=grid_step)
 
-    beta = np.empty((kept, k, t_len, d))
-    sigma2 = np.empty((kept, k, d))
-    for j in range(k):
-        beta[:, j] = _read_blob(os.path.join(path, f"beta_{j}.f64"), (kept, t_len, d))
-        sigma2[:, j] = _read_blob(os.path.join(path, f"sigma2_{j}.f64"), (kept, d))
-
     return PosteriorDraws(
         grid=grid,
-        beta=beta,
-        sigma2=sigma2,
+        beta=_map_blob(os.path.join(path, "beta.f64"), (t_len, kept, k, d)).transpose(1, 2, 0, 3),
+        sigma2=_map_blob(os.path.join(path, "sigma2.f64"), (kept, k, d)),
         seed=int(man["seed"]),
         stream=int(man["stream"]),
         spec_hash=man["spec_hash"],
@@ -155,11 +219,19 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
     )
 
 
-def _read_blob(name: str, shape: tuple) -> np.ndarray:
-    if not os.path.exists(name):
-        raise StoreError(f"{name}: draw file is missing")
-    raw = np.fromfile(name, dtype="<f8")
-    want = int(np.prod(shape))
-    if raw.size != want:
-        raise StoreError(f"{name}: holds {raw.size} values, manifest implies {want}")
-    return raw.reshape(shape)
+def _map_blob(name: str, shape: tuple) -> np.ndarray:
+    """Read-only plain-ndarray view of a blob whose size must match ``shape``.
+
+    The size is checked on the open file before mapping, because a map
+    accepts a file longer than the shape it is asked for.
+    """
+    try:
+        fh = open(name, "rb")
+    except FileNotFoundError:
+        raise StoreError(f"{name}: draw file is missing") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        want = math.prod(shape)
+        if size != 8 * want:
+            raise StoreError(f"{name}: holds {size} bytes, manifest implies {want} float64 values")
+        return np.memmap(fh, dtype="<f8", mode="r", shape=shape).view(np.ndarray)

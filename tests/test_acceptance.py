@@ -16,30 +16,26 @@ from scipy.special import ndtr
 
 from tvpdr import (
     BacktestPlan,
-    BandedMatrix,
     ConditionalCdf,
     MacroDataset,
     ModelSpec,
     PosteriorDraws,
     RngHandle,
     ThresholdGrid,
-    assemble_precision,
     build_threshold_grid,
     cdf_derivative,
-    cholesky_banded,
     compare_distributions,
     conditional_cdf,
     deflation_risk,
-    draw_sigma2,
     excess_inflation_risk,
     expanding_window_backtest,
     pit_uniformity_band,
     run_gibbs,
-    sample_gaussian_precision,
-    solve_banded,
 )
+from tvpdr.banded import BandedMatrix, assemble_precision, cholesky_banded, solve_banded
 from tvpdr.cli import main
-from tvpdr.model import LINKS
+from tvpdr.model import LINKS, draw_sigma2
+from tvpdr.samplers import sample_gaussian_precision
 from tvpdr.risk import DEFAULT_PROBES
 
 from reference import (

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from tvpdr.cli import main
+from tvpdr.data import assemble_design, load_csv
+from tvpdr.distribution import conditional_cdf
+from tvpdr.model import PROBIT, apply_design_transform
+from tvpdr.risk import distribution_mean
+from tvpdr.store import load_estimate
 
 
 def write_csv(path, n=64, seed=0, bump=0.0):
@@ -115,6 +120,36 @@ def test_stale_estimate_is_refused_after_data_edit(estimate_dir, capsys, tmp_pat
                                    "--estimate", est])
     assert code == 1
     assert "fit to different data" in stderr
+
+
+def test_reads_take_the_design_transform_from_the_estimate(tmp_path, capsys):
+    csv = str(tmp_path / "macro.csv")
+    write_csv(csv)
+    est = str(tmp_path / "est")
+    code, _, _ = run(capsys, ["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                              "--design-transform", "quadratic", "--out", est])
+    assert code == 0
+    draws = load_estimate(est)
+    assert draws.design_transform == "quadratic" and draws.d == 5
+
+    common = ["--data", csv, *DATA_ARGS, "--estimate", est]
+    code, stdout, _ = run(capsys, ["risk", *common, "--date", "2000Q2"])
+    assert code == 0
+    aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ("infl_P_1q", "u"), lag=1)
+    t = aligned.origin_dates.index("2000Q2")
+    x = apply_design_transform(aligned.x, "quadratic")[t]
+    want = distribution_mean(conditional_cdf(draws, x, t, PROBIT))
+    assert dict(parse_table(stdout)[1:])["mean"] == format(want, ".6g")
+
+    code, _, _ = run(capsys, ["forecast", *common])
+    assert code == 0
+    code, _, _ = run(capsys, ["counterfactual", *common, "--variable", "u", "--delta", "1.0",
+                              "--start", "1995Q1", "--end", "2000Q2", "--date", "2000Q2"])
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:  # the stored transform is the only source
+        main(["forecast", *common, "--design-transform", "identity"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_evaluate_then_plotdata_round_trip(tmp_path, capsys):

@@ -14,7 +14,6 @@ from tvpdr.distribution import (
     conditional_cdf,
     forecast_predictive,
     quantile_from_cdf,
-    rearrange,
 )
 from tvpdr.model import ModelSpec, PROBIT, run_gibbs
 from tvpdr.samplers import RngHandle
@@ -47,15 +46,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         ThresholdGrid(points=np.array([0.0, 0.1, 0.3]), min_value=0.0,
                       max_value=0.3, step=0.1)
-
-
-def test_rearrange_sorts_rows():
-    v = np.array([[0.2, 0.1, 0.5], [0.0, 0.4, 0.3]])
-    out = rearrange(v)
-    assert np.array_equal(out, np.array([[0.1, 0.2, 0.5], [0.0, 0.3, 0.4]]))
-    # sorted input passes through unchanged
-    s = np.array([0.1, 0.2, 0.9])
-    assert np.array_equal(rearrange(s), s)
 
 
 def test_conditional_cdf_matches_probit_mixture():

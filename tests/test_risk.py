@@ -14,7 +14,6 @@ from tvpdr.risk import (
     DEFAULT_PROBES,
     RiskSpec,
     compare_distributions,
-    counterfactual_shift,
     deflation_risk,
     distribution_mean,
     excess_inflation_risk,
@@ -105,14 +104,3 @@ def test_compare_distributions_rows():
     with pytest.raises(ValueError):
         compare_distributions(base, gaussian_cdf(step=0.02), probes=(3.0,))
 
-
-def test_counterfactual_shift_delegates_to_dataset():
-    class Recorder:
-        def with_shift(self, variable, delta, periods):
-            self.call = (variable, delta, periods)
-            return "shifted"
-
-    ds = Recorder()
-    out = counterfactual_shift(ds, "ugap", -5.0, ("2020Q1", "2020Q4"))
-    assert out == "shifted"
-    assert ds.call == ("ugap", -5.0, ("2020Q1", "2020Q4"))

@@ -95,34 +95,28 @@ def _tail_reject(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.n
 
 
 def _truncated_std_normal(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Standardized truncated normal on (a, b); a < b, either side may be inf."""
-    z = np.empty_like(a)
+    """Standardized truncated normal on (a, b); a < b, either side may be inf.
 
-    right = a >= _TAIL
-    left = b <= -_TAIL
-    mid = ~(right | left)
-
-    if mid.any():
-        am, bm = a[mid], b[mid]
-        u = gen.random(am.shape)
-        zm = np.empty_like(am)
-        hi = am >= 0.0
-        if hi.any():
-            # both bounds right of center: work on the survival scale
-            pa = ndtr(-am[hi])
-            pb = ndtr(-bm[hi])
-            zm[hi] = -ndtri(pb + u[hi] * (pa - pb))
-        lo = ~hi
-        if lo.any():
-            fa = ndtr(am[lo])
-            fb = ndtr(bm[lo])
-            zm[lo] = ndtri(fa + u[lo] * (fb - fa))
-        z[mid] = zm
-    if right.any():
-        z[right] = _tail_reject(a[right], b[right], gen)
-    if left.any():
-        z[left] = -_tail_reject(-b[left], -a[left], gen)
-    return z
+    Intervals with a >= 0 are mirrored to (-b, -a), so every interval starts
+    left of center and one inversion pass on the lower tail, where ndtr and
+    ndtri keep full relative accuracy, serves them all. Intervals that end
+    beyond _TAIL sds are drawn by rejection instead.
+    """
+    flip = a >= 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    tail = hi <= -_TAIL
+    if tail.any():
+        u = np.full(a.shape, 0.5)  # placeholder in the tail slots
+        u[~tail] = gen.random(a.size - np.count_nonzero(tail))
+    else:
+        u = gen.random(a.shape)
+    fa = ndtr(lo)
+    z = ndtri(fa + u * (ndtr(hi) - fa))
+    for side in (flip, ~flip):  # right tails first, then left tails
+        if (tail & side).any():
+            z[tail & side] = -_tail_reject(-hi[tail & side], -lo[tail & side], gen)
+    return np.where(flip, -z, z)
 
 
 def sample_truncated_normal(mean, sd, lower, upper, rng):
@@ -135,10 +129,7 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     (exponential proposal, uniform proposal for narrow slivers).
     """
     gen = as_generator(rng)
-    mean = np.asarray(mean, dtype=np.float64)
-    sd = np.asarray(sd, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))
 
     if not np.all(np.isfinite(mean)):
         raise ValueError("truncated normal mean must be finite")
@@ -147,17 +138,14 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     if not np.all(lower < upper):
         raise ValueError("empty truncation interval: lower must be < upper")
 
-    scalar = mean.ndim == sd.ndim == lower.ndim == upper.ndim == 0
-    shape = np.broadcast_shapes(mean.shape, sd.shape, lower.shape, upper.shape)
-    mean, sd, lower, upper = (np.broadcast_to(v, shape).ravel() for v in (mean, sd, lower, upper))
-    z = _truncated_std_normal((lower - mean) / sd, (upper - mean) / sd, gen)
+    a, b = np.broadcast_arrays((lower - mean) / sd, (upper - mean) / sd)
+    z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
 
     # Rounding can land a draw exactly on a bound; push it one ulp inside so
     # the strict-containment contract holds everywhere downstream.
     draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
                       np.nextafter(upper, -np.inf))
-    draw = draw.reshape(shape)
-    return float(draw) if scalar else draw
+    return float(draw) if draw.ndim == 0 else draw
 
 
 def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng) -> np.ndarray:
@@ -217,14 +205,26 @@ def sample_truncated_mvn(
     if np.any(diag <= 0.0):
         raise ValueError("precision diagonal must be positive")
     sd = 1.0 / np.sqrt(diag)
-    ncolors = precision.bandwidth + 1
-    colors = [np.arange(c, n, ncolors) for c in range(ncolors)]
+    # Each color's constants, gathered once. Row 0 of ``nbr`` is the
+    # coordinate itself, rows 2k-1 and 2k its neighbors at -k and +k: the
+    # order in which BandedMatrix.matvec adds them. A neighbor past either
+    # end of the matrix gets coupling 0.
+    width = precision.bandwidth
+    offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])[:, None]
+    groups = []
+    for c in range(width + 1):
+        idx = np.arange(c, n, width + 1)
+        nbr = idx + offsets
+        inside = (nbr >= 0) & (nbr < n)
+        nbr = np.clip(nbr, 0, n - 1)
+        coupling = np.where(inside, precision.diagonals[np.abs(offsets), np.minimum(nbr, idx)], 0.0)
+        groups.append((idx, nbr, coupling, mean[nbr], sd[idx], lower[idx], upper[idx]))
 
     for _ in range(sweeps):
-        for idx in colors:
-            # v_i = sum_j K_ij (x_j - mean_j); conditional mean is then
+        for idx, nbr, coupling, mean_nbr, sd_c, lower_c, upper_c in groups:
+            # v_i = sum_j K_ij (x_j - mean_j); the conditional mean is then
             # m_i = x_i - v_i / K_ii, and same-color coords don't interact.
-            v = precision.matvec(x - mean)
-            m = x[idx] - v[idx] / diag[idx]
-            x[idx] = sample_truncated_normal(m, sd[idx], lower[idx], upper[idx], gen)
+            v = (coupling * (x[nbr] - mean_nbr)).sum(axis=0)
+            m = x[idx] - v / coupling[0]
+            x[idx] = sample_truncated_normal(m, sd_c, lower_c, upper_c, gen)
     return x

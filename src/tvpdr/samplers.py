@@ -2,8 +2,10 @@
 
 Three primitives: univariate truncated normals (vectorized), Gaussian draws
 parameterized by a banded precision matrix, and a coordinate-wise Gibbs pass
-for box-truncated Gaussians with banded precision. All randomness flows
-through ``RngHandle`` so that (seed, stream, call sequence) pins every draw
+for box-truncated Gaussians with banded precision. Truncated normals are
+drawn by inversion, each interval mirrored onto the lower tail where
+ndtr/ndtri keep full relative accuracy out to 30 sd, and by rejection
+beyond that. All randomness flows through ``RngHandle`` so that (seed, stream, call sequence) pins every draw
 bit for bit, including across parallel backtest origins.
 """
 
@@ -24,9 +26,10 @@ __all__ = [
     "sample_truncated_mvn",
 ]
 
-# Beyond this many sds from the mean, inversion loses accuracy and we switch
-# to rejection sampling.
-_TAIL = 4.0
+# Inversion on the mirrored (lower-tail) scale keeps full relative accuracy
+# out to this many sds: ndtr(-30) ~ 5e-198 is still a normal double.
+# Intervals lying entirely beyond it are drawn by rejection.
+_TAIL = 30.0
 
 
 @dataclass
@@ -106,16 +109,10 @@ def _truncated_std_normal(a: np.ndarray, b: np.ndarray, gen: np.random.Generator
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
     tail = hi <= -_TAIL
-    if tail.any():
-        u = np.full(a.shape, 0.5)  # placeholder in the tail slots
-        u[~tail] = gen.random(a.size - np.count_nonzero(tail))
-    else:
-        u = gen.random(a.shape)
     fa = ndtr(lo)
-    z = ndtri(fa + u * (ndtr(hi) - fa))
-    for side in (flip, ~flip):  # right tails first, then left tails
-        if (tail & side).any():
-            z[tail & side] = -_tail_reject(-hi[tail & side], -lo[tail & side], gen)
+    z = ndtri(fa + gen.random(a.shape) * (ndtr(hi) - fa))  # tail slots are redrawn below
+    if tail.any():
+        z[tail] = -_tail_reject(-hi[tail], -lo[tail], gen)
     return np.where(flip, -z, z)
 
 
@@ -124,9 +121,10 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
 
     Scalars broadcast against arrays; the output has the broadcast shape
     (a float for all-scalar input). Draws are strictly inside the interval.
-    Inversion via ndtr/ndtri handles intervals that touch the central
-    +-4 sd region; intervals entirely beyond that use rejection sampling
-    (exponential proposal, uniform proposal for narrow slivers).
+    Every interval is mirrored to start left of center and drawn in one
+    ndtr/ndtri inversion pass, accurate out to 30 sd; intervals entirely
+    beyond 30 sd use rejection sampling (exponential proposal, uniform
+    proposal for narrow slivers).
     """
     gen = as_generator(rng)
     mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))

@@ -5,8 +5,9 @@ parameterized by a banded precision matrix, and a coordinate-wise Gibbs pass
 for box-truncated Gaussians with banded precision. Truncated normals are
 drawn by inversion, each interval mirrored onto the lower tail where
 ndtr/ndtri keep full relative accuracy out to 30 sd, and by rejection
-beyond that. All randomness flows through ``RngHandle`` so that (seed, stream, call sequence) pins every draw
-bit for bit, including across parallel backtest origins.
+beyond that. All randomness flows through ``RngHandle`` so that (seed,
+stream, call sequence) pins every draw bit for bit, including across
+parallel backtest origins.
 """
 
 from __future__ import annotations
@@ -203,26 +204,27 @@ def sample_truncated_mvn(
     if np.any(diag <= 0.0):
         raise ValueError("precision diagonal must be positive")
     sd = 1.0 / np.sqrt(diag)
-    # Each color's constants, gathered once. Row 0 of ``nbr`` is the
-    # coordinate itself, rows 2k-1 and 2k its neighbors at -k and +k: the
-    # order in which BandedMatrix.matvec adds them. A neighbor past either
-    # end of the matrix gets coupling 0.
+    # r = x - mean sits between ``width`` zeros at each end, so a color's
+    # neighbors at offset o are its strided slice shifted by o. Per color,
+    # v_i = sum_j K_ij r_j adds terms in BandedMatrix.matvec's order (self,
+    # -1, +1, -2, +2, ...; 0 past either end), then m_i = x_i - v_i / K_ii.
     width = precision.bandwidth
-    offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])[:, None]
+    r = np.zeros(n + 2 * width)
+    offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])
     groups = []
     for c in range(width + 1):
-        idx = np.arange(c, n, width + 1)
-        nbr = idx + offsets
-        inside = (nbr >= 0) & (nbr < n)
-        nbr = np.clip(nbr, 0, n - 1)
-        coupling = np.where(inside, precision.diagonals[np.abs(offsets), np.minimum(nbr, idx)], 0.0)
-        groups.append((idx, nbr, coupling, mean[nbr], sd[idx], lower[idx], upper[idx]))
+        own = slice(c, n, width + 1)
+        nbr = np.arange(n)[own] + offsets[:, None]
+        band = precision.diagonals[abs(offsets)[:, None], np.maximum(np.minimum(nbr, nbr[0]), 0)]
+        coupling = np.where((nbr >= 0) & (nbr < n), band, 0.0)
+        views = [slice(width + c + o, width + n + o, width + 1) for o in offsets]
+        groups.append((own, views, coupling, sd[own], lower[own], upper[own]))
 
     for _ in range(sweeps):
-        for idx, nbr, coupling, mean_nbr, sd_c, lower_c, upper_c in groups:
-            # v_i = sum_j K_ij (x_j - mean_j); the conditional mean is then
-            # m_i = x_i - v_i / K_ii, and same-color coords don't interact.
-            v = (coupling * (x[nbr] - mean_nbr)).sum(axis=0)
-            m = x[idx] - v / coupling[0]
-            x[idx] = sample_truncated_normal(m, sd_c, lower_c, upper_c, gen)
+        for own, views, coupling, sd_c, lower_c, upper_c in groups:
+            np.subtract(x, mean, out=r[width : width + n])
+            v = coupling[0] * r[views[0]]
+            for cpl, view in zip(coupling[1:], views[1:]):
+                v += cpl * r[view]
+            x[own] = sample_truncated_normal(x[own] - v / coupling[0], sd_c, lower_c, upper_c, gen)
     return x

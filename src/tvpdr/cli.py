@@ -46,7 +46,7 @@ from .risk import (
     excess_inflation_risk,
 )
 from .samplers import RngHandle
-from .store import StoreError, draw_buffers, load_estimate, save_estimate
+from .store import StoreError, _discard_partials, draw_buffers, load_estimate, save_estimate
 
 __all__ = ["main"]
 
@@ -161,9 +161,14 @@ def _cmd_estimate(args) -> int:
     ds = _load_dataset(args)
     aligned, x_design = _aligned_design(args, ds, args.design_transform)
     spec = _build_spec(args, aligned, x_design)
-    draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed),
-                      buffers=partial(draw_buffers, args.out))
-    save_estimate(args.out, draws)
+    try:
+        draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed),
+                          buffers=partial(draw_buffers, args.out))
+        save_estimate(args.out, draws)
+    except BaseException:
+        # the temp blobs are the full kept-draw size and never load
+        _discard_partials(args.out)
+        raise
     _print_rows([
         ("estimate", args.out),
         ("observations", draws.n_obs),

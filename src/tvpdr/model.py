@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -219,7 +219,6 @@ class PosteriorDraws:
     data_hash: str
     design_transform: str = "identity"
     link: str = "probit"
-    info: dict = field(default_factory=dict)
 
     @property
     def kept(self) -> int:

@@ -97,6 +97,14 @@ def _put_blob(path: str, name: str, disk: np.ndarray) -> None:
     os.replace(partial, final)
 
 
+def _discard_partials(path: str) -> None:
+    """Remove the temp files that a failed fit or save left in ``path``."""
+    for name in os.listdir(path) if os.path.isdir(path) else ():
+        if name.endswith(_PARTIAL):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(path, name))
+
+
 def _put_text(path: str, name: str, text: str) -> None:
     final = os.path.join(path, name)
     with open(final + _PARTIAL, "w", encoding="utf-8") as fh:

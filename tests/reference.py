@@ -4,15 +4,15 @@ Everything here is written against dense numpy/scipy primitives in the most
 literal way possible so it shares no code path with the package: dense
 precision assembly via kron, a one-threshold Gibbs sampler on top of
 scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
-monotone Gibbs sampler, analytic distribution facts, and a batch-means Monte
-Carlo standard error.
+monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
+Carlo standard error, and a frozen copy of an earlier truncated-normal kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammainc, ndtr
+from scipy.special import gammainc, ndtr, ndtri
 
 
 def dense_precision(design: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -170,6 +170,77 @@ def probit_mixture_cdf(a: float, b: float) -> float:
     """E[Phi(a + b Z)] for standard normal Z, i.e. Phi(a / sqrt(1 + b^2))."""
     return float(ndtr(a / np.sqrt(1.0 + b * b)))
 
+
+
+# Frozen copy of the truncated-normal kernel before intervals were mirrored
+# and inversion extended to 30 sd: inversion on the survival scale (a >= 0)
+# or the distribution scale (a < 0) when the interval reaches within 4 sd,
+# rejection beyond. The package must reproduce its draws, and leave the
+# generator in the same state, whenever no bound lies beyond 4 sd.
+FROZEN_TAIL = 4.0
+
+
+def frozen_tail_reject(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Standardized draws on [a, b) with a >= FROZEN_TAIL (b possibly inf)."""
+    out = np.empty_like(a)
+    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
+    wide = (b - a) >= 1.0 / a
+    pending = np.ones(a.shape, dtype=bool)
+    while pending.any():
+        idx = np.nonzero(pending)[0]
+        aa, bb, ll = a[idx], b[idx], lam[idx]
+        w = wide[idx]
+        u1 = 1.0 - gen.random(idx.size)
+        u2 = gen.random(idx.size)
+        x = np.where(w, aa - np.log(u1) / ll, aa + u1 * np.where(np.isfinite(bb), bb - aa, 0.0))
+        logacc = np.where(w, -0.5 * (x - ll) ** 2, 0.5 * (aa * aa - x * x))
+        ok = np.log(np.maximum(u2, 1e-300)) <= logacc
+        ok &= x < bb
+        good = idx[ok]
+        out[good] = x[ok]
+        pending[good] = False
+    return out
+
+
+def frozen_truncated_std_normal(a: np.ndarray, b: np.ndarray,
+                                gen: np.random.Generator) -> np.ndarray:
+    """Standardized truncated normal on (a, b), 1-D a < b, either side may be inf."""
+    z = np.empty_like(a)
+    right = a >= FROZEN_TAIL
+    left = b <= -FROZEN_TAIL
+    mid = ~(right | left)
+    if mid.any():
+        am, bm = a[mid], b[mid]
+        u = gen.random(am.shape)
+        zm = np.empty_like(am)
+        hi = am >= 0.0
+        if hi.any():
+            pa = ndtr(-am[hi])
+            pb = ndtr(-bm[hi])
+            zm[hi] = -ndtri(pb + u[hi] * (pa - pb))
+        lo = ~hi
+        if lo.any():
+            fa = ndtr(am[lo])
+            fb = ndtr(bm[lo])
+            zm[lo] = ndtri(fa + u[lo] * (fb - fa))
+        z[mid] = zm
+    if right.any():
+        z[right] = frozen_tail_reject(a[right], b[right], gen)
+    if left.any():
+        z[left] = -frozen_tail_reject(-b[left], -a[left], gen)
+    return z
+
+
+def frozen_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
+    """N(mean, sd^2) on (lower, upper) through the frozen kernel, broadcast as
+    ``sample_truncated_normal`` does (a float for all-scalar input)."""
+    args = [np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper)]
+    shape = np.broadcast_shapes(*(v.shape for v in args))
+    mean, sd, lower, upper = (np.broadcast_to(v, shape).ravel() for v in args)
+    z = frozen_truncated_std_normal((lower - mean) / sd, (upper - mean) / sd, gen)
+    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
+                      np.nextafter(upper, -np.inf)).reshape(shape)
+    return float(draw) if shape == () else draw
 
 # Frozen oracle values, each computed once from an independent route and
 # pinned here so a regression cannot silently move them.

@@ -1,12 +1,15 @@
 """End-to-end command line checks on a small synthetic quarterly file."""
 
+import os
+
 import numpy as np
 import pytest
 
+import tvpdr.model
 from tvpdr.cli import main
 from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import conditional_cdf
-from tvpdr.model import PROBIT, apply_design_transform
+from tvpdr.model import PROBIT, EstimationError, apply_design_transform
 from tvpdr.risk import distribution_mean
 from tvpdr.store import load_estimate
 
@@ -111,6 +114,28 @@ def test_counterfactual_moves_the_distribution(estimate_dir, capsys):
     assert rows[0] == ["statistic", "baseline", "counterfactual"]
     mean_row = {r[0]: r[1:] for r in rows}["mean"]
     assert float(mean_row[0]) != float(mean_row[1])
+
+
+def test_failed_estimate_removes_its_temp_blobs(estimate_dir, capsys, monkeypatch):
+    csv, est, _ = estimate_dir
+    before = load_estimate(est)
+    beta, sigma2 = np.array(before.beta), np.array(before.sigma2)
+    real = tvpdr.model.draw_sigma2
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 20:  # a kept iteration: draws are already streaming
+            raise FloatingPointError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
+    with pytest.raises(EstimationError, match="injected"):
+        main(["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL, "--seed", "4", "--out", est])
+    assert not [name for name in os.listdir(est) if name.endswith(".partial")]
+    after = load_estimate(est)
+    assert np.array_equal(after.beta.view(np.int64), beta.view(np.int64))
+    assert np.array_equal(after.sigma2.view(np.int64), sigma2.view(np.int64))
 
 
 def test_stale_estimate_is_refused_after_data_edit(estimate_dir, capsys, tmp_path):

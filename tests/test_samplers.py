@@ -6,7 +6,7 @@ they are deterministic in practice under the pinned seeds.
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from tvpdr.banded import BandedMatrix, assemble_precision
 from tvpdr.samplers import (
@@ -17,7 +17,12 @@ from tvpdr.samplers import (
     sample_truncated_normal,
 )
 
-from reference import HALF_NORMAL_MEAN, UNIT_BOX_COORD_MEAN, kolmogorov_distance
+from reference import (
+    HALF_NORMAL_MEAN,
+    UNIT_BOX_COORD_MEAN,
+    frozen_truncated_normal,
+    kolmogorov_distance,
+)
 
 
 def test_rng_handle_reproducible_and_stream_separated():
@@ -84,6 +89,55 @@ def test_truncated_normal_deep_tail_regions():
     # left tail mirrors the right
     v = sample_truncated_normal(0.0, 1.0, -np.inf, np.full(50_000, -5.5), rng)
     assert np.all(v < -5.5)
+
+
+@pytest.mark.parametrize("a", [12.0, 20.0, 25.0, 40.0])
+def test_truncated_normal_far_tails(a):
+    # inversion reaches 30 sd; a = 40 still goes through rejection
+    z = sample_truncated_normal(0.0, 1.0, np.full(100_000, a), np.inf, RngHandle(22))
+    assert np.all(z > a)
+    mills = np.exp(-0.5 * a * a - log_ndtr(-a)) / np.sqrt(2.0 * np.pi)
+    assert abs(z.mean() - mills) < 5.0 * z.std() / np.sqrt(z.size)
+    # the left tail mirrors the right, draw for draw
+    v = sample_truncated_normal(0.0, 1.0, -np.inf, np.full(100_000, -a), RngHandle(22))
+    assert np.array_equal(v, -z)
+    # a sliver 1e-4 wide stays strictly inside and is not piled on a bound
+    w = sample_truncated_normal(0.0, 1.0, np.full(10_000, a), a + 1e-4, RngHandle(23))
+    assert np.all((w > a) & (w < a + 1e-4))
+    assert abs((w - a).mean() / 1e-4 - 0.5) < 0.02
+
+
+def _within_4_sd(rs, n):
+    """Bounds whose finite ends all lie within +-4 sd: two-sided, one-sided
+    either way, open both ways, and intervals left of, across and right of 0."""
+    mean, sd = rs.normal(0.0, 2.0, n), np.exp(rs.normal(0.0, 0.5, n))
+    a = rs.uniform(-3.9, 3.8, n)
+    b = np.minimum(a + np.abs(rs.normal(0.0, rs.choice([1e-3, 1.0, 3.0], n))) + 1e-9, 3.9)
+    a[rs.random(n) < 0.2] = -np.inf
+    b[rs.random(n) < 0.2] = np.inf
+    return mean, sd, mean + sd * a, mean + sd * b
+
+
+@pytest.mark.parametrize("case", ["mixed", "scalar", "broadcast"])
+def test_truncated_normal_matches_the_frozen_kernel_within_4_sd(case):
+    rs = np.random.default_rng(24)
+    if case == "mixed":
+        calls = [_within_4_sd(rs, n) for n in (1, 2, 7, 160, 5000)]
+    elif case == "scalar":
+        calls = [(0.3, 1.2, -0.5, 2.0), (0.0, 1.0, 1.5, np.inf), (0.0, 1.0, -np.inf, -2.0),
+                 (-1.0, 2.0, -np.inf, np.inf), (0.0, 1.0, 0.0, 3.0)]
+    else:
+        lo = np.array([-1.0, 0.0, 2.5])
+        calls = [(np.zeros((4, 3)), 1.0, lo, np.inf), (rs.normal(size=(2, 1)), 0.5, -np.inf, 0.0),
+                 (0.0, np.array([[1.0], [2.0]]), lo, lo + 0.25), (np.zeros(5), 1.0, 0.0, np.inf)]
+    for args in calls:
+        seed = int(rs.integers(2**32))
+        new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = sample_truncated_normal(*args, new_gen)
+        old = frozen_truncated_normal(*args, old_gen)
+        assert type(new) is type(old)
+        assert np.array_equal(np.asarray(new).view(np.int64), np.asarray(old).view(np.int64))
+        assert new_gen.random() == old_gen.random()
 
 
 def test_truncated_normal_rejects_bad_input():

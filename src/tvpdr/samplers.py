@@ -103,8 +103,8 @@ def _truncated_std_normal(a: np.ndarray, b: np.ndarray, gen: np.random.Generator
 
     Intervals with a >= 0 are mirrored to (-b, -a), so every interval starts
     left of center and one inversion pass on the lower tail, where ndtr and
-    ndtri keep full relative accuracy, serves them all. Intervals that end
-    beyond _TAIL sds are drawn by rejection instead.
+    ndtri keep full relative accuracy, serves them all. Intervals lying
+    entirely beyond _TAIL sds are drawn by rejection instead.
     """
     flip = a >= 0.0
     lo = np.where(flip, -b, a)

@@ -160,8 +160,12 @@ def assemble_precision(
     where X = diag(g(x_1)', ..., g(x_T)') and H is the random-walk
     differencing operator, so H'Omega^{-1}H = (D'D) kron diag(1/sigma2)
     with D the first-difference matrix including the initial condition.
-    K is block tridiagonal with d x d blocks; bandwidth is fixed at 2d-1
-    and within-block sparsity is not exploited.
+    K is block tridiagonal with d x d blocks. Its bandwidth is d, not the
+    2d-1 of a general block tridiagonal matrix: the blocks off the block
+    diagonal are diagonal, diag(-1/sigma2), so the farthest nonzero in row
+    (t+1, j) is K[(t+1, j), (t, j)], exactly d places left of the diagonal.
+    The banded Cholesky factor has no fill outside that band. Within-band
+    zeros are stored and not exploited.
 
     With ``sigma2`` of shape (B, d) the result is the block-diagonal stack
     of the B precisions, dim B*T*d with the same bandwidth: each path's band
@@ -185,7 +189,7 @@ def assemble_precision(
         raise ValueError("innovation variances must be strictly positive")
 
     inv = 1.0 / sigma2.reshape(-1, 1, d)
-    bandwidth = 2 * d - 1
+    bandwidth = d
     # bands[k, b, t, j] = K_b[(t, j) + k, (t, j)] in lower band layout
     bands = np.zeros((bandwidth + 1, inv.shape[0], t_len, d))
 

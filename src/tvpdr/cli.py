@@ -7,8 +7,8 @@ data file, ``counterfactual`` contrasts shifted covariate paths,
 records file into tidy series for plotting. Everything prints TSV so the
 output drops straight into standard tooling.
 
-Exit codes: 0 success, 1 domain errors (bad data, mismatched hashes),
-2 usage errors from the argument parser.
+Exit codes: 0 success, 1 domain errors (bad data, mismatched hashes, a
+failed Gibbs update), 2 usage errors from the argument parser.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .evaluation import (
     pit_uniformity_band,
     SCORE_VARIANTS,
 )
-from .model import LINKS, ModelSpec, apply_design_transform, hash_data, run_gibbs
+from .model import LINKS, EstimationError, ModelSpec, apply_design_transform, hash_data, run_gibbs
 from .risk import (
     DEFAULT_PROBES,
     RiskSpec,
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StoreError, OSError) as exc:
+    except (ValueError, StoreError, OSError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,15 +4,18 @@ The backtest walks forecast origins in calendar order, refitting every few
 origins and forecasting one step ahead from each origin's own covariates.
 Every origin draws from its own named random stream, so records do not
 depend on which origins ran before them; that is what makes the record file
-resumable after a crash and identical under parallel execution.
+resumable after a crash and identical under parallel execution. A sidecar
+next to the records file names what they were computed from, so a resume
+with another spec, seed, data, covariate set or plan is refused.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .distribution import (
     forecast_predictive,
     quantile_from_cdf,
 )
-from .model import LINKS, ModelSpec, apply_design_transform, run_gibbs
+from .model import LINKS, ModelSpec, apply_design_transform, hash_data, run_gibbs
 from .samplers import RngHandle
 
 __all__ = [
@@ -153,14 +156,53 @@ def _record_row(rec: BacktestRecord, taus) -> list:
     return vals
 
 
-def _load_done(out_path, expected_header: list) -> set:
-    """Dates already recorded; trims any torn trailing row from a crash."""
+def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates, seed: int) -> str:
+    """Sidecar text: everything the records depend on, as sorted JSON.
+
+    The worker count is left out, since records are identical for any.
+    """
+    meta = {
+        "covariates": list(covariates),
+        "data_hash": hash_data(aligned.y, aligned.x),
+        "seed": seed,
+        "spec_hash": spec.spec_hash(),
+        **{f"plan.{name}": value for name, value in asdict(plan).items()},
+    }
+    return json.dumps(meta, sort_keys=True, indent=1) + "\n"
+
+
+def _check_meta(out_path, meta: str):
+    """Refuse to resume records whose sidecar is missing or differs from ``meta``."""
+    meta_path = out_path + ".meta"
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{out_path}: no {meta_path} saying what these records were "
+                         "computed from; refusing to resume") from None
+    except json.JSONDecodeError:
+        raise ValueError(f"{meta_path}: unreadable records sidecar") from None
+    if not isinstance(stored, dict):
+        raise ValueError(f"{meta_path}: unreadable records sidecar")
+    want = json.loads(meta)
+    differ = sorted(k for k in want.keys() | stored.keys() if want.get(k) != stored.get(k))
+    if differ:
+        raise ValueError(f"{out_path}: existing records were computed with a different "
+                         f"{', '.join(differ)}; refusing to resume")
+
+
+def _load_done(out_path, expected_header: list, meta: str) -> set:
+    """Dates already recorded; trims any torn trailing row from a crash.
+
+    The layout and the sidecar are checked before anything is rewritten.
+    """
     if not os.path.exists(out_path):
         return set()
     with open(out_path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if not lines or lines[0].split("\t") != expected_header:
         raise ValueError(f"{out_path}: existing records use a different layout")
+    _check_meta(out_path, meta)
     rows = [ln for ln in lines[1:] if ln]
     good = [ln for ln in rows if len(ln.split("\t")) == len(expected_header)]
     if len(good) != len(rows) or (lines and lines[-1] != ""):
@@ -223,9 +265,13 @@ def expanding_window_backtest(
     from that training sample's range at the template's step. Records are
     appended to ``out_path`` as they complete; rerunning with an existing
     file skips finished origins, so an interrupted run resumes where it
-    stopped and ends with the identical file. ``workers`` above 1 (default
-    from TVPDR_THREADS) fans refit blocks out to processes; per-origin
-    streams keep the output byte-identical either way.
+    stopped and ends with the identical file. A fresh file gets the sidecar
+    ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
+    aligned (y, x), the seed, the covariates and the plan. A resume whose
+    sidecar is missing or differs is refused with a ValueError naming the
+    keys that differ. ``workers`` above 1 (default from TVPDR_THREADS) fans
+    refit blocks out to processes; per-origin streams keep the output
+    byte-identical either way.
     """
     if isinstance(rng, RngHandle):
         seed = int(rng.seed)
@@ -261,8 +307,13 @@ def expanding_window_backtest(
     done = set()
     sink = None
     if out_path is not None:
-        done = _load_done(out_path, columns)
+        out_path = os.fspath(out_path)
+        meta = _records_meta(plan, spec, aligned, covariates, seed)
+        done = _load_done(out_path, columns, meta)
         fresh = not os.path.exists(out_path)
+        if fresh:  # the sidecar goes first, so records never exist without one
+            with open(out_path + ".meta", "w", encoding="utf-8") as fh:
+                fh.write(meta)
         sink = open(out_path, "a", encoding="utf-8")
         if fresh:
             sink.write("\t".join(columns) + "\n")

@@ -24,8 +24,8 @@ from scipy.special import ndtr, ndtri
 from .banded import (BandedMatrix, NotPositiveDefiniteError, assemble_precision,
                      cholesky_banded, solve_banded)
 from .distribution import ThresholdGrid
-from .samplers import (RngHandle, as_generator, sample_gaussian_precision,
-                       sample_truncated_mvn, sample_truncated_normal)
+from .samplers import (RngHandle, _one_sided_normal, as_generator, sample_gaussian_precision,
+                       sample_truncated_mvn)
 
 __all__ = [
     "LinkFunction",
@@ -242,13 +242,15 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
 
     Observations with y_t <= threshold draw from N(fit, 1) on (0, inf), the
     rest on (-inf, 0), so the sign always reproduces the indicator. With B
-    thresholds and paths (B, T, d) this is one (B, T) draw.
+    thresholds and paths (B, T, d) this is one (B, T) draw. The draws are
+    those of ``sample_truncated_normal`` with these bounds, through its
+    one-sided core; a non-finite fit raises ValueError.
     """
     mean = fitted_values(design, beta)
-    below = y <= np.asarray(threshold)[..., None]
-    lower = np.where(below, 0.0, -np.inf)
-    upper = np.where(below, np.inf, 0.0)
-    return sample_truncated_normal(mean, 1.0, lower, upper, rng)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("latent draw needs finite fitted values")
+    mean, below = np.broadcast_arrays(mean, y <= np.asarray(threshold)[..., None])
+    return _one_sided_normal(mean, below, as_generator(rng))
 
 
 def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0) -> np.ndarray:
@@ -280,7 +282,8 @@ def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), (d,))
     if not (np.all(nu > 0.0) and np.all(s > 0.0)):
         raise ValueError("prior parameters must be positive")
-    rss = np.sum(np.diff(beta, axis=-2) ** 2, axis=-2)
+    increments = np.diff(beta, axis=-2)
+    rss = np.sum(np.square(increments, out=increments), axis=-2)
     if include_initial:
         shape = nu + 0.5 * t_len
         scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)

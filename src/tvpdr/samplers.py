@@ -8,6 +8,11 @@ ndtr/ndtri keep full relative accuracy out to 30 sd, and by rejection
 beyond that. All randomness flows through ``RngHandle`` so that (seed,
 stream, call sequence) pins every draw bit for bit, including across
 parallel backtest origins.
+
+Inputs are validated once, at the public entry points. The inner loops of
+the Gibbs sampler then draw through unchecked private cores: ``_draw`` for
+every truncated normal and ``_one_sided_normal`` for the probit latents,
+whose intervals always have one open side.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ __all__ = [
 # out to this many sds: ndtr(-30) ~ 5e-198 is still a normal double.
 # Intervals lying entirely beyond it are drawn by rejection.
 _TAIL = 30.0
+
+# The one-ulp-inside clamps of the latents' bounds 0 and +-inf.
+_TINY = np.nextafter(0.0, 1.0)
+_HUGE = np.finfo(np.float64).max
 
 
 @dataclass
@@ -117,6 +126,48 @@ def _truncated_std_normal(a: np.ndarray, b: np.ndarray, gen: np.random.Generator
     return np.where(flip, -z, z)
 
 
+def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
+    """N(mean, sd^2) on (lower, upper), unchecked.
+
+    Callers have checked that mean is finite, sd finite and positive and
+    lower < upper. ``lower_in``/``upper_in`` are the bounds moved one ulp
+    inside: rounding can land a draw exactly on a bound, and clamping to
+    them keeps draws strictly inside everywhere downstream.
+    """
+    a, b = (lower - mean) / sd, (upper - mean) / sd
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
+    return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
+
+
+def _one_sided_normal(mean: np.ndarray, positive: np.ndarray, gen) -> np.ndarray:
+    """N(mean, 1) on (0, inf) where ``positive``, on (-inf, 0) elsewhere; unchecked.
+
+    ``mean`` must be finite and have the shape of ``positive``. The draws,
+    and the generator state after them, are those of sample_truncated_normal
+    with these bounds. There, after mirroring, every interval has one
+    infinite end, whose ndtr is exactly 0 or 1; here ndtr runs once, on the
+    finite end e, and the clamps are constants. The inversion argument is
+    u * ndtr(e) for (-inf, e) and ndtr(e) + u * (1 - ndtr(e)) for (e, inf),
+    the two-sided pass's arithmetic with its exact 0s and 1s left out.
+    """
+    c = 0.0 - mean  # the finite standardized bound, before mirroring
+    flip = positive & (c >= 0.0)
+    finite = np.where(flip, -c, c)
+    open_hi = positive & ~flip  # (finite, inf); every other slot is (-inf, finite)
+    p = ndtr(finite)
+    arg = gen.random(mean.shape) * np.where(open_hi, 1.0 - p, p)
+    z = ndtri(np.where(open_hi, p + arg, arg))  # tail slots are redrawn below
+    tail = ~open_hi & (finite <= -_TAIL)
+    if tail.any():
+        z[tail] = -_tail_reject(-finite[tail], np.full(int(tail.sum()), np.inf), gen)
+    draw = np.where(flip, -z, z)
+    draw += mean
+    return np.minimum(np.maximum(draw, np.where(positive, _TINY, -_HUGE)),
+                      np.where(positive, _HUGE, -_TINY))
+
+
 def sample_truncated_normal(mean, sd, lower, upper, rng):
     """Draw from N(mean, sd^2) truncated to (lower, upper).
 
@@ -125,7 +176,8 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     Every interval is mirrored to start left of center and drawn in one
     ndtr/ndtri inversion pass, accurate out to 30 sd; intervals entirely
     beyond 30 sd use rejection sampling (exponential proposal, uniform
-    proposal for narrow slivers).
+    proposal for narrow slivers). Raises ValueError for a non-finite mean, a
+    non-finite or non-positive sd, or an empty interval.
     """
     gen = as_generator(rng)
     mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))
@@ -137,13 +189,8 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     if not np.all(lower < upper):
         raise ValueError("empty truncation interval: lower must be < upper")
 
-    a, b = np.broadcast_arrays((lower - mean) / sd, (upper - mean) / sd)
-    z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
-
-    # Rounding can land a draw exactly on a bound; push it one ulp inside so
-    # the strict-containment contract holds everywhere downstream.
-    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
-                      np.nextafter(upper, -np.inf))
+    draw = _draw(mean, sd, lower, upper, np.nextafter(lower, np.inf),
+                 np.nextafter(upper, -np.inf), gen)
     return float(draw) if draw.ndim == 0 else draw
 
 
@@ -182,6 +229,12 @@ def sample_truncated_mvn(
     univariate truncated normal, so this is a valid Gibbs kernel for the
     truncated target; one call advances the chain, it does not produce an
     independent draw.
+
+    The arguments are validated once, on entry: shapes, a finite mean, a
+    non-empty box holding ``init``, and a finite positive precision
+    diagonal. Each color's conditional sd, bounds and one-ulp-inside clamps
+    are computed then too, so a sweep checks only that the conditional
+    means it draws around are finite. Raises ValueError otherwise.
     """
     gen = as_generator(rng)
     n = precision.dim
@@ -192,39 +245,54 @@ def sample_truncated_mvn(
     for name, arr in (("mean", mean), ("lower", lower), ("upper", upper), ("init", x)):
         if arr.shape != (n,):
             raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    if np.any(lower >= upper):
-        bad = int(np.argmax(lower >= upper))
-        raise ValueError(f"empty truncation box at coordinate {bad}")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("truncated MVN mean must be finite")
+    nonempty = lower < upper
+    if not np.all(nonempty):
+        raise ValueError(f"empty truncation box at coordinate {int(np.argmin(nonempty))}")
     if np.any(x < lower) or np.any(x > upper):
         raise ValueError("init point lies outside the truncation box")
     if sweeps < 1:
         raise ValueError("sweeps must be a positive integer")
 
     diag = precision.diagonals[0]
-    if np.any(diag <= 0.0):
-        raise ValueError("precision diagonal must be positive")
+    if not np.all(np.isfinite(diag) & (diag > 0.0)):
+        raise ValueError("precision diagonal must be finite and positive")
     sd = 1.0 / np.sqrt(diag)
+    lower_in, upper_in = np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf)
     # r = x - mean sits between ``width`` zeros at each end, so a color's
-    # neighbors at offset o are its strided slice shifted by o. Per color,
-    # v_i = sum_j K_ij r_j adds terms in BandedMatrix.matvec's order (self,
-    # -1, +1, -2, +2, ...; 0 past either end), then m_i = x_i - v_i / K_ii.
+    # neighbors at offset o are its strided slice shifted by o; only the
+    # color just drawn changes r. Per color, v_i = sum_j K_ij r_j adds terms
+    # in BandedMatrix.matvec's order (self, -1, +1, -2, +2, ...; 0 past
+    # either end), then m_i = x_i - v_i / K_ii.
     width = precision.bandwidth
     r = np.zeros(n + 2 * width)
-    offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])
+    np.subtract(x, mean, out=r[width : width + n])
+    # The band rows padded the same way, their unused tails zeroed, give the
+    # couplings as strided slices as well: K_{i,i-k} = diagonals[k, i-k] sits
+    # at the view of offset -k, and K_{i,i+k} = diagonals[k, i] at offset 0.
+    band = np.zeros((width + 1, n + 2 * width))
+    band[:, width : width + n] = precision.diagonals
+    for k in range(1, width + 1):
+        band[k, width + n - k : width + n] = 0.0
+    offsets = [0] + [s * k for k in range(1, width + 1) for s in (-1, 1)]
     groups = []
     for c in range(width + 1):
         own = slice(c, n, width + 1)
-        nbr = np.arange(n)[own] + offsets[:, None]
-        band = precision.diagonals[abs(offsets)[:, None], np.maximum(np.minimum(nbr, nbr[0]), 0)]
-        coupling = np.where((nbr >= 0) & (nbr < n), band, 0.0)
         views = [slice(width + c + o, width + n + o, width + 1) for o in offsets]
-        groups.append((own, views, coupling, sd[own], lower[own], upper[own]))
+        coupling = np.array([band[abs(o), view if o < 0 else views[0]]
+                             for o, view in zip(offsets, views)])
+        groups.append((own, views, coupling, mean[own],
+                       (sd[own], lower[own], upper[own], lower_in[own], upper_in[own])))
 
     for _ in range(sweeps):
-        for own, views, coupling, sd_c, lower_c, upper_c in groups:
-            np.subtract(x, mean, out=r[width : width + n])
+        for own, views, coupling, mean_c, box in groups:
             v = coupling[0] * r[views[0]]
             for cpl, view in zip(coupling[1:], views[1:]):
                 v += cpl * r[view]
-            x[own] = sample_truncated_normal(x[own] - v / coupling[0], sd_c, lower_c, upper_c, gen)
+            m = x[own] - v / coupling[0]
+            if not np.all(np.isfinite(m)):
+                raise ValueError("truncated MVN conditional mean is not finite")
+            x[own] = drawn = _draw(m, *box, gen)
+            np.subtract(drawn, mean_c, out=r[views[0]])
     return x

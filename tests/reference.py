@@ -5,7 +5,8 @@ literal way possible so it shares no code path with the package: dense
 precision assembly via kron, a one-threshold Gibbs sampler on top of
 scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
 monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
-Carlo standard error, and a frozen copy of an earlier truncated-normal kernel.
+Carlo standard error, and frozen copies of earlier truncated-normal kernels
+and Gibbs inner-loop draws.
 """
 
 from __future__ import annotations
@@ -241,6 +242,104 @@ def frozen_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
     draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
                       np.nextafter(upper, -np.inf)).reshape(shape)
     return float(draw) if shape == () else draw
+
+
+# Frozen copy of the Gibbs inner loop before its checks and clamps moved out
+# of the per-draw path: the mirrored kernel that inverts out to 30 sd behind
+# a checked public draw, the intercept sweep that re-enters that draw per
+# color and refreshes all of x - mean, the latent draw through it with
+# two-sided bounds, and the variance draw. The package must reproduce their
+# draws, and leave the generator in the same state, for every input.
+FROZEN_MIRRORED_TAIL = 30.0
+
+
+def frozen_mirrored_std_normal(a: np.ndarray, b: np.ndarray,
+                               gen: np.random.Generator) -> np.ndarray:
+    """Standardized truncated normal on (a, b): intervals with a >= 0 mirrored
+    to (-b, -a), one ndtr/ndtri pass, rejection beyond 30 sd."""
+    flip = a >= 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    tail = hi <= -FROZEN_MIRRORED_TAIL
+    fa = ndtr(lo)
+    z = ndtri(fa + gen.random(a.shape) * (ndtr(hi) - fa))
+    if tail.any():
+        # the rejection sampler above has no cutoff of its own
+        z[tail] = -frozen_tail_reject(-hi[tail], -lo[tail], gen)
+    return np.where(flip, -z, z)
+
+
+def frozen_mirrored_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
+    """N(mean, sd^2) on (lower, upper), checked on every call, clamped one ulp
+    inside bounds computed on every call."""
+    mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("truncated normal mean must be finite")
+    if not np.all(np.isfinite(sd) & (sd > 0.0)):
+        raise ValueError("truncated normal sd must be finite and positive")
+    if not np.all(lower < upper):
+        raise ValueError("empty truncation interval: lower must be < upper")
+    a, b = np.broadcast_arrays((lower - mean) / sd, (upper - mean) / sd)
+    z = frozen_mirrored_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
+    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
+                      np.nextafter(upper, -np.inf))
+    return float(draw) if draw.ndim == 0 else draw
+
+
+def frozen_truncated_mvn(precision, mean, lower, upper, init, sweeps: int,
+                         gen: np.random.Generator) -> np.ndarray:
+    """Color-group Gibbs sweep for a box-truncated Gaussian with band precision
+    (``dim``, ``bandwidth``, lower band ``diagonals``); the caller passes
+    valid input."""
+    n = precision.dim
+    mean, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, lower, upper))
+    x = np.array(init, dtype=np.float64, copy=True)
+    sd = 1.0 / np.sqrt(precision.diagonals[0])
+    width = precision.bandwidth
+    r = np.zeros(n + 2 * width)
+    offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])
+    groups = []
+    for c in range(width + 1):
+        own = slice(c, n, width + 1)
+        nbr = np.arange(n)[own] + offsets[:, None]
+        band = precision.diagonals[abs(offsets)[:, None], np.maximum(np.minimum(nbr, nbr[0]), 0)]
+        coupling = np.where((nbr >= 0) & (nbr < n), band, 0.0)
+        views = [slice(width + c + o, width + n + o, width + 1) for o in offsets]
+        groups.append((own, views, coupling, sd[own], lower[own], upper[own]))
+    for _ in range(sweeps):
+        for own, views, coupling, sd_c, lower_c, upper_c in groups:
+            np.subtract(x, mean, out=r[width : width + n])
+            v = coupling[0] * r[views[0]]
+            for cpl, view in zip(coupling[1:], views[1:]):
+                v += cpl * r[view]
+            x[own] = frozen_mirrored_truncated_normal(x[own] - v / coupling[0], sd_c,
+                                                      lower_c, upper_c, gen)
+    return x
+
+
+def frozen_draw_latent(threshold, y, design, beta, gen: np.random.Generator) -> np.ndarray:
+    """Probit latents: N(fit, 1) on (0, inf) where y <= threshold, else (-inf, 0)."""
+    mean = np.einsum("td,...td->...t", np.ascontiguousarray(design), np.ascontiguousarray(beta))
+    below = y <= np.asarray(threshold)[..., None]
+    lower = np.where(below, 0.0, -np.inf)
+    upper = np.where(below, np.inf, 0.0)
+    return frozen_mirrored_truncated_normal(mean, 1.0, lower, upper, gen)
+
+
+def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator, include_initial=False):
+    """Inverse-gamma update of the random-walk variances, (T, d) or (B, T, d) paths."""
+    beta = np.asarray(beta, dtype=np.float64)
+    t_len, d = beta.shape[-2:]
+    nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (d,))
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (d,))
+    rss = np.sum(np.diff(beta, axis=-2) ** 2, axis=-2)
+    if include_initial:
+        shape = nu + 0.5 * t_len
+        scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)
+    else:
+        shape = nu + 0.5 * (t_len - 1)
+        scale = s + 0.5 * rss
+    return 1.0 / gen.gamma(shape, 1.0 / scale)
 
 # Frozen oracle values, each computed once from an independent route and
 # pinned here so a regression cannot silently move them.

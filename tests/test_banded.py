@@ -91,7 +91,7 @@ def test_assemble_precision_matches_dense_kron():
         design = rng.normal(size=(t_len, d))
         sigma2 = rng.uniform(0.1, 2.0, size=d)
         banded = assemble_precision(design, sigma2)
-        assert banded.bandwidth == 2 * d - 1
+        assert banded.bandwidth == d
         dense = dense_precision(design, sigma2)
         assert np.allclose(banded.to_dense(), dense, rtol=1e-12, atol=1e-12)
 

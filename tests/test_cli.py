@@ -9,7 +9,7 @@ import tvpdr.model
 from tvpdr.cli import main
 from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import conditional_cdf
-from tvpdr.model import PROBIT, EstimationError, apply_design_transform
+from tvpdr.model import PROBIT, apply_design_transform
 from tvpdr.risk import distribution_mean
 from tvpdr.store import load_estimate
 
@@ -130,8 +130,10 @@ def test_failed_estimate_removes_its_temp_blobs(estimate_dir, capsys, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
-    with pytest.raises(EstimationError, match="injected"):
-        main(["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL, "--seed", "4", "--out", est])
+    code, _, stderr = run(capsys, ["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                                   "--seed", "4", "--out", est])
+    assert code == 1
+    assert stderr.startswith("error: ") and "injected" in stderr
     assert not [name for name in os.listdir(est) if name.endswith(".partial")]
     after = load_estimate(est)
     assert np.array_equal(after.beta.view(np.int64), beta.view(np.int64))

@@ -1,6 +1,8 @@
 """PIT, quantile scores, the uniformity band, and the expanding backtest."""
 
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +137,7 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     torn = tmp_path / "torn.tsv"
     lines = full.read_text().split("\n")
     torn.write_text("\n".join(lines[:5]) + "\n" + lines[5][:17])
+    (tmp_path / "torn.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
     resumed = expanding_window_backtest(plan, spec, ds, cov, RngHandle(4),
                                         out_path=str(torn))
     assert torn.read_bytes() == full.read_bytes()
@@ -146,6 +149,48 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     expanding_window_backtest(plan, spec, ds, cov, RngHandle(4),
                               out_path=str(par), workers=3)
     assert par.read_bytes() == full.read_bytes()
+
+
+def test_backtest_resume_refuses_other_provenance(tmp_path):
+    # a records file resumes only under the sidecar it was written with
+    ds = synthetic_dataset(seed=1)
+    spec = fast_spec(ds)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
+    cov = ["infl_P_1q", "u"]
+    out = tmp_path / "records.tsv"
+    sidecar = tmp_path / "records.tsv.meta"
+    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    records, meta = out.read_bytes(), sidecar.read_bytes()
+    stored = json.loads(meta)
+    assert list(stored) == sorted(stored) and "workers" not in meta.decode()
+    assert stored["seed"] == 4 and stored["covariates"] == cov
+    assert stored["spec_hash"] == spec.spec_hash() and stored["plan.refit_every"] == 4
+
+    other = synthetic_dataset(seed=1)
+    other.series["infl_P_1q"][40] += 0.25
+    mismatches = [
+        (dict(rng=RngHandle(5)), "seed"),
+        (dict(spec=replace(spec, iterations=31)), "spec_hash"),
+        (dict(plan=replace(plan, refit_every=2)), "plan.refit_every"),
+        (dict(data=other), "data_hash"),
+    ]
+    for change, key in mismatches:
+        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, rng=RngHandle(4)) | change
+        with pytest.raises(ValueError, match=rf"different {key}; refusing to resume"):
+            expanding_window_backtest(**args, out_path=str(out))
+        assert out.read_bytes() == records and sidecar.read_bytes() == meta
+
+    sidecar.unlink()
+    with pytest.raises(ValueError, match="refusing to resume"):
+        expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    assert out.read_bytes() == records
+
+    # the sidecar does not depend on the worker count, and a matching resume runs
+    par = tmp_path / "par.tsv"
+    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(par), workers=2)
+    assert (tmp_path / "par.tsv.meta").read_bytes() == meta
+    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(par))
+    assert par.read_bytes() == records
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):

@@ -22,9 +22,17 @@ from tvpdr.model import (
     initial_state,
     run_gibbs,
 )
-from tvpdr.samplers import RngHandle
+from tvpdr.samplers import RngHandle, _one_sided_normal
 
-from reference import batch_means_se, dense_precision, inverse_gamma_cdf, kolmogorov_distance
+from reference import (
+    batch_means_se,
+    dense_precision,
+    frozen_draw_latent,
+    frozen_draw_sigma2,
+    frozen_mirrored_truncated_normal,
+    inverse_gamma_cdf,
+    kolmogorov_distance,
+)
 
 
 def small_problem(seed=0, t_len=12, d=2):
@@ -87,6 +95,63 @@ def test_draw_latent_signs_match_indicator():
     below = y <= np.median(y)
     assert np.all(z[below] > 0.0)
     assert np.all(z[~below] < 0.0)
+
+
+def _same_draws(new_gen, old_gen, new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    assert new_gen.random() == old_gen.random()
+
+
+def test_draw_latent_matches_the_frozen_two_sided_draw():
+    # fits beyond 30 sd on either side of either bound, at the cutoff, so far
+    # out that a draw rounds onto its bound 0 and is clamped, and exactly
+    # zero, for single paths, batches and a broadcast threshold
+    rs = np.random.default_rng(40)
+    t_len = 30
+    y = rs.normal(size=t_len)
+    design = np.column_stack([np.ones(t_len), rs.normal(size=t_len)])
+    far = [31.0, -31.0, 33.5, -33.5, 35.0, -35.0, 0.0, -0.0, 30.0, -30.0, 29.999, -29.999,
+           1e20, -1e20]
+    beta = np.zeros((3, t_len, 2))
+    beta[:, :14, 0] = far  # slope 0: these fits are the intercepts exactly
+    beta[:, 14:] = rs.normal(0.0, 3.0, size=(3, t_len - 14, 2))
+    thresholds = np.array([-10.0, 0.0, 10.0])  # all above, mixed, all below
+    calls = [(thresholds, beta), (thresholds[1], beta[1]), (0.0, beta), (-10.0, beta[2])]
+    for threshold, paths in calls:
+        seed = int(rs.integers(2**32))
+        new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = draw_latent(threshold, y, design, paths, new_gen)
+        _same_draws(new_gen, old_gen, new, frozen_draw_latent(threshold, y, design, paths, old_gen))
+    # fitted_values never returns -0.0; the one-sided core still matches on it
+    mean = np.array([[-0.0, 0.0, -0.0, 0.0, 31.0, -31.0, 1e20, -1e20]])
+    positive = np.array([[True, True, False, False, True, False, False, True]])
+    new_gen, old_gen = np.random.default_rng(41), np.random.default_rng(41)
+    old = frozen_mirrored_truncated_normal(mean, 1.0, np.where(positive, 0.0, -np.inf),
+                                           np.where(positive, np.inf, 0.0), old_gen)
+    _same_draws(new_gen, old_gen, _one_sided_normal(mean, positive, new_gen), old)
+    assert old[0, -2] == -5e-324 and old[0, -1] == 5e-324  # rounded onto 0, clamped
+
+
+def test_draw_latent_rejects_a_non_finite_fit():
+    y, x = small_problem(seed=2)
+    beta = np.zeros((len(y), 2))
+    beta[3, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        draw_latent(0.0, y, x, beta, RngHandle(3))
+
+
+def test_draw_sigma2_matches_the_frozen_draw():
+    rs = np.random.default_rng(42)
+    for shape in [(2, 1), (12, 3), (4, 12, 2), (33, 160, 3)]:
+        beta = rs.normal(size=shape)
+        for include_initial in (False, True):
+            seed = int(rs.integers(2**32))
+            new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = draw_sigma2(beta, 3.0, 0.01, new_gen, include_initial=include_initial)
+            old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen, include_initial=include_initial)
+            _same_draws(new_gen, old_gen, new, old)
 
 
 def test_draw_sigma2_matches_inverse_gamma_cdf():
@@ -289,7 +354,7 @@ def test_stacked_precision_is_block_diagonal_of_single_paths():
         for ridge in (0.0, 1e-3):
             stacked = assemble_precision(design, sigma2, ridge)
             singles = [assemble_precision(design, sigma2[b], ridge) for b in range(n_paths)]
-            assert stacked.bandwidth == 2 * d - 1
+            assert stacked.bandwidth == d
             assert np.array_equal(stacked.diagonals, np.hstack([m.diagonals for m in singles]))
 
             dense = stacked.to_dense()

@@ -20,6 +20,7 @@ from tvpdr.samplers import (
 from reference import (
     HALF_NORMAL_MEAN,
     UNIT_BOX_COORD_MEAN,
+    frozen_truncated_mvn,
     frozen_truncated_normal,
     kolmogorov_distance,
 )
@@ -206,6 +207,52 @@ def test_truncated_mvn_tracks_correlated_target():
     assert np.all(np.abs(out.std(axis=0) - keep.std(axis=0)) < 0.015)
 
 
+def _box_problem(rs, n, bandwidth):
+    """Diagonally dominant band precision with junk in the unused band tails,
+    a mean, a box with open sides, slivers and boxes 1000 sd out, and an
+    init inside it."""
+    diagonals = np.zeros((bandwidth + 1, n))
+    for k in range(1, bandwidth + 1):
+        diagonals[k, : n - k] = rs.normal(0.0, 0.4, n - k)
+        diagonals[k, n - k :] = rs.choice([np.inf, np.nan, 7.0], k)  # unused: must be ignored
+    off = 0.4 * 5.0  # above every |N(0, 0.4)| coupling here
+    diagonals[0] = rs.uniform(0.5, 3.0, n) + 2 * bandwidth * off
+    mean = rs.normal(0.0, 2.0, n)
+    lower = mean + rs.normal(0.0, 2.0, n) - 1.0
+    upper = lower + np.abs(rs.normal(size=n)) * rs.choice([1e-3, 1.0, 5.0], n) + 1e-9
+    lower[rs.random(n) < 0.2] = -np.inf
+    upper[rs.random(n) < 0.2] = np.inf
+    far = rs.random(n) < 0.15
+    sign = rs.choice([-1.0, 1.0], n)
+    edge = sign * 1000.0
+    width = np.where(rs.random(n) < 0.5, np.inf, 0.5)
+    lower[far] = np.where(sign > 0, edge, -edge - width)[far]
+    upper[far] = np.where(sign > 0, edge + width, -edge)[far]
+    init = np.zeros(n)
+    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
+    both = has_lo & has_up
+    init[both] = 0.5 * (lower[both] + upper[both])
+    init[has_lo & ~has_up] = lower[has_lo & ~has_up] + 0.1
+    init[has_up & ~has_lo] = upper[has_up & ~has_lo] - 0.1
+    return BandedMatrix(dim=n, bandwidth=bandwidth, diagonals=diagonals), mean, lower, upper, init
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3])
+def test_truncated_mvn_matches_the_frozen_sweep(bandwidth):
+    rs = np.random.default_rng(30 + bandwidth)
+    for n in (bandwidth + 1, bandwidth + 2, 17, 160, 161):
+        problem = _box_problem(rs, n, bandwidth)
+        sweeps = int(rs.integers(1, 4))
+        seed = int(rs.integers(2**32))
+        new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = sample_truncated_mvn(*problem, sweeps, new_gen)
+        old = frozen_truncated_mvn(*problem, sweeps, old_gen)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        assert new_gen.random() == old_gen.random()
+        _, _, lower, upper, _ = problem
+        assert np.all((new > lower) & (new < upper))
+
+
 def test_truncated_mvn_validates():
     prec = BandedMatrix(dim=2, bandwidth=0, diagonals=np.ones((1, 2)))
     handle = RngHandle(21)
@@ -218,3 +265,18 @@ def test_truncated_mvn_validates():
     with pytest.raises(ValueError, match="sweeps"):
         sample_truncated_mvn(prec, np.zeros(2), np.zeros(2), np.ones(2),
                              np.full(2, 0.5), 0, handle)
+    # checked once per call, before any draw
+    with pytest.raises(ValueError, match="mean must be finite"):
+        sample_truncated_mvn(prec, np.array([0.0, np.nan]), np.zeros(2), np.ones(2),
+                             np.full(2, 0.5), 1, handle)
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        diag = BandedMatrix(dim=2, bandwidth=0, diagonals=np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="precision diagonal must be finite and positive"):
+            sample_truncated_mvn(diag, np.zeros(2), np.zeros(2), np.ones(2),
+                                 np.full(2, 0.5), 1, handle)
+    # and per sweep, a conditional mean that overflows
+    huge = BandedMatrix(dim=2, bandwidth=1, diagonals=np.array([[1e-300, 1.0], [1e300, 0.0]]))
+    with pytest.raises(ValueError, match="conditional mean is not finite"), \
+            np.errstate(over="ignore"):
+        sample_truncated_mvn(huge, np.zeros(2), np.zeros(2), np.ones(2),
+                             np.full(2, 0.5), 1, handle)

@@ -24,7 +24,7 @@ from scipy.special import ndtr, ndtri
 from .banded import (BandedMatrix, NotPositiveDefiniteError, assemble_precision,
                      cholesky_banded, solve_banded)
 from .distribution import ThresholdGrid
-from .samplers import (RngHandle, _one_sided_normal, as_generator, sample_gaussian_precision,
+from .samplers import (RngHandle, _draw, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
 
 __all__ = [
@@ -46,6 +46,10 @@ __all__ = [
     "initial_state",
     "run_gibbs",
 ]
+
+# The latents' bounds 0 and +-inf moved one ulp inside.
+_TINY = np.nextafter(0.0, 1.0)
+_HUGE = np.finfo(np.float64).max
 
 
 class MonotonicityError(RuntimeError):
@@ -244,13 +248,18 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
     rest on (-inf, 0), so the sign always reproduces the indicator. With B
     thresholds and paths (B, T, d) this is one (B, T) draw. The draws are
     those of ``sample_truncated_normal`` with these bounds, through its
-    one-sided core; a non-finite fit raises ValueError.
+    unchecked core: the fit is checked here, the bounds are valid by
+    construction, and their one-ulp-inside clamps are the constants
+    +-5e-324 and +-max-float, not per-call ``nextafter`` arrays. A
+    non-finite fit raises ValueError.
     """
     mean = fitted_values(design, beta)
     if not np.all(np.isfinite(mean)):
         raise ValueError("latent draw needs finite fitted values")
     mean, below = np.broadcast_arrays(mean, y <= np.asarray(threshold)[..., None])
-    return _one_sided_normal(mean, below, as_generator(rng))
+    return _draw(mean, 1.0, np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
+                 np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY),
+                 as_generator(rng))
 
 
 def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0) -> np.ndarray:

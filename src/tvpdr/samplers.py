@@ -10,9 +10,8 @@ stream, call sequence) pins every draw bit for bit, including across
 parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
-the Gibbs sampler then draw through unchecked private cores: ``_draw`` for
-every truncated normal and ``_one_sided_normal`` for the probit latents,
-whose intervals always have one open side.
+the Gibbs sampler then draw every truncated normal through the one
+unchecked private core, ``_draw``.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ __all__ = [
 # out to this many sds: ndtr(-30) ~ 5e-198 is still a normal double.
 # Intervals lying entirely beyond it are drawn by rejection.
 _TAIL = 30.0
-
-# The one-ulp-inside clamps of the latents' bounds 0 and +-inf.
-_TINY = np.nextafter(0.0, 1.0)
-_HUGE = np.finfo(np.float64).max
 
 
 @dataclass
@@ -139,33 +134,6 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
         a, b = np.broadcast_arrays(a, b)
     z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
-
-
-def _one_sided_normal(mean: np.ndarray, positive: np.ndarray, gen) -> np.ndarray:
-    """N(mean, 1) on (0, inf) where ``positive``, on (-inf, 0) elsewhere; unchecked.
-
-    ``mean`` must be finite and have the shape of ``positive``. The draws,
-    and the generator state after them, are those of sample_truncated_normal
-    with these bounds. There, after mirroring, every interval has one
-    infinite end, whose ndtr is exactly 0 or 1; here ndtr runs once, on the
-    finite end e, and the clamps are constants. The inversion argument is
-    u * ndtr(e) for (-inf, e) and ndtr(e) + u * (1 - ndtr(e)) for (e, inf),
-    the two-sided pass's arithmetic with its exact 0s and 1s left out.
-    """
-    c = 0.0 - mean  # the finite standardized bound, before mirroring
-    flip = positive & (c >= 0.0)
-    finite = np.where(flip, -c, c)
-    open_hi = positive & ~flip  # (finite, inf); every other slot is (-inf, finite)
-    p = ndtr(finite)
-    arg = gen.random(mean.shape) * np.where(open_hi, 1.0 - p, p)
-    z = ndtri(np.where(open_hi, p + arg, arg))  # tail slots are redrawn below
-    tail = ~open_hi & (finite <= -_TAIL)
-    if tail.any():
-        z[tail] = -_tail_reject(-finite[tail], np.full(int(tail.sum()), np.inf), gen)
-    draw = np.where(flip, -z, z)
-    draw += mean
-    return np.minimum(np.maximum(draw, np.where(positive, _TINY, -_HUGE)),
-                      np.where(positive, _HUGE, -_TINY))
 
 
 def sample_truncated_normal(mean, sd, lower, upper, rng):

@@ -21,8 +21,10 @@ from tvpdr.model import (
     hash_data,
     initial_state,
     run_gibbs,
+    _HUGE,
+    _TINY,
 )
-from tvpdr.samplers import RngHandle, _one_sided_normal
+from tvpdr.samplers import RngHandle, _draw
 
 from reference import (
     batch_means_se,
@@ -124,13 +126,16 @@ def test_draw_latent_matches_the_frozen_two_sided_draw():
         new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         new = draw_latent(threshold, y, design, paths, new_gen)
         _same_draws(new_gen, old_gen, new, frozen_draw_latent(threshold, y, design, paths, old_gen))
-    # fitted_values never returns -0.0; the one-sided core still matches on it
+    # fitted_values never returns -0.0; the core with draw_latent's constant
+    # clamps still matches on it
     mean = np.array([[-0.0, 0.0, -0.0, 0.0, 31.0, -31.0, 1e20, -1e20]])
     positive = np.array([[True, True, False, False, True, False, False, True]])
+    lower, upper = np.where(positive, 0.0, -np.inf), np.where(positive, np.inf, 0.0)
     new_gen, old_gen = np.random.default_rng(41), np.random.default_rng(41)
-    old = frozen_mirrored_truncated_normal(mean, 1.0, np.where(positive, 0.0, -np.inf),
-                                           np.where(positive, np.inf, 0.0), old_gen)
-    _same_draws(new_gen, old_gen, _one_sided_normal(mean, positive, new_gen), old)
+    old = frozen_mirrored_truncated_normal(mean, 1.0, lower, upper, old_gen)
+    new = _draw(mean, 1.0, lower, upper, np.where(positive, _TINY, -_HUGE),
+                np.where(positive, _HUGE, -_TINY), new_gen)
+    _same_draws(new_gen, old_gen, new, old)
     assert old[0, -2] == -5e-324 and old[0, -1] == 5e-324  # rounded onto 0, clamped
 
 

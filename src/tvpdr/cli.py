@@ -195,11 +195,11 @@ def _cmd_forecast(args) -> int:
 
 def _conditioning_cdf(args, aligned, x_design, draws) -> ConditionalCdf:
     link = LINKS[draws.link]
+    t = _row(aligned, args.date)
     if args.predictive:
         return forecast_predictive(
-            draws, x_design[-1], RngHandle(args.seed, stream=args.stream), link
+            draws, x_design[t], RngHandle(args.seed, stream=args.stream), link
         )
-    t = _row(aligned, args.date)
     return conditional_cdf(draws, x_design[t], t, link)
 
 
@@ -255,6 +255,7 @@ def _cmd_evaluate(args) -> int:
         refit_every=args.refit_every,
         taus=args.taus,
         score_variant=args.variant,
+        lag=args.lag,
     )
     result = expanding_window_backtest(
         plan, spec, ds, args.covariates, RngHandle(args.seed),
@@ -337,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True)
     p.add_argument("--date", help="conditioning quarter (default: last aligned row)")
     p.add_argument("--predictive", action="store_true",
-                   help="use the one-step-ahead curve instead of an in-sample quarter")
+                   help="use the one-step-ahead curve from the --date row instead of "
+                        "that quarter's in-sample curve")
     p.add_argument("--lower", type=float, default=1.0)
     p.add_argument("--upper", type=float, default=3.0)
     p.add_argument("--alpha", type=float, default=0.0)

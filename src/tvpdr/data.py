@@ -45,6 +45,31 @@ def format_quarter(index: int) -> str:
     return f"{index // 4:04d}Q{index % 4 + 1}"
 
 
+# The last date axis known to be consecutive quarters. Derived datasets
+# (with_inflation, with_shift, ...) pass their parent's tuple on, so it is
+# recognised by identity and not parsed again; holding the reference keeps
+# that identity from being reused by another object.
+_valid_axis = None
+
+
+def _check_axis(dates) -> None:
+    """Raise unless ``dates`` are consecutive quarters.
+
+    Only an axis that passed is remembered, so a bad one raises on every
+    construction. Equal tuples from another load are parsed again, just as
+    they are in a fresh process.
+    """
+    global _valid_axis
+    if dates is _valid_axis:
+        return
+    idx = [parse_quarter(d) for d in dates]
+    for a, b, lbl in zip(idx, idx[1:], dates[1:]):
+        if b != a + 1:
+            raise ValueError(f"date axis has a gap or disorder before {lbl}")
+    if isinstance(dates, tuple):
+        _valid_axis = dates
+
+
 def apply_transform(values: np.ndarray, code: int, name: str = "series") -> np.ndarray:
     """Apply one transform code; differencing leaves leading NaNs in place."""
     x = np.asarray(values, dtype=np.float64)
@@ -88,10 +113,7 @@ class MacroDataset:
     horizon: int | None = None
 
     def __post_init__(self):
-        idx = [parse_quarter(d) for d in self.dates]
-        for a, b, lbl in zip(idx, idx[1:], self.dates[1:]):
-            if b != a + 1:
-                raise ValueError(f"date axis has a gap or disorder before {lbl}")
+        _check_axis(self.dates)
         n = len(self.dates)
         for name, vals in self.series.items():
             if np.asarray(vals).shape != (n,):
@@ -187,6 +209,7 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
     and NROU are present, the computed unemployment gap column ``ugap`` is
     added automatically.
     """
+    global _valid_axis
     schema = dict(schema or {})
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -201,6 +224,7 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
             dupe = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValueError(f"{path}: duplicate column {dupe!r}")
         dates = []
+        prev = None  # quarter index of the previous row
         columns = [[] for _ in names]
         for rowno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -209,11 +233,12 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
                 raise ValueError(f"{path}:{rowno}: expected {len(names) + 1} cells, got {len(row)}")
             label = row[0].strip()
             idx = parse_quarter(label)
-            if dates and idx <= parse_quarter(dates[-1]):
+            if prev is not None and idx <= prev:
                 raise ValueError(f"{path}:{rowno}: dates out of order at {label}")
-            if dates and idx != parse_quarter(dates[-1]) + 1:
+            if prev is not None and idx != prev + 1:
                 raise ValueError(f"{path}:{rowno}: missing quarter before {label}")
             dates.append(label)
+            prev = idx
             for j, cell in enumerate(row[1:]):
                 cell = cell.strip()
                 if not cell:
@@ -233,7 +258,8 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
             raise ValueError(f"schema references absent column {key!r}")
     series = {n: np.asarray(col, dtype=np.float64) for n, col in zip(names, columns)}
     codes = {n: schema.get(n, 1) for n in names}
-    data = MacroDataset(dates=tuple(dates), series=series, codes=codes)
+    _valid_axis = tuple(dates)  # checked row by row above
+    data = MacroDataset(dates=_valid_axis, series=series, codes=codes)
     if "UNRATE" in series and "NROU" in series:
         data = data.with_unemployment_gap()
     return data

@@ -146,15 +146,23 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
     Each kept draw's final state is propagated one step with its own
     innovation variances, the link is applied draw by draw, the curves are
     averaged, and the average is rearranged.
+
+    Only the projection x'(beta_T + eta) reaches the link, and with
+    eta ~ N(0, diag(sigma2)) the projected innovation x'eta is exactly
+    N(0, sum_j x_j^2 sigma2_j). So each (draw, threshold) takes one standard
+    normal z and uses x'beta_T + sqrt(x' diag(sigma2) x) z: the estimator
+    has the same distribution as propagating all d coefficients, from d
+    times fewer normals. The numbers drawn for a given rng differ from
+    those of a full-vector propagation.
     """
     gen = as_generator(rng)
     x_next = np.asarray(x_next, dtype=np.float64)
     if x_next.shape != (draws.d,):
         raise ValueError(f"x_next has shape {x_next.shape}, expected ({draws.d},)")
-    last = draws.beta[:, :, -1, :]
-    prop = last + gen.standard_normal(last.shape) * np.sqrt(draws.sigma2)
-    values = link.cdf(np.einsum("nkd,d->nk", prop, x_next)).mean(axis=0)
-    values = np.sort(values)
+    fits = draws.beta[:, :, -1, :] @ x_next
+    scale = np.sqrt(draws.sigma2 @ (x_next * x_next))
+    fits += scale * gen.standard_normal(fits.shape)
+    values = np.sort(link.cdf(fits).mean(axis=0))
     return ConditionalCdf(grid=draws.grid, values=values, x=x_next, time_index="predictive")
 
 

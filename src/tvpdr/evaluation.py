@@ -96,7 +96,11 @@ def quantile_score(realization: float, qhat: float, tau: float, variant: str = "
 
 @dataclass(frozen=True)
 class BacktestPlan:
-    """Evaluation design: window, refit cadence, and scored quantiles."""
+    """Evaluation design: window, refit cadence, and scored quantiles.
+
+    ``lag`` is the covariate lag the rows are aligned with, as in
+    ``assemble_design``.
+    """
 
     initial_start: str
     initial_end: str
@@ -104,6 +108,7 @@ class BacktestPlan:
     refit_every: int = 1
     taus: tuple = (0.05, 0.95)
     score_variant: str = "standard"
+    lag: int = 1
 
     def __post_init__(self):
         if parse_quarter(self.initial_start) >= parse_quarter(self.initial_end):
@@ -112,6 +117,8 @@ class BacktestPlan:
             raise ValueError("horizon must be >= 1")
         if self.refit_every < 1:
             raise ValueError("refit_every must be >= 1")
+        if self.lag < 1:
+            raise ValueError("lag must be >= 1")
         taus = tuple(sorted(float(t) for t in self.taus))
         if not taus or any(not 0.0 < t < 1.0 for t in taus):
             raise ValueError("taus must be a non-empty set inside (0, 1)")
@@ -282,7 +289,7 @@ def expanding_window_backtest(
     if plan.horizon != data.horizon:
         raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 
-    aligned = assemble_design(data, covariates, lag=1)
+    aligned = assemble_design(data, covariates, lag=plan.lag)
     x_design = apply_design_transform(aligned.x, spec.design_transform)
     if x_design.shape[1] != spec.d:
         raise ValueError(f"design has {x_design.shape[1]} columns, spec says {spec.d}")

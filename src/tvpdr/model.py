@@ -316,6 +316,23 @@ def _tridiag_submatrix(diag, off, keep):
     return BandedMatrix(dim=n, bandwidth=1, diagonals=bands)
 
 
+def _stride_rows_matvec(precision: BandedMatrix, x: np.ndarray, d: int) -> np.ndarray:
+    """(precision @ x) at rows 0, d, 2d, ...: the intercepts of stacked paths.
+
+    Each row adds its 2*bandwidth + 1 terms in ``BandedMatrix.matvec``'s
+    order (self, -1, +1, ..., -k, +k), so every entry equals the full
+    product's bit for bit. Needs bandwidth <= d, so only the first row has
+    no left neighbours; the last row has no right neighbour at offset d.
+    """
+    bands, dim = precision.diagonals, precision.dim
+    y = bands[0, ::d] * x[::d]
+    for k in range(1, precision.bandwidth + 1):
+        y[1:] += bands[k, d - k : dim - k : d] * x[d - k : dim - k : d]
+        right = bands[k, : dim - k : d] * x[k::d]
+        y[: right.size] += right
+    return y
+
+
 def _repair_ordering(beta, design, lower, upper):
     """Nudge intercepts so recomputed fits land inside [lower, upper].
 
@@ -416,9 +433,8 @@ def draw_beta_monotone(
     rest[..., 0] = np.where(pinned, lo, 0.0).reshape(lo_path.shape)
     x1 = rest[..., 0].ravel()
     if free.any():
-        pos = np.arange(lo.size) * d
-        rhs = (b - precision.matvec(rest.ravel()))[pos][free]
-        k_ff = _tridiag_submatrix(precision.diagonals[0][pos], precision.diagonals[d][pos], free)
+        rhs = (b[::d] - _stride_rows_matvec(precision, rest.ravel(), d))[free]
+        k_ff = _tridiag_submatrix(precision.diagonals[0, ::d], precision.diagonals[d, ::d], free)
         mean_f = solve_banded(cholesky_banded(k_ff), rhs, mode="full")
         start = beta if warm_start is None else np.asarray(warm_start, dtype=np.float64)
         init = np.clip(start[..., 0].ravel()[free], lo[free], up[free])

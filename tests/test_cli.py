@@ -1,5 +1,6 @@
 """End-to-end command line checks on a small synthetic quarterly file."""
 
+import json
 import os
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 import tvpdr.model
 from tvpdr.cli import main
 from tvpdr.data import assemble_design, load_csv
-from tvpdr.distribution import conditional_cdf
+from tvpdr.distribution import cdf_interpolate, conditional_cdf, forecast_predictive
 from tvpdr.model import PROBIT, apply_design_transform
-from tvpdr.risk import distribution_mean
+from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
+from tvpdr.samplers import RngHandle
 from tvpdr.store import load_estimate
 
 
@@ -100,6 +102,33 @@ def test_risk_table(estimate_dir, capsys):
     assert float(table["deflation_risk(target=1,alpha=1)"]) <= 0.0
     assert float(table["excess_inflation_risk(target=3,gamma=1)"]) >= 0.0
     assert float(table["p_above_3"]) >= float(table["p_above_4"])
+
+
+def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
+    # risk --predictive uses the row at --date, as forecast --date does
+    csv, est, _ = estimate_dir
+    aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ["infl_P_1q", "u"])
+    draws = load_estimate(est)
+    x_design = apply_design_transform(aligned.x, draws.design_transform)
+    row = len(aligned.y) - 6
+    date = aligned.origin_dates[row]
+    base = ["risk", "--data", csv, *DATA_ARGS, "--estimate", est, "--predictive",
+            "--seed", "5", "--stream", "2", "--alpha", "1", "--gamma", "1", "--probes", "3"]
+    code, at_date, _ = run(capsys, base + ["--date", date])
+    assert code == 0
+    code, at_last, _ = run(capsys, base)
+    assert code == 0
+    assert at_date != at_last
+
+    pred = forecast_predictive(draws, x_design[row], RngHandle(5, stream=2), PROBIT)
+    want = {
+        "deflation_risk(target=1,alpha=1)": deflation_risk(pred, 1.0, 1.0),
+        "excess_inflation_risk(target=3,gamma=1)": excess_inflation_risk(pred, 3.0, 1.0),
+        "mean": distribution_mean(pred),
+        "p_above_3": 1.0 - float(cdf_interpolate(pred, 3.0)),
+    }
+    table = dict(parse_table(at_date)[1:])
+    assert {k: table[k] for k in want} == {k: format(v, ".6g") for k, v in want.items()}
 
 
 def test_counterfactual_moves_the_distribution(estimate_dir, capsys):
@@ -211,6 +240,43 @@ def test_evaluate_then_plotdata_round_trip(tmp_path, capsys):
     for vals in by_date.values():
         assert vals["q0.05"] <= vals["q0.5"] <= vals["q0.95"]
         assert 0.0 <= vals["pit"] <= 1.0
+
+
+def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    origin = dates[-10]
+
+    def evaluate(lag, out):
+        return run(capsys, ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                            "--lag", str(lag), "--initial-start", dates[0],
+                            "--initial-end", origin, "--refit-every", "4",
+                            "--taus", "0.05,0.95", "--out", out])
+
+    def body(path):
+        with open(path, encoding="utf-8") as fh:
+            return [line.split("\t") for line in fh.read().split("\n")[1:] if line]
+
+    lag1, lag2 = str(tmp_path / "lag1.tsv"), str(tmp_path / "lag2.tsv")
+    assert evaluate(1, lag1)[0] == 0
+    assert evaluate(2, lag2)[0] == 0
+    assert body(lag1) != body(lag2)
+    aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ["infl_P_1q", "u"], lag=2)
+    want = [out for org, out in zip(aligned.origin_dates, aligned.outcome_dates) if org >= origin]
+    assert [row[0] for row in body(lag2)] == want
+
+    # a resume under another lag is refused, and so is one whose sidecar
+    # predates the lag key
+    before = open(lag1, "rb").read()
+    code, _, stderr = evaluate(2, lag1)
+    assert code == 1 and "plan.lag" in stderr and "refusing to resume" in stderr
+    meta = json.loads(open(lag1 + ".meta", encoding="utf-8").read())
+    del meta["plan.lag"]
+    with open(lag1 + ".meta", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    code, _, stderr = evaluate(1, lag1)
+    assert code == 1 and "different plan.lag;" in stderr
+    assert open(lag1, "rb").read() == before
 
 
 def test_plotdata_rejects_foreign_files(tmp_path, capsys):

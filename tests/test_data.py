@@ -70,6 +70,23 @@ def test_dataset_validates_axis():
         MacroDataset(dates=make_dates(n=3), series={"a": np.zeros(2)}, codes={})
 
 
+def test_axis_validation_fires_on_every_construction():
+    # a good axis is validated once and reused; a bad one must raise every
+    # time, also right after a good axis of the same length was accepted
+    good = make_dates(n=4)
+    gapped = good[:2] + (format_quarter(parse_quarter(good[2]) + 1),) + good[3:]
+    disordered = (good[1], good[0]) + good[2:]
+    for _ in range(2):
+        MacroDataset(dates=good, series={"a": np.zeros(4)}, codes={})
+        for bad, where in ((gapped, gapped[2]), (disordered, disordered[1])):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"gap or disorder before {where}"):
+                    MacroDataset(dates=bad, series={"a": np.zeros(4)}, codes={})
+    # a remembered axis still has its series checked against it
+    with pytest.raises(ValueError, match="span"):
+        MacroDataset(dates=good, series={"a": np.zeros(3)}, codes={})
+
+
 def test_with_inflation_and_gap_columns():
     n = 12
     ds = MacroDataset(
@@ -116,6 +133,24 @@ def test_csv_error_reporting(tmp_path):
     bad_order.write_text("date,x\n2001Q1,1\n2001Q3,2\n")
     with pytest.raises(ValueError, match="2001Q3"):
         load_csv(bad_order)
+
+    # the row number is the file's line number, header included
+    backwards = tmp_path / "a2.csv"
+    backwards.write_text("date,x\n2001Q1,1\n2001Q2,2\n2001Q1,3\n")
+    with pytest.raises(ValueError, match=r"a2.csv:4: dates out of order at 2001Q1"):
+        load_csv(backwards)
+    repeated = tmp_path / "a3.csv"
+    repeated.write_text("date,x\n2001Q1,1\n2001Q1,2\n")
+    with pytest.raises(ValueError, match=r"a3.csv:3: dates out of order at 2001Q1"):
+        load_csv(repeated)
+    with pytest.raises(ValueError, match=r"a.csv:3: missing quarter before 2001Q3"):
+        load_csv(bad_order)
+    # the error repeats on a second load, and a good file still loads
+    with pytest.raises(ValueError, match=r"a.csv:3: missing quarter"):
+        load_csv(bad_order)
+    good = tmp_path / "a4.csv"
+    good.write_text("date,x\n2001Q1,1\n2001Q2,2\n2001Q3,3\n")
+    assert load_csv(good).dates == ("2001Q1", "2001Q2", "2001Q3")
 
     bad_cell = tmp_path / "b.csv"
     bad_cell.write_text("date,x\n2001Q1,1\n2001Q2,oops\n")

@@ -15,7 +15,7 @@ from tvpdr.distribution import (
     forecast_predictive,
     quantile_from_cdf,
 )
-from tvpdr.model import ModelSpec, PROBIT, run_gibbs
+from tvpdr.model import ModelSpec, PROBIT, apply_design_transform, run_gibbs
 from tvpdr.samplers import RngHandle
 
 from reference import probit_mixture_cdf
@@ -158,6 +158,41 @@ def test_forecast_predictive_is_reproducible_and_monotone():
     assert np.all(np.diff(a.values) >= 0.0)
     c = forecast_predictive(draws, x[-1], RngHandle(10), link)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("transform", ["identity", "quadratic"])
+def test_forecast_predictive_matches_the_integrated_oracle(transform):
+    # For fixed draws the predictive CDF at threshold k is a mean of
+    # Phi(x'beta_{n,T} + x'eta_n) over draws, so its expectation over
+    # streams is mean_n Phi(x'beta_{n,T} / sqrt(1 + x' Sigma_n x)). The
+    # fits are spread far apart across thresholds so the rearrangement
+    # never reorders a curve, and the variances and |x| stay well away
+    # from 1 so sigma for sigma2, x for x^2 or a lost sqrt would each be
+    # more than 10 standard errors off at every threshold.
+    rng = np.random.default_rng(3)
+    x = apply_design_transform(np.array([[1.0, 1.3, -0.8]]), transform)[0]
+    kept, k, t_len, d = 200, 4, 3, x.size
+    grid = build_threshold_grid(0.0, 3.0, 1.0)
+
+    class FakeDraws:
+        pass
+
+    draws = FakeDraws()
+    draws.beta = 0.3 * rng.standard_normal((kept, k, t_len, d))
+    draws.beta[..., 0] += np.array([-4.5, -1.5, 1.5, 4.5])[None, :, None]
+    draws.sigma2 = np.exp(rng.uniform(np.log(1.5), np.log(4.0), (kept, k, d)))
+    draws.grid = grid
+    draws.d = d
+
+    fits = draws.beta[:, :, -1, :] @ x
+    spread = draws.sigma2 @ (x * x)
+    oracle = ndtr(fits / np.sqrt(1.0 + spread)).mean(axis=0)
+
+    curves = np.array([forecast_predictive(draws, x, RngHandle(8, stream=s), PROBIT).values
+                       for s in range(240)])
+    se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(curves.mean(axis=0) - oracle) < 4.0 * se)
 
 
 def test_forecast_predictive_widens_the_insample_cdf():

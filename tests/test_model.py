@@ -23,6 +23,7 @@ from tvpdr.model import (
     run_gibbs,
     _HUGE,
     _TINY,
+    _stride_rows_matvec,
 )
 from tvpdr.samplers import RngHandle, _draw
 
@@ -371,6 +372,21 @@ def test_stacked_precision_is_block_diagonal_of_single_paths():
             worst = max(worst, np.max(np.abs(dense - want)) / np.max(np.abs(want)))
             assert np.all(dense[want == 0.0] == 0.0)
     assert worst <= 1e-12
+
+
+def test_intercept_rows_match_the_full_product_bitwise():
+    # the monotone intercept draw needs (K x) only at rows 0, d, 2d, ...;
+    # those entries must be the full product's to the last bit, including
+    # the first and last rows, which lack a neighbour on one side
+    rng = np.random.default_rng(24)
+    for d in (1, 2, 3, 4):
+        design = rng.normal(size=(7, d)) * 10.0 ** rng.uniform(-3, 3, size=(7, d))
+        sigma2 = 10.0 ** rng.uniform(-3, 1, size=(3, d))
+        for ridge in (0.0, 1e-6):
+            precision = assemble_precision(design, sigma2, ridge)
+            x = rng.normal(size=precision.dim) * 10.0 ** rng.uniform(-3, 3, precision.dim)
+            assert np.array_equal(_stride_rows_matvec(precision, x, d),
+                                  precision.matvec(x)[::d])
 
 
 def test_batched_fitted_values_match_single_calls_bitwise():

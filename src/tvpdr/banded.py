@@ -18,6 +18,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_banded",
     "solve_banded",
+    "likelihood_band",
     "assemble_precision",
 ]
 
@@ -95,8 +96,15 @@ class BandedMatrix:
         return cls(dim=dim, bandwidth=bandwidth, diagonals=diagonals)
 
 
-def cholesky_banded(precision: BandedMatrix) -> BandedMatrix:
+def cholesky_banded(precision: BandedMatrix, overwrite: bool = False) -> BandedMatrix:
     """Banded Cholesky ``P = L L'`` with L in the same band layout.
+
+    The factor is Fortran-ordered, the order the triangular solves take.
+    A Fortran-ordered ``precision`` (what ``assemble_precision`` returns) is
+    handed to LAPACK without a transposing copy; with ``overwrite`` it is
+    factored in place, its storage becomes the factor's and the precision
+    is consumed. A C-ordered precision is copied either way and left as it
+    was; both orders give the same factor bit for bit.
 
     Raises
     ------
@@ -104,14 +112,13 @@ def cholesky_banded(precision: BandedMatrix) -> BandedMatrix:
         If a pivot is not positive. No jitter is applied here; callers that
         want a ridge must add it to the diagonal themselves before calling.
     """
-    factor, info = lapack.dpbtrf(precision.diagonals, lower=1)
+    factor, info = lapack.dpbtrf(precision.diagonals, lower=1, overwrite_ab=overwrite)
     if info > 0:
         raise NotPositiveDefiniteError(row=info - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded Cholesky")
     # dpbtrf leaves junk in the unused tail of each band row; zero it so
-    # factors compare cleanly and to_dense stays honest. The factor is a
-    # fresh Fortran-ordered array, which the triangular solves take as is.
+    # factors compare cleanly and to_dense stays honest.
     for k in range(1, precision.bandwidth + 1):
         factor[k, precision.dim - k :] = 0.0
     return BandedMatrix(dim=precision.dim, bandwidth=precision.bandwidth, diagonals=factor)
@@ -147,8 +154,32 @@ def solve_banded(factor: BandedMatrix, rhs: np.ndarray, mode: str = "full") -> n
     return x[:, 0] if squeeze else x
 
 
+def likelihood_band(design: np.ndarray) -> np.ndarray:
+    """The likelihood part X'X of one path's precision, in band order.
+
+    Returns (T, d, d + 1): entry [t, j, k] is (g_t g_t')[j + k, j] for
+    j + k < d and zero otherwise, the band entries of the precision's
+    column (t, j) side by side. This is the column-major order of LAPACK
+    band storage, so it is copied into each path of a stacked precision as
+    is. It depends on the design only: build it once per fit and pass it
+    to every ``assemble_precision`` call.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    if design.ndim != 2:
+        raise ValueError("design must be a (T, d) array")
+    t_len, d = design.shape
+    band = np.zeros((t_len, d, d + 1))
+    for k in range(d):
+        band[:, : d - k, k] = design[:, k:] * design[:, : d - k]
+    return band
+
+
 def assemble_precision(
-    design: np.ndarray, sigma2: np.ndarray, ridge_scale: float = 0.0
+    design: np.ndarray,
+    sigma2: np.ndarray,
+    ridge_scale: float = 0.0,
+    likelihood: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> BandedMatrix:
     """Posterior precision of one stacked state path, or of B of them.
 
@@ -175,6 +206,15 @@ def assemble_precision(
     ``ridge_scale`` > 0 adds ridge_scale * max(diag K) to the diagonal,
     each path's own maximum. This is opt-in; the recommended value when a
     model is genuinely on the edge of positive definiteness is 1e-8.
+
+    The band storage is Fortran-ordered, LAPACK's own layout, so
+    ``cholesky_banded`` takes it without a transposing copy. Per fit, only
+    the random-walk prior changes between calls: a sampler builds X'X once
+    with ``likelihood_band(design)`` and passes it as ``likelihood``, and
+    passes ``out``, a Fortran-ordered (d + 1, B*T*d) array allocated once,
+    to receive the storage. Every entry of ``out`` is rewritten, so it may
+    hold a factor from the previous call. The values are the same with or
+    without either argument.
     """
     design = np.asarray(design, dtype=np.float64)
     if design.ndim != 2:
@@ -185,31 +225,38 @@ def assemble_precision(
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if sigma2.ndim not in (1, 2) or sigma2.shape[-1] != d:
         raise ValueError(f"sigma2 has shape {sigma2.shape}, expected ({d},) or (B, {d})")
-    if not np.all(sigma2 > 0.0):
+    if not (sigma2 > 0.0).all():
         raise ValueError("innovation variances must be strictly positive")
+    if likelihood is None:
+        likelihood = likelihood_band(design)
+    elif likelihood.shape != (t_len, d, d + 1):
+        raise ValueError(f"likelihood band has shape {likelihood.shape}, "
+                         f"expected ({t_len}, {d}, {d + 1})")
 
-    inv = 1.0 / sigma2.reshape(-1, 1, d)
-    bandwidth = d
-    # bands[k, b, t, j] = K_b[(t, j) + k, (t, j)] in lower band layout
-    bands = np.zeros((bandwidth + 1, inv.shape[0], t_len, d))
-
-    # Likelihood part: per-t outer products g_t g_t' on the block diagonal.
-    for k in range(d):
-        bands[k, :, :, : d - k] = design[:, k:] * design[:, : d - k]
+    inv = 1.0 / sigma2.reshape(-1, d)
+    n_paths = inv.shape[0]
+    shape = (d + 1, n_paths * t_len * d)
+    if out is None:
+        out = np.empty(shape, order="F")
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.f_contiguous:
+        raise ValueError(f"out must be a Fortran-ordered float64 array of shape {shape}")
+    # cols[b, t, j, k] = K_b[(t, j) + k, (t, j)], a view of the band storage
+    cols = out.T.reshape(n_paths, t_len, d, d + 1)
+    cols[...] = likelihood
 
     # Random-walk prior part: (D'D) kron diag(1/sigma2). D'D is tridiagonal
     # with diagonal (2, ..., 2, 1) and -1 off the diagonal: the first block
     # gets 1 from the initial condition beta_1 ~ N(0, Sigma) plus 1 from the
     # first difference, every interior block touches two differences, and
-    # the last block touches only one.
-    walk = np.full((t_len, 1), 2.0)
+    # the last block touches only one. Both bands are written as (B, d, T)
+    # views, so the long time axis is the inner loop.
+    walk = np.full(t_len, 2.0)
     walk[-1] = 1.0
-    bands[0] += walk * inv
-    bands[d, :, :-1] = -inv
+    diag = cols[..., 0].transpose(0, 2, 1)
+    diag += np.multiply.outer(inv, walk)
+    cols[:, :-1, :, d].transpose(0, 2, 1)[...] = -inv[:, :, None]
 
-    diagonals = bands.reshape(bandwidth + 1, -1)
     if ridge_scale > 0.0:
-        per_path = diagonals[0].reshape(inv.shape[0], -1)
-        per_path += ridge_scale * per_path.max(axis=1, keepdims=True)
+        diag += ridge_scale * diag.max(axis=(1, 2), keepdims=True)
 
-    return BandedMatrix(dim=diagonals.shape[1], bandwidth=bandwidth, diagonals=diagonals)
+    return BandedMatrix(dim=shape[1], bandwidth=d, diagonals=out)

@@ -220,6 +220,12 @@ def _load_done(out_path, expected_header: list, meta: str) -> set:
     return {ln.split("\t", 1)[0] for ln in good}
 
 
+def _last_quarter(kept: int, k: int, t_len: int, d: int):
+    """``run_gibbs`` buffers for the final quarter of each kept path only:
+    a block's forecasts read nothing else."""
+    return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
+
+
 def _run_block(payload) -> tuple:
     """Fit once, forecast each origin in the block. Top level so it pickles."""
     (spec, y, x_raw, x_design, train_lo, train_hi, origin_rows, origin_dates,
@@ -231,7 +237,8 @@ def _run_block(payload) -> tuple:
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
         spec_fit = replace(spec, grid=grid)
-        draws = run_gibbs(spec_fit, (y_train, x_train), RngHandle(seed, stream=block_stream))
+        draws = run_gibbs(spec_fit, (y_train, x_train), RngHandle(seed, stream=block_stream),
+                          buffers=_last_quarter)
     except Exception as exc:
         for i in origin_rows:
             failures.append((origin_dates[i], f"refit failed: {exc}"))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .banded import (BandedMatrix, NotPositiveDefiniteError, assemble_precision,
-                     cholesky_banded, solve_banded)
+                     cholesky_banded, likelihood_band, solve_banded)
 from .distribution import ThresholdGrid
 from .samplers import (RngHandle, _draw, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
@@ -211,7 +211,9 @@ class PosteriorDraws:
     """Kept draws, iteration-major, plus enough metadata to reproduce them.
 
     ``beta`` is indexed (kept, K, T, d) whatever its memory layout: a loaded
-    estimate's is a read-only view of its time-major blob.
+    estimate's is a read-only view of its time-major blob. A fit whose
+    buffers keep only the last Q quarters of each path has (kept, K, Q, d),
+    and ``n_obs`` is then Q.
     """
 
     grid: ThresholdGrid
@@ -241,7 +243,16 @@ class PosteriorDraws:
         return self.beta.shape[3]
 
 
-def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng) -> np.ndarray:
+def _latent_box(threshold, y: np.ndarray) -> tuple:
+    """Bounds of the latents and their one-ulp-inside clamps: (0, inf) where
+    y_t <= threshold, (-inf, 0) elsewhere; (B, T) for B thresholds."""
+    below = y <= np.asarray(threshold)[..., None]
+    return (np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
+            np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY))
+
+
+def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng,
+                box=None) -> np.ndarray:
     """Latent utilities: one-sided truncated normals around the fitted index.
 
     Observations with y_t <= threshold draw from N(fit, 1) on (0, inf), the
@@ -252,27 +263,44 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
     construction, and their one-ulp-inside clamps are the constants
     +-5e-324 and +-max-float, not per-call ``nextafter`` arrays. A
     non-finite fit raises ValueError.
+
+    The bounds depend only on the data and the thresholds, so a sampler
+    builds them once per fit, as ``_latent_box(threshold, y)``, and passes
+    them as ``box``; the draws are the same.
     """
     mean = fitted_values(design, beta)
-    if not np.all(np.isfinite(mean)):
+    if not np.isfinite(mean).all():
         raise ValueError("latent draw needs finite fitted values")
-    mean, below = np.broadcast_arrays(mean, y <= np.asarray(threshold)[..., None])
-    return _draw(mean, 1.0, np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
-                 np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY),
-                 as_generator(rng))
+    if box is None:
+        box = _latent_box(threshold, y)
+    return _draw(mean, 1.0, *box, as_generator(rng))
 
 
-def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0) -> np.ndarray:
+def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
+    """X'z of one path or a stack of them, flattened: entry (b, t, j) is
+    g_tj z_bt, filled one coefficient at a time along the long axes."""
+    rhs = np.empty(latent.shape + design.shape[1:])
+    for j in range(design.shape[1]):
+        np.multiply(latent, design[:, j], out=rhs[..., j])
+    return rhs.ravel()
+
+
+def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0,
+                            likelihood=None, out=None) -> np.ndarray:
     """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1}).
 
     With latents (B, T) and variances (B, d) the B paths come from one
-    stacked block-diagonal system and the result is (B, T, d).
+    stacked block-diagonal system and the result is (B, T, d). Nothing
+    reads the precision after the draw, so it is factored in place.
+    ``likelihood`` and ``out`` go to ``assemble_precision``: the per-fit
+    X'X band and the band storage to reuse.
     """
     design = np.asarray(design, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
-    precision = assemble_precision(design, sigma2, ridge_scale)
-    b = (design * latent[..., None]).ravel()
-    return sample_gaussian_precision(precision, b, rng).reshape(latent.shape + design.shape[1:])
+    precision = assemble_precision(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
+    b = _likelihood_rhs(design, latent)
+    return sample_gaussian_precision(precision, b, rng, overwrite=True).reshape(
+        latent.shape + design.shape[1:])
 
 
 def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
@@ -287,12 +315,16 @@ def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
     if beta.ndim not in (2, 3) or beta.shape[-2] < 2:
         raise ValueError("beta must be (T, d) or (B, T, d) with T >= 2")
     t_len, d = beta.shape[-2:]
-    nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (d,))
-    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (d,))
-    if not (np.all(nu > 0.0) and np.all(s > 0.0)):
+    nu, s = (np.asarray(p, dtype=np.float64) for p in (nu, s))
+    nu, s = (p if p.shape == (d,) else np.broadcast_to(p, (d,)) for p in (nu, s))
+    if not ((nu > 0.0).all() and (s > 0.0).all()):
         raise ValueError("prior parameters must be positive")
-    increments = np.diff(beta, axis=-2)
-    rss = np.sum(np.square(increments, out=increments), axis=-2)
+    sq = np.square(np.diff(beta, axis=-2))
+    # For d > 1, np.sum(axis=-2) adds over t in sequence through a strided
+    # pass; einsum adds in the same order along rows, so the sums are equal
+    # bit for bit. At d = 1 the t axis is contiguous and np.sum's pairwise
+    # order is kept.
+    rss = np.sum(sq, axis=-2) if d == 1 else np.einsum("...td->...d", sq)
     if include_initial:
         shape = nu + 0.5 * t_len
         scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)
@@ -343,12 +375,13 @@ def _repair_ordering(beta, design, lower, upper):
     continuous data this almost never runs. A fit still outside its box
     after the cap (an exact hit of a degenerate box may be unrepresentable)
     raises MonotonicityError: left in place it would be an ordering crossing.
+    Returns the paths and their fits.
     """
     for _ in range(64):
         fits = fitted_values(design, beta)
         row, t = np.nonzero(~((fits >= lower) & (fits <= upper)))
         if row.size == 0:
-            return beta
+            return beta, fits
         ft = fits[row, t]
         step = np.where(ft < lower[row, t], lower[row, t], upper[row, t]) - ft
         beta[row, t, 0] += step
@@ -371,6 +404,9 @@ def draw_beta_monotone(
     sweeps: int = 5,
     warm_start=None,
     ridge_scale: float = 0.0,
+    likelihood=None,
+    out=None,
+    fitted_out=None,
 ) -> np.ndarray:
     """Path draw for one threshold under the fitted-value ordering box.
 
@@ -390,6 +426,13 @@ def draw_beta_monotone(
     thresholds are drawn together from one stacked block-diagonal system,
     and their intercepts from one stacked tridiagonal system whose blocks
     never couple. A MonotonicityError's ``path`` names the offending one.
+
+    ``likelihood`` and ``out`` go to ``assemble_precision``: the per-fit
+    X'X band and the band storage to reuse. The intercept step reads the
+    precision after the joint draw, so that draw factors a copy. Given
+    ``fitted_out``, an array shaped like ``latent``, the fits of the
+    returned paths are written into it: the ordering check computes them
+    anyway.
     """
     gen = as_generator(rng)
     design = np.asarray(design, dtype=np.float64)
@@ -405,11 +448,13 @@ def draw_beta_monotone(
         raise ValueError("neighbor paths must have one entry per time point")
     lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
 
-    precision = assemble_precision(design, sigma2, ridge_scale)
-    b = (design * latent[..., None]).ravel()
+    precision = assemble_precision(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
+    b = _likelihood_rhs(design, latent)
     beta = sample_gaussian_precision(precision, b, gen).reshape(latent.shape + (d,))
 
     if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
+        if fitted_out is not None:
+            fitted_out[...] = fitted_values(design, beta).reshape(np.shape(fitted_out))
         return beta[0] if single else beta
     if np.any(lo_path > up_path):
         row, t = np.argwhere(lo_path > up_path)[0]
@@ -441,7 +486,9 @@ def draw_beta_monotone(
         x1[free] = sample_truncated_mvn(k_ff, mean_f, lo[free], up[free], init, sweeps, gen)
 
     beta[..., 0] = x1.reshape(lo_path.shape)
-    beta = _repair_ordering(beta, design, lo_path, up_path)
+    beta, fits = _repair_ordering(beta, design, lo_path, up_path)
+    if fitted_out is not None:
+        fitted_out[...] = fits.reshape(np.shape(fitted_out))
     return beta[0] if single else beta
 
 
@@ -475,10 +522,19 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     systematic-scan Gibbs sampler that leaves every kept iteration exactly
     ordered across the whole grid. Unconstrained mode is one batch of all K.
 
-    ``buffers(kept, K, T, d)`` returns the writable (kept, K, T, d) and
+    What does not change within a fit is built once, before the first
+    iteration: the likelihood band X'X, each batch's latent bounds, and the
+    band storage, which every path draw refills in place. Batches
+    are strided views of the state, and in monotone mode the fits the
+    ordering check computes become the neighbors' bounds directly. The
+    draws are those of calling the public draws batch by batch.
+
+    ``buffers(kept, K, T, d)`` returns the writable (kept, K, Q, d) and
     (kept, K, d) arrays that receive the kept draws and become the result's
-    ``beta`` and ``sigma2``. The default keeps them in memory;
-    ``store.draw_buffers`` streams them to disk.
+    ``beta`` and ``sigma2``. Q is T for whole paths; a smaller Q keeps only
+    the last Q quarters of each path, which is all a one-step forecast
+    reads. The default keeps whole paths in memory; ``store.draw_buffers``
+    streams them to disk.
     """
     y, x_raw = data
     y = np.asarray(y, dtype=np.float64)
@@ -508,25 +564,43 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     state = initial_state(y, grid, t_len, d, link)
     kept = spec.iterations - spec.burnin
     out_beta, out_sigma2 = buffers(kept, k, t_len, d)
+    quarters = out_beta.shape[2]
+    if out_beta.shape != (kept, k, quarters, d) or not 1 <= quarters <= t_len:
+        raise ValueError(f"buffers gave beta of shape {out_beta.shape} for "
+                         f"{(kept, k, t_len, d)}")
 
-    colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
-    edge = np.full((1, t_len), np.inf)  # open bounds beyond the ends of the grid
+    # Per-fit workspace. Rows 1..K of ``bounds`` are the fits, with open
+    # bounds beyond the ends of the grid, so a batch's neighbor fits are
+    # strided views of it. The batches take turns with one band storage:
+    # its leading columns are Fortran-ordered storage for a smaller batch.
+    bounds = np.vstack([np.full(t_len, -np.inf), state.fitted, np.full(t_len, np.inf)])
+    state.fitted = bounds[1:-1]
+    likelihood = likelihood_band(design)
+    colors = [slice(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [slice(0, k)]
+    storage = np.empty((d + 1, len(range(k)[colors[0]]) * t_len * d), order="F")
+    work = []
+    for batch in colors:
+        rows = range(k)[batch]
+        neighbors = (bounds[batch], bounds[batch.start + 2 : k + 2 : 2]) if spec.monotone else ()
+        work.append((batch, rows, _latent_box(grid.points[batch], y),
+                     storage[:, : len(rows) * t_len * d], neighbors))
 
     for it in range(spec.iterations):
-        for batch in colors:
+        for batch, rows, box, storage, neighbors in work:
             try:
-                latent = draw_latent(grid.points[batch], y, design, state.beta[batch], gen)
+                latent = draw_latent(grid.points[batch], y, design, state.beta[batch], gen,
+                                     box=box)
                 if spec.monotone:
-                    bounds = np.vstack([-edge, state.fitted, edge])
                     beta = draw_beta_monotone(
-                        bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch],
-                        gen, sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
-                        ridge_scale=spec.ridge_scale,
+                        *neighbors, design, latent, state.sigma2[batch], gen,
+                        sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
+                        ridge_scale=spec.ridge_scale, likelihood=likelihood, out=storage,
+                        fitted_out=state.fitted[batch],
                     )
-                    state.fitted[batch] = fitted_values(design, beta)
                 else:
                     beta = draw_beta_unconstrained(
-                        design, latent, state.sigma2[batch], gen, ridge_scale=spec.ridge_scale
+                        design, latent, state.sigma2[batch], gen, ridge_scale=spec.ridge_scale,
+                        likelihood=likelihood, out=storage,
                     )
                 state.beta[batch] = beta
                 state.sigma2[batch] = draw_sigma2(
@@ -534,12 +608,12 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
                 )
             except Exception as exc:
                 row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
-                j = batch[exc.path if isinstance(exc, MonotonicityError) else row]
+                j = rows[exc.path if isinstance(exc, MonotonicityError) else row]
                 raise EstimationError(
                     f"iteration {it}, threshold {j} (y={grid.points[j]:.6g}): {exc}"
                 ) from exc
         if it >= spec.burnin:
-            out_beta[it - spec.burnin] = state.beta
+            out_beta[it - spec.burnin] = state.beta[:, t_len - quarters :]
             out_sigma2[it - spec.burnin] = state.sigma2
 
     return PosteriorDraws(

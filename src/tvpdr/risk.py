@@ -91,11 +91,10 @@ def excess_inflation_risk(cdf: ConditionalCdf, upper_target: float, gamma: float
 
 
 def distribution_mean(cdf: ConditionalCdf) -> float:
-    """Mean as sum of y_j times the mass increment, boundary mass included."""
-    v = cdf.values
-    y = cdf.grid.points
-    inner = float(np.sum(y * np.diff(v, prepend=0.0)))
-    return inner + (1.0 - float(v[-1])) * (y[-1] + cdf.grid.step)
+    """Mean as the sum of cell midpoints times cell masses, boundary cells
+    included: exact for the piecewise-linear CDF of ``cdf_interpolate``."""
+    mids, masses = _cell_masses(cdf)
+    return float(np.sum(mids * masses))
 
 
 @dataclass

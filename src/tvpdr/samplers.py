@@ -162,19 +162,25 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     return float(draw) if draw.ndim == 0 else draw
 
 
-def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng) -> np.ndarray:
+def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng,
+                              overwrite: bool = False) -> np.ndarray:
     """One draw from N(K^{-1} b, K^{-1}) for banded SPD K.
 
     Factorizes K = L L' once and folds mean and noise into two triangular
     solves with iid normals z: x = L'^{-1}(L^{-1} b + z), which is the mean
     K^{-1} b plus the noise L'^{-1} z. On a block-diagonal stack of paths
     this is one independent draw per path.
+
+    With ``overwrite`` a Fortran-ordered K (as ``assemble_precision``
+    builds it) is factored in place: the draw consumes the precision, whose
+    storage then holds L. Callers that read K afterwards leave it False,
+    and the factorization works on a copy. The draw is the same either way.
     """
     gen = as_generator(rng)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (precision.dim,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({precision.dim},)")
-    factor = cholesky_banded(precision)
+    factor = cholesky_banded(precision, overwrite=overwrite)
     z = gen.standard_normal(precision.dim)
     return solve_banded(factor, solve_banded(factor, b, mode="forward") + z, mode="backward")
 

@@ -5,8 +5,10 @@ literal way possible so it shares no code path with the package: dense
 precision assembly via kron, a one-threshold Gibbs sampler on top of
 scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
 monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
-Carlo standard error, and frozen copies of earlier truncated-normal kernels
-and Gibbs inner-loop draws.
+Carlo standard error, and frozen copies of earlier truncated-normal kernels,
+Gibbs inner-loop draws and band assembly. The one exception is
+``public_draw_loop``: the Gibbs loop spelled out over the package's public
+draws, which ``run_gibbs`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -340,6 +342,67 @@ def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator, include_initial=Fa
         shape = nu + 0.5 * (t_len - 1)
         scale = s + 0.5 * rss
     return 1.0 / gen.gamma(shape, 1.0 / scale)
+
+def frozen_assemble_bands(design, sigma2, ridge_scale: float = 0.0) -> np.ndarray:
+    """Band storage of the stacked precision as first written: C-ordered
+    (d + 1, B*T*d), the likelihood outer products per t, then the prior."""
+    design = np.asarray(design, dtype=np.float64)
+    t_len, d = design.shape
+    inv = 1.0 / np.asarray(sigma2, dtype=np.float64).reshape(-1, 1, d)
+    bands = np.zeros((d + 1, inv.shape[0], t_len, d))
+    for k in range(d):
+        bands[k, :, :, : d - k] = design[:, k:] * design[:, : d - k]
+    walk = np.full((t_len, 1), 2.0)
+    walk[-1] = 1.0
+    bands[0] += walk * inv
+    bands[d, :, :-1] = -inv
+    diagonals = bands.reshape(d + 1, -1)
+    if ridge_scale > 0.0:
+        per_path = diagonals[0].reshape(inv.shape[0], -1)
+        per_path += ridge_scale * per_path.max(axis=1, keepdims=True)
+    return diagonals
+
+
+def public_draw_loop(spec, y, x, gen: np.random.Generator):
+    """The Gibbs loop written against the package's public draws, batch by
+    batch, with nothing built ahead: fancy-indexed red-black batches (one
+    batch of all thresholds when unconstrained), neighbor bounds stacked
+    afresh and fits recomputed after every monotone draw. Returns the kept
+    (beta, sigma2)."""
+    from tvpdr.model import (apply_design_transform, draw_beta_monotone,
+                             draw_beta_unconstrained, draw_latent, draw_sigma2, fitted_values,
+                             initial_state)
+
+    y = np.asarray(y, dtype=np.float64)
+    design = apply_design_transform(x, spec.design_transform)
+    t_len, d = design.shape
+    k = spec.grid.n
+    state = initial_state(y, spec.grid, t_len, d, spec.link_function())
+    nu, s = spec.prior_arrays()
+    colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
+    edge = np.full((1, t_len), np.inf)
+    kept_beta, kept_sigma2 = [], []
+    for it in range(spec.iterations):
+        for batch in colors:
+            latent = draw_latent(spec.grid.points[batch], y, design, state.beta[batch], gen)
+            if spec.monotone:
+                bounds = np.vstack([-edge, state.fitted, edge])
+                beta = draw_beta_monotone(
+                    bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch], gen,
+                    sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
+                    ridge_scale=spec.ridge_scale)
+                state.fitted[batch] = fitted_values(design, beta)
+            else:
+                beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
+                                               ridge_scale=spec.ridge_scale)
+            state.beta[batch] = beta
+            state.sigma2[batch] = draw_sigma2(beta, nu, s, gen,
+                                              include_initial=spec.include_initial_state_in_ig)
+        if it >= spec.burnin:
+            kept_beta.append(state.beta.copy())
+            kept_sigma2.append(state.sigma2.copy())
+    return np.array(kept_beta), np.array(kept_sigma2)
+
 
 # Frozen oracle values, each computed once from an independent route and
 # pinned here so a regression cannot silently move them.

@@ -3,7 +3,9 @@
 Run ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line per
 criterion with the measured numbers next to it. The monotonicity run (4) and
 the out-of-sample calibration run (7) dominate the runtime; the whole module
-is a few minutes single-threaded.
+is a few minutes single-threaded. The slowest checks (c06, c07, c12) carry
+the ``slow`` marker, so ``pytest -m "not slow"`` gives a quick inner loop;
+a full run still runs them.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 from scipy.special import ndtr
 
 from tvpdr import (
@@ -192,6 +195,7 @@ def test_c05_posterior_recovery_constant_dgp():
             f"path points (need >= 95%)")
 
 
+@pytest.mark.slow
 def test_c06_dense_reference_gibbs_agreement():
     rng = np.random.default_rng(606)
     t_len = 5
@@ -230,6 +234,7 @@ def test_c06_dense_reference_gibbs_agreement():
             f"largest gap {np.max(np.abs(mean_diff)):.4f}")
 
 
+@pytest.mark.slow
 def test_c12_monotone_matches_sequential_scan_reference():
     # the red-black threshold sweep and the stacked intercept system change
     # the scan order, not the target: posterior path means must match a
@@ -260,6 +265,7 @@ def test_c12_monotone_matches_sequential_scan_reference():
             f"path points, largest gap {np.max(np.abs(gap)):.4f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c07_out_of_sample_calibration():
     # covariate-driven Gaussian outcomes are exactly probit-representable at
     # every threshold, so a calibrated fit is attainable out of sample

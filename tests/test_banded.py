@@ -8,10 +8,13 @@ from tvpdr.banded import (
     NotPositiveDefiniteError,
     assemble_precision,
     cholesky_banded,
+    likelihood_band,
     solve_banded,
 )
+from tvpdr.model import draw_beta_unconstrained
+from tvpdr.samplers import RngHandle, sample_gaussian_precision
 
-from reference import dense_precision
+from reference import dense_precision, frozen_assemble_bands
 
 
 def random_spd_band(rng, dim, bandwidth):
@@ -121,3 +124,60 @@ def test_ridge_scale_moves_diagonal_only():
     shift = 1e-8 * plain.diagonals[0].max()
     assert np.allclose(ridged.diagonals[0], plain.diagonals[0] + shift)
     assert np.allclose(ridged.diagonals[1:], plain.diagonals[1:])
+
+
+def test_band_storage_contract():
+    # the storage is Fortran-ordered and holds, bit for bit, the values of
+    # the dense kron formula and of the C-ordered assembly it replaced; it
+    # factors to the C-ordered copy's factor; a draw that consumes it in
+    # place equals one from an untouched copy
+    rng = np.random.default_rng(6)
+    for t_len, d, n_paths in [(2, 1, 1), (7, 1, 3), (6, 2, 4), (9, 3, 2), (5, 4, 3)]:
+        design = rng.normal(size=(t_len, d))
+        sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
+        like = likelihood_band(design)
+        for ridge in (0.0, 1e-6):
+            precision = assemble_precision(design, sigma2, ridge)
+            assert precision.diagonals.flags.f_contiguous
+            assert np.array_equal(precision.diagonals, frozen_assemble_bands(design, sigma2, ridge))
+            dim = precision.dim
+            storage = np.full((d + 1, dim), np.nan, order="F")
+            reused = assemble_precision(design, sigma2, ridge, likelihood=like, out=storage)
+            assert reused.diagonals is storage
+            assert np.array_equal(storage, precision.diagonals)
+            if ridge == 0.0:
+                dense = np.zeros((dim, dim))
+                for b in range(n_paths):
+                    span = slice(b * t_len * d, (b + 1) * t_len * d)
+                    dense[span, span] = dense_precision(design, sigma2[b])
+                assert np.array_equal(precision.to_dense(), dense)
+
+            c_copy = BandedMatrix(dim, d, np.ascontiguousarray(precision.diagonals))
+            assert np.array_equal(cholesky_banded(precision).diagonals,
+                                  cholesky_banded(c_copy).diagonals)
+            assert np.array_equal(precision.diagonals, c_copy.diagonals)  # neither consumed
+
+            b_vec = rng.normal(size=dim)
+            untouched = BandedMatrix(dim, d, precision.diagonals.copy(order="F"))
+            want = sample_gaussian_precision(untouched, b_vec, RngHandle(7))
+            got = sample_gaussian_precision(precision, b_vec, RngHandle(7), overwrite=True)
+            assert np.array_equal(got, want)
+            assert np.array_equal(precision.diagonals, cholesky_banded(untouched).diagonals)
+
+        latent = rng.normal(size=(n_paths, t_len))
+        plain = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8))
+        storage = np.empty((d + 1, n_paths * t_len * d), order="F")
+        for _ in range(2):  # the second call refills storage that holds a factor
+            reused = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8),
+                                             likelihood=like, out=storage)
+            assert np.array_equal(reused, plain)
+
+
+def test_assemble_precision_validates_its_workspace():
+    design = np.ones((5, 2))
+    with pytest.raises(ValueError, match="likelihood band"):
+        assemble_precision(design, np.ones(2), likelihood=np.zeros((5, 2, 2)))
+    with pytest.raises(ValueError, match="Fortran"):
+        assemble_precision(design, np.ones(2), out=np.zeros((3, 10)))
+    with pytest.raises(ValueError, match="Fortran"):
+        assemble_precision(design, np.ones((2, 2)), out=np.zeros((3, 10), order="F"))

@@ -248,3 +248,48 @@ def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
     recorded_dates = {r.origin for r in res.records}
     assert not recorded_dates & {d for d, _ in res.failures}
     assert "refit skipped" in capsys.readouterr().err
+
+
+def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch):
+    # a block's forecasts read only the final quarter of each kept path, so
+    # that is all it keeps: the records equal a whole-path run's, and one
+    # block peaks far below the whole-path buffer
+    import tracemalloc
+
+    import tvpdr.evaluation as ev
+
+    ds = synthetic_dataset(seed=5)
+    spec = replace(fast_spec(ds), iterations=510, burnin=10)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=100)  # one block
+    cov = ["infl_P_1q", "u"]
+    real = ev.run_gibbs
+    fits = []
+
+    def spy(spec_fit, data, rng, **kwargs):
+        fits.append((spec_fit.grid.n, len(data[0]), kwargs))
+        return real(spec_fit, data, rng, **kwargs)
+
+    monkeypatch.setattr(ev, "run_gibbs", spy)
+    lean_out = tmp_path / "lean.tsv"
+    tracemalloc.start()
+    try:
+        lean = expanding_window_backtest(plan, spec, ds, cov, RngHandle(9),
+                                         out_path=str(lean_out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (k, t_len, kwargs), = fits
+    assert "buffers" in kwargs
+    whole_bytes = (spec.iterations - spec.burnin) * k * t_len * spec.d * 8
+    assert peak < whole_bytes / 10
+
+    monkeypatch.setattr(ev, "run_gibbs", lambda spec_fit, data, rng, **kwargs:
+                        real(spec_fit, data, rng))
+    whole_out = tmp_path / "whole.tsv"
+    whole = expanding_window_backtest(plan, spec, ds, cov, RngHandle(9),
+                                      out_path=str(whole_out))
+    assert lean_out.read_bytes() == whole_out.read_bytes()
+    assert len(lean.records) == len(whole.records) > 1
+    for a, b in zip(lean.records, whole.records):
+        assert (a.pit, a.quantiles, a.scores) == (b.pit, b.quantiles, b.scores)
+        assert np.array_equal(a.cdf, b.cdf)

@@ -35,6 +35,7 @@ from reference import (
     frozen_mirrored_truncated_normal,
     inverse_gamma_cdf,
     kolmogorov_distance,
+    public_draw_loop,
 )
 
 
@@ -158,6 +159,21 @@ def test_draw_sigma2_matches_the_frozen_draw():
             new = draw_sigma2(beta, 3.0, 0.01, new_gen, include_initial=include_initial)
             old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen, include_initial=include_initial)
             _same_draws(new_gen, old_gen, new, old)
+
+
+def test_draw_sigma2_matches_the_frozen_draw_on_long_paths():
+    # long enough that how the increments are summed over t shows: the
+    # pairwise order at d = 1 and the sequential one at d > 1
+    rs = np.random.default_rng(43)
+    for d in (1, 2, 3, 4):
+        for shape in [(160, d), (33, 160, d), (5, 257, d)]:
+            beta = rs.normal(size=shape) * 10.0 ** rs.uniform(-3, 3, size=shape)
+            for include_initial in (False, True):
+                seed = int(rs.integers(2**32))
+                new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                new = draw_sigma2(beta, 3.0, 0.01, new_gen, include_initial=include_initial)
+                old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen, include_initial=include_initial)
+                _same_draws(new_gen, old_gen, new, old)
 
 
 def test_draw_sigma2_matches_inverse_gamma_cdf():
@@ -466,8 +482,8 @@ def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):
     real = model_mod.assemble_precision
     t_len, d = x.shape
 
-    def broken(design, sigma2, ridge_scale=0.0):
-        k = real(design, sigma2, ridge_scale)
+    def broken(design, sigma2, ridge_scale=0.0, likelihood=None, out=None):
+        k = real(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
         k.diagonals[0, 3 * t_len * d + 5] = -1.0
         return k
 
@@ -475,3 +491,46 @@ def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):
     spec = ModelSpec(d=2, grid=grid, iterations=3, burnin=1, monotone=False)
     with pytest.raises(EstimationError, match=r"iteration 0, threshold 3 \(y=.*not positive definite"):
         run_gibbs(spec, (y, x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("monotone", [True, False])
+def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
+    # the per-fit workspace (likelihood band, latent bounds, band storage,
+    # strided batches, reused fits) must not move a single draw
+    y, x = small_problem(seed=40 + d, t_len=12, d=d)
+    lo = float(np.quantile(y, 0.1))
+    for n_thresholds in (4, 5):
+        step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
+        grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
+        assert grid.n == n_thresholds
+        for ridge in (0.0, 1e-6):
+            for include_initial in (False, True):
+                spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
+                                 ridge_scale=ridge, include_initial_state_in_ig=include_initial,
+                                 seed=d + n_thresholds)
+                draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
+                beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
+                assert np.array_equal(draws.beta, beta)
+                assert np.array_equal(draws.sigma2, sigma2)
+
+
+def test_run_gibbs_buffers_may_keep_the_last_quarters():
+    y, x = small_problem(seed=44, t_len=15)
+    grid = build_threshold_grid(float(np.quantile(y, 0.2)), float(np.quantile(y, 0.8)), 0.4)
+    spec = ModelSpec(d=2, grid=grid, iterations=8, burnin=3, monotone=False, seed=45)
+    whole = run_gibbs(spec, (y, x))
+
+    def last_two(kept, k, t_len, d):
+        return np.empty((kept, k, 2, d)), np.empty((kept, k, d))
+
+    tail = run_gibbs(spec, (y, x), buffers=last_two)
+    assert tail.n_obs == 2
+    assert np.array_equal(tail.beta, whole.beta[:, :, -2:])
+    assert np.array_equal(tail.sigma2, whole.sigma2)
+
+    def too_long(kept, k, t_len, d):
+        return np.empty((kept, k, t_len + 1, d)), np.empty((kept, k, d))
+
+    with pytest.raises(ValueError, match="buffers"):
+        run_gibbs(spec, (y, x), buffers=too_long)

@@ -104,3 +104,12 @@ def test_compare_distributions_rows():
     with pytest.raises(ValueError):
         compare_distributions(base, gaussian_cdf(step=0.02), probes=(3.0,))
 
+
+
+@pytest.mark.parametrize("step", [0.1, 0.5])
+def test_distribution_mean_is_exact_on_coarse_grids(step):
+    # a cell's mass sits at its midpoint, where the piecewise-linear CDF
+    # puts its mean; at its right end the mean came out step / 2 too high
+    for mean in (-0.37, 0.0, 2.2):
+        cdf = gaussian_cdf(lo=-8.0, hi=8.0, step=step, mean=mean)
+        assert abs(distribution_mean(cdf) - mean) < 1e-3

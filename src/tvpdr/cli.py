@@ -226,6 +226,12 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_counterfactual(args) -> int:
+    # derived columns (ugap, inflation) are computed at load and never
+    # recomputed, so only a covariate column itself carries a shift
+    if args.variable not in args.covariates:
+        raise ValueError(f"--variable {args.variable!r} is not one of the covariates "
+                         f"({','.join(args.covariates)}); shifting it would leave the "
+                         "design unchanged")
     ds, aligned, x_design, draws = _load_for_reading(args)
     link = LINKS[draws.link]
     shifted = ds.with_shift(args.variable, args.delta, (args.start, args.end))
@@ -311,20 +317,14 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tvpdr",
-        description="Time-varying-parameter distributional regression for inflation risk.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="fit the model and store the draws")
+def _estimate_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     _add_model_options(p)
     p.add_argument("--out", required=True, help="estimate directory to write")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("forecast", help="one-step-ahead predictive distribution")
+
+def _forecast_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     p.add_argument("--estimate", required=True, help="directory written by estimate")
     p.add_argument("--date", help="forecast origin quarter (default: last aligned row)")
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", type=int, default=0)
     p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("risk", help="target-range risk measures from a stored estimate")
+
+def _risk_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     p.add_argument("--estimate", required=True)
     p.add_argument("--date", help="conditioning quarter (default: last aligned row)")
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", type=int, default=0)
     p.set_defaults(func=_cmd_risk)
 
-    p = sub.add_parser("counterfactual", help="same draws, shifted covariate path")
+
+def _counterfactual_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     p.add_argument("--estimate", required=True)
     p.add_argument("--variable", required=True, help="series to shift")
@@ -360,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", type=_comma_floats, default=DEFAULT_PROBES)
     p.set_defaults(func=_cmd_counterfactual)
 
-    p = sub.add_parser("evaluate", help="expanding-window out-of-sample backtest")
+
+def _evaluate_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     _add_model_options(p)
     p.add_argument("--initial-start", required=True, help="first training quarter")
@@ -372,17 +375,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="refit blocks in parallel (or TVPDR_THREADS)")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("plotdata", help="tidy plotting series from a records file")
+
+def _plotdata_options(p: argparse.ArgumentParser):
     p.add_argument("--records", required=True, help="TSV written by evaluate")
     p.add_argument("--taus", type=_comma_floats, default=(0.05, 0.5, 0.95))
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=_cmd_plotdata)
 
+
+# name -> (help, function adding the command's options and its handler)
+COMMANDS = {
+    "estimate": ("fit the model and store the draws", _estimate_options),
+    "forecast": ("one-step-ahead predictive distribution", _forecast_options),
+    "risk": ("target-range risk measures from a stored estimate", _risk_options),
+    "counterfactual": ("same draws, shifted covariate path", _counterfactual_options),
+    "evaluate": ("expanding-window out-of-sample backtest", _evaluate_options),
+    "plotdata": ("tidy plotting series from a records file", _plotdata_options),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The tvpdr parser; with ``command`` only that subcommand's parser is built.
+
+    Either parser turns that command's argv into the same namespace and
+    prints the same usage errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tvpdr",
+        description="Time-varying-parameter distributional regression for inflation risk.",
+    )
+    # an unrecognized-arguments error prints the top-level usage, which lists
+    # every command even when only one subparser exists
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_options = COMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a process runs one command: building the other five parsers is waste
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, StoreError, OSError, EstimationError) as exc:

@@ -17,6 +17,10 @@ import numpy as np
 
 from .samplers import as_generator
 
+# How forecast_predictive draws its innovations; records computed from its
+# curves name this, so a change of scheme is never mixed into old records.
+PREDICTIVE_DRAW = "one innovation per kept draw"
+
 __all__ = [
     "ThresholdGrid",
     "ConditionalCdf",
@@ -25,6 +29,7 @@ __all__ = [
     "conditional_cdf",
     "quantile_from_cdf",
     "forecast_predictive",
+    "PREDICTIVE_DRAW",
     "cdf_derivative",
     "cdf_interpolate",
 ]
@@ -133,7 +138,7 @@ def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
         raise ValueError(f"x has shape {x.shape}, expected ({draws.d},)")
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
-    fits = np.einsum("nkd,d->nk", draws.beta[:, :, t, :], x)
+    fits = draws.beta[:, :, t, :] @ x
     values = link.cdf(fits).mean(axis=0)
     if np.any(np.diff(values) < 0.0):
         values = np.sort(values)
@@ -149,11 +154,15 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
 
     Only the projection x'(beta_T + eta) reaches the link, and with
     eta ~ N(0, diag(sigma2)) the projected innovation x'eta is exactly
-    N(0, sum_j x_j^2 sigma2_j). So each (draw, threshold) takes one standard
-    normal z and uses x'beta_T + sqrt(x' diag(sigma2) x) z: the estimator
-    has the same distribution as propagating all d coefficients, from d
-    times fewer normals. The numbers drawn for a given rng differ from
-    those of a full-vector propagation.
+    N(0, sum_j x_j^2 sigma2_j). So draw n takes one standard normal z_n,
+    shared by its K thresholds, and threshold k uses
+    x'beta_T + sqrt(x' diag(sigma2_k) x) z_n. Across draws the z_n are iid
+    N(0, 1), so each threshold's estimator has the same distribution as one
+    that propagates all d coefficients; sharing z_n across thresholds only
+    correlates their errors (common random numbers). The generator advances
+    by exactly ``kept`` normals. The numbers drawn for a given rng differ
+    from those of earlier versions, which drew one normal per (draw,
+    threshold) or per coefficient; ``PREDICTIVE_DRAW`` names the scheme.
     """
     gen = as_generator(rng)
     x_next = np.asarray(x_next, dtype=np.float64)
@@ -161,7 +170,8 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
         raise ValueError(f"x_next has shape {x_next.shape}, expected ({draws.d},)")
     fits = draws.beta[:, :, -1, :] @ x_next
     scale = np.sqrt(draws.sigma2 @ (x_next * x_next))
-    fits += scale * gen.standard_normal(fits.shape)
+    scale *= gen.standard_normal(fits.shape[0])[:, None]
+    fits += scale
     values = np.sort(link.cdf(fits).mean(axis=0))
     return ConditionalCdf(grid=draws.grid, values=values, x=x_next, time_index="predictive")
 

@@ -6,7 +6,8 @@ Every origin draws from its own named random stream, so records do not
 depend on which origins ran before them; that is what makes the record file
 resumable after a crash and identical under parallel execution. A sidecar
 next to the records file names what they were computed from, so a resume
-with another spec, seed, data, covariate set or plan is refused.
+with another spec, seed, data, covariate set, plan or predictive draw is
+refused.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .data import MacroDataset, assemble_design, parse_quarter
 from .distribution import (
+    PREDICTIVE_DRAW,
     ThresholdGrid,
     build_threshold_grid,
     cdf_interpolate,
@@ -171,6 +173,7 @@ def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates, seed
     meta = {
         "covariates": list(covariates),
         "data_hash": hash_data(aligned.y, aligned.x),
+        "predictive": PREDICTIVE_DRAW,
         "seed": seed,
         "spec_hash": spec.spec_hash(),
         **{f"plan.{name}": value for name, value in asdict(plan).items()},
@@ -281,7 +284,8 @@ def expanding_window_backtest(
     file skips finished origins, so an interrupted run resumes where it
     stopped and ends with the identical file. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
-    aligned (y, x), the seed, the covariates and the plan. A resume whose
+    aligned (y, x), the seed, the covariates, the plan and the predictive
+    draw scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
     sidecar is missing or differs is refused with a ValueError naming the
     keys that differ. ``workers`` above 1 (default from TVPDR_THREADS) fans
     refit blocks out to processes; per-origin streams keep the output

@@ -12,6 +12,7 @@ import contextlib
 import io
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,8 +455,7 @@ def test_c11_estimate_determinism(tmp_path):
     names = [sorted(os.listdir(d)) for d in dirs]
     same_files = names[0] == names[1]
     same_bytes = same_files and all(
-        open(os.path.join(dirs[0], f), "rb").read()
-        == open(os.path.join(dirs[1], f), "rb").read()
+        Path(dirs[0], f).read_bytes() == Path(dirs[1], f).read_bytes()
         for f in names[0]
     )
     ok = same_files and same_bytes

@@ -2,12 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tvpdr.model
-from tvpdr.cli import main
+from tvpdr.cli import COMMANDS, build_parser, main
 from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import cdf_interpolate, conditional_cdf, forecast_predictive
 from tvpdr.model import PROBIT, apply_design_transform
@@ -267,16 +268,16 @@ def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
 
     # a resume under another lag is refused, and so is one whose sidecar
     # predates the lag key
-    before = open(lag1, "rb").read()
+    before = Path(lag1).read_bytes()
     code, _, stderr = evaluate(2, lag1)
     assert code == 1 and "plan.lag" in stderr and "refusing to resume" in stderr
-    meta = json.loads(open(lag1 + ".meta", encoding="utf-8").read())
+    meta = json.loads(Path(lag1 + ".meta").read_text(encoding="utf-8"))
     del meta["plan.lag"]
     with open(lag1 + ".meta", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     code, _, stderr = evaluate(1, lag1)
     assert code == 1 and "different plan.lag;" in stderr
-    assert open(lag1, "rb").read() == before
+    assert Path(lag1).read_bytes() == before
 
 
 def test_plotdata_rejects_foreign_files(tmp_path, capsys):
@@ -306,3 +307,96 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_counterfactual_refuses_a_variable_outside_the_covariates(estimate_dir, capsys):
+    # P is in the data, but the design reads infl_P_1q, computed at load:
+    # shifting P would print the baseline twice
+    csv, est, _ = estimate_dir
+    code, stdout, stderr = run(capsys, [
+        "counterfactual", "--data", csv, *DATA_ARGS, "--estimate", est,
+        "--variable", "P", "--delta", "4.0", "--start", "1990Q1", "--end", "2005Q4",
+    ])
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and "'P'" in stderr and "infl_P_1q,u" in stderr
+
+
+# one representative argv per command, every option given where it has one
+DISPATCH_ARGV = {
+    "estimate": ["estimate", "--data", "m.csv", *DATA_ARGS, *FAST_MODEL, "--lag", "2",
+                 "--schema", "s.txt", "--design-transform", "quadratic", "--sweeps", "3",
+                 "--grid-min", "-1", "--grid-max", "6", "--out", "est"],
+    "forecast": ["forecast", "--data", "m.csv", *DATA_ARGS, "--estimate", "est",
+                 "--date", "2000Q1", "--taus", "0.1,0.9", "--seed", "4", "--stream", "2"],
+    "risk": ["risk", "--data", "m.csv", "--target", "y", "--covariates", "u",
+             "--estimate", "est", "--predictive", "--lower", "0.5", "--upper", "2.5",
+             "--alpha", "1", "--gamma", "2", "--probes", "3,4", "--seed", "1"],
+    "counterfactual": ["counterfactual", "--data", "m.csv", *DATA_ARGS, "--estimate", "est",
+                       "--variable", "u", "--delta", "-1.5", "--start", "1995Q1",
+                       "--end", "1996Q4", "--date", "1996Q4", "--probes", "2"],
+    "evaluate": ["evaluate", "--data", "m.csv", *DATA_ARGS, *FAST_MODEL,
+                 "--initial-start", "1990Q1", "--initial-end", "2000Q1", "--refit-every", "4",
+                 "--taus", "0.05,0.5", "--variant", "one_sided", "--out", "r.tsv",
+                 "--workers", "2"],
+    "plotdata": ["plotdata", "--records", "r.tsv", "--taus", "0.5", "--out", "tidy.tsv"],
+}
+
+
+def test_the_invoked_command_parser_parses_as_the_full_parser(capsys):
+    assert list(DISPATCH_ARGV) == list(COMMANDS)
+
+    def parsed(parser, argv):
+        ns = vars(parser.parse_args(argv))
+        return {**ns, "func": ns["func"].__name__}
+
+    for name, argv in DISPATCH_ARGV.items():
+        assert parsed(build_parser(name), argv) == parsed(build_parser(), argv), name
+
+    # an unrecognized argument is reported against the top-level usage,
+    # which lists every command either way
+    argv = DISPATCH_ARGV["plotdata"] + ["--no-such-flag"]
+    errors = []
+    for parser in (build_parser("plotdata"), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "unrecognized arguments: --no-such-flag" in errors[0]
+    assert "{" + ",".join(COMMANDS) + "}" in errors[0]
+
+
+def test_main_builds_only_the_invoked_command(tmp_path, capsys, monkeypatch):
+    built = []
+    for name, (help_text, add_options) in list(COMMANDS.items()):
+        def counted(p, name=name, add_options=add_options):
+            built.append(name)
+            add_options(p)
+        monkeypatch.setitem(COMMANDS, name, (help_text, counted))
+
+    code, _, _ = run(capsys, ["plotdata", "--records", str(tmp_path / "none.tsv")])
+    assert code == 1 and built == ["plotdata"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main([])
+    assert built == list(COMMANDS)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"]])
+def test_a_missing_or_unknown_command_names_all_six(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in COMMANDS), err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["forecast", "-h"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tvpdr")
+    if argv == ["-h"]:
+        assert all(name in out for name in COMMANDS)

@@ -195,6 +195,26 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     assert np.all(np.abs(curves.mean(axis=0) - oracle) < 4.0 * se)
 
 
+def test_forecast_predictive_draws_one_innovation_per_kept_draw():
+    # each kept draw takes one standard normal, shared by all its thresholds
+    draws, x, y = fit_small_model(seed=6)
+    xn = x[-1]
+    pred = forecast_predictive(draws, xn, RngHandle(8, stream=3), PROBIT)
+
+    z = RngHandle(8, stream=3).rng.standard_normal(draws.kept)
+    fits = np.empty((draws.kept, draws.n_thresholds))
+    for n in range(draws.kept):
+        fits[n] = draws.beta[n, :, -1, :] @ xn + np.sqrt(draws.sigma2[n] @ (xn * xn)) * z[n]
+    want = np.sort(ndtr(fits).mean(axis=0))
+    assert np.array_equal(pred.values.view(np.int64), want.view(np.int64))
+
+    used = RngHandle(8, stream=3)
+    forecast_predictive(draws, xn, used, PROBIT)
+    ref = RngHandle(8, stream=3).rng
+    ref.standard_normal(draws.kept)
+    assert np.array_equal(used.rng.random(4), ref.random(4))
+
+
 def test_forecast_predictive_widens_the_insample_cdf():
     # the one-step curve folds in innovation noise, so it cannot be sharper
     # at the extremes than the in-sample curve at the last time point

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tvpdr.data import MacroDataset, format_quarter, parse_quarter
-from tvpdr.distribution import ConditionalCdf, build_threshold_grid
+from tvpdr.distribution import PREDICTIVE_DRAW, ConditionalCdf, build_threshold_grid
 from tvpdr.evaluation import (
     BacktestPlan,
     expanding_window_backtest,
@@ -191,6 +191,29 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     assert (tmp_path / "par.tsv.meta").read_bytes() == meta
     expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(par))
     assert par.read_bytes() == records
+
+
+def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path):
+    # records written before the sidecar named the predictive draw came
+    # from another estimator; appending new rows under them is refused
+    ds = synthetic_dataset(seed=1)
+    spec = fast_spec(ds)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
+    cov = ["infl_P_1q", "u"]
+    out = tmp_path / "records.tsv"
+    sidecar = tmp_path / "records.tsv.meta"
+    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    stored = json.loads(sidecar.read_text(encoding="utf-8"))
+    assert stored["predictive"] == PREDICTIVE_DRAW
+
+    del stored["predictive"]  # the sidecar as earlier versions wrote it
+    sidecar.write_text(json.dumps(stored, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    lines = out.read_text(encoding="utf-8").split("\n")
+    out.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # an unfinished run
+    records, meta = out.read_bytes(), sidecar.read_bytes()
+    with pytest.raises(ValueError, match="different predictive; refusing to resume"):
+        expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    assert out.read_bytes() == records and sidecar.read_bytes() == meta
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_unsupported_format_tag(tmp_path):
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())
     name = os.path.join(where, "MANIFEST")
-    text = open(name, encoding="utf-8").read()
+    text = Path(name).read_text(encoding="utf-8")
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text.replace("tvpdr-estimate-2", "tvpdr-estimate-9"))
     with pytest.raises(StoreError, match="unsupported format"):
@@ -139,7 +140,7 @@ def test_corrupt_manifest_values(tmp_path):
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())
     name = os.path.join(where, "MANIFEST")
-    text = open(name, encoding="utf-8").read()
+    text = Path(name).read_text(encoding="utf-8")
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text.replace("kept=7", "kept=seven"))
     with pytest.raises(StoreError, match="missing or corrupt"):
@@ -156,7 +157,7 @@ def test_grid_file_problems(tmp_path):
     save_estimate(where, make_draws())
     name = os.path.join(where, "grid.tsv")
 
-    text = open(name, encoding="utf-8").read()
+    text = Path(name).read_text(encoding="utf-8")
     os.remove(name)
     with pytest.raises(StoreError, match="grid.tsv is missing"):
         load_estimate(where)
@@ -179,7 +180,7 @@ def test_blob_problems(tmp_path):
 
     for name in ("beta.f64", "sigma2.f64"):
         blob = os.path.join(where, name)
-        data = open(blob, "rb").read()
+        data = Path(blob).read_bytes()
         os.remove(blob)
         with pytest.raises(StoreError, match="draw file is missing"):
             load_estimate(where)
@@ -229,7 +230,7 @@ def test_v1_directory_is_refused_with_a_refit_hint(tmp_path):
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())
     name = os.path.join(where, "MANIFEST")
-    text = open(name, encoding="utf-8").read()
+    text = Path(name).read_text(encoding="utf-8")
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text.replace("tvpdr-estimate-2", "tvpdr-estimate-1"))
     with pytest.raises(StoreError, match="tvpdr-estimate-1.*refit"):

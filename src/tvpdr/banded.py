@@ -109,8 +109,7 @@ def cholesky_banded(precision: BandedMatrix, overwrite: bool = False) -> BandedM
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot is not positive. No jitter is applied here; callers that
-        want a ridge must add it to the diagonal themselves before calling.
+        If a pivot is not positive. No jitter is applied.
     """
     factor, info = lapack.dpbtrf(precision.diagonals, lower=1, overwrite_ab=overwrite)
     if info > 0:
@@ -177,7 +176,6 @@ def likelihood_band(design: np.ndarray) -> np.ndarray:
 def assemble_precision(
     design: np.ndarray,
     sigma2: np.ndarray,
-    ridge_scale: float = 0.0,
     likelihood: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> BandedMatrix:
@@ -202,10 +200,6 @@ def assemble_precision(
     of the B precisions, dim B*T*d with the same bandwidth: each path's band
     storage ends in zeros, so every coupling across a path boundary is
     exactly zero and one factorization serves all B paths.
-
-    ``ridge_scale`` > 0 adds ridge_scale * max(diag K) to the diagonal,
-    each path's own maximum. This is opt-in; the recommended value when a
-    model is genuinely on the edge of positive definiteness is 1e-8.
 
     The band storage is Fortran-ordered, LAPACK's own layout, so
     ``cholesky_banded`` takes it without a transposing copy. Per fit, only
@@ -255,8 +249,5 @@ def assemble_precision(
     diag = cols[..., 0].transpose(0, 2, 1)
     diag += np.multiply.outer(inv, walk)
     cols[:, :-1, :, d].transpose(0, 2, 1)[...] = -inv[:, :, None]
-
-    if ridge_scale > 0.0:
-        diag += ridge_scale * diag.max(axis=(1, 2), keepdims=True)
 
     return BandedMatrix(dim=shape[1], bandwidth=d, diagonals=out)

@@ -264,8 +264,7 @@ def _cmd_evaluate(args) -> int:
         lag=args.lag,
     )
     result = expanding_window_backtest(
-        plan, spec, ds, args.covariates, RngHandle(args.seed),
-        out_path=args.out, workers=args.workers,
+        plan, spec, ds, args.covariates, args.seed, out_path=args.out, workers=args.workers,
     )
     rows = [("records", len(result.records)), ("failures", len(result.failures))]
     if result.records:

@@ -30,7 +30,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import LINKS, ModelSpec, apply_design_transform, hash_data, run_gibbs
-from .samplers import RngHandle
+from .samplers import RngHandle, as_generator
 
 __all__ = [
     "BacktestPlan",
@@ -70,8 +70,7 @@ def pit_uniformity_band(n: int, level: float = 0.95, rng=None, sims: int = 10000
         raise ValueError("need at least one evaluation point")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    handle = rng if rng is not None else RngHandle(0)
-    gen = handle.rng if isinstance(handle, RngHandle) else handle
+    gen = as_generator(RngHandle(0) if rng is None else rng)
     u = gen.random((sims, n))
     u.sort(axis=1)
     i = np.arange(1, n + 1)
@@ -277,6 +276,10 @@ def expanding_window_backtest(
 ) -> BacktestResult:
     """Walk origins from the end of the initial window to the sample's edge.
 
+    ``rng`` is an integer seed, not a handle: every stream derives from it
+    (refit block b draws on stream 1 + b, origin i's forecast on stream
+    2**32 + i), so a handle's own stream would be ignored.
+
     Each refit re-estimates from scratch on all rows whose outcome was known
     at the origin (expanding, fixed start), with the threshold grid rebuilt
     from that training sample's range at the template's step. Records are
@@ -291,12 +294,9 @@ def expanding_window_backtest(
     refit blocks out to processes; per-origin streams keep the output
     byte-identical either way.
     """
-    if isinstance(rng, RngHandle):
-        seed = int(rng.seed)
-    elif isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-    else:
-        raise TypeError("rng must be an RngHandle or an integer seed")
+    if not isinstance(rng, (int, np.integer)):
+        raise TypeError(f"rng must be an integer seed, got {type(rng)!r}")
+    seed = int(rng)
     if plan.horizon != data.horizon:
         raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 

@@ -137,7 +137,6 @@ class ModelSpec:
     monotone: bool = True
     truncation_sweeps: int = 5
     include_initial_state_in_ig: bool = False
-    ridge_scale: float = 0.0
     ig_prior_nu: float = 3.0
     ig_prior_s: float = 0.01
     seed: int = 0
@@ -153,8 +152,6 @@ class ModelSpec:
             raise ValueError("need iterations > burnin >= 0")
         if self.truncation_sweeps < 1:
             raise ValueError("truncation_sweeps must be >= 1")
-        if self.ridge_scale < 0.0:
-            raise ValueError("ridge_scale must be >= 0")
         nu, s = self.prior_arrays()
         if not (np.all(nu > 0.0) and np.all(s > 0.0)):
             raise ValueError("inverse gamma prior parameters must be positive")
@@ -179,7 +176,8 @@ class ModelSpec:
             "monotone": self.monotone,
             "truncation_sweeps": self.truncation_sweeps,
             "include_initial_state_in_ig": self.include_initial_state_in_ig,
-            "ridge_scale": self.ridge_scale,
+            # a retired option at its only value: dropping it would move every spec_hash
+            "ridge_scale": 0.0,
             "ig_prior_nu": nu.tolist(),
             "ig_prior_s": s.tolist(),
         }
@@ -285,8 +283,8 @@ def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
     return rhs.ravel()
 
 
-def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.0,
-                            likelihood=None, out=None) -> np.ndarray:
+def draw_beta_unconstrained(design, latent, sigma2, rng, likelihood=None,
+                            out=None) -> np.ndarray:
     """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1}).
 
     With latents (B, T) and variances (B, d) the B paths come from one
@@ -297,7 +295,7 @@ def draw_beta_unconstrained(design, latent, sigma2, rng, ridge_scale: float = 0.
     """
     design = np.asarray(design, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
-    precision = assemble_precision(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
+    precision = assemble_precision(design, sigma2, likelihood=likelihood, out=out)
     b = _likelihood_rhs(design, latent)
     return sample_gaussian_precision(precision, b, rng, overwrite=True).reshape(
         latent.shape + design.shape[1:])
@@ -348,21 +346,28 @@ def _tridiag_submatrix(diag, off, keep):
     return BandedMatrix(dim=n, bandwidth=1, diagonals=bands)
 
 
-def _stride_rows_matvec(precision: BandedMatrix, x: np.ndarray, d: int) -> np.ndarray:
-    """(precision @ x) at rows 0, d, 2d, ...: the intercepts of stacked paths.
-
-    Each row adds its 2*bandwidth + 1 terms in ``BandedMatrix.matvec``'s
-    order (self, -1, +1, ..., -k, +k), so every entry equals the full
-    product's bit for bit. Needs bandwidth <= d, so only the first row has
-    no left neighbours; the last row has no right neighbour at offset d.
+def _intercept_system(design, latent, sigma2, rest):
+    """The intercepts' tridiagonal system given ``rest``, the paths with
+    each intercept replaced by its pinned value or 0: (B, T) arrays diag,
+    off and rhs, the intercept rows of the joint precision K and of
+    X'z - K rest. With an intercept column of ones, diag_t is
+    1 + walk_t / sigma2_0 and off_t is -1 / sigma2_0, 0 at each path's end.
+    K rest adds the intercept's own term, the slope terms, then the previous
+    and the next intercept: ``BandedMatrix.matvec``'s order without its
+    exact-zero terms, so every entry equals the joint system's bit for bit.
     """
-    bands, dim = precision.diagonals, precision.dim
-    y = bands[0, ::d] * x[::d]
-    for k in range(1, precision.bandwidth + 1):
-        y[1:] += bands[k, d - k : dim - k : d] * x[d - k : dim - k : d]
-        right = bands[k, : dim - k : d] * x[k::d]
-        y[: right.size] += right
-    return y
+    inv = 1.0 / sigma2[:, :1]
+    walk = np.full(latent.shape[-1], 2.0)
+    walk[-1] = 1.0
+    diag = 1.0 + inv * walk
+    off = np.zeros_like(diag)
+    off[:, :-1] = -inv
+    acc = diag * rest[..., 0]
+    for j in range(1, design.shape[1]):
+        acc += design[:, j] * rest[..., j]
+    acc[:, 1:] += off[:, :-1] * rest[:, :-1, 0]
+    acc[:, :-1] += off[:, :-1] * rest[:, 1:, 0]
+    return diag, off, latent - acc
 
 
 def _repair_ordering(beta, design, lower, upper):
@@ -403,7 +408,6 @@ def draw_beta_monotone(
     rng,
     sweeps: int = 5,
     warm_start=None,
-    ridge_scale: float = 0.0,
     likelihood=None,
     out=None,
     fitted_out=None,
@@ -411,8 +415,8 @@ def draw_beta_monotone(
     """Path draw for one threshold under the fitted-value ordering box.
 
     The non-intercept block comes from its unconstrained marginal posterior
-    (taken from one joint precision-based draw), then the T intercepts are
-    drawn from their exact Gaussian conditional truncated to the box
+    (taken from one ``draw_beta_unconstrained`` draw), then the T intercepts
+    are drawn from their exact Gaussian conditional truncated to the box
 
         lower_path - c_t  <=  beta_{t,1}  <=  upper_path - c_t,
 
@@ -427,12 +431,11 @@ def draw_beta_monotone(
     and their intercepts from one stacked tridiagonal system whose blocks
     never couple. A MonotonicityError's ``path`` names the offending one.
 
-    ``likelihood`` and ``out`` go to ``assemble_precision``: the per-fit
-    X'X band and the band storage to reuse. The intercept step reads the
-    precision after the joint draw, so that draw factors a copy. Given
-    ``fitted_out``, an array shaped like ``latent``, the fits of the
-    returned paths are written into it: the ordering check computes them
-    anyway.
+    ``likelihood`` and ``out`` go to the joint draw, which factors in
+    place. The intercept step builds its own tridiagonal system from
+    sigma2_0, the latents and the drawn slopes. Given ``fitted_out``, an
+    array shaped like ``latent``, the fits of the returned paths are
+    written into it: the ordering check computes them anyway.
     """
     gen = as_generator(rng)
     design = np.asarray(design, dtype=np.float64)
@@ -448,9 +451,7 @@ def draw_beta_monotone(
         raise ValueError("neighbor paths must have one entry per time point")
     lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
 
-    precision = assemble_precision(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
-    b = _likelihood_rhs(design, latent)
-    beta = sample_gaussian_precision(precision, b, gen).reshape(latent.shape + (d,))
+    beta = draw_beta_unconstrained(design, latent, sigma2, gen, likelihood=likelihood, out=out)
 
     if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
         if fitted_out is not None:
@@ -471,16 +472,16 @@ def draw_beta_monotone(
     free = ~pinned
 
     # Conditional of the free intercepts given the rest and the pinned ones:
-    # precision K_ff and mean K_ff^{-1} (b - K rest)_f with the pinned values
-    # placed in rest. The intercept block of K is tridiagonal, since only the
-    # random-walk prior couples neighboring intercepts, and it is zero across
-    # path boundaries.
+    # precision K_ff and mean K_ff^{-1} (X'z - K rest)_f with the pinned
+    # values placed in rest. The intercept block of K is tridiagonal, since
+    # only the random-walk prior couples neighboring intercepts, and it is
+    # zero across path boundaries.
     rest[..., 0] = np.where(pinned, lo, 0.0).reshape(lo_path.shape)
     x1 = rest[..., 0].ravel()
     if free.any():
-        rhs = (b[::d] - _stride_rows_matvec(precision, rest.ravel(), d))[free]
-        k_ff = _tridiag_submatrix(precision.diagonals[0, ::d], precision.diagonals[d, ::d], free)
-        mean_f = solve_banded(cholesky_banded(k_ff), rhs, mode="full")
+        diag, off, rhs = _intercept_system(design, latent, np.reshape(sigma2, (-1, d)), rest)
+        k_ff = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
+        mean_f = solve_banded(cholesky_banded(k_ff), rhs.ravel()[free], mode="full")
         start = beta if warm_start is None else np.asarray(warm_start, dtype=np.float64)
         init = np.clip(start[..., 0].ravel()[free], lo[free], up[free])
         x1[free] = sample_truncated_mvn(k_ff, mean_f, lo[free], up[free], init, sweeps, gen)
@@ -594,14 +595,11 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
                     beta = draw_beta_monotone(
                         *neighbors, design, latent, state.sigma2[batch], gen,
                         sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
-                        ridge_scale=spec.ridge_scale, likelihood=likelihood, out=storage,
-                        fitted_out=state.fitted[batch],
+                        likelihood=likelihood, out=storage, fitted_out=state.fitted[batch],
                     )
                 else:
-                    beta = draw_beta_unconstrained(
-                        design, latent, state.sigma2[batch], gen, ridge_scale=spec.ridge_scale,
-                        likelihood=likelihood, out=storage,
-                    )
+                    beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
+                                                   likelihood=likelihood, out=storage)
                 state.beta[batch] = beta
                 state.sigma2[batch] = draw_sigma2(
                     beta, nu, s, gen, include_initial=spec.include_initial_state_in_ig,

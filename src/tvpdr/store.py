@@ -34,7 +34,7 @@ import re
 import numpy as np
 
 from .distribution import ThresholdGrid
-from .model import PosteriorDraws
+from .model import DESIGN_TRANSFORMS, LINKS, PosteriorDraws
 
 __all__ = ["save_estimate", "load_estimate", "read_manifest", "draw_buffers", "StoreError"]
 
@@ -190,6 +190,9 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         grid_step = float(man["grid_step"])
     except (KeyError, ValueError) as exc:
         raise StoreError(f"{path}: manifest is missing or corrupt: {exc}") from exc
+    for key, known in (("link", LINKS), ("design_transform", DESIGN_TRANSFORMS)):
+        if man.get(key) not in known:
+            raise StoreError(f"{path}: unknown {key.replace('_', ' ')} {man.get(key)!r}")
     if expect_data_hash is not None and man["data_hash"] != expect_data_hash:
         raise StoreError(
             f"{path}: estimate was fit to different data "

@@ -343,7 +343,7 @@ def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator, include_initial=Fa
         scale = s + 0.5 * rss
     return 1.0 / gen.gamma(shape, 1.0 / scale)
 
-def frozen_assemble_bands(design, sigma2, ridge_scale: float = 0.0) -> np.ndarray:
+def frozen_assemble_bands(design, sigma2) -> np.ndarray:
     """Band storage of the stacked precision as first written: C-ordered
     (d + 1, B*T*d), the likelihood outer products per t, then the prior."""
     design = np.asarray(design, dtype=np.float64)
@@ -356,11 +356,7 @@ def frozen_assemble_bands(design, sigma2, ridge_scale: float = 0.0) -> np.ndarra
     walk[-1] = 1.0
     bands[0] += walk * inv
     bands[d, :, :-1] = -inv
-    diagonals = bands.reshape(d + 1, -1)
-    if ridge_scale > 0.0:
-        per_path = diagonals[0].reshape(inv.shape[0], -1)
-        per_path += ridge_scale * per_path.max(axis=1, keepdims=True)
-    return diagonals
+    return bands.reshape(d + 1, -1)
 
 
 def public_draw_loop(spec, y, x, gen: np.random.Generator):
@@ -389,12 +385,10 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
                 bounds = np.vstack([-edge, state.fitted, edge])
                 beta = draw_beta_monotone(
                     bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch], gen,
-                    sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
-                    ridge_scale=spec.ridge_scale)
+                    sweeps=spec.truncation_sweeps, warm_start=state.beta[batch])
                 state.fitted[batch] = fitted_values(design, beta)
             else:
-                beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
-                                               ridge_scale=spec.ridge_scale)
+                beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen)
             state.beta[batch] = beta
             state.sigma2[batch] = draw_sigma2(beta, nu, s, gen,
                                               include_initial=spec.include_initial_state_in_ig)

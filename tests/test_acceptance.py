@@ -295,7 +295,7 @@ def test_c07_out_of_sample_calibration():
     plan = BacktestPlan(dates[0], dates[159], horizon=1, refit_every=4)
 
     t0 = time.perf_counter()
-    result = expanding_window_backtest(plan, spec, ds, ("u",), RngHandle(707))
+    result = expanding_window_backtest(plan, spec, ds, ("u",), 707)
     elapsed = time.perf_counter() - t0
 
     pits = np.array([r.pit for r in result.records])

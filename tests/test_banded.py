@@ -115,17 +115,6 @@ def test_assemble_precision_validates():
         assemble_precision(np.ones((5, 2)), np.array([1.0, 0.0]))  # zero variance
 
 
-def test_ridge_scale_moves_diagonal_only():
-    rng = np.random.default_rng(5)
-    design = rng.normal(size=(6, 2))
-    sigma2 = np.array([0.5, 1.5])
-    plain = assemble_precision(design, sigma2)
-    ridged = assemble_precision(design, sigma2, ridge_scale=1e-8)
-    shift = 1e-8 * plain.diagonals[0].max()
-    assert np.allclose(ridged.diagonals[0], plain.diagonals[0] + shift)
-    assert np.allclose(ridged.diagonals[1:], plain.diagonals[1:])
-
-
 def test_band_storage_contract():
     # the storage is Fortran-ordered and holds, bit for bit, the values of
     # the dense kron formula and of the C-ordered assembly it replaced; it
@@ -136,33 +125,31 @@ def test_band_storage_contract():
         design = rng.normal(size=(t_len, d))
         sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
         like = likelihood_band(design)
-        for ridge in (0.0, 1e-6):
-            precision = assemble_precision(design, sigma2, ridge)
-            assert precision.diagonals.flags.f_contiguous
-            assert np.array_equal(precision.diagonals, frozen_assemble_bands(design, sigma2, ridge))
-            dim = precision.dim
-            storage = np.full((d + 1, dim), np.nan, order="F")
-            reused = assemble_precision(design, sigma2, ridge, likelihood=like, out=storage)
-            assert reused.diagonals is storage
-            assert np.array_equal(storage, precision.diagonals)
-            if ridge == 0.0:
-                dense = np.zeros((dim, dim))
-                for b in range(n_paths):
-                    span = slice(b * t_len * d, (b + 1) * t_len * d)
-                    dense[span, span] = dense_precision(design, sigma2[b])
-                assert np.array_equal(precision.to_dense(), dense)
+        precision = assemble_precision(design, sigma2)
+        assert precision.diagonals.flags.f_contiguous
+        assert np.array_equal(precision.diagonals, frozen_assemble_bands(design, sigma2))
+        dim = precision.dim
+        storage = np.full((d + 1, dim), np.nan, order="F")
+        reused = assemble_precision(design, sigma2, likelihood=like, out=storage)
+        assert reused.diagonals is storage
+        assert np.array_equal(storage, precision.diagonals)
+        dense = np.zeros((dim, dim))
+        for b in range(n_paths):
+            span = slice(b * t_len * d, (b + 1) * t_len * d)
+            dense[span, span] = dense_precision(design, sigma2[b])
+        assert np.array_equal(precision.to_dense(), dense)
 
-            c_copy = BandedMatrix(dim, d, np.ascontiguousarray(precision.diagonals))
-            assert np.array_equal(cholesky_banded(precision).diagonals,
-                                  cholesky_banded(c_copy).diagonals)
-            assert np.array_equal(precision.diagonals, c_copy.diagonals)  # neither consumed
+        c_copy = BandedMatrix(dim, d, np.ascontiguousarray(precision.diagonals))
+        assert np.array_equal(cholesky_banded(precision).diagonals,
+                              cholesky_banded(c_copy).diagonals)
+        assert np.array_equal(precision.diagonals, c_copy.diagonals)  # neither consumed
 
-            b_vec = rng.normal(size=dim)
-            untouched = BandedMatrix(dim, d, precision.diagonals.copy(order="F"))
-            want = sample_gaussian_precision(untouched, b_vec, RngHandle(7))
-            got = sample_gaussian_precision(precision, b_vec, RngHandle(7), overwrite=True)
-            assert np.array_equal(got, want)
-            assert np.array_equal(precision.diagonals, cholesky_banded(untouched).diagonals)
+        b_vec = rng.normal(size=dim)
+        untouched = BandedMatrix(dim, d, precision.diagonals.copy(order="F"))
+        want = sample_gaussian_precision(untouched, b_vec, RngHandle(7))
+        got = sample_gaussian_precision(precision, b_vec, RngHandle(7), overwrite=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(precision.diagonals, cholesky_banded(untouched).diagonals)
 
         latent = rng.normal(size=(n_paths, t_len))
         plain = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8))

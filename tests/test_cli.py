@@ -179,6 +179,22 @@ def test_stale_estimate_is_refused_after_data_edit(estimate_dir, capsys, tmp_pat
     assert "fit to different data" in stderr
 
 
+@pytest.mark.parametrize("line, value", [("link=probit", "link=logit"),
+                                         ("design_transform=identity", "design_transform=cubic")])
+def test_reads_refuse_an_unknown_link_or_design_transform(estimate_dir, capsys, line, value):
+    csv, est, _ = estimate_dir
+    manifest = Path(est, "MANIFEST")
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace(line, value),
+                        encoding="utf-8")
+    common = ["--data", csv, *DATA_ARGS, "--estimate", est]
+    for argv in (["forecast", *common], ["risk", *common],
+                 ["counterfactual", *common, "--variable", "u", "--delta", "1.0",
+                  "--start", "1995Q1", "--end", "2000Q2"]):
+        code, stdout, stderr = run(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error:") and value.split("=")[1] in stderr
+
+
 def test_reads_take_the_design_transform_from_the_estimate(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     write_csv(csv)

@@ -107,7 +107,7 @@ def test_backtest_records_and_summary(tmp_path):
     plan = BacktestPlan("1980Q1", "1998Q1", refit_every=4)
     out = tmp_path / "records.tsv"
     res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"],
-                                    RngHandle(3), out_path=str(out))
+                                    3, out_path=str(out))
     assert res.failures == []
     assert len(res.records) > 10
     # origins start at the initial window end and outcomes trail by one
@@ -131,14 +131,14 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     cov = ["infl_P_1q", "u"]
 
     full = tmp_path / "full.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(full))
+    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(full))
 
     # simulate a crash part way through, with a torn final line
     torn = tmp_path / "torn.tsv"
     lines = full.read_text().split("\n")
     torn.write_text("\n".join(lines[:5]) + "\n" + lines[5][:17])
     (tmp_path / "torn.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
-    resumed = expanding_window_backtest(plan, spec, ds, cov, RngHandle(4),
+    resumed = expanding_window_backtest(plan, spec, ds, cov, 4,
                                         out_path=str(torn))
     assert torn.read_bytes() == full.read_bytes()
     # the resumed call recomputes whole refit blocks but returns only rows
@@ -146,7 +146,7 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     assert all(r.date for r in resumed.records)
 
     par = tmp_path / "par.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4),
+    expanding_window_backtest(plan, spec, ds, cov, 4,
                               out_path=str(par), workers=3)
     assert par.read_bytes() == full.read_bytes()
 
@@ -159,7 +159,7 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     cov = ["infl_P_1q", "u"]
     out = tmp_path / "records.tsv"
     sidecar = tmp_path / "records.tsv.meta"
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
     records, meta = out.read_bytes(), sidecar.read_bytes()
     stored = json.loads(meta)
     assert list(stored) == sorted(stored) and "workers" not in meta.decode()
@@ -169,27 +169,27 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     other = synthetic_dataset(seed=1)
     other.series["infl_P_1q"][40] += 0.25
     mismatches = [
-        (dict(rng=RngHandle(5)), "seed"),
+        (dict(rng=5), "seed"),
         (dict(spec=replace(spec, iterations=31)), "spec_hash"),
         (dict(plan=replace(plan, refit_every=2)), "plan.refit_every"),
         (dict(data=other), "data_hash"),
     ]
     for change, key in mismatches:
-        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, rng=RngHandle(4)) | change
+        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, rng=4) | change
         with pytest.raises(ValueError, match=rf"different {key}; refusing to resume"):
             expanding_window_backtest(**args, out_path=str(out))
         assert out.read_bytes() == records and sidecar.read_bytes() == meta
 
     sidecar.unlink()
     with pytest.raises(ValueError, match="refusing to resume"):
-        expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+        expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
     assert out.read_bytes() == records
 
     # the sidecar does not depend on the worker count, and a matching resume runs
     par = tmp_path / "par.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(par), workers=2)
+    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(par), workers=2)
     assert (tmp_path / "par.tsv.meta").read_bytes() == meta
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(par))
+    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(par))
     assert par.read_bytes() == records
 
 
@@ -202,7 +202,7 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path):
     cov = ["infl_P_1q", "u"]
     out = tmp_path / "records.tsv"
     sidecar = tmp_path / "records.tsv.meta"
-    expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
     stored = json.loads(sidecar.read_text(encoding="utf-8"))
     assert stored["predictive"] == PREDICTIVE_DRAW
 
@@ -212,7 +212,7 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path):
     out.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # an unfinished run
     records, meta = out.read_bytes(), sidecar.read_bytes()
     with pytest.raises(ValueError, match="different predictive; refusing to resume"):
-        expanding_window_backtest(plan, spec, ds, cov, RngHandle(4), out_path=str(out))
+        expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
     assert out.read_bytes() == records and sidecar.read_bytes() == meta
 
 
@@ -224,7 +224,7 @@ def test_backtest_layout_mismatch_refuses(tmp_path):
     out.write_text("date\tsomething\n")
     with pytest.raises(ValueError, match="different layout"):
         expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"],
-                                  RngHandle(5), out_path=str(out))
+                                  5, out_path=str(out))
 
 
 def test_backtest_validates_window_and_horizon():
@@ -232,16 +232,20 @@ def test_backtest_validates_window_and_horizon():
     spec = fast_spec(ds)
     with pytest.raises(ValueError, match="horizon"):
         expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1", horizon=2),
-                                  spec, ds, ["infl_P_1q", "u"], RngHandle(6))
+                                  spec, ds, ["infl_P_1q", "u"], 6)
     with pytest.raises(ValueError, match="at least 8"):
         expanding_window_backtest(BacktestPlan("1980Q1", "1981Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], RngHandle(6))
+                                  spec, ds, ["infl_P_1q", "u"], 6)
     with pytest.raises(ValueError, match="origins"):
         expanding_window_backtest(BacktestPlan("1980Q1", "2090Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], RngHandle(6))
+                                  spec, ds, ["infl_P_1q", "u"], 6)
     with pytest.raises(TypeError):
         expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
                                   spec, ds, ["infl_P_1q", "u"], rng=None)
+    # every stream derives from the seed, so a handle's stream would be ignored
+    with pytest.raises(TypeError, match="integer seed"):
+        expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
+                                  spec, ds, ["infl_P_1q", "u"], RngHandle(6, stream=7))
 
 
 def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
@@ -264,7 +268,7 @@ def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ev, "run_gibbs", flaky)
-    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], RngHandle(7))
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 7)
     assert len(res.failures) == 4  # the whole second block is skipped
     assert all("synthetic refit explosion" in msg for _, msg in res.failures)
     assert len(res.records) > 0
@@ -296,7 +300,7 @@ def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch
     lean_out = tmp_path / "lean.tsv"
     tracemalloc.start()
     try:
-        lean = expanding_window_backtest(plan, spec, ds, cov, RngHandle(9),
+        lean = expanding_window_backtest(plan, spec, ds, cov, 9,
                                          out_path=str(lean_out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -309,7 +313,7 @@ def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch
     monkeypatch.setattr(ev, "run_gibbs", lambda spec_fit, data, rng, **kwargs:
                         real(spec_fit, data, rng))
     whole_out = tmp_path / "whole.tsv"
-    whole = expanding_window_backtest(plan, spec, ds, cov, RngHandle(9),
+    whole = expanding_window_backtest(plan, spec, ds, cov, 9,
                                       out_path=str(whole_out))
     assert lean_out.read_bytes() == whole_out.read_bytes()
     assert len(lean.records) == len(whole.records) > 1

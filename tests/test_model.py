@@ -23,7 +23,7 @@ from tvpdr.model import (
     run_gibbs,
     _HUGE,
     _TINY,
-    _stride_rows_matvec,
+    _intercept_system,
 )
 from tvpdr.samplers import RngHandle, _draw
 
@@ -81,6 +81,18 @@ def test_model_spec_validation_and_hash():
         ModelSpec(d=2, grid=grid, link="logit")
     with pytest.raises(ValueError):
         ModelSpec(d=2, grid=grid, ig_prior_s=-1.0)
+
+
+def test_spec_hash_is_pinned():
+    # stored MANIFESTs and backtest sidecars carry these hashes, so a change
+    # to the spec's fields or canonical form must not move them
+    grid = build_threshold_grid(0.0, 1.0, 0.5)
+    assert ModelSpec(d=2, grid=grid).spec_hash() == (
+        "def6de39b389da6c955229e08eac2a9cbdb5b6771f1fcf3e8a5d1b06ee6eba7a")
+    spec = ModelSpec(d=3, grid=grid, monotone=False, include_initial_state_in_ig=True,
+                     ig_prior_s=0.1)
+    assert spec.spec_hash() == (
+        "abb36d2da2f81ee352ed4692774508a49025ed23aa22be305c20e4559329950d")
 
 
 def test_hash_data_tracks_content():
@@ -366,43 +378,50 @@ def test_run_gibbs_wraps_update_failures(monkeypatch):
 
 def test_stacked_precision_is_block_diagonal_of_single_paths():
     # one assembly for B paths must equal the B single-path assemblies side
-    # by side, ridge included (each path's own diagonal max), with every
-    # coupling across a path boundary exactly zero
+    # by side, with every coupling across a path boundary exactly zero
     rng = np.random.default_rng(22)
     worst = 0.0
     for t_len, d, n_paths in [(2, 1, 3), (6, 2, 4), (9, 3, 5)]:
         design = rng.normal(size=(t_len, d))
         sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
-        for ridge in (0.0, 1e-3):
-            stacked = assemble_precision(design, sigma2, ridge)
-            singles = [assemble_precision(design, sigma2[b], ridge) for b in range(n_paths)]
-            assert stacked.bandwidth == d
-            assert np.array_equal(stacked.diagonals, np.hstack([m.diagonals for m in singles]))
+        stacked = assemble_precision(design, sigma2)
+        singles = [assemble_precision(design, sigma2[b]) for b in range(n_paths)]
+        assert stacked.bandwidth == d
+        assert np.array_equal(stacked.diagonals, np.hstack([m.diagonals for m in singles]))
 
-            dense = stacked.to_dense()
-            blocks = []
-            for b in range(n_paths):
-                k = dense_precision(design, sigma2[b])
-                blocks.append(k + ridge * np.max(np.diag(k)) * np.eye(t_len * d))
-            want = block_diag(*blocks)
-            worst = max(worst, np.max(np.abs(dense - want)) / np.max(np.abs(want)))
-            assert np.all(dense[want == 0.0] == 0.0)
+        dense = stacked.to_dense()
+        want = block_diag(*[dense_precision(design, sigma2[b]) for b in range(n_paths)])
+        worst = max(worst, np.max(np.abs(dense - want)) / np.max(np.abs(want)))
+        assert np.all(dense[want == 0.0] == 0.0)
     assert worst <= 1e-12
 
 
-def test_intercept_rows_match_the_full_product_bitwise():
-    # the monotone intercept draw needs (K x) only at rows 0, d, 2d, ...;
-    # those entries must be the full product's to the last bit, including
-    # the first and last rows, which lack a neighbour on one side
+def test_intercept_system_matches_the_joint_system_bitwise():
+    # the monotone intercept step builds its tridiagonal system from sigma2_0,
+    # the latents and the slopes; it must be the intercept rows of the joint
+    # precision K and of X'z - K rest to the last bit, including the first
+    # and last rows, which lack a neighbour on one side
     rng = np.random.default_rng(24)
+    t_len, n_paths = 7, 3
     for d in (1, 2, 3, 4):
-        design = rng.normal(size=(7, d)) * 10.0 ** rng.uniform(-3, 3, size=(7, d))
-        sigma2 = 10.0 ** rng.uniform(-3, 1, size=(3, d))
-        for ridge in (0.0, 1e-6):
-            precision = assemble_precision(design, sigma2, ridge)
-            x = rng.normal(size=precision.dim) * 10.0 ** rng.uniform(-3, 3, precision.dim)
-            assert np.array_equal(_stride_rows_matvec(precision, x, d),
-                                  precision.matvec(x)[::d])
+        design = rng.normal(size=(t_len, d)) * 10.0 ** rng.uniform(-3, 3, size=(t_len, d))
+        design[:, 0] = 1.0
+        sigma2 = 10.0 ** rng.uniform(-3, 1, size=(n_paths, d))
+        latent = rng.normal(size=(n_paths, t_len))
+        rest = rng.normal(size=(n_paths, t_len, d))
+        rest *= 10.0 ** rng.uniform(-3, 3, rest.shape)
+        pinned = np.zeros((n_paths, t_len), dtype=bool)
+        pinned[:, [0, 3, t_len - 1]] = True  # first, interior and last rows
+        pinned[1] = ~pinned[1]
+        pinned[2] = rng.random(t_len) < 0.5
+        rest[..., 0] = np.where(pinned, rest[..., 0], 0.0)
+
+        diag, off, rhs = _intercept_system(design, latent, sigma2, rest)
+        precision = assemble_precision(design, sigma2)
+        assert np.array_equal(diag.ravel(), precision.diagonals[0, ::d])
+        assert np.array_equal(off.ravel(), precision.diagonals[d, ::d])
+        xz = (latent[..., None] * design).ravel()
+        assert np.array_equal(rhs.ravel(), (xz - precision.matvec(rest.ravel()))[::d])
 
 
 def test_batched_fitted_values_match_single_calls_bitwise():
@@ -482,8 +501,8 @@ def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):
     real = model_mod.assemble_precision
     t_len, d = x.shape
 
-    def broken(design, sigma2, ridge_scale=0.0, likelihood=None, out=None):
-        k = real(design, sigma2, ridge_scale, likelihood=likelihood, out=out)
+    def broken(design, sigma2, likelihood=None, out=None):
+        k = real(design, sigma2, likelihood=likelihood, out=out)
         k.diagonals[0, 3 * t_len * d + 5] = -1.0
         return k
 
@@ -504,15 +523,13 @@ def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
         step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
         grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
         assert grid.n == n_thresholds
-        for ridge in (0.0, 1e-6):
-            for include_initial in (False, True):
-                spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
-                                 ridge_scale=ridge, include_initial_state_in_ig=include_initial,
-                                 seed=d + n_thresholds)
-                draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
-                beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
-                assert np.array_equal(draws.beta, beta)
-                assert np.array_equal(draws.sigma2, sigma2)
+        for include_initial in (False, True):
+            spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
+                             include_initial_state_in_ig=include_initial, seed=d + n_thresholds)
+            draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
+            beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
+            assert np.array_equal(draws.beta, beta)
+            assert np.array_equal(draws.sigma2, sigma2)
 
 
 def test_run_gibbs_buffers_may_keep_the_last_quarters():

@@ -152,6 +152,20 @@ def test_corrupt_manifest_values(tmp_path):
         load_estimate(where)
 
 
+@pytest.mark.parametrize("line, value", [("link=probit", "link=logit"),
+                                         ("design_transform=identity", "design_transform=cubic")])
+def test_unknown_link_or_design_transform_is_refused(tmp_path, line, value):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    text = Path(name).read_text(encoding="utf-8")
+    assert line in text
+    Path(name).write_text(text.replace(line, value), encoding="utf-8")
+    shown = value.split("=")[1]
+    with pytest.raises(StoreError, match=f"est: unknown .*'{shown}'"):
+        load_estimate(where)
+
+
 def test_grid_file_problems(tmp_path):
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())

@@ -20,6 +20,8 @@ from .samplers import as_generator
 # How forecast_predictive draws its innovations; records computed from its
 # curves name this, so a change of scheme is never mixed into old records.
 PREDICTIVE_DRAW = "one innovation per kept draw"
+# Read curves take the link of this many kept draws at a time.
+_CURVE_BLOCK = 64
 
 __all__ = [
     "ThresholdGrid",
@@ -138,8 +140,9 @@ def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
         raise ValueError(f"x has shape {x.shape}, expected ({draws.d},)")
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
-    fits = draws.beta[:, :, t, :] @ x
-    values = link.cdf(fits).mean(axis=0)
+    beta_t = draws.beta[:, :, t, :]
+    values = _mean_cdf(lambda lo, hi, out: np.matmul(beta_t[lo:hi], x, out=out),
+                       *beta_t.shape[:2], link)
     if np.any(np.diff(values) < 0.0):
         values = np.sort(values)
     return ConditionalCdf(grid=draws.grid, values=values, x=x, time_index=t)
@@ -168,12 +171,47 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
     x_next = np.asarray(x_next, dtype=np.float64)
     if x_next.shape != (draws.d,):
         raise ValueError(f"x_next has shape {x_next.shape}, expected ({draws.d},)")
-    fits = draws.beta[:, :, -1, :] @ x_next
-    scale = np.sqrt(draws.sigma2 @ (x_next * x_next))
-    scale *= gen.standard_normal(fits.shape[0])[:, None]
-    fits += scale
-    values = np.sort(link.cdf(fits).mean(axis=0))
+    beta_last, var = draws.beta[:, :, -1, :], x_next * x_next
+    kept, k = beta_last.shape[:2]
+    z = gen.standard_normal(kept)
+    scale = np.empty((min(kept, _curve_block(k, kept)), k))
+
+    def fill(lo, hi, out):
+        np.matmul(beta_last[lo:hi], x_next, out=out)
+        step = np.matmul(draws.sigma2[lo:hi], var, out=scale[: hi - lo])
+        np.sqrt(step, out=step)
+        step *= z[lo:hi, None]
+        out += step
+
+    values = np.sort(_mean_cdf(fill, kept, k, link))
     return ConditionalCdf(grid=draws.grid, values=values, x=x_next, time_index="predictive")
+
+
+def _curve_block(k: int, kept: int) -> int:
+    # numpy sums a single column pairwise, not row by row, so one threshold
+    # takes all its draws in one block
+    return _CURVE_BLOCK if k > 1 else kept
+
+
+def _mean_cdf(fill, kept: int, k: int, link) -> np.ndarray:
+    """Mean over kept draws of ``link.cdf`` of their (kept, K) fits.
+
+    ``fill(lo, hi, out)`` writes the fits of draws lo..hi-1 into ``out``. The
+    draws go through one (block + 1, K) buffer whose row 0 carries the sum so
+    far, so each reduction adds rows in the order that ``.mean(axis=0)`` of
+    the whole (kept, K) array does, and the mean is the same to the bit.
+    """
+    block = _curve_block(k, kept)
+    buf, total = np.empty((min(kept, block) + 1, k)), np.empty(k)
+    for lo in range(0, kept, block):
+        hi = min(lo + block, kept)
+        first = 0 if lo == 0 else 1
+        rows = buf[first : first + hi - lo]
+        fill(lo, hi, rows)
+        link.cdf(rows, out=rows)
+        np.add.reduce(buf[: first + hi - lo], axis=0, out=total)
+        buf[0] = total
+    return np.divide(total, kept, out=total)
 
 
 def quantile_from_cdf(cdf: ConditionalCdf, tau: float) -> Quantile:

@@ -47,6 +47,8 @@ SCORE_VARIANTS = ("standard", "one_sided")
 # Forecast streams live far away from refit streams so the two families can
 # never collide however many origins there are.
 _FORECAST_STREAM_BASE = 2**32
+# pit_uniformity_band simulates at most this many uniforms at a time.
+_PIT_BLOCK = 2**17
 
 
 def pit(cdf, realization: float) -> float:
@@ -71,12 +73,20 @@ def pit_uniformity_band(n: int, level: float = 0.95, rng=None, sims: int = 10000
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
     gen = as_generator(RngHandle(0) if rng is None else rng)
-    u = gen.random((sims, n))
-    u.sort(axis=1)
     i = np.arange(1, n + 1)
-    upper = (i / n - u).max(axis=1)
-    lower = (u - (i - 1) / n).max(axis=1)
-    stat = np.maximum(upper, lower)
+    above, below = i / n, (i - 1) / n
+    # Blocks of rows take the generator's numbers in the order one
+    # (sims, n) draw would, and each row's statistic is its own.
+    rows = max(1, _PIT_BLOCK // n)
+    u = np.empty((min(rows, sims), n))
+    gap = np.empty_like(u)
+    stat = np.empty(sims)
+    for start in range(0, sims, rows):
+        block, out = u[: sims - start], stat[start : start + rows]
+        gen.random(out=block)
+        block.sort(axis=1)
+        np.subtract(above, block, out=gap[: len(block)]).max(axis=1, out=out)
+        np.maximum(out, np.subtract(block, below, out=gap[: len(block)]).max(axis=1), out=out)
     return float(np.quantile(stat, level))
 
 

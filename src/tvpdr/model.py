@@ -530,12 +530,14 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     ordering check computes become the neighbors' bounds directly. The
     draws are those of calling the public draws batch by batch.
 
-    ``buffers(kept, K, T, d)`` returns the writable (kept, K, Q, d) and
-    (kept, K, d) arrays that receive the kept draws and become the result's
-    ``beta`` and ``sigma2``. Q is T for whole paths; a smaller Q keeps only
-    the last Q quarters of each path, which is all a one-step forecast
+    ``buffers(kept, K, T, d)`` returns the (kept, K, Q, d) and (kept, K, d)
+    targets that receive the kept draws, one ``target[i] = draw`` per kept
+    iteration in order, and give the result's ``beta`` and ``sigma2``. A
+    target is a writable array, or a writer whose ``finish()`` returns the
+    array once every draw is in. Q is T for whole paths; a smaller Q keeps
+    only the last Q quarters of each path, which is all a one-step forecast
     reads. The default keeps whole paths in memory; ``store.draw_buffers``
-    streams them to disk.
+    streams them to disk a block of draws at a time.
     """
     y, x_raw = data
     y = np.asarray(y, dtype=np.float64)
@@ -614,10 +616,12 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
             out_beta[it - spec.burnin] = state.beta[:, t_len - quarters :]
             out_sigma2[it - spec.burnin] = state.sigma2
 
+    beta, sigma2 = (out if isinstance(out, np.ndarray) else out.finish()
+                    for out in (out_beta, out_sigma2))
     return PosteriorDraws(
         grid=grid,
-        beta=out_beta,
-        sigma2=out_sigma2,
+        beta=beta,
+        sigma2=sigma2,
         seed=int(handle.seed) if handle is not None else int(spec.seed),
         stream=int(handle.stream) if handle is not None else 0,
         spec_hash=spec.spec_hash(),

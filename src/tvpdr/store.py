@@ -11,10 +11,13 @@ little-endian float64 blobs:
 
 ``load_estimate`` maps both blobs read-only and hands ``beta`` back as its
 (kept, K, T, d) view, so a query at one quarter reads one slab from disk
-rather than the whole estimate. ``draw_buffers`` gives a fit writable maps of
-temp blobs inside the destination, so kept draws stream to disk as they are
-drawn and never sit in RAM; ``save_estimate`` then only flushes and renames
-them.
+rather than the whole estimate. ``draw_buffers`` gives a fit one writer per
+temp blob inside the destination. A writer copies each kept draw into one
+time-major block of at most ``_BLOCK_BYTES`` and, when the block fills or the
+last draw is in, writes it with one positioned write per quarter; once the
+fit ends it hands back a read-only map of the blob. So a fit holds one block
+of draws in RAM, not all of them, and ``save_estimate`` then only syncs and
+renames the blobs.
 
 A save never rewrites a blob in place. Each is written under a temp name and
 moved over the old one, so a reader that has the previous estimate mapped
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import re
 
@@ -42,6 +46,9 @@ FORMAT_TAG = "tvpdr-estimate-2"
 _V1_TAG = "tvpdr-estimate-1"
 _V1_BLOB = re.compile(r"(?:beta|sigma2)_\d+\.f64")
 _PARTIAL = ".partial"
+# A streamed fit holds at most this many bytes of kept draws in RAM (or one
+# draw, when a single draw is larger).
+_BLOCK_BYTES = 4 << 20
 
 
 class StoreError(ValueError):
@@ -55,7 +62,7 @@ def _fmt(value) -> str:
 
 
 def draw_buffers(path: str, kept: int, k: int, t_len: int, d: int):
-    """Writable (kept, K, T, d) and (kept, K, d) arrays backed by temp blobs in ``path``.
+    """Writers of the (kept, K, T, d) and (kept, K, d) kept draws into temp blobs in ``path``.
 
     Pass ``functools.partial(draw_buffers, path)`` as ``run_gibbs``'s
     ``buffers`` to stream kept draws to disk; ``save_estimate(path, draws)``
@@ -64,30 +71,90 @@ def draw_buffers(path: str, kept: int, k: int, t_len: int, d: int):
     the previous estimate as it was.
     """
     os.makedirs(path, exist_ok=True)
-    beta = np.memmap(os.path.join(path, "beta.f64" + _PARTIAL), dtype="<f8", mode="w+",
-                     shape=(t_len, kept, k, d))
-    sigma2 = np.memmap(os.path.join(path, "sigma2.f64" + _PARTIAL), dtype="<f8", mode="w+",
-                       shape=(kept, k, d))
-    return beta.transpose(1, 2, 0, 3), sigma2
+    return (_DrawWriter(os.path.join(path, "beta.f64" + _PARTIAL), (kept, k, t_len, d)),
+            _DrawWriter(os.path.join(path, "sigma2.f64" + _PARTIAL), (kept, k, d)))
+
+
+class _DrawWriter:
+    """Takes kept draws in order and writes them, a block at a time, to a blob.
+
+    The blob is C-ordered (Q, kept, K, d), Q = 1 for draws without a time
+    axis. ``writer[i] = draw`` copies draw i, shaped as one row of ``shape``,
+    into a (Q, B, K, d) block. A full block, and the last one at ``finish()``,
+    goes out as one positioned write per quarter, each a contiguous run of B
+    draws. The block holds as many draws as fit in ``_BLOCK_BYTES``, and at
+    least one. The file is opened only for those writes, so a fit that dies
+    between them holds no descriptor.
+    """
+
+    def __init__(self, name: str, shape: tuple):
+        self.name = name
+        self.shape = shape
+        kept, k, d = shape[0], shape[1], shape[-1]
+        quarters = shape[2] if len(shape) == 4 else 1
+        draw_bytes = 8 * quarters * k * d
+        rows = max(1, min(kept, _BLOCK_BYTES // draw_bytes))
+        # An anonymous map, not malloc: freeing a malloc'd block this large
+        # raises glibc's mmap and trim thresholds, and the heap then keeps the
+        # process's later temporaries resident.
+        self._block = np.frombuffer(mmap.mmap(-1, draw_bytes * rows)).reshape(quarters, rows, k, d)
+        self._start = self._count = 0  # first draw in the block, draws taken
+        with open(name, "wb") as fh:
+            fh.truncate(draw_bytes * kept)
+
+    def __setitem__(self, i: int, draw) -> None:
+        if i != self._count:
+            raise IndexError(f"kept draw {i} out of order, expected {self._count}")
+        q, _, k, d = self._block.shape
+        self._block[:, i - self._start] = np.reshape(draw, (k, q, d)).transpose(1, 0, 2)
+        self._count += 1
+        if self._count - self._start == self._block.shape[1]:
+            self._write()
+
+    def _write(self) -> None:
+        q, _, k, d = self._block.shape
+        rows = self._count - self._start
+        with open(self.name, "r+b") as fh:
+            for t in range(q):
+                data = memoryview(self._block[t, :rows]).cast("B")
+                offset = 8 * (t * self.shape[0] + self._start) * k * d
+                while data:
+                    done = os.pwrite(fh.fileno(), data, offset)
+                    data, offset = data[done:], offset + done
+        self._start = self._count
+
+    def finish(self) -> np.ndarray:
+        """Write what the block still holds; return a read-only map of the blob
+        in ``shape``'s axis order, loaded from disk only where it is read."""
+        if self._count != self.shape[0]:
+            raise ValueError(f"{self.name}: {self._count} of {self.shape[0]} kept draws written")
+        if self._count > self._start:
+            self._write()
+        q, _, k, d = self._block.shape
+        self._block = None
+        blob = np.memmap(self.name, dtype="<f8", mode="r", shape=(q, self.shape[0], k, d))
+        return blob.transpose(1, 2, 0, 3).reshape(self.shape)
 
 
 def _is_buffer(disk: np.ndarray, partial: str) -> bool:
-    """True when ``disk`` is the whole writable map of the temp blob ``partial``."""
+    """True when ``disk`` is the whole map of the temp blob ``partial``."""
     return (isinstance(disk, np.memmap) and disk.filename == os.path.abspath(partial)
-            and disk.flags.c_contiguous and disk.flags.writeable and disk.dtype == "<f8"
+            and disk.flags.c_contiguous and disk.dtype == "<f8"
             and os.path.isfile(partial) and os.path.getsize(partial) == disk.nbytes)
 
 
 def _put_blob(path: str, name: str, disk: np.ndarray) -> None:
     """Store ``disk`` (already in the blob's axis order) as ``name``, by rename.
 
-    A buffer from ``draw_buffers`` is flushed and renamed. Any other array is
-    written slab by slab along its first axis through one reused buffer.
+    A blob from ``draw_buffers`` is synced to disk and renamed. Any other
+    array is written slab by slab along its first axis through one reused
+    buffer.
     """
     final = os.path.join(path, name)
     partial = final + _PARTIAL
     if _is_buffer(disk, partial):
-        disk.flush()
+        with open(partial, "rb") as fh:
+            os.fsync(fh.fileno())
     else:
         buf = np.empty(disk.shape[1:], dtype="<f8")
         with open(partial, "wb") as fh:
@@ -188,15 +255,17 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         grid_min = float(man["grid_min"])
         grid_max = float(man["grid_max"])
         grid_step = float(man["grid_step"])
+        seed, stream = int(man["seed"]), int(man["stream"])
+        spec_hash, data_hash = man["spec_hash"], man["data_hash"]
     except (KeyError, ValueError) as exc:
         raise StoreError(f"{path}: manifest is missing or corrupt: {exc}") from exc
     for key, known in (("link", LINKS), ("design_transform", DESIGN_TRANSFORMS)):
         if man.get(key) not in known:
             raise StoreError(f"{path}: unknown {key.replace('_', ' ')} {man.get(key)!r}")
-    if expect_data_hash is not None and man["data_hash"] != expect_data_hash:
+    if expect_data_hash is not None and data_hash != expect_data_hash:
         raise StoreError(
             f"{path}: estimate was fit to different data "
-            f"(stored {man['data_hash'][:12]}..., given {expect_data_hash[:12]}...)"
+            f"(stored {data_hash[:12]}..., given {expect_data_hash[:12]}...)"
         )
 
     grid_name = os.path.join(path, "grid.tsv")
@@ -221,10 +290,10 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         grid=grid,
         beta=_map_blob(os.path.join(path, "beta.f64"), (t_len, kept, k, d)).transpose(1, 2, 0, 3),
         sigma2=_map_blob(os.path.join(path, "sigma2.f64"), (kept, k, d)),
-        seed=int(man["seed"]),
-        stream=int(man["stream"]),
-        spec_hash=man["spec_hash"],
-        data_hash=man["data_hash"],
+        seed=seed,
+        stream=stream,
+        spec_hash=spec_hash,
+        data_hash=data_hash,
         design_transform=man["design_transform"],
         link=man["link"],
     )

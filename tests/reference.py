@@ -6,7 +6,8 @@ precision assembly via kron, a one-threshold Gibbs sampler on top of
 scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
 monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
 Carlo standard error, and frozen copies of earlier truncated-normal kernels,
-Gibbs inner-loop draws and band assembly. The one exception is
+Gibbs inner-loop draws, band assembly, one-shot read curves and the one-shot
+PIT band. The one exception is
 ``public_draw_loop``: the Gibbs loop spelled out over the package's public
 draws, which ``run_gibbs`` must reproduce bit for bit.
 """
@@ -396,6 +397,39 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
             kept_beta.append(state.beta.copy())
             kept_sigma2.append(state.sigma2.copy())
     return np.array(kept_beta), np.array(kept_sigma2)
+
+
+def frozen_conditional_cdf(draws, x, t: int, link) -> np.ndarray:
+    """Posterior-mean CDF values as first written: all (kept, K) fits at once,
+    the link applied to all of them, then the mean and, if needed, a sort."""
+    fits = draws.beta[:, :, t, :] @ np.asarray(x, dtype=np.float64)
+    values = link.cdf(fits).mean(axis=0)
+    if np.any(np.diff(values) < 0.0):
+        values = np.sort(values)
+    return values
+
+
+def frozen_forecast_predictive(draws, x_next, gen: np.random.Generator, link) -> np.ndarray:
+    """One-step predictive CDF values as first written with one innovation
+    per kept draw, all (kept, K) fits and scales at once."""
+    x_next = np.asarray(x_next, dtype=np.float64)
+    fits = draws.beta[:, :, -1, :] @ x_next
+    scale = np.sqrt(draws.sigma2 @ (x_next * x_next))
+    scale *= gen.standard_normal(fits.shape[0])[:, None]
+    fits += scale
+    return np.sort(link.cdf(fits).mean(axis=0))
+
+
+def frozen_pit_uniformity_band(n: int, level: float, gen: np.random.Generator,
+                               sims: int) -> float:
+    """Simulated Kolmogorov band as first written: all (sims, n) uniforms at once."""
+    u = gen.random((sims, n))
+    u.sort(axis=1)
+    i = np.arange(1, n + 1)
+    upper = (i / n - u).max(axis=1)
+    lower = (u - (i - 1) / n).max(axis=1)
+    stat = np.maximum(upper, lower)
+    return float(np.quantile(stat, level))
 
 
 # Frozen oracle values, each computed once from an independent route and

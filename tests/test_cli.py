@@ -195,6 +195,19 @@ def test_reads_refuse_an_unknown_link_or_design_transform(estimate_dir, capsys, 
         assert stderr.startswith("error:") and value.split("=")[1] in stderr
 
 
+@pytest.mark.parametrize("key", ["seed", "stream", "spec_hash", "data_hash"])
+def test_reads_refuse_a_manifest_without_a_provenance_key(estimate_dir, capsys, key):
+    csv, est, _ = estimate_dir
+    manifest = Path(est, "MANIFEST")
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith(key + "=")),
+                        encoding="utf-8")
+    code, stdout, stderr = run(capsys, ["forecast", "--data", csv, *DATA_ARGS,
+                                        "--estimate", est])
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:") and key in stderr
+
+
 def test_reads_take_the_design_transform_from_the_estimate(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     write_csv(csv)

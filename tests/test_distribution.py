@@ -1,5 +1,7 @@
 """Grid construction, CDF averaging, rearrangement, quantiles, derivatives."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -15,10 +17,10 @@ from tvpdr.distribution import (
     forecast_predictive,
     quantile_from_cdf,
 )
-from tvpdr.model import ModelSpec, PROBIT, apply_design_transform, run_gibbs
-from tvpdr.samplers import RngHandle
+from tvpdr.model import ModelSpec, PROBIT, PosteriorDraws, apply_design_transform, run_gibbs
+from tvpdr.samplers import RngHandle, as_generator
 
-from reference import probit_mixture_cdf
+from reference import frozen_conditional_cdf, frozen_forecast_predictive, probit_mixture_cdf
 
 
 def test_grid_counts_and_endpoints():
@@ -256,3 +258,29 @@ def test_conditional_cdf_validates_time_index():
         conditional_cdf(draws, x[0], draws.n_obs, PROBIT)
     with pytest.raises(ValueError):
         conditional_cdf(draws, x[0], -1, PROBIT)
+
+
+@pytest.mark.parametrize("kept", [1, 63, 64, 65, 997])
+def test_blocked_read_curves_equal_the_one_shot_curves(kept):
+    # in-memory (iteration-major) and loaded (time-major) layouts, one and
+    # many thresholds, with kept on and off the 64-draw block boundary
+    rng = np.random.default_rng(kept)
+    t_len = 4
+    for k, d in ((1, 1), (2, 3), (65, 3)):
+        grid = ThresholdGrid(points=np.arange(k, dtype=float), min_value=0.0,
+                             max_value=float(k - 1), step=1.0)
+        beta = 0.4 * rng.standard_normal((kept, k, t_len, d))
+        beta[..., 0] += np.linspace(-2.0, 2.0, k)[:, None]
+        time_major = np.ascontiguousarray(beta.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+        sigma2 = rng.gamma(2.0, 0.1, size=(kept, k, d))
+        x = np.concatenate(([1.0], rng.standard_normal(d - 1)))
+        for layout in (beta, time_major):
+            draws = PosteriorDraws(grid=grid, beta=layout, sigma2=sigma2, seed=0, stream=0,
+                                   spec_hash="a", data_hash="b")
+            for t in (0, t_len - 1):
+                got = conditional_cdf(draws, x, t, PROBIT).values
+                assert got.tobytes() == frozen_conditional_cdf(draws, x, t, PROBIT).tobytes()
+            ours, frozen = as_generator(RngHandle(3, stream=k)), as_generator(RngHandle(3, stream=k))
+            got = forecast_predictive(draws, x, ours, PROBIT).values
+            assert got.tobytes() == frozen_forecast_predictive(draws, x, frozen, PROBIT).tobytes()
+            assert pickle.dumps(ours.bit_generator.state) == pickle.dumps(frozen.bit_generator.state)

@@ -2,11 +2,13 @@
 
 import json
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tvpdr.evaluation
 from tvpdr.data import MacroDataset, format_quarter, parse_quarter
 from tvpdr.distribution import PREDICTIVE_DRAW, ConditionalCdf, build_threshold_grid
 from tvpdr.evaluation import (
@@ -17,9 +19,9 @@ from tvpdr.evaluation import (
     quantile_score,
 )
 from tvpdr.model import ModelSpec
-from tvpdr.samplers import RngHandle
+from tvpdr.samplers import RngHandle, as_generator
 
-from reference import KS95_N100
+from reference import KS95_N100, frozen_pit_uniformity_band
 
 
 def test_pit_uses_interpolated_cdf():
@@ -29,6 +31,20 @@ def test_pit_uses_interpolated_cdf():
     assert np.isclose(pit(cdf, 0.25), 0.35)
     assert pit(cdf, -2.0) == 0.0
     assert pit(cdf, 9.0) == 1.0
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", [1, 7, 100, 400])
+def test_pit_band_in_blocks_equals_the_one_shot_band(monkeypatch, n, block):
+    # with the default block, n = 100 and 400 end on a partial block of
+    # rows; a 64-uniform block splits every n into many blocks
+    if block is not None:
+        monkeypatch.setattr(tvpdr.evaluation, "_PIT_BLOCK", block)
+    for sims in (1, 999, 10000):
+        ours, frozen = as_generator(RngHandle(8, stream=n)), as_generator(RngHandle(8, stream=n))
+        band = pit_uniformity_band(n, 0.95, ours, sims=sims)
+        assert band == frozen_pit_uniformity_band(n, 0.95, frozen, sims), sims
+        assert pickle.dumps(ours.bit_generator.state) == pickle.dumps(frozen.bit_generator.state)
 
 
 def test_quantile_score_variants():

@@ -1,6 +1,11 @@
 """Estimate directories: round trips, determinism, crash safety, refusal paths."""
 
+import contextlib
+import gc
 import os
+import subprocess
+import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -8,6 +13,7 @@ import numpy as np
 import pytest
 
 import tvpdr.model
+import tvpdr.store
 from tvpdr import (
     EstimationError,
     ModelSpec,
@@ -149,6 +155,31 @@ def test_corrupt_manifest_values(tmp_path):
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text + "not a key value line\n")
     with pytest.raises(StoreError, match="expected key=value"):
+        load_estimate(where)
+
+
+@pytest.mark.parametrize("key", ["seed", "stream", "spec_hash", "data_hash"])
+def test_manifest_without_a_provenance_key_is_a_store_error(tmp_path, key):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    lines = Path(name).read_text(encoding="utf-8").splitlines(keepends=True)
+    Path(name).write_text("".join(ln for ln in lines if not ln.startswith(key + "=")),
+                          encoding="utf-8")
+    for expect in (None, "b" * 64):
+        with pytest.raises(StoreError, match=f"missing or corrupt: '{key}'"):
+            load_estimate(where, expect_data_hash=expect)
+
+
+@pytest.mark.parametrize("line, value", [("seed=0", "seed=1.5"), ("stream=0", "stream=two")])
+def test_non_integer_seed_or_stream_is_a_store_error(tmp_path, line, value):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    text = Path(name).read_text(encoding="utf-8")
+    assert line + "\n" in text
+    Path(name).write_text(text.replace(line + "\n", value + "\n"), encoding="utf-8")
+    with pytest.raises(StoreError, match="missing or corrupt"):
         load_estimate(where)
 
 
@@ -367,6 +398,129 @@ def test_streamed_fit_equals_the_in_memory_fit(tmp_path):
     back = load_estimate(streamed_dir)
     assert same_bits(back.beta, in_memory.beta)
     assert same_bits(back.sigma2, in_memory.sigma2)
+
+
+def _blocks_of(monkeypatch, spec, t_len, draws):
+    """Make a streamed fit's beta block hold ``draws`` kept draws."""
+    monkeypatch.setattr(tvpdr.store, "_BLOCK_BYTES", draws * 8 * spec.grid.n * t_len * spec.d)
+
+
+def test_streamed_fit_in_blocks_that_do_not_divide_kept_saves_the_same_bytes(
+        tmp_path, monkeypatch):
+    spec, data = small_fit(iterations=10, burnin=3)  # 7 kept draws
+    _blocks_of(monkeypatch, spec, 12, 3)             # written as 3 + 3 + 1
+    in_memory = run_gibbs(spec, data, RngHandle(6))
+    streamed_dir, written_dir = str(tmp_path / "streamed"), str(tmp_path / "written")
+    writers = []
+
+    def spy(*shape):
+        writers.extend(draw_buffers(streamed_dir, *shape))
+        return writers
+
+    streamed = run_gibbs(spec, data, RngHandle(6), buffers=spy)
+    assert writers[0]._block is None and writers[0].shape[0] == 7
+    assert same_bits(streamed.beta, in_memory.beta)
+    assert same_bits(streamed.sigma2, in_memory.sigma2)
+    save_estimate(streamed_dir, streamed)
+    save_estimate(written_dir, in_memory)
+    assert read_all_bytes(streamed_dir) == read_all_bytes(written_dir)
+
+
+@pytest.mark.parametrize("block_draws", [None, 3])
+def test_draw_writer_block_never_exceeds_its_constant(tmp_path, monkeypatch, block_draws):
+    kept, k, t_len, d = 600, 65, 160, 3  # the paper's shape
+    if block_draws is not None:
+        monkeypatch.setattr(tvpdr.store, "_BLOCK_BYTES", block_draws * 8 * k * t_len * d)
+    beta, sigma2 = draw_buffers(str(tmp_path), kept, k, t_len, d)
+    for writer in (beta, sigma2):
+        assert 0 < writer._block.nbytes <= tvpdr.store._BLOCK_BYTES
+    assert beta._block.shape[1] == (block_draws or tvpdr.store._BLOCK_BYTES // (8 * k * t_len * d))
+    with pytest.raises(IndexError, match="out of order"):
+        beta[1] = np.zeros((k, t_len, d))
+
+
+def _open_paths() -> list:
+    """Files this process holds open or mapped (empty where /proc is missing)."""
+    if not os.path.isdir("/proc/self/fd"):
+        return []
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):
+            held.append(os.readlink(f"/proc/self/fd/{fd}"))
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        held.extend(line.split(None, 5)[-1].strip() for line in fh)
+    return held
+
+
+def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
+        tmp_path, monkeypatch):
+    where = str(tmp_path / "est")
+    spec, data = small_fit(iterations=10, burnin=3)
+    previous = run_gibbs(spec, data, RngHandle(1))
+    save_estimate(where, previous)
+    _blocks_of(monkeypatch, spec, 12, 3)
+
+    real = tvpdr.model.draw_sigma2
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 15:  # iteration 7: kept draws 0-2 are written, 3 waits in the block
+            raise FloatingPointError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="injected"):
+            run_gibbs(spec, data, RngHandle(2), buffers=partial(draw_buffers, where))
+        held = [name for name in _open_paths() if name.endswith(".partial")]
+        gc.collect()
+    assert held == []
+    assert os.path.getsize(os.path.join(where, "beta.f64.partial")) == previous.beta.nbytes
+    back = load_estimate(where, expect_data_hash=hash_data(*data))
+    assert same_bits(back.beta, previous.beta)
+    assert same_bits(back.sigma2, previous.sigma2)
+
+
+def _max_rss_bytes(argv, env) -> int:
+    """Peak RSS of a fresh interpreter that imports the CLI and runs ``argv``."""
+    child = ("import resource, sys\n"
+             "from tvpdr.cli import main\n"
+             "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=600)
+    return int(done.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)
+
+
+@pytest.mark.slow
+def test_estimate_peak_rss_does_not_grow_with_the_kept_draws(tmp_path):
+    # 600 kept draws of a T = 160, K ~ 58, d = 3 fit: beta.f64 is ~130 MB,
+    # and a fit that holds it all in RAM peaks that far above the import
+    pytest.importorskip("resource")
+    rng = np.random.default_rng(12)
+    n = 162
+    infl = 2.5 + 1.2 * rng.standard_normal(n)
+    u = 5.0 + np.cumsum(0.3 * rng.standard_normal(n))
+    prices = 100.0 * np.exp(np.cumsum(infl / 400.0))
+    csv = tmp_path / "macro.csv"
+    csv.write_text("date,P,u\n" + "".join(
+        f"{1960 + i // 4}Q{i % 4 + 1},{float(prices[i])!r},{float(u[i])!r}\n" for i in range(n)),
+        encoding="utf-8")
+    out = tmp_path / "est"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(tvpdr.model.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    base = _max_rss_bytes([], env)
+    peak = _max_rss_bytes(["estimate", "--data", str(csv), "--price-column", "P",
+                           "--horizon", "1", "--covariates", "infl_P_1q,u",
+                           "--iters", "700", "--burnin", "100", "--monotone", "off",
+                           "--grid-step", "0.1", "--seed", "5", "--out", str(out)], env)
+    blob = os.path.getsize(out / "beta.f64")
+    assert blob > 100e6, blob
+    assert peak - base < 0.25 * blob, (peak - base, blob)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

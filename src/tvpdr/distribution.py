@@ -114,7 +114,7 @@ class ConditionalCdf:
             raise ValueError("CDF values must lie in [0, 1]")
         self.values = np.clip(self.values, 0.0, 1.0)
         if np.any(np.diff(self.values) < 0.0):
-            raise ValueError("CDF values must be non-decreasing; rearrange first")
+            raise ValueError("CDF values must be non-decreasing; sort them first")
 
 
 class Quantile(float):

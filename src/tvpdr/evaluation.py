@@ -275,6 +275,26 @@ def _run_block(payload) -> tuple:
     return records, failures
 
 
+def _worker_count(workers) -> int:
+    """``workers``, or TVPDR_THREADS when it is None (1 when that is unset
+    or empty). A count below 1 is refused with a ValueError naming its
+    source."""
+    if workers is not None:
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {workers}")
+        return int(workers)
+    text = os.environ.get("TVPDR_THREADS", "")
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TVPDR_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def expanding_window_backtest(
     plan: BacktestPlan,
     spec: ModelSpec,
@@ -302,11 +322,13 @@ def expanding_window_backtest(
     sidecar is missing or differs is refused with a ValueError naming the
     keys that differ. ``workers`` above 1 (default from TVPDR_THREADS) fans
     refit blocks out to processes; per-origin streams keep the output
-    byte-identical either way.
+    byte-identical either way. A worker count below 1 is refused before
+    anything is written.
     """
     if not isinstance(rng, (int, np.integer)):
         raise TypeError(f"rng must be an integer seed, got {type(rng)!r}")
     seed = int(rng)
+    workers = _worker_count(workers)
     if plan.horizon != data.horizon:
         raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 
@@ -357,10 +379,6 @@ def expanding_window_backtest(
             block, aligned.origin_dates, aligned.outcome_dates, spec.grid.points,
             plan.taus, plan.score_variant, seed, 1 + bi,
         ))
-
-    if workers is None:
-        workers = int(os.environ.get("TVPDR_THREADS", "1") or 1)
-    workers = max(1, workers)
 
     records, failures = [], []
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .banded import (BandedMatrix, NotPositiveDefiniteError, assemble_precision,
-                     cholesky_banded, likelihood_band, solve_banded)
+from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band
 from .distribution import ThresholdGrid
 from .samplers import (RngHandle, _draw, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
@@ -334,23 +333,22 @@ def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
 
 
 def _tridiag_submatrix(diag, off, keep):
-    """Banded matrix for the kept coordinates of a tridiagonal system."""
+    """(diag, off) of the kept coordinates of a tridiagonal system: two kept
+    coordinates that were not adjacent do not couple."""
     idx = np.nonzero(keep)[0]
-    n = idx.size
-    sub_diag = diag[idx]
-    if n == 1:
-        return BandedMatrix(dim=1, bandwidth=0, diagonals=sub_diag[None, :].copy())
-    adjacent = idx[1:] == idx[:-1] + 1
-    sub_off = np.where(adjacent, off[idx[:-1]], 0.0)
-    bands = np.vstack([sub_diag, np.append(sub_off, 0.0)])
-    return BandedMatrix(dim=n, bandwidth=1, diagonals=bands)
+    sub_off = np.zeros(idx.size)
+    sub_off[:-1] = np.where(idx[1:] == idx[:-1] + 1, off[idx[:-1]], 0.0)
+    return diag[idx], sub_off
 
 
 def _intercept_system(design, latent, sigma2, rest):
     """The intercepts' tridiagonal system given ``rest``, the paths with
     each intercept replaced by its pinned value or 0: (B, T) arrays diag,
     off and rhs, the intercept rows of the joint precision K and of
-    X'z - K rest. With an intercept column of ones, diag_t is
+    X'z - K rest. The intercepts' conditional is N(K_11^{-1} rhs, K_11^{-1})
+    with K_11 the tridiagonal (diag, off), so rhs is the canonical rhs the
+    truncated sweep reads its conditional means from; nothing solves for
+    the mean. With an intercept column of ones, diag_t is
     1 + walk_t / sigma2_0 and off_t is -1 / sigma2_0, 0 at each path's end.
     K rest adds the intercept's own term, the slope terms, then the previous
     and the next intercept: ``BandedMatrix.matvec``'s order without its
@@ -432,8 +430,12 @@ def draw_beta_monotone(
     never couple. A MonotonicityError's ``path`` names the offending one.
 
     ``likelihood`` and ``out`` go to the joint draw, which factors in
-    place. The intercept step builds its own tridiagonal system from
-    sigma2_0, the latents and the drawn slopes. Given ``fitted_out``, an
+    place; it is the only factorization here. The intercept step builds
+    the intercepts' tridiagonal precision and canonical rhs from sigma2_0,
+    the latents and the drawn slopes. Intercepts whose box is a single
+    point are pinned to it; the free ones are drawn by ``sweeps`` two-colour
+    sweeps of ``sample_truncated_mvn``, which reads each conditional mean
+    from that precision and rhs. Given ``fitted_out``, an
     array shaped like ``latent``, the fits of the returned paths are
     written into it: the ordering check computes them anyway.
     """
@@ -472,7 +474,7 @@ def draw_beta_monotone(
     free = ~pinned
 
     # Conditional of the free intercepts given the rest and the pinned ones:
-    # precision K_ff and mean K_ff^{-1} (X'z - K rest)_f with the pinned
+    # precision K_ff and canonical rhs (X'z - K rest)_f with the pinned
     # values placed in rest. The intercept block of K is tridiagonal, since
     # only the random-walk prior couples neighboring intercepts, and it is
     # zero across path boundaries.
@@ -480,11 +482,11 @@ def draw_beta_monotone(
     x1 = rest[..., 0].ravel()
     if free.any():
         diag, off, rhs = _intercept_system(design, latent, np.reshape(sigma2, (-1, d)), rest)
-        k_ff = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
-        mean_f = solve_banded(cholesky_banded(k_ff), rhs.ravel()[free], mode="full")
+        diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
         start = beta if warm_start is None else np.asarray(warm_start, dtype=np.float64)
         init = np.clip(start[..., 0].ravel()[free], lo[free], up[free])
-        x1[free] = sample_truncated_mvn(k_ff, mean_f, lo[free], up[free], init, sweeps, gen)
+        x1[free] = sample_truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo[free], up[free],
+                                        init, sweeps, gen)
 
     beta[..., 0] = x1.reshape(lo_path.shape)
     beta, fits = _repair_ordering(beta, design, lo_path, up_path)

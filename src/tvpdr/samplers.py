@@ -1,13 +1,14 @@
 """Random draws used by the Gibbs sampler.
 
 Three primitives: univariate truncated normals (vectorized), Gaussian draws
-parameterized by a banded precision matrix, and a coordinate-wise Gibbs pass
-for box-truncated Gaussians with banded precision. Truncated normals are
-drawn by inversion, each interval mirrored onto the lower tail where
-ndtr/ndtri keep full relative accuracy out to 30 sd, and by rejection
-beyond that. All randomness flows through ``RngHandle`` so that (seed,
-stream, call sequence) pins every draw bit for bit, including across
-parallel backtest origins.
+parameterized by a banded precision matrix, and a two-colour Gibbs sweep for
+box-truncated Gaussians with tridiagonal precision, which reads each full
+conditional from the precision and the canonical rhs and so factors
+nothing. Truncated normals are drawn by inversion, each interval mirrored
+onto the lower tail where ndtr/ndtri keep full relative accuracy out to
+30 sd, and by rejection beyond that. All randomness flows through
+``RngHandle`` so that (seed, stream, call sequence) pins every draw bit for
+bit, including across parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
 the Gibbs sampler then draw every truncated normal through the one
@@ -186,87 +187,78 @@ def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng,
 
 
 def sample_truncated_mvn(
-    precision: BandedMatrix,
-    mean: np.ndarray,
+    diag: np.ndarray,
+    off: np.ndarray,
+    rhs: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     init: np.ndarray,
     sweeps: int,
     rng,
 ) -> np.ndarray:
-    """Coordinate-wise Gibbs for a box-truncated Gaussian with banded precision.
+    """Coordinate-wise Gibbs for a box-truncated Gaussian with tridiagonal precision.
 
-    Runs ``sweeps`` full passes and returns the final state. Coordinates are
-    updated in color groups (index mod bandwidth+1): same-color coordinates
-    are conditionally independent given the rest, so each group updates as
-    one vectorized truncated-normal draw. Every full conditional is the exact
-    univariate truncated normal, so this is a valid Gibbs kernel for the
-    truncated target; one call advances the chain, it does not produce an
-    independent draw.
+    The target is N(K^{-1} rhs, K^{-1}) truncated to (lower, upper), where K
+    has diagonal ``diag`` and couplings K_{i,i+1} = K_{i+1,i} = ``off[i]``
+    (``off[-1]`` is ignored). Coordinate i's full conditional is the normal
+    with mean (rhs_i - K_{i,i-1} x_{i-1} - K_{i,i+1} x_{i+1}) / K_ii and
+    variance 1 / K_ii, truncated to its interval. Even coordinates are
+    conditionally independent given the odd ones and vice versa, so a sweep
+    is two vectorized truncated-normal draws: the even coordinates, then the
+    odd ones. Runs ``sweeps`` sweeps and returns the final state; this is a
+    valid Gibbs kernel for the truncated target, so one call advances the
+    chain, it does not produce an independent draw.
 
-    The arguments are validated once, on entry: shapes, a finite mean, a
-    non-empty box holding ``init``, and a finite positive precision
-    diagonal. Each color's conditional sd, bounds and one-ulp-inside clamps
-    are computed then too, so a sweep checks only that the conditional
-    means it draws around are finite. Raises ValueError otherwise.
+    The arguments are validated once, on entry: shapes, a finite rhs, a
+    non-empty box holding ``init``, and a finite positive diagonal. Each
+    colour's conditional sd, bounds and one-ulp-inside clamps are computed
+    then too, so a sweep checks only that the conditional means it draws
+    around are finite. Raises ValueError otherwise.
     """
     gen = as_generator(rng)
-    n = precision.dim
-    mean = np.asarray(mean, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    x = np.array(init, dtype=np.float64, copy=True)
-    for name, arr in (("mean", mean), ("lower", lower), ("upper", upper), ("init", x)):
+    diag, off, rhs, lower, upper = (np.asarray(v, dtype=np.float64)
+                                    for v in (diag, off, rhs, lower, upper))
+    if diag.ndim != 1:
+        raise ValueError(f"diag has shape {diag.shape}, expected one dimension")
+    n = diag.size
+    init = np.asarray(init, dtype=np.float64)
+    for name, arr in (("off", off), ("rhs", rhs), ("lower", lower), ("upper", upper),
+                      ("init", init)):
         if arr.shape != (n,):
             raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("truncated MVN mean must be finite")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("truncated MVN rhs must be finite")
     nonempty = lower < upper
     if not np.all(nonempty):
         raise ValueError(f"empty truncation box at coordinate {int(np.argmin(nonempty))}")
-    if np.any(x < lower) or np.any(x > upper):
+    if np.any(init < lower) or np.any(init > upper):
         raise ValueError("init point lies outside the truncation box")
     if sweeps < 1:
         raise ValueError("sweeps must be a positive integer")
-
-    diag = precision.diagonals[0]
     if not np.all(np.isfinite(diag) & (diag > 0.0)):
         raise ValueError("precision diagonal must be finite and positive")
+
+    # x sits between two zeros, so a colour's neighbours on either side are
+    # strided slices of the padded state; those past an end have coupling 0.
+    padded = np.zeros(n + 2)
+    x = padded[1 : n + 1]
+    x[:] = init
+    left, right = np.zeros(n), np.zeros(n)
+    left[1:] = right[:-1] = off[:-1]
     sd = 1.0 / np.sqrt(diag)
     lower_in, upper_in = np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf)
-    # r = x - mean sits between ``width`` zeros at each end, so a color's
-    # neighbors at offset o are its strided slice shifted by o; only the
-    # color just drawn changes r. Per color, v_i = sum_j K_ij r_j adds terms
-    # in BandedMatrix.matvec's order (self, -1, +1, -2, +2, ...; 0 past
-    # either end), then m_i = x_i - v_i / K_ii.
-    width = precision.bandwidth
-    r = np.zeros(n + 2 * width)
-    np.subtract(x, mean, out=r[width : width + n])
-    # The band rows padded the same way, their unused tails zeroed, give the
-    # couplings as strided slices as well: K_{i,i-k} = diagonals[k, i-k] sits
-    # at the view of offset -k, and K_{i,i+k} = diagonals[k, i] at offset 0.
-    band = np.zeros((width + 1, n + 2 * width))
-    band[:, width : width + n] = precision.diagonals
-    for k in range(1, width + 1):
-        band[k, width + n - k : width + n] = 0.0
-    offsets = [0] + [s * k for k in range(1, width + 1) for s in (-1, 1)]
-    groups = []
-    for c in range(width + 1):
-        own = slice(c, n, width + 1)
-        views = [slice(width + c + o, width + n + o, width + 1) for o in offsets]
-        coupling = np.array([band[abs(o), view if o < 0 else views[0]]
-                             for o, view in zip(offsets, views)])
-        groups.append((own, views, coupling, mean[own],
-                       (sd[own], lower[own], upper[own], lower_in[own], upper_in[own])))
+    colours = []
+    for c in range(min(n, 2)):
+        own = slice(c, n, 2)
+        colours.append((own, slice(c + 2, n + 2, 2), rhs[own], left[own], right[own],
+                        diag[own],
+                        (sd[own], lower[own], upper[own], lower_in[own], upper_in[own])))
 
     for _ in range(sweeps):
-        for own, views, coupling, mean_c, box in groups:
-            v = coupling[0] * r[views[0]]
-            for cpl, view in zip(coupling[1:], views[1:]):
-                v += cpl * r[view]
-            m = x[own] - v / coupling[0]
+        for own, after, rhs_c, left_c, right_c, diag_c, box in colours:
+            # padded[own] holds each coordinate's left neighbour, padded[after] its right
+            m = (rhs_c - left_c * padded[own] - right_c * padded[after]) / diag_c
             if not np.all(np.isfinite(m)):
                 raise ValueError("truncated MVN conditional mean is not finite")
-            x[own] = drawn = _draw(m, *box, gen)
-            np.subtract(drawn, mean_c, out=r[views[0]])
+            x[own] = _draw(m, *box, gen)
     return x

@@ -272,6 +272,23 @@ def test_evaluate_then_plotdata_round_trip(tmp_path, capsys):
         assert 0.0 <= vals["pit"] <= 1.0
 
 
+def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys, monkeypatch):
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+            "--initial-start", dates[0], "--initial-end", dates[-10],
+            "--out", str(tmp_path / "r.tsv")]
+    for workers in ("0", "-3"):
+        code, stdout, stderr = run(capsys, [*argv, "--workers", workers])
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: workers must be a positive integer, got {workers}\n"
+    monkeypatch.setenv("TVPDR_THREADS", "-2")
+    code, _, stderr = run(capsys, argv)
+    assert code == 1
+    assert stderr == "error: TVPDR_THREADS must be a positive integer, got '-2'\n"
+    assert not os.path.exists(tmp_path / "r.tsv")
+
+
 def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)

@@ -96,6 +96,9 @@ def test_conditional_cdf_rearranges_only_when_needed():
     cdf = conditional_cdf(draws, np.array([1.0]), 0, PROBIT)
     want = np.sort(ndtr(np.array([0.5, -0.5, 0.0])))
     assert np.allclose(cdf.values, want)
+    # a finalized curve is never rearranged: unsorted values are refused
+    with pytest.raises(ValueError, match="must be non-decreasing; sort them first"):
+        ConditionalCdf(grid=grid, values=np.array([0.5, 0.3, 0.8]), x=np.ones(1), time_index=0)
 
 
 def test_quantile_interpolation_and_censoring():

@@ -167,6 +167,25 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     assert par.read_bytes() == full.read_bytes()
 
 
+def test_backtest_refuses_a_worker_count_below_one(tmp_path, monkeypatch):
+    # refused before any work, naming where the count came from, and
+    # before a records file or its sidecar is written
+    ds = synthetic_dataset(seed=1)
+    spec = fast_spec(ds)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
+    out = tmp_path / "records.tsv"
+    cov = ["infl_P_1q", "u"]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=rf"workers must be a positive integer, got {workers}"):
+            expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out), workers=workers)
+    for env in ("-2", "0", "two", "1.5"):
+        monkeypatch.setenv("TVPDR_THREADS", env)
+        with pytest.raises(ValueError, match=rf"TVPDR_THREADS must be a positive integer, "
+                                             rf"got '{env}'"):
+            expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backtest_resume_refuses_other_provenance(tmp_path):
     # a records file resumes only under the sidecar it was written with
     ds = synthetic_dataset(seed=1)

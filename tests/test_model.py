@@ -455,6 +455,30 @@ def test_draws_accept_a_leading_threshold_axis():
     assert np.all((fits >= lower) & (fits <= upper))
 
 
+@pytest.mark.parametrize("rows", [[0, 1], [1]])
+def test_monotone_draw_pins_degenerate_boxes(rows):
+    # Row 0's neighbours meet at t = 0, an interior t and T-1; row 1's meet
+    # everywhere but t = 3, so alone it leaves the sweep one free intercept
+    # and an empty odd colour. A pinned fit is its bound exactly. Every
+    # point bound lies inside [4, 8), the binade of the intercept that hits
+    # it, so an exact hit exists (test_repair_leftover_raises has a point
+    # box that no fit can hit).
+    y, x = small_problem(seed=31, t_len=10, d=2)
+    lower = np.vstack([np.full(10, 4.0), 4.25 + np.arange(10) / 4.0])
+    upper = np.vstack([np.full(10, 6.0), lower[1]])
+    lower[0, [0, 4, 9]] = upper[0, [0, 4, 9]] = [4.5, 5.0, 5.5]
+    lower[1, 3], upper[1, 3] = 4.0, 6.0
+    lower, upper = lower[rows], upper[rows]
+    pinned = lower == upper
+    handle = RngHandle(32)
+    z = draw_latent(np.zeros(len(rows)), y, x, np.zeros((len(rows), 10, 2)), handle)
+    for _ in range(20):
+        fits = fitted_values(x, draw_beta_monotone(lower, upper, x, z,
+                                                   np.full((len(rows), 2), 0.3), handle))
+        assert np.array_equal(fits[pinned], lower[pinned])
+        assert np.all((fits[~pinned] > lower[~pinned]) & (fits[~pinned] < upper[~pinned]))
+
+
 @pytest.mark.parametrize("n_thresholds", [2, 3, 4])
 def test_run_gibbs_monotone_small_grids_stay_ordered(n_thresholds):
     # even and odd color sets of every size up to two thresholds each

@@ -4,11 +4,13 @@ Distributional checks use moderate draw counts and 4+ sigma tolerances so
 they are deterministic in practice under the pinned seeds.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
-from tvpdr.banded import BandedMatrix, assemble_precision
+from tvpdr.banded import assemble_precision
 from tvpdr.samplers import (
     RngHandle,
     as_generator,
@@ -171,13 +173,13 @@ def test_gaussian_precision_sampler_moments():
 def test_truncated_mvn_unit_box_coordinate_mean():
     # N(0, I2) truncated to [0,1]^2: coordinates are independent, each with
     # mean (phi(0) - phi(1)) / (Phi(1) - Phi(0))
-    prec = BandedMatrix(dim=2, bandwidth=1, diagonals=np.array([[1.0, 1.0], [0.0, 0.0]]))
     handle = RngHandle(18)
     n = 25_000
     out = np.empty((n, 2))
     x = np.full(2, 0.5)
     for i in range(n):
-        x = sample_truncated_mvn(prec, np.zeros(2), np.zeros(2), np.ones(2), x, 2, handle)
+        x = sample_truncated_mvn(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2),
+                                 x, 2, handle)
         out[i] = x
     assert np.all((out > 0.0) & (out < 1.0))
     assert np.all(np.abs(out.mean(axis=0) - UNIT_BOX_COORD_MEAN) < 7e-3)
@@ -189,7 +191,7 @@ def test_truncated_mvn_tracks_correlated_target():
     rho = 0.8
     cov = np.array([[1.0, rho], [rho, 1.0]])
     prec_dense = np.linalg.inv(cov)
-    prec = BandedMatrix.from_dense(prec_dense, 1)
+    diag, off = np.diag(prec_dense), np.array([prec_dense[0, 1], np.nan])
     lo, hi = np.array([-0.5, 0.0]), np.array([1.5, 2.0])
 
     gen = np.random.default_rng(19)
@@ -201,23 +203,23 @@ def test_truncated_mvn_tracks_correlated_target():
     out = np.empty((n, 2))
     x = np.array([0.5, 1.0])
     for i in range(n):
-        x = sample_truncated_mvn(prec, np.zeros(2), lo, hi, x, 3, handle)
+        x = sample_truncated_mvn(diag, off, np.zeros(2), lo, hi, x, 3, handle)
         out[i] = x
     assert np.all(np.abs(out.mean(axis=0) - keep.mean(axis=0)) < 0.015)
     assert np.all(np.abs(out.std(axis=0) - keep.std(axis=0)) < 0.015)
 
 
-def _box_problem(rs, n, bandwidth):
-    """Diagonally dominant band precision with junk in the unused band tails,
-    a mean, a box with open sides, slivers and boxes 1000 sd out, and an
-    init inside it."""
-    diagonals = np.zeros((bandwidth + 1, n))
-    for k in range(1, bandwidth + 1):
-        diagonals[k, : n - k] = rs.normal(0.0, 0.4, n - k)
-        diagonals[k, n - k :] = rs.choice([np.inf, np.nan, 7.0], k)  # unused: must be ignored
-    off = 0.4 * 5.0  # above every |N(0, 0.4)| coupling here
-    diagonals[0] = rs.uniform(0.5, 3.0, n) + 2 * bandwidth * off
-    mean = rs.normal(0.0, 2.0, n)
+def _box_problem(rs, n):
+    """Diagonally dominant tridiagonal precision with junk in the unused
+    ``off[-1]``, an rhs, its mean K^{-1} rhs from a dense solve, a box around
+    the mean with open sides, slivers and boxes 1000 sd out, and an init
+    inside it."""
+    off = rs.normal(0.0, 0.4, n)
+    off[-1] = rs.choice([np.inf, np.nan, 7.0])  # unused: must be ignored
+    diag = rs.uniform(0.5, 3.0, n) + 2 * 0.4 * 5.0  # above every |N(0, 0.4)| pair here
+    rhs = rs.normal(0.0, 4.0, n)
+    dense = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    mean = np.linalg.solve(dense, rhs)
     lower = mean + rs.normal(0.0, 2.0, n) - 1.0
     upper = lower + np.abs(rs.normal(size=n)) * rs.choice([1e-3, 1.0, 5.0], n) + 1e-9
     lower[rs.random(n) < 0.2] = -np.inf
@@ -234,49 +236,50 @@ def _box_problem(rs, n, bandwidth):
     init[both] = 0.5 * (lower[both] + upper[both])
     init[has_lo & ~has_up] = lower[has_lo & ~has_up] + 0.1
     init[has_up & ~has_lo] = upper[has_up & ~has_lo] - 0.1
-    return BandedMatrix(dim=n, bandwidth=bandwidth, diagonals=diagonals), mean, lower, upper, init
+    return diag, off, rhs, mean, lower, upper, init
 
 
-@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3])
-def test_truncated_mvn_matches_the_frozen_sweep(bandwidth):
-    rs = np.random.default_rng(30 + bandwidth)
-    for n in (bandwidth + 1, bandwidth + 2, 17, 160, 161):
-        problem = _box_problem(rs, n, bandwidth)
+def test_truncated_mvn_matches_the_frozen_sweep():
+    # The frozen colour-group sweep reads its conditional means from the
+    # mean, this kernel from the rhs. They are equal in exact arithmetic, so
+    # the draws agree to rounding and consume the same random numbers.
+    rs = np.random.default_rng(31)
+    for n in np.tile([1, 2, 3, 17, 160, 161], 34):
+        diag, off, rhs, mean, lower, upper, init = _box_problem(rs, int(n))
         sweeps = int(rs.integers(1, 4))
         seed = int(rs.integers(2**32))
         new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = sample_truncated_mvn(*problem, sweeps, new_gen)
-        old = frozen_truncated_mvn(*problem, sweeps, old_gen)
-        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        new = sample_truncated_mvn(diag, off, rhs, lower, upper, init, sweeps, new_gen)
+        band = SimpleNamespace(dim=int(n), bandwidth=1, diagonals=np.vstack([diag, off]))
+        old = frozen_truncated_mvn(band, mean, lower, upper, init, sweeps, old_gen)
+        np.testing.assert_allclose(new, old, rtol=1e-10, atol=0.0)
         assert new_gen.random() == old_gen.random()
-        _, _, lower, upper, _ = problem
         assert np.all((new > lower) & (new < upper))
 
 
 def test_truncated_mvn_validates():
-    prec = BandedMatrix(dim=2, bandwidth=0, diagonals=np.ones((1, 2)))
+    diag, off, rhs, box = np.ones(2), np.zeros(2), np.zeros(2), (np.zeros(2), np.ones(2))
     handle = RngHandle(21)
     with pytest.raises(ValueError, match="empty truncation box at coordinate 1"):
-        sample_truncated_mvn(prec, np.zeros(2), np.array([0.0, 1.0]),
-                             np.array([1.0, 1.0]), np.full(2, 0.5), 1, handle)
-    with pytest.raises(ValueError, match="outside the truncation box"):
-        sample_truncated_mvn(prec, np.zeros(2), np.zeros(2), np.ones(2),
-                             np.array([0.5, 2.0]), 1, handle)
-    with pytest.raises(ValueError, match="sweeps"):
-        sample_truncated_mvn(prec, np.zeros(2), np.zeros(2), np.ones(2),
-                             np.full(2, 0.5), 0, handle)
-    # checked once per call, before any draw
-    with pytest.raises(ValueError, match="mean must be finite"):
-        sample_truncated_mvn(prec, np.array([0.0, np.nan]), np.zeros(2), np.ones(2),
+        sample_truncated_mvn(diag, off, rhs, np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                              np.full(2, 0.5), 1, handle)
+    with pytest.raises(ValueError, match="outside the truncation box"):
+        sample_truncated_mvn(diag, off, rhs, *box, np.array([0.5, 2.0]), 1, handle)
+    with pytest.raises(ValueError, match="sweeps"):
+        sample_truncated_mvn(diag, off, rhs, *box, np.full(2, 0.5), 0, handle)
+    with pytest.raises(ValueError, match=r"off has shape \(1,\), expected \(2,\)"):
+        sample_truncated_mvn(diag, np.zeros(1), rhs, *box, np.full(2, 0.5), 1, handle)
+    # checked once per call, before any draw
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            sample_truncated_mvn(diag, off, np.array([0.0, bad]), *box, np.full(2, 0.5), 1,
+                                 handle)
     for bad in (np.inf, np.nan, 0.0, -1.0):
-        diag = BandedMatrix(dim=2, bandwidth=0, diagonals=np.array([[1.0, bad]]))
         with pytest.raises(ValueError, match="precision diagonal must be finite and positive"):
-            sample_truncated_mvn(diag, np.zeros(2), np.zeros(2), np.ones(2),
-                                 np.full(2, 0.5), 1, handle)
+            sample_truncated_mvn(np.array([1.0, bad]), off, rhs, *box, np.full(2, 0.5), 1,
+                                 handle)
     # and per sweep, a conditional mean that overflows
-    huge = BandedMatrix(dim=2, bandwidth=1, diagonals=np.array([[1e-300, 1.0], [1e300, 0.0]]))
     with pytest.raises(ValueError, match="conditional mean is not finite"), \
             np.errstate(over="ignore"):
-        sample_truncated_mvn(huge, np.zeros(2), np.zeros(2), np.ones(2),
+        sample_truncated_mvn(np.array([1e-300, 1.0]), np.array([1e300, 0.0]), rhs, *box,
                              np.full(2, 0.5), 1, handle)

@@ -4,6 +4,10 @@ The Gibbs updates for the state paths work on precision matrices that are
 block tridiagonal with small dense blocks, so everything here is stored in
 LAPACK lower band layout and factorized with the banded Cholesky routines.
 Nothing in this module knows about the model; it is plain linear algebra.
+
+``scipy.linalg`` is imported inside ``cholesky_banded`` and ``solve_banded``,
+its only callers, so a process that only reads a stored estimate never
+loads LAPACK.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "BandedMatrix",
@@ -111,6 +114,8 @@ def cholesky_banded(precision: BandedMatrix, overwrite: bool = False) -> BandedM
     NotPositiveDefiniteError
         If a pivot is not positive. No jitter is applied.
     """
+    from scipy.linalg import lapack
+
     factor, info = lapack.dpbtrf(precision.diagonals, lower=1, overwrite_ab=overwrite)
     if info > 0:
         raise NotPositiveDefiniteError(row=info - 1)
@@ -140,6 +145,8 @@ def solve_banded(factor: BandedMatrix, rhs: np.ndarray, mode: str = "full") -> n
         raise ValueError(f"rhs has leading dim {b.shape[0]}, expected {factor.dim}")
     if mode not in ("full", "forward", "backward"):
         raise ValueError(f"unknown solve mode {mode!r}")
+
+    from scipy.linalg import lapack
 
     x = b
     if mode in ("full", "forward"):

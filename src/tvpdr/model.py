@@ -23,7 +23,7 @@ from scipy.special import ndtr, ndtri
 
 from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band
 from .distribution import ThresholdGrid
-from .samplers import (RngHandle, _draw, as_generator, sample_gaussian_precision,
+from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
 
 __all__ = [
@@ -241,11 +241,11 @@ class PosteriorDraws:
 
 
 def _latent_box(threshold, y: np.ndarray) -> tuple:
-    """Bounds of the latents and their one-ulp-inside clamps: (0, inf) where
-    y_t <= threshold, (-inf, 0) elsewhere; (B, T) for B thresholds."""
+    """Side of the latents and their one-ulp-inside clamps: True for (0, inf)
+    where y_t <= threshold, False for (-inf, 0) elsewhere; (B, T) for B
+    thresholds."""
     below = y <= np.asarray(threshold)[..., None]
-    return (np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
-            np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY))
+    return below, np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY)
 
 
 def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng,
@@ -256,10 +256,11 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
     rest on (-inf, 0), so the sign always reproduces the indicator. With B
     thresholds and paths (B, T, d) this is one (B, T) draw. The draws are
     those of ``sample_truncated_normal`` with these bounds, through its
-    unchecked core: the fit is checked here, the bounds are valid by
-    construction, and their one-ulp-inside clamps are the constants
-    +-5e-324 and +-max-float, not per-call ``nextafter`` arrays. A
-    non-finite fit raises ValueError.
+    unchecked one-sided core, which takes ndtr only at each latent's finite
+    bound: the fit is checked here, the bounds are valid by construction,
+    and their one-ulp-inside clamps are the constants +-5e-324 and
+    +-max-float, not per-call ``nextafter`` arrays. A non-finite fit raises
+    ValueError.
 
     The bounds depend only on the data and the thresholds, so a sampler
     builds them once per fit, as ``_latent_box(threshold, y)``, and passes
@@ -270,7 +271,7 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
         raise ValueError("latent draw needs finite fitted values")
     if box is None:
         box = _latent_box(threshold, y)
-    return _draw(mean, 1.0, *box, as_generator(rng))
+    return _draw_one_sided(mean, *box, as_generator(rng))
 
 
 def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:

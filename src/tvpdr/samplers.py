@@ -11,8 +11,9 @@ onto the lower tail where ndtr/ndtri keep full relative accuracy out to
 bit, including across parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
-the Gibbs sampler then draw every truncated normal through the one
-unchecked private core, ``_draw``.
+the Gibbs sampler then draw every truncated normal through an unchecked
+private core: ``_draw``, or ``_draw_one_sided`` for the probit latents,
+whose intervals all have one end at 0 and the other at infinity.
 """
 
 from __future__ import annotations
@@ -135,6 +136,33 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
         a, b = np.broadcast_arrays(a, b)
     z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
+
+
+def _draw_one_sided(mean, positive, lower_in, upper_in, gen):
+    """N(mean, 1) on (0, inf) where ``positive``, on (-inf, 0) elsewhere, unchecked.
+
+    The draws, and the generator's state after them, are those of
+    ``_draw(mean, 1.0, lower, upper, lower_in, upper_in, gen)`` with these
+    bounds. That path takes ndtr at both ends of each mirrored interval,
+    one of them infinite; this one takes it only at the finite end f. Since
+    ndtr(-inf) and ndtr(inf) are exactly 0 and 1, the inverted probability
+    fa + u (ndtr(hi) - fa) is then exactly u ndtr(f) on (-inf, f) and
+    c + u (1 - c), c = ndtr(f), on (f, inf): the same uniforms, the same
+    rejection beyond _TAIL sds and the same clamps.
+    """
+    a = 0.0 - mean  # the standardized bound 0
+    flip = positive & (a >= 0.0)
+    rising = (positive & ~flip).ravel()  # (f, inf) after mirroring; the rest are (-inf, f)
+    f = np.where(flip, -a, a)
+    shape, f = f.shape, f.ravel()
+    c = ndtr(f)
+    u = gen.random(f.size)
+    z = ndtri(np.where(rising, c + u * (1.0 - c), u * c))  # tail slots are redrawn below
+    tail = ~rising & (f <= -_TAIL)
+    if tail.any():
+        z[tail] = -_tail_reject(-f[tail], np.full(np.count_nonzero(tail), np.inf), gen)
+    z = z.reshape(shape)
+    return np.minimum(np.maximum(mean + np.where(flip, -z, z), lower_in), upper_in)
 
 
 def sample_truncated_normal(mean, sd, lower, upper, rng):

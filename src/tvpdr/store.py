@@ -259,6 +259,9 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         spec_hash, data_hash = man["spec_hash"], man["data_hash"]
     except (KeyError, ValueError) as exc:
         raise StoreError(f"{path}: manifest is missing or corrupt: {exc}") from exc
+    for key, count in (("kept", kept), ("n_thresholds", k), ("n_obs", t_len), ("d", d)):
+        if count < 1:
+            raise StoreError(f"{os.path.join(path, 'MANIFEST')}: {key}={count} must be positive")
     for key, known in (("link", LINKS), ("design_transform", DESIGN_TRANSFORMS)):
         if man.get(key) not in known:
             raise StoreError(f"{path}: unknown {key.replace('_', ' ')} {man.get(key)!r}")
@@ -278,13 +281,22 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
             raise StoreError(f"{grid_name}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split("\t")
-            if len(cells) != 2 or int(cells[0]) != lineno - 2:
+            if len(cells) != 2 or cells[0] != str(lineno - 2):
                 raise StoreError(f"{grid_name}:{lineno}: rows must be 'index\\tthreshold' in order")
-            points.append(float(cells[1]))
+            try:
+                point = float(cells[1])
+            except ValueError:
+                point = math.nan
+            if not math.isfinite(point):
+                raise StoreError(f"{grid_name}:{lineno}: threshold {cells[1]!r} is not a finite number")
+            points.append(point)
     if len(points) != k:
         raise StoreError(f"{path}: grid.tsv has {len(points)} rows, manifest says {k}")
-    grid = ThresholdGrid(points=np.array(points), min_value=grid_min,
-                         max_value=grid_max, step=grid_step)
+    try:
+        grid = ThresholdGrid(points=np.array(points), min_value=grid_min,
+                             max_value=grid_max, step=grid_step)
+    except ValueError as exc:
+        raise StoreError(f"{grid_name}: {exc}") from None
 
     return PosteriorDraws(
         grid=grid,

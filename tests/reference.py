@@ -6,8 +6,8 @@ precision assembly via kron, a one-threshold Gibbs sampler on top of
 scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
 monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
 Carlo standard error, and frozen copies of earlier truncated-normal kernels,
-Gibbs inner-loop draws, band assembly, one-shot read curves and the one-shot
-PIT band. The one exception is
+Gibbs inner-loop draws, band assembly, one-shot read curves, the simulated
+PIT band and exact Kolmogorov quantiles. The one exception is
 ``public_draw_loop``: the Gibbs loop spelled out over the package's public
 draws, which ``run_gibbs`` must reproduce bit for bit.
 """
@@ -422,7 +422,8 @@ def frozen_forecast_predictive(draws, x_next, gen: np.random.Generator, link) ->
 
 def frozen_pit_uniformity_band(n: int, level: float, gen: np.random.Generator,
                                sims: int) -> float:
-    """Simulated Kolmogorov band as first written: all (sims, n) uniforms at once."""
+    """Simulated Kolmogorov band as first written: the ``level`` quantile of
+    the statistic over all (sims, n) uniforms at once."""
     u = gen.random((sims, n))
     u.sort(axis=1)
     i = np.arange(1, n + 1)
@@ -444,6 +445,22 @@ UNIT_BOX_COORD_MEAN = 0.45986222928642656
 
 # KS 95% critical value, asymptotic 1.3580986 / sqrt(n) at n = 100
 KS95_N100 = 0.13580986393225505
+
+# exact two-sided Kolmogorov quantiles, scipy.stats.kstwo.ppf(level, n)
+# (scipy 1.17.1), keyed by (n, level)
+KSTWO_PPF = {
+    (1, 0.8): 0.9, (1, 0.9): 0.95, (1, 0.95): 0.975, (1, 0.99): 0.995,
+    (2, 0.8): 0.6837722339831621, (2, 0.9): 0.7763932022500211,
+    (2, 0.95): 0.841886116991581, (2, 0.99): 0.9292893218813452,
+    (7, 0.8): 0.38145200224661374, (7, 0.9): 0.4360683886201389,
+    (7, 0.95): 0.4834239632303475, (7, 0.99): 0.5758120914333914,
+    (20, 0.8): 0.23151862314131647, (20, 0.9): 0.2647305721955969,
+    (20, 0.95): 0.2940753144343292, (20, 0.99): 0.35241089163889466,
+    (100, 0.8): 0.1056054379300071, (100, 0.9): 0.12066340877827493,
+    (100, 0.95): 0.13402791648569778, (100, 0.99): 0.16080868092856113,
+    (400, 0.8): 0.05322038866705009, (400, 0.9): 0.0607688078354908,
+    (400, 0.95): 0.0674737589261713, (400, 0.99): 0.08092853743274622,
+}
 
 # standard normal density at zero
 PHI0 = 0.3989422804014327

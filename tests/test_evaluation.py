@@ -2,13 +2,11 @@
 
 import json
 import os
-import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import tvpdr.evaluation
 from tvpdr.data import MacroDataset, format_quarter, parse_quarter
 from tvpdr.distribution import PREDICTIVE_DRAW, ConditionalCdf, build_threshold_grid
 from tvpdr.evaluation import (
@@ -21,7 +19,7 @@ from tvpdr.evaluation import (
 from tvpdr.model import ModelSpec
 from tvpdr.samplers import RngHandle, as_generator
 
-from reference import KS95_N100, frozen_pit_uniformity_band
+from reference import KS95_N100, KSTWO_PPF, frozen_pit_uniformity_band
 
 
 def test_pit_uses_interpolated_cdf():
@@ -31,20 +29,6 @@ def test_pit_uses_interpolated_cdf():
     assert np.isclose(pit(cdf, 0.25), 0.35)
     assert pit(cdf, -2.0) == 0.0
     assert pit(cdf, 9.0) == 1.0
-
-
-@pytest.mark.parametrize("block", [None, 64])
-@pytest.mark.parametrize("n", [1, 7, 100, 400])
-def test_pit_band_in_blocks_equals_the_one_shot_band(monkeypatch, n, block):
-    # with the default block, n = 100 and 400 end on a partial block of
-    # rows; a 64-uniform block splits every n into many blocks
-    if block is not None:
-        monkeypatch.setattr(tvpdr.evaluation, "_PIT_BLOCK", block)
-    for sims in (1, 999, 10000):
-        ours, frozen = as_generator(RngHandle(8, stream=n)), as_generator(RngHandle(8, stream=n))
-        band = pit_uniformity_band(n, 0.95, ours, sims=sims)
-        assert band == frozen_pit_uniformity_band(n, 0.95, frozen, sims), sims
-        assert pickle.dumps(ours.bit_generator.state) == pickle.dumps(frozen.bit_generator.state)
 
 
 def test_quantile_score_variants():
@@ -59,18 +43,33 @@ def test_quantile_score_variants():
         quantile_score(1.0, 1.0, 0.5, variant="nonsense")
 
 
+@pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 100, 400])
+def test_pit_band_is_the_exact_kolmogorov_quantile(n, level):
+    exact = KSTWO_PPF[n, level]
+    band = pit_uniformity_band(n, level)
+    assert abs(band - exact) <= (3e-6 if level >= 0.95 else 3e-4) * exact
+    if n <= 2:
+        assert band == pytest.approx(exact, rel=1e-15)
+
+
 def test_pit_uniformity_band_near_asymptotic():
-    band = pit_uniformity_band(100, level=0.95, rng=RngHandle(5), sims=20000)
+    band = pit_uniformity_band(100, level=0.95)
     assert abs(band - KS95_N100) < 0.01
-    # reproducible under the same handle, monotone in the level
-    again = pit_uniformity_band(100, level=0.95, rng=RngHandle(5), sims=20000)
-    assert band == again
-    wider = pit_uniformity_band(100, level=0.99, rng=RngHandle(5), sims=20000)
-    assert wider > band
+    # within Monte Carlo error of the simulated band it replaced; a one-sided
+    # quantile at 1 - level (0.1207 here) lies well outside
+    simulated = frozen_pit_uniformity_band(100, 0.95, as_generator(RngHandle(5)), 20000)
+    assert abs(band - simulated) < 0.0025
+    # deterministic, monotone in the level
+    assert pit_uniformity_band(100, 0.95) == band
+    assert pit_uniformity_band(100, level=0.99) > band
     with pytest.raises(ValueError):
         pit_uniformity_band(0)
     with pytest.raises(ValueError):
         pit_uniformity_band(10, level=1.0)
+    for n in (100.0, 7.5, True, "100"):
+        with pytest.raises(TypeError, match="integer count"):
+            pit_uniformity_band(n)
 
 
 def test_backtest_plan_validation():

@@ -219,6 +219,39 @@ def test_grid_file_problems(tmp_path):
         load_estimate(where)
 
 
+@pytest.mark.parametrize("row, shown", [
+    ("x\t0.0", r"grid\.tsv:3: rows must be"),
+    ("1\tzero", r"grid\.tsv:3: threshold 'zero' is not a finite number"),
+    ("1\tnan", r"grid\.tsv:3: threshold 'nan' is not a finite number"),
+    ("1\t0.25", r"grid\.tsv: grid spacing is not uniform"),
+], ids=["index", "threshold", "nan", "spacing"])
+def test_malformed_grid_row_is_a_store_error_naming_the_file(tmp_path, row, shown):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "grid.tsv")
+    text = Path(name).read_text(encoding="utf-8")
+    assert "\n1\t0.0\n" in text
+    Path(name).write_text(text.replace("\n1\t0.0\n", f"\n{row}\n"), encoding="utf-8")
+    with pytest.raises(StoreError, match=shown):
+        load_estimate(where)
+
+
+@pytest.mark.parametrize("line, value", [("kept=7", "kept=0"), ("kept=7", "kept=-1"),
+                                         ("n_thresholds=3", "n_thresholds=0"),
+                                         ("n_obs=11", "n_obs=0"), ("d=2", "d=0")])
+def test_non_positive_count_is_refused_before_mapping(tmp_path, line, value):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    text = Path(name).read_text(encoding="utf-8")
+    assert line + "\n" in text
+    Path(name).write_text(text.replace(line + "\n", value + "\n"), encoding="utf-8")
+    for blob in ("beta.f64", "sigma2.f64"):  # blobs that match a zero count
+        Path(where, blob).write_bytes(b"")
+    with pytest.raises(StoreError, match=rf"MANIFEST: {value} must be positive"):
+        load_estimate(where)
+
+
 def test_blob_problems(tmp_path):
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())

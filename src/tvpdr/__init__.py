@@ -42,7 +42,6 @@ from .model import (
 )
 from .risk import (
     RiskReportRow,
-    RiskSpec,
     compare_distributions,
     deflation_risk,
     distribution_mean,
@@ -66,7 +65,6 @@ __all__ = [
     "PosteriorDraws",
     "Quantile",
     "RiskReportRow",
-    "RiskSpec",
     "RngHandle",
     "StoreError",
     "ThresholdGrid",

@@ -36,10 +36,9 @@ from .evaluation import (
     pit_uniformity_band,
     SCORE_VARIANTS,
 )
-from .model import LINKS, EstimationError, ModelSpec, apply_design_transform, hash_data, run_gibbs
+from .model import EstimationError, ModelSpec, apply_design_transform, hash_data, run_gibbs
 from .risk import (
     DEFAULT_PROBES,
-    RiskSpec,
     compare_distributions,
     deflation_risk,
     distribution_mean,
@@ -183,7 +182,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_forecast(args) -> int:
     _, aligned, x_design, draws = _load_for_reading(args)
     pred = forecast_predictive(draws, x_design[_row(aligned, args.date)],
-                               RngHandle(args.seed, stream=args.stream), LINKS[draws.link])
+                               RngHandle(args.seed, stream=args.stream))
     rows = [("statistic", "value", "censored")]
     for tau in args.taus:
         q = quantile_from_cdf(pred, tau)
@@ -194,28 +193,26 @@ def _cmd_forecast(args) -> int:
 
 
 def _conditioning_cdf(args, aligned, x_design, draws) -> ConditionalCdf:
-    link = LINKS[draws.link]
     t = _row(aligned, args.date)
     if args.predictive:
-        return forecast_predictive(
-            draws, x_design[t], RngHandle(args.seed, stream=args.stream), link
-        )
-    return conditional_cdf(draws, x_design[t], t, link)
+        return forecast_predictive(draws, x_design[t], RngHandle(args.seed, stream=args.stream))
+    return conditional_cdf(draws, x_design[t], t)
 
 
 def _cmd_risk(args) -> int:
     _, aligned, x_design, draws = _load_for_reading(args)
     cdf = _conditioning_cdf(args, aligned, x_design, draws)
-    spec = RiskSpec(lower_target=args.lower, upper_target=args.upper,
-                    alpha=args.alpha, gamma=args.gamma)
-    dr = deflation_risk(cdf, spec.lower_target, spec.alpha)
-    eir = excess_inflation_risk(cdf, spec.upper_target, spec.gamma)
-    dr0 = deflation_risk(cdf, spec.lower_target, 0.0)
-    eir0 = excess_inflation_risk(cdf, spec.upper_target, 0.0)
+    # the risk measures check their own exponents and targets
+    if not args.lower < args.upper:
+        raise ValueError("need lower_target < upper_target")
+    dr = deflation_risk(cdf, args.lower, args.alpha)
+    eir = excess_inflation_risk(cdf, args.upper, args.gamma)
+    dr0 = deflation_risk(cdf, args.lower, 0.0)
+    eir0 = excess_inflation_risk(cdf, args.upper, 0.0)
     rows = [
         ("measure", "value"),
-        (f"deflation_risk(target={spec.lower_target:g},alpha={spec.alpha:g})", dr),
-        (f"excess_inflation_risk(target={spec.upper_target:g},gamma={spec.gamma:g})", eir),
+        (f"deflation_risk(target={args.lower:g},alpha={args.alpha:g})", dr),
+        (f"excess_inflation_risk(target={args.upper:g},gamma={args.gamma:g})", eir),
         ("target_range_mass", 1.0 + dr0 - eir0),
         ("mean", distribution_mean(cdf)),
     ]
@@ -233,14 +230,13 @@ def _cmd_counterfactual(args) -> int:
                          f"({','.join(args.covariates)}); shifting it would leave the "
                          "design unchanged")
     ds, aligned, x_design, draws = _load_for_reading(args)
-    link = LINKS[draws.link]
     shifted = ds.with_shift(args.variable, args.delta, (args.start, args.end))
     aligned_s, x_design_s = _aligned_design(args, shifted, draws.design_transform)
     if aligned_s.origin_dates != aligned.origin_dates:
         raise ValueError("shifted dataset no longer aligns with the baseline sample")
     t = _row(aligned, args.date)
-    base = conditional_cdf(draws, x_design[t], t, link)
-    counter = conditional_cdf(draws, x_design_s[t], t, link)
+    base = conditional_cdf(draws, x_design[t], t)
+    counter = conditional_cdf(draws, x_design_s[t], t)
     table = compare_distributions(base, counter, probes=args.probes)
     rows = [("statistic",) + tuple(r.label for r in table)]
     rows.append(("mean",) + tuple(r.mean for r in table))
@@ -303,8 +299,7 @@ def _cmd_plotdata(args) -> int:
             cells = ln.split("\t")
             date = cells[0]
             values = np.array([float(cells[i]) for i in cdf_cols])
-            cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values),
-                                 x=np.zeros(1), time_index=date)
+            cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values))
             out.write(f"{date}\trealized\t{_fmt(float(cells[1]))}\n")
             out.write(f"{date}\tpit\t{_fmt(float(cells[2]))}\n")
             for tau in args.taus:
@@ -371,7 +366,7 @@ def _evaluate_options(p: argparse.ArgumentParser):
     p.add_argument("--taus", type=_comma_floats, default=(0.05, 0.95))
     p.add_argument("--variant", choices=SCORE_VARIANTS, default="standard")
     p.add_argument("--out", help="records TSV, appended to and resumed from")
-    p.add_argument("--workers", type=int, help="refit blocks in parallel (or TVPDR_THREADS)")
+    p.add_argument("--workers", type=int, default=1, help="refit blocks in parallel")
     p.set_defaults(func=_cmd_evaluate)
 
 

@@ -14,16 +14,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .samplers import as_generator
 
 # How forecast_predictive draws its innovations; records computed from its
 # curves name this, so a change of scheme is never mixed into old records.
 PREDICTIVE_DRAW = "one innovation per kept draw"
-# Read curves take the link of this many kept draws at a time.
+# Read curves take Phi of this many kept draws at a time.
 _CURVE_BLOCK = 64
 
 __all__ = [
+    "LinkFunction",
+    "PROBIT",
     "ThresholdGrid",
     "ConditionalCdf",
     "Quantile",
@@ -35,6 +38,25 @@ __all__ = [
     "cdf_derivative",
     "cdf_interpolate",
 ]
+
+
+def _phi(z):
+    return np.exp(-0.5 * np.square(z)) / np.sqrt(2.0 * np.pi)
+
+
+@dataclass(frozen=True)
+class LinkFunction:
+    """A CDF link with its density and inverse; ``PROBIT`` is the only one."""
+
+    cdf: callable
+    pdf: callable
+    inverse: callable
+
+
+# The model's only link. Every latent is N(fit, 1) truncated at 0 (Albert &
+# Chib 1993), so the sampler is probit by construction, and every reader
+# takes Phi and phi from here.
+PROBIT = LinkFunction(cdf=ndtr, pdf=_phi, inverse=ndtri)
 
 
 @dataclass(eq=False, frozen=True)
@@ -51,6 +73,10 @@ class ThresholdGrid:
         p = self.points
         if p.ndim != 1 or p.size < 1:
             raise ValueError("grid needs at least one threshold")
+        # every check below is False on NaN, so a non-finite grid would pass them
+        if not (np.isfinite(p).all() and np.isfinite([self.min_value, self.max_value,
+                                                       self.step]).all()):
+            raise ValueError("grid points, min, max and step must be finite")
         if p.size > 1:
             d = np.diff(p)
             if np.any(d <= 0.0):
@@ -94,17 +120,10 @@ def build_threshold_grid(min_value: float, max_value: float, step: float) -> Thr
 
 @dataclass(eq=False)
 class ConditionalCdf:
-    """One finalized conditional CDF: non-decreasing values on a grid.
-
-    ``time_index`` is the 0-based in-sample index the curve conditions on,
-    or the string "predictive" for the one-step-ahead curve. ``x`` is the
-    design-space evaluation point (after the design transform).
-    """
+    """One finalized conditional CDF: non-decreasing values on a grid."""
 
     grid: ThresholdGrid
     values: np.ndarray
-    x: np.ndarray
-    time_index: object
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -128,7 +147,7 @@ class Quantile(float):
         return obj
 
 
-def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
+def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
     """Posterior-mean CDF at in-sample time t for design point x.
 
     Under monotone estimation at an in-sample point the per-draw curves are
@@ -142,20 +161,20 @@ def conditional_cdf(draws, x, t: int, link) -> ConditionalCdf:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
     beta_t = draws.beta[:, :, t, :]
     values = _mean_cdf(lambda lo, hi, out: np.matmul(beta_t[lo:hi], x, out=out),
-                       *beta_t.shape[:2], link)
+                       *beta_t.shape[:2])
     if np.any(np.diff(values) < 0.0):
         values = np.sort(values)
-    return ConditionalCdf(grid=draws.grid, values=values, x=x, time_index=t)
+    return ConditionalCdf(grid=draws.grid, values=values)
 
 
-def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
+def forecast_predictive(draws, x_next, rng) -> ConditionalCdf:
     """One-step-ahead predictive CDF at design point x_next.
 
     Each kept draw's final state is propagated one step with its own
-    innovation variances, the link is applied draw by draw, the curves are
+    innovation variances, Phi is applied draw by draw, the curves are
     averaged, and the average is rearranged.
 
-    Only the projection x'(beta_T + eta) reaches the link, and with
+    Only the projection x'(beta_T + eta) reaches Phi, and with
     eta ~ N(0, diag(sigma2)) the projected innovation x'eta is exactly
     N(0, sum_j x_j^2 sigma2_j). So draw n takes one standard normal z_n,
     shared by its K thresholds, and threshold k uses
@@ -183,8 +202,8 @@ def forecast_predictive(draws, x_next, rng, link) -> ConditionalCdf:
         step *= z[lo:hi, None]
         out += step
 
-    values = np.sort(_mean_cdf(fill, kept, k, link))
-    return ConditionalCdf(grid=draws.grid, values=values, x=x_next, time_index="predictive")
+    values = np.sort(_mean_cdf(fill, kept, k))
+    return ConditionalCdf(grid=draws.grid, values=values)
 
 
 def _curve_block(k: int, kept: int) -> int:
@@ -193,8 +212,8 @@ def _curve_block(k: int, kept: int) -> int:
     return _CURVE_BLOCK if k > 1 else kept
 
 
-def _mean_cdf(fill, kept: int, k: int, link) -> np.ndarray:
-    """Mean over kept draws of ``link.cdf`` of their (kept, K) fits.
+def _mean_cdf(fill, kept: int, k: int) -> np.ndarray:
+    """Mean over kept draws of Phi of their (kept, K) fits.
 
     ``fill(lo, hi, out)`` writes the fits of draws lo..hi-1 into ``out``. The
     draws go through one (block + 1, K) buffer whose row 0 carries the sum so
@@ -208,7 +227,7 @@ def _mean_cdf(fill, kept: int, k: int, link) -> np.ndarray:
         first = 0 if lo == 0 else 1
         rows = buf[first : first + hi - lo]
         fill(lo, hi, rows)
-        link.cdf(rows, out=rows)
+        PROBIT.cdf(rows, out=rows)
         np.add.reduce(buf[: first + hi - lo], axis=0, out=total)
         buf[0] = total
     return np.divide(total, kept, out=total)
@@ -242,10 +261,10 @@ def cdf_interpolate(cdf: ConditionalCdf, at) -> np.ndarray:
     return np.interp(at, xs, vs)
 
 
-def cdf_derivative(draws, x, t: int, j: int, link) -> np.ndarray:
+def cdf_derivative(draws, x, t: int, j: int) -> np.ndarray:
     """Posterior-mean gradient of the CDF in the conditioning variables.
 
-    For the identity design the chain rule gives lambda(x'beta) beta, one
+    For the identity design the chain rule gives phi(x'beta) beta, one
     entry per design coordinate, averaged across kept draws. Expanded
     designs would need the transform Jacobian, which is out of scope here.
     """
@@ -259,5 +278,5 @@ def cdf_derivative(draws, x, t: int, j: int, link) -> np.ndarray:
     if not 0 <= j < draws.n_thresholds:
         raise ValueError(f"threshold index {j} outside 0..{draws.n_thresholds - 1}")
     beta_jt = draws.beta[:, j, t, :]
-    dens = link.pdf(beta_jt @ x)
+    dens = PROBIT.pdf(beta_jt @ x)
     return (dens[:, None] * beta_jt).mean(axis=0)

@@ -33,7 +33,7 @@ from .distribution import (
     forecast_predictive,
     quantile_from_cdf,
 )
-from .model import LINKS, ModelSpec, apply_design_transform, hash_data, run_gibbs
+from .model import ModelSpec, apply_design_transform, hash_data, run_gibbs
 from .samplers import RngHandle
 
 __all__ = [
@@ -152,8 +152,6 @@ class BacktestRecord:
 class BacktestResult:
     records: list
     failures: list          # (origin date, message) for skipped refits
-    report_grid: ThresholdGrid
-    taus: tuple
 
 
 def _tsv_columns(taus, grid: ThresholdGrid):
@@ -239,7 +237,6 @@ def _run_block(payload) -> tuple:
     """Fit once, forecast each origin in the block. Top level so it pickles."""
     (spec, y, x_raw, x_design, train_lo, train_hi, origin_rows, origin_dates,
      outcome_dates, report_points, taus, variant, seed, block_stream) = payload
-    link = LINKS[spec.link]
     records, failures = [], []
     y_train = y[train_lo : train_hi + 1]
     x_train = x_raw[train_lo : train_hi + 1]
@@ -253,9 +250,8 @@ def _run_block(payload) -> tuple:
             failures.append((origin_dates[i], f"refit failed: {exc}"))
         return records, failures
     for i in origin_rows:
-        pred = forecast_predictive(
-            draws, x_design[i], RngHandle(seed, stream=_FORECAST_STREAM_BASE + i), link
-        )
+        pred = forecast_predictive(draws, x_design[i],
+                                   RngHandle(seed, stream=_FORECAST_STREAM_BASE + i))
         quantiles = {t: float(quantile_from_cdf(pred, t)) for t in taus}
         scores = {t: quantile_score(float(y[i]), quantiles[t], t, variant) for t in taus}
         records.append(
@@ -272,26 +268,6 @@ def _run_block(payload) -> tuple:
     return records, failures
 
 
-def _worker_count(workers) -> int:
-    """``workers``, or TVPDR_THREADS when it is None (1 when that is unset
-    or empty). A count below 1 is refused with a ValueError naming its
-    source."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {workers}")
-        return int(workers)
-    text = os.environ.get("TVPDR_THREADS", "")
-    if not text:
-        return 1
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TVPDR_THREADS must be a positive integer, got {text!r}")
-    return workers
-
-
 def expanding_window_backtest(
     plan: BacktestPlan,
     spec: ModelSpec,
@@ -299,7 +275,7 @@ def expanding_window_backtest(
     covariates,
     rng,
     out_path=None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> BacktestResult:
     """Walk origins from the end of the initial window to the sample's edge.
 
@@ -317,15 +293,16 @@ def expanding_window_backtest(
     aligned (y, x), the seed, the covariates, the plan and the predictive
     draw scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
     sidecar is missing or differs is refused with a ValueError naming the
-    keys that differ. ``workers`` above 1 (default from TVPDR_THREADS) fans
-    refit blocks out to processes; per-origin streams keep the output
-    byte-identical either way. The process pool is imported only then. A
-    worker count below 1 is refused before anything is written.
+    keys that differ. ``workers`` above 1 fans refit blocks out to
+    processes; per-origin streams keep the output byte-identical either
+    way. The process pool is imported only then. A worker count below 1 is
+    refused before anything is written.
     """
     if not isinstance(rng, (int, np.integer)):
         raise TypeError(f"rng must be an integer seed, got {type(rng)!r}")
     seed = int(rng)
-    workers = _worker_count(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     if plan.horizon != data.horizon:
         raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 
@@ -405,4 +382,4 @@ def expanding_window_backtest(
             sink.close()
 
     records.sort(key=lambda r: parse_quarter(r.origin))
-    return BacktestResult(records=records, failures=failures, report_grid=spec.grid, taus=plan.taus)
+    return BacktestResult(records=records, failures=failures)

@@ -1,7 +1,7 @@
 """Time-varying-parameter distributional regression, probit link.
 
 The conditional CDF of the outcome at each threshold y on a grid is modeled
-as Lambda(g(x_t)' beta_{y,t}) with the coefficient path beta_{y,:} following
+as Phi(g(x_t)' beta_{y,t}) with the coefficient path beta_{y,:} following
 a random walk. Estimation is Gibbs: latent-utility augmentation per
 observation, a precision-based joint draw of each threshold's path, inverse
 gamma updates for the innovation variances, and, in monotone mode, a
@@ -19,10 +19,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band
-from .distribution import ThresholdGrid
+from .distribution import PROBIT, LinkFunction, ThresholdGrid
 from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
 
@@ -67,22 +66,7 @@ class EstimationError(RuntimeError):
     """A Gibbs update failed; message carries iteration and threshold."""
 
 
-def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class LinkFunction:
-    """CDF link Lambda with its density and inverse."""
-
-    kind: str
-    cdf: callable
-    pdf: callable
-    inverse: callable
-
-
-PROBIT = LinkFunction(kind="probit", cdf=ndtr, pdf=_phi, inverse=ndtri)
-
+# Stored estimates name their link; this is the only one there is.
 LINKS = {"probit": PROBIT}
 
 
@@ -125,12 +109,15 @@ def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything that defines one estimation run except the data and rng."""
+    """Everything that defines one estimation run except the data and rng.
+
+    The link is not a setting: every latent is N(fit, 1) truncated at 0, so
+    the model is probit (``distribution.PROBIT``) by construction.
+    """
 
     d: int
     grid: ThresholdGrid
     design_transform: str = "identity"
-    link: str = "probit"
     iterations: int = 10000
     burnin: int = 5000
     monotone: bool = True
@@ -143,8 +130,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.link not in LINKS:
-            raise ValueError(f"unsupported link {self.link!r} (probit only)")
         if self.design_transform not in DESIGN_TRANSFORMS:
             raise ValueError(f"unknown design transform {self.design_transform!r}")
         if self.burnin < 0 or self.iterations <= self.burnin:
@@ -160,16 +145,14 @@ class ModelSpec:
         s = np.broadcast_to(np.asarray(self.ig_prior_s, dtype=np.float64), (self.d,))
         return np.array(nu), np.array(s)
 
-    def link_function(self) -> LinkFunction:
-        return LINKS[self.link]
-
     def canonical(self) -> dict:
         nu, s = self.prior_arrays()
         return {
             "d": self.d,
             "grid": self.grid.canonical(),
             "design_transform": self.design_transform,
-            "link": self.link,
+            # the sampler is probit by construction; kept so no spec_hash moves
+            "link": "probit",
             "iterations": self.iterations,
             "burnin": self.burnin,
             "monotone": self.monotone,
@@ -210,7 +193,9 @@ class PosteriorDraws:
     ``beta`` is indexed (kept, K, T, d) whatever its memory layout: a loaded
     estimate's is a read-only view of its time-major blob. A fit whose
     buffers keep only the last Q quarters of each path has (kept, K, Q, d),
-    and ``n_obs`` is then Q.
+    and ``n_obs`` is then Q. The draws are of the probit model, so the
+    readers in ``distribution`` need nothing but the draws to turn them
+    into curves.
     """
 
     grid: ThresholdGrid
@@ -221,7 +206,6 @@ class PosteriorDraws:
     spec_hash: str
     data_hash: str
     design_transform: str = "identity"
-    link: str = "probit"
 
     @property
     def kept(self) -> int:
@@ -502,8 +486,9 @@ def draw_beta_monotone(
 
 
 def initial_state(y: np.ndarray, grid: ThresholdGrid, t_len: int, d: int, link: LinkFunction) -> GibbsState:
-    """Deterministic start: intercepts at Lambda^{-1} of a smoothed empirical
-    CDF (strictly increasing across thresholds), zero slopes, sigma2 = 0.01."""
+    """Deterministic start: intercepts at ``link.inverse`` (a fit passes
+    ``PROBIT``) of a smoothed empirical CDF (strictly increasing across
+    thresholds), zero slopes, sigma2 = 0.01."""
     k = grid.n
     counts = (np.asarray(y)[None, :] <= grid.points[:, None]).sum(axis=1)
     p = (counts + (np.arange(k) + 1.0) / (k + 1.0)) / (len(y) + 1.0)
@@ -567,12 +552,11 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
         rng = RngHandle(spec.seed)
     handle = rng if isinstance(rng, RngHandle) else None
     gen = as_generator(rng)
-    link = spec.link_function()
     nu, s = spec.prior_arrays()
     grid = spec.grid
     k = grid.n
 
-    state = initial_state(y, grid, t_len, d, link)
+    state = initial_state(y, grid, t_len, d, PROBIT)
     kept = spec.iterations - spec.burnin
     out_beta, out_sigma2 = buffers(kept, k, t_len, d)
     quarters = out_beta.shape[2]
@@ -635,5 +619,4 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
         spec_hash=spec.spec_hash(),
         data_hash=hash_data(y, x_raw),
         design_transform=spec.design_transform,
-        link=spec.link,
     )

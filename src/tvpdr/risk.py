@@ -16,7 +16,6 @@ import numpy as np
 from .distribution import ConditionalCdf, cdf_interpolate
 
 __all__ = [
-    "RiskSpec",
     "RiskReportRow",
     "deflation_risk",
     "excess_inflation_risk",
@@ -25,26 +24,6 @@ __all__ = [
 ]
 
 DEFAULT_PROBES = (3.0, 4.0, 5.0, 6.0)
-
-
-@dataclass(frozen=True)
-class RiskSpec:
-    """Target range and the tail weighting exponents.
-
-    Defaults describe the preferred range of 1 to 3 percent: downside risk
-    below 1, upside risk above 3, both as plain probabilities (exponent 0).
-    """
-
-    lower_target: float = 1.0
-    upper_target: float = 3.0
-    alpha: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not self.lower_target < self.upper_target:
-            raise ValueError("need lower_target < upper_target")
-        if self.alpha < 0.0 or self.gamma < 0.0:
-            raise ValueError("tail exponents must be >= 0")
 
 
 def _cell_masses(cdf: ConditionalCdf):

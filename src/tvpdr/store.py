@@ -1,7 +1,7 @@
 """On-disk estimate directories: two raw draw blobs plus a plain-text manifest.
 
 An estimate is a directory. MANIFEST holds everything a consumer needs to
-trust the draws (hashes, seed, shapes, grid, design transform) as sorted
+trust the draws (hashes, seed, shapes, grid, link, design transform) as sorted
 key=value lines, grid.tsv lists the thresholds, and the draws are two flat
 little-endian float64 blobs:
 
@@ -196,7 +196,7 @@ def save_estimate(path: str, draws: PosteriorDraws) -> None:
         "n_thresholds": draws.n_thresholds,
         "n_obs": draws.n_obs,
         "d": draws.d,
-        "link": draws.link,
+        "link": "probit",
         "design_transform": draws.design_transform,
         "grid_min": float(draws.grid.min_value),
         "grid_max": float(draws.grid.max_value),
@@ -307,7 +307,6 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         spec_hash=spec_hash,
         data_hash=data_hash,
         design_transform=man["design_transform"],
-        link=man["link"],
     )
 
 

@@ -366,7 +366,7 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     batch of all thresholds when unconstrained), neighbor bounds stacked
     afresh and fits recomputed after every monotone draw. Returns the kept
     (beta, sigma2)."""
-    from tvpdr.model import (apply_design_transform, draw_beta_monotone,
+    from tvpdr.model import (PROBIT, apply_design_transform, draw_beta_monotone,
                              draw_beta_unconstrained, draw_latent, draw_sigma2, fitted_values,
                              initial_state)
 
@@ -374,7 +374,7 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     design = apply_design_transform(x, spec.design_transform)
     t_len, d = design.shape
     k = spec.grid.n
-    state = initial_state(y, spec.grid, t_len, d, spec.link_function())
+    state = initial_state(y, spec.grid, t_len, d, PROBIT)
     nu, s = spec.prior_arrays()
     colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
     edge = np.full((1, t_len), np.inf)

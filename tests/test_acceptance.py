@@ -38,7 +38,7 @@ from tvpdr import (
 )
 from tvpdr.banded import BandedMatrix, assemble_precision, cholesky_banded, solve_banded
 from tvpdr.cli import main
-from tvpdr.model import LINKS, draw_sigma2
+from tvpdr.model import draw_sigma2
 from tvpdr.samplers import sample_gaussian_precision
 from tvpdr.risk import DEFAULT_PROBES
 
@@ -50,8 +50,6 @@ from reference import (
     inverse_gamma_cdf,
     kolmogorov_distance,
 )
-
-PROBIT = LINKS["probit"]
 
 
 def verdict(number, name, ok, detail):
@@ -312,7 +310,7 @@ def test_c07_out_of_sample_calibration():
 def gaussian_cdf(mean=0.0, sd=1.0, lo=-8.0, hi=8.0, step=0.002):
     grid = build_threshold_grid(lo, hi, step)
     values = ndtr((grid.points - mean) / sd)
-    return ConditionalCdf(grid=grid, values=values, x=np.zeros(1), time_index=0)
+    return ConditionalCdf(grid=grid, values=values)
 
 
 def test_c08_risk_measure_oracle():
@@ -366,15 +364,15 @@ def test_c09_derivative_finite_difference():
 
     worst = 0.0
     for j in range(k):
-        analytic = cdf_derivative(draws, x, t, j, PROBIT)
+        analytic = cdf_derivative(draws, x, t, j)
         fd = np.empty(d)
         for c in range(d):
             hi = x.copy()
             lo = x.copy()
             hi[c] += h
             lo[c] -= h
-            up = conditional_cdf(draws, hi, t, PROBIT).values[j]
-            dn = conditional_cdf(draws, lo, t, PROBIT).values[j]
+            up = conditional_cdf(draws, hi, t).values[j]
+            dn = conditional_cdf(draws, lo, t).values[j]
             fd[c] = (up - dn) / (2 * h)
         worst = max(worst, float(np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))))
     ok = worst <= 1e-6

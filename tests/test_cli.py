@@ -13,7 +13,7 @@ import tvpdr.model
 from tvpdr.cli import COMMANDS, build_parser, main
 from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import cdf_interpolate, conditional_cdf, forecast_predictive
-from tvpdr.model import PROBIT, apply_design_transform
+from tvpdr.model import apply_design_transform
 from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
 from tvpdr.samplers import RngHandle
 from tvpdr.store import load_estimate
@@ -107,6 +107,16 @@ def test_risk_table(estimate_dir, capsys):
     assert float(table["p_above_3"]) >= float(table["p_above_4"])
 
 
+@pytest.mark.parametrize("bad", [["--lower", "3", "--upper", "1"], ["--alpha", "-1"],
+                                 ["--gamma", "-1"]], ids=["targets", "alpha", "gamma"])
+def test_risk_refuses_bad_targets_and_exponents(estimate_dir, capsys, bad):
+    csv, est, _ = estimate_dir
+    code, stdout, stderr = run(capsys, ["risk", "--data", csv, *DATA_ARGS,
+                                        "--estimate", est, *bad])
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     # risk --predictive uses the row at --date, as forecast --date does
     csv, est, _ = estimate_dir
@@ -123,7 +133,7 @@ def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     assert code == 0
     assert at_date != at_last
 
-    pred = forecast_predictive(draws, x_design[row], RngHandle(5, stream=2), PROBIT)
+    pred = forecast_predictive(draws, x_design[row], RngHandle(5, stream=2))
     want = {
         "deflation_risk(target=1,alpha=1)": deflation_risk(pred, 1.0, 1.0),
         "excess_inflation_risk(target=3,gamma=1)": excess_inflation_risk(pred, 3.0, 1.0),
@@ -226,7 +236,7 @@ def test_reads_take_the_design_transform_from_the_estimate(tmp_path, capsys):
     aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ("infl_P_1q", "u"), lag=1)
     t = aligned.origin_dates.index("2000Q2")
     x = apply_design_transform(aligned.x, "quadratic")[t]
-    want = distribution_mean(conditional_cdf(draws, x, t, PROBIT))
+    want = distribution_mean(conditional_cdf(draws, x, t))
     assert dict(parse_table(stdout)[1:])["mean"] == format(want, ".6g")
 
     code, _, _ = run(capsys, ["forecast", *common])
@@ -274,7 +284,7 @@ def test_evaluate_then_plotdata_round_trip(tmp_path, capsys):
         assert 0.0 <= vals["pit"] <= 1.0
 
 
-def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys, monkeypatch):
+def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)
     argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
@@ -284,10 +294,6 @@ def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys, monkeypatch
         code, stdout, stderr = run(capsys, [*argv, "--workers", workers])
         assert code == 1 and stdout == ""
         assert stderr == f"error: workers must be a positive integer, got {workers}\n"
-    monkeypatch.setenv("TVPDR_THREADS", "-2")
-    code, _, stderr = run(capsys, argv)
-    assert code == 1
-    assert stderr == "error: TVPDR_THREADS must be a positive integer, got '-2'\n"
     assert not os.path.exists(tmp_path / "r.tsv")
 
 

@@ -50,6 +50,21 @@ def test_grid_validation():
                       max_value=0.3, step=0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points", [-1.0, np.nan, 1.0]), ("points", [np.nan]), ("points", [-1.0, 0.0, np.inf]),
+    ("min_value", np.nan), ("max_value", np.nan), ("max_value", np.inf),
+    ("step", np.nan), ("step", np.inf),
+])
+def test_grid_refuses_non_finite_values(field, value):
+    # every ordering and spacing comparison is False on NaN, so without its
+    # own check a NaN grid would pass them all
+    args = {"points": [-1.0, 0.0, 1.0], "min_value": -1.0, "max_value": 1.0, "step": 1.0}
+    ThresholdGrid(**args)
+    args[field] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        ThresholdGrid(**args)
+
+
 def test_conditional_cdf_matches_probit_mixture():
     # hand-built draws: per draw n, beta gives fit a_n at t; the averaged CDF
     # at threshold j must be mean_n Phi(fit_{n,j}); with fits from N(a, b^2)
@@ -71,10 +86,9 @@ def test_conditional_cdf_matches_probit_mixture():
     draws.d = 2
     draws.n_obs = t_len
 
-    cdf = conditional_cdf(draws, np.array([1.0, 0.0]), 1, PROBIT)
+    cdf = conditional_cdf(draws, np.array([1.0, 0.0]), 1)
     want = np.array([probit_mixture_cdf(ai, 0.7) for ai in a])
     assert np.all(np.abs(cdf.values - want) < 0.01)
-    assert cdf.time_index == 1
     assert np.all(np.diff(cdf.values) >= 0.0)
 
 
@@ -93,25 +107,23 @@ def test_conditional_cdf_rearranges_only_when_needed():
     draws.design_transform = "identity"
     draws.d = 1
     draws.n_obs = 2
-    cdf = conditional_cdf(draws, np.array([1.0]), 0, PROBIT)
+    cdf = conditional_cdf(draws, np.array([1.0]), 0)
     want = np.sort(ndtr(np.array([0.5, -0.5, 0.0])))
     assert np.allclose(cdf.values, want)
     # a finalized curve is never rearranged: unsorted values are refused
     with pytest.raises(ValueError, match="must be non-decreasing; sort them first"):
-        ConditionalCdf(grid=grid, values=np.array([0.5, 0.3, 0.8]), x=np.ones(1), time_index=0)
+        ConditionalCdf(grid=grid, values=np.array([0.5, 0.3, 0.8]))
 
 
 def test_quantile_interpolation_and_censoring():
     grid = build_threshold_grid(0.0, 1.0, 1.0)
-    cdf = ConditionalCdf(grid=grid, values=np.array([0.0, 1.0]), x=np.ones(1),
-                         time_index=0)
+    cdf = ConditionalCdf(grid=grid, values=np.array([0.0, 1.0]))
     q = quantile_from_cdf(cdf, 0.5)
     assert isinstance(q, Quantile)
     assert float(q) == 0.5 and not q.censored
 
     grid2 = build_threshold_grid(0.0, 2.0, 1.0)
-    cdf2 = ConditionalCdf(grid=grid2, values=np.array([0.25, 0.5, 0.75]),
-                          x=np.ones(1), time_index=0)
+    cdf2 = ConditionalCdf(grid=grid2, values=np.array([0.25, 0.5, 0.75]))
     # below the first grid value: censored at the left endpoint
     ql = quantile_from_cdf(cdf2, 0.1)
     assert float(ql) == 0.0 and ql.censored
@@ -127,8 +139,7 @@ def test_quantile_interpolation_and_censoring():
 
 def test_cdf_interpolate_boundary_extension():
     grid = build_threshold_grid(0.0, 1.0, 0.5)
-    cdf = ConditionalCdf(grid=grid, values=np.array([0.2, 0.5, 0.8]),
-                         x=np.ones(1), time_index=0)
+    cdf = ConditionalCdf(grid=grid, values=np.array([0.2, 0.5, 0.8]))
     # inside: linear between knots
     assert np.isclose(cdf_interpolate(cdf, 0.25), 0.35)
     # one step below the grid the curve hits 0, one step above it hits 1
@@ -155,13 +166,11 @@ def fit_small_model(seed=0, t_len=40, monotone=True):
 
 def test_forecast_predictive_is_reproducible_and_monotone():
     draws, x, y = fit_small_model(seed=4)
-    link = PROBIT
-    a = forecast_predictive(draws, x[-1], RngHandle(9), link)
-    b = forecast_predictive(draws, x[-1], RngHandle(9), link)
+    a = forecast_predictive(draws, x[-1], RngHandle(9))
+    b = forecast_predictive(draws, x[-1], RngHandle(9))
     assert np.array_equal(a.values, b.values)
-    assert a.time_index == "predictive"
     assert np.all(np.diff(a.values) >= 0.0)
-    c = forecast_predictive(draws, x[-1], RngHandle(10), link)
+    c = forecast_predictive(draws, x[-1], RngHandle(10))
     assert not np.array_equal(a.values, c.values)
 
 
@@ -193,7 +202,7 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     spread = draws.sigma2 @ (x * x)
     oracle = ndtr(fits / np.sqrt(1.0 + spread)).mean(axis=0)
 
-    curves = np.array([forecast_predictive(draws, x, RngHandle(8, stream=s), PROBIT).values
+    curves = np.array([forecast_predictive(draws, x, RngHandle(8, stream=s)).values
                        for s in range(240)])
     se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
     assert np.all(se > 0.0)
@@ -204,7 +213,7 @@ def test_forecast_predictive_draws_one_innovation_per_kept_draw():
     # each kept draw takes one standard normal, shared by all its thresholds
     draws, x, y = fit_small_model(seed=6)
     xn = x[-1]
-    pred = forecast_predictive(draws, xn, RngHandle(8, stream=3), PROBIT)
+    pred = forecast_predictive(draws, xn, RngHandle(8, stream=3))
 
     z = RngHandle(8, stream=3).rng.standard_normal(draws.kept)
     fits = np.empty((draws.kept, draws.n_thresholds))
@@ -214,7 +223,7 @@ def test_forecast_predictive_draws_one_innovation_per_kept_draw():
     assert np.array_equal(pred.values.view(np.int64), want.view(np.int64))
 
     used = RngHandle(8, stream=3)
-    forecast_predictive(draws, xn, used, PROBIT)
+    forecast_predictive(draws, xn, used)
     ref = RngHandle(8, stream=3).rng
     ref.standard_normal(draws.kept)
     assert np.array_equal(used.rng.random(4), ref.random(4))
@@ -224,8 +233,8 @@ def test_forecast_predictive_widens_the_insample_cdf():
     # the one-step curve folds in innovation noise, so it cannot be sharper
     # at the extremes than the in-sample curve at the last time point
     draws, x, y = fit_small_model(seed=5, t_len=60)
-    inc = conditional_cdf(draws, x[-1], draws.n_obs - 1, PROBIT)
-    prd = forecast_predictive(draws, x[-1], RngHandle(11), PROBIT)
+    inc = conditional_cdf(draws, x[-1], draws.n_obs - 1)
+    prd = forecast_predictive(draws, x[-1], RngHandle(11))
     spread_in = inc.values.max() - inc.values.min()
     spread_out = prd.values.max() - prd.values.min()
     assert spread_out <= spread_in + 0.02
@@ -237,7 +246,7 @@ def test_cdf_derivative_matches_finite_differences():
     t = 10
     point = x[t]
     step = 1e-5
-    grad = cdf_derivative(draws, point, t, j, PROBIT)
+    grad = cdf_derivative(draws, point, t, j)
     for i in range(2):
         hi, lo = point.copy(), point.copy()
         hi[i] += step
@@ -252,15 +261,15 @@ def test_cdf_derivative_rejects_transformed_designs():
     draws, x, y = fit_small_model(seed=7)
     draws.design_transform = "quadratic"
     with pytest.raises(ValueError, match="identity"):
-        cdf_derivative(draws, x[0], 0, 0, PROBIT)
+        cdf_derivative(draws, x[0], 0, 0)
 
 
 def test_conditional_cdf_validates_time_index():
     draws, x, y = fit_small_model(seed=8)
     with pytest.raises(ValueError):
-        conditional_cdf(draws, x[0], draws.n_obs, PROBIT)
+        conditional_cdf(draws, x[0], draws.n_obs)
     with pytest.raises(ValueError):
-        conditional_cdf(draws, x[0], -1, PROBIT)
+        conditional_cdf(draws, x[0], -1)
 
 
 @pytest.mark.parametrize("kept", [1, 63, 64, 65, 997])
@@ -281,9 +290,9 @@ def test_blocked_read_curves_equal_the_one_shot_curves(kept):
             draws = PosteriorDraws(grid=grid, beta=layout, sigma2=sigma2, seed=0, stream=0,
                                    spec_hash="a", data_hash="b")
             for t in (0, t_len - 1):
-                got = conditional_cdf(draws, x, t, PROBIT).values
+                got = conditional_cdf(draws, x, t).values
                 assert got.tobytes() == frozen_conditional_cdf(draws, x, t, PROBIT).tobytes()
             ours, frozen = as_generator(RngHandle(3, stream=k)), as_generator(RngHandle(3, stream=k))
-            got = forecast_predictive(draws, x, ours, PROBIT).values
+            got = forecast_predictive(draws, x, ours).values
             assert got.tobytes() == frozen_forecast_predictive(draws, x, frozen, PROBIT).tobytes()
             assert pickle.dumps(ours.bit_generator.state) == pickle.dumps(frozen.bit_generator.state)

@@ -78,7 +78,8 @@ def test_model_spec_validation_and_hash():
         ModelSpec(d=0, grid=grid)
     with pytest.raises(ValueError):
         ModelSpec(d=2, grid=grid, burnin=10, iterations=10)
-    with pytest.raises(ValueError):
+    # the model is probit by construction: the link is not a setting
+    with pytest.raises(TypeError):
         ModelSpec(d=2, grid=grid, link="logit")
     with pytest.raises(ValueError):
         ModelSpec(d=2, grid=grid, ig_prior_s=-1.0)

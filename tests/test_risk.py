@@ -12,7 +12,6 @@ from scipy.special import ndtr
 from tvpdr.distribution import ConditionalCdf, build_threshold_grid
 from tvpdr.risk import (
     DEFAULT_PROBES,
-    RiskSpec,
     compare_distributions,
     deflation_risk,
     distribution_mean,
@@ -25,18 +24,21 @@ from reference import PHI0
 def gaussian_cdf(lo=-8.0, hi=8.0, step=0.002, mean=0.0, sd=1.0):
     grid = build_threshold_grid(lo, hi, step)
     values = ndtr((grid.points - mean) / sd)
-    return ConditionalCdf(grid=grid, values=values, x=np.ones(1), time_index=0)
+    return ConditionalCdf(grid=grid, values=values)
 
 
-def test_risk_spec_defaults_and_validation():
-    spec = RiskSpec()
-    assert spec.lower_target == 1.0 and spec.upper_target == 3.0
-    assert spec.alpha == 0.0 and spec.gamma == 0.0
+def test_risk_measures_validate_exponents_and_targets():
+    # the measures check their own inputs; the CLI adds lower < upper
+    cdf = gaussian_cdf()
     assert DEFAULT_PROBES == (3.0, 4.0, 5.0, 6.0)
-    with pytest.raises(ValueError):
-        RiskSpec(lower_target=3.0, upper_target=1.0)
-    with pytest.raises(ValueError):
-        RiskSpec(alpha=-0.5)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        deflation_risk(cdf, 1.0, -0.5)
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        excess_inflation_risk(cdf, 3.0, -0.5)
+    with pytest.raises(ValueError, match="lower_target must be finite"):
+        deflation_risk(cdf, np.nan, 0.0)
+    with pytest.raises(ValueError, match="upper_target must be finite"):
+        excess_inflation_risk(cdf, np.inf, 0.0)
 
 
 def test_exponent_zero_reduces_to_probabilities():

@@ -32,7 +32,6 @@ from tvpdr import (
     run_gibbs,
     save_estimate,
 )
-from tvpdr.model import PROBIT
 
 
 def make_draws(seed=0, kept=7, k=3, t_len=11, d=2):
@@ -73,7 +72,7 @@ def test_round_trip_is_exact(tmp_path):
     assert back.stream == draws.stream
     assert back.spec_hash == draws.spec_hash
     assert back.data_hash == draws.data_hash
-    assert back.link == "probit"
+    assert read_manifest(where)["link"] == "probit"
     assert back.design_transform == "identity"
 
 
@@ -115,6 +114,42 @@ def test_manifest_is_sorted_and_timestamp_free(tmp_path):
     man = read_manifest(where)
     assert man["format"] == "tvpdr-estimate-2"
     assert int(man["kept"]) == 7
+
+
+def test_manifest_and_grid_text_are_pinned(tmp_path):
+    # the on-disk format, literally: a renamed key, a changed value or a
+    # different float spelling (repr round-trips) shows up here
+    grid = build_threshold_grid(-0.2, 0.1, 0.1)
+    draws = PosteriorDraws(grid=grid, beta=np.zeros((2, grid.n, 5, 3)),
+                           sigma2=np.ones((2, grid.n, 3)), seed=5, stream=2,
+                           spec_hash="a" * 64, data_hash="b" * 64,
+                           design_transform="quadratic")
+    where = tmp_path / "est"
+    save_estimate(str(where), draws)
+    assert sorted(os.listdir(where)) == ["MANIFEST", "beta.f64", "grid.tsv", "sigma2.f64"]
+    assert (where / "MANIFEST").read_text(encoding="utf-8") == (
+        "d=3\n"
+        f"data_hash={'b' * 64}\n"
+        "design_transform=quadratic\n"
+        "format=tvpdr-estimate-2\n"
+        "grid_max=0.1\n"
+        "grid_min=-0.2\n"
+        "grid_step=0.1\n"
+        "kept=2\n"
+        "link=probit\n"
+        "n_obs=5\n"
+        "n_thresholds=4\n"
+        "seed=5\n"
+        f"spec_hash={'a' * 64}\n"
+        "stream=2\n"
+    )
+    assert (where / "grid.tsv").read_text(encoding="utf-8") == (
+        "index\tthreshold\n"
+        "0\t-0.2\n"
+        "1\t-0.1\n"
+        "2\t0.0\n"
+        "3\t0.10000000000000003\n"
+    )
 
 
 def test_wrong_data_hash_is_refused(tmp_path):
@@ -194,6 +229,18 @@ def test_unknown_link_or_design_transform_is_refused(tmp_path, line, value):
     Path(name).write_text(text.replace(line, value), encoding="utf-8")
     shown = value.split("=")[1]
     with pytest.raises(StoreError, match=f"est: unknown .*'{shown}'"):
+        load_estimate(where)
+
+
+@pytest.mark.parametrize("key", ["grid_step", "grid_min", "grid_max"])
+def test_non_finite_grid_parameter_is_a_store_error(tmp_path, key):
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    text = Path(name).read_text(encoding="utf-8")
+    line = next(ln for ln in text.splitlines() if ln.startswith(key + "="))
+    Path(name).write_text(text.replace(line + "\n", f"{key}=nan\n"), encoding="utf-8")
+    with pytest.raises(StoreError, match="must be finite"):
         load_estimate(where)
 
 
@@ -568,12 +615,12 @@ def test_reads_on_loaded_draws_equal_in_memory_reads_bitwise(tmp_path, d):
     back = load_estimate(where)
     design = np.column_stack([np.ones(t_len), rng.standard_normal((t_len, d - 1))])
     for t in range(t_len):
-        a = conditional_cdf(draws, design[t], t, PROBIT)
-        b = conditional_cdf(back, design[t], t, PROBIT)
+        a = conditional_cdf(draws, design[t], t)
+        b = conditional_cdf(back, design[t], t)
         assert same_bits(a.values, b.values), t
         for j in (0, k // 2, k - 1):
-            assert same_bits(cdf_derivative(draws, design[t], t, j, PROBIT),
-                             cdf_derivative(back, design[t], t, j, PROBIT)), (t, j)
-    a = forecast_predictive(draws, design[-1], RngHandle(5, stream=2), PROBIT)
-    b = forecast_predictive(back, design[-1], RngHandle(5, stream=2), PROBIT)
+            assert same_bits(cdf_derivative(draws, design[t], t, j),
+                             cdf_derivative(back, design[t], t, j)), (t, j)
+    a = forecast_predictive(draws, design[-1], RngHandle(5, stream=2))
+    b = forecast_predictive(back, design[-1], RngHandle(5, stream=2))
     assert same_bits(a.values, b.values)

@@ -22,6 +22,7 @@ __all__ = [
     "cholesky_banded",
     "solve_banded",
     "likelihood_band",
+    "walk_diagonal",
     "assemble_precision",
 ]
 
@@ -180,6 +181,20 @@ def likelihood_band(design: np.ndarray) -> np.ndarray:
     return band
 
 
+def walk_diagonal(t_len: int) -> np.ndarray:
+    """Diagonal (2, ..., 2, 1) of D'D, the random-walk prior's T x T part.
+
+    D is the first-difference matrix including the initial condition, so
+    the first state gets 1 from beta_1 ~ N(0, Sigma) plus 1 from the first
+    difference, every interior state touches two differences, and the last
+    touches only one. Off the diagonal D'D is -1. This is the one place the
+    prior's diagonal is written.
+    """
+    walk = np.full(t_len, 2.0)
+    walk[-1] = 1.0
+    return walk
+
+
 def assemble_precision(
     design: np.ndarray,
     sigma2: np.ndarray,
@@ -245,16 +260,11 @@ def assemble_precision(
     cols = out.T.reshape(n_paths, t_len, d, d + 1)
     cols[...] = likelihood
 
-    # Random-walk prior part: (D'D) kron diag(1/sigma2). D'D is tridiagonal
-    # with diagonal (2, ..., 2, 1) and -1 off the diagonal: the first block
-    # gets 1 from the initial condition beta_1 ~ N(0, Sigma) plus 1 from the
-    # first difference, every interior block touches two differences, and
-    # the last block touches only one. Both bands are written as (B, d, T)
-    # views, so the long time axis is the inner loop.
-    walk = np.full(t_len, 2.0)
-    walk[-1] = 1.0
+    # Random-walk prior part: (D'D) kron diag(1/sigma2), D'D tridiagonal with
+    # ``walk_diagonal`` on the diagonal and -1 off it. Both bands are written
+    # as (B, d, T) views, so the long time axis is the inner loop.
     diag = cols[..., 0].transpose(0, 2, 1)
-    diag += np.multiply.outer(inv, walk)
+    diag += np.multiply.outer(inv, walk_diagonal(t_len))
     cols[:, :-1, :, d].transpose(0, 2, 1)[...] = -inv[:, :, None]
 
     return BandedMatrix(dim=shape[1], bandwidth=d, diagonals=out)

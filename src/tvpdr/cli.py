@@ -36,7 +36,8 @@ from .evaluation import (
     pit_uniformity_band,
     SCORE_VARIANTS,
 )
-from .model import EstimationError, ModelSpec, apply_design_transform, hash_data, run_gibbs
+from .model import (DESIGN_TRANSFORMS, EstimationError, ModelSpec, apply_design_transform,
+                    hash_data, run_gibbs)
 from .risk import (
     DEFAULT_PROBES,
     compare_distributions,
@@ -89,17 +90,23 @@ def _add_data_options(p: argparse.ArgumentParser):
 
 
 def _add_model_options(p: argparse.ArgumentParser):
+    # the model's defaults are ModelSpec's; the grid is built from --grid-* here
     g = p.add_argument_group("model")
-    g.add_argument("--iters", type=int, default=10000, help="total Gibbs iterations")
-    g.add_argument("--burnin", type=int, default=5000, help="discarded initial iterations")
-    g.add_argument("--monotone", choices=("on", "off"), default="on",
+    g.add_argument("--iters", type=int, default=ModelSpec.iterations,
+                   help="total Gibbs iterations")
+    g.add_argument("--burnin", type=int, default=ModelSpec.burnin,
+                   help="discarded initial iterations")
+    g.add_argument("--monotone", choices=("on", "off"),
+                   default="on" if ModelSpec.monotone else "off",
                    help="enforce ordering across thresholds inside the sampler")
     g.add_argument("--grid-step", type=float, default=0.1, help="threshold spacing")
     g.add_argument("--grid-min", type=float, help="lowest threshold (default: sample min)")
     g.add_argument("--grid-max", type=float, help="highest threshold (default: sample max)")
-    g.add_argument("--design-transform", choices=("identity", "quadratic"), default="identity")
-    g.add_argument("--sweeps", type=int, default=5, help="truncated Gibbs sweeps per threshold")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--design-transform", choices=tuple(DESIGN_TRANSFORMS),
+                   default=ModelSpec.design_transform)
+    g.add_argument("--sweeps", type=int, default=ModelSpec.truncation_sweeps,
+                   help="truncated Gibbs sweeps per threshold")
+    g.add_argument("--seed", type=int, default=ModelSpec.seed)
 
 
 def _load_dataset(args):
@@ -362,9 +369,9 @@ def _evaluate_options(p: argparse.ArgumentParser):
     _add_model_options(p)
     p.add_argument("--initial-start", required=True, help="first training quarter")
     p.add_argument("--initial-end", required=True, help="first forecast origin quarter")
-    p.add_argument("--refit-every", type=int, default=1)
-    p.add_argument("--taus", type=_comma_floats, default=(0.05, 0.95))
-    p.add_argument("--variant", choices=SCORE_VARIANTS, default="standard")
+    p.add_argument("--refit-every", type=int, default=BacktestPlan.refit_every)
+    p.add_argument("--taus", type=_comma_floats, default=BacktestPlan.taus)
+    p.add_argument("--variant", choices=SCORE_VARIANTS, default=BacktestPlan.score_variant)
     p.add_argument("--out", help="records TSV, appended to and resumed from")
     p.add_argument("--workers", type=int, default=1, help="refit blocks in parallel")
     p.set_defaults(func=_cmd_evaluate)

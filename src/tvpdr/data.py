@@ -272,7 +272,6 @@ class AlignedDesign:
 
     y: np.ndarray
     x: np.ndarray              # (T, 1 + len(covariates)), intercept first
-    covariates: tuple
     origin_dates: tuple
     outcome_dates: tuple
     offset: int
@@ -291,7 +290,6 @@ def assemble_design(dataset: MacroDataset, covariates, lag: int = 1) -> AlignedD
         raise ValueError("dataset has no inflation target; call with_inflation first")
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    covariates = tuple(covariates)
     offset = dataset.horizon + (lag - 1)
     n = dataset.n
 
@@ -319,7 +317,6 @@ def assemble_design(dataset: MacroDataset, covariates, lag: int = 1) -> AlignedD
     return AlignedDesign(
         y=np.ascontiguousarray(y),
         x=np.ascontiguousarray(x),
-        covariates=covariates,
         origin_dates=tuple(dataset.dates[i] for i in rows),
         outcome_dates=tuple(dataset.dates[i + offset] for i in rows),
         offset=offset,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band
+from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band, walk_diagonal
 from .distribution import PROBIT, LinkFunction, ThresholdGrid
 from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
@@ -179,11 +179,17 @@ def hash_data(y: np.ndarray, x: np.ndarray) -> str:
 
 @dataclass
 class GibbsState:
-    """Mutable sampler state: one path and variance vector per threshold."""
+    """Mutable sampler state: one path and variance vector per threshold.
+
+    ``fitted`` is ``fitted_values(design, beta)``, the fits the draws
+    exchange: ``run_gibbs`` refreshes a batch's rows whenever it draws the
+    batch's paths, in both modes, and the next latent draw and the
+    neighbors' ordering boxes read them from here.
+    """
 
     beta: np.ndarray    # (K, T, d)
     sigma2: np.ndarray  # (K, d)
-    fitted: np.ndarray  # (K, T), always fitted_values of beta
+    fitted: np.ndarray  # (K, T)
 
 
 @dataclass(eq=False)
@@ -232,13 +238,14 @@ def _latent_box(threshold, y: np.ndarray) -> tuple:
     return below, np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY)
 
 
-def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, rng,
-                box=None) -> np.ndarray:
-    """Latent utilities: one-sided truncated normals around the fitted index.
+def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np.ndarray:
+    """Latent utilities: one-sided truncated normals around the fits.
 
-    Observations with y_t <= threshold draw from N(fit, 1) on (0, inf), the
-    rest on (-inf, 0), so the sign always reproduces the indicator. With B
-    thresholds and paths (B, T, d) this is one (B, T) draw. The draws are
+    ``fits`` is g(x_t)' beta_t, ``fitted_values(design, beta)`` of the
+    current path; ``run_gibbs`` passes the state's fits. Observations with
+    y_t <= threshold draw from N(fit, 1) on (0, inf), the rest on
+    (-inf, 0), so the sign always reproduces the indicator. With B
+    thresholds and fits (B, T) this is one (B, T) draw. The draws are
     those of ``sample_truncated_normal`` with these bounds, through its
     unchecked one-sided core, which takes ndtr only at each latent's finite
     bound: the fit is checked here, the bounds are valid by construction,
@@ -250,12 +257,12 @@ def draw_latent(threshold, y: np.ndarray, design: np.ndarray, beta: np.ndarray, 
     builds them once per fit, as ``_latent_box(threshold, y)``, and passes
     them as ``box``; the draws are the same.
     """
-    mean = fitted_values(design, beta)
-    if not np.isfinite(mean).all():
+    fits = np.asarray(fits, dtype=np.float64)
+    if not np.isfinite(fits).all():
         raise ValueError("latent draw needs finite fitted values")
     if box is None:
         box = _latent_box(threshold, y)
-    return _draw_one_sided(mean, *box, as_generator(rng))
+    return _draw_one_sided(fits, *box, as_generator(rng))
 
 
 def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
@@ -340,9 +347,7 @@ def _intercept_system(design, latent, sigma2, rest):
     exact-zero terms, so every entry equals the joint system's bit for bit.
     """
     inv = 1.0 / sigma2[:, :1]
-    walk = np.full(latent.shape[-1], 2.0)
-    walk[-1] = 1.0
-    diag = 1.0 + inv * walk
+    diag = 1.0 + inv * walk_diagonal(latent.shape[-1])
     off = np.zeros_like(diag)
     off[:, :-1] = -inv
     acc = diag * rest[..., 0]
@@ -394,7 +399,7 @@ def draw_beta_monotone(
     latent,
     sigma2,
     rng,
-    sweeps: int = 5,
+    sweeps: int = ModelSpec.truncation_sweeps,
     warm_start=None,
     likelihood=None,
     out=None,
@@ -488,7 +493,9 @@ def draw_beta_monotone(
 def initial_state(y: np.ndarray, grid: ThresholdGrid, t_len: int, d: int, link: LinkFunction) -> GibbsState:
     """Deterministic start: intercepts at ``link.inverse`` (a fit passes
     ``PROBIT``) of a smoothed empirical CDF (strictly increasing across
-    thresholds), zero slopes, sigma2 = 0.01."""
+    thresholds), zero slopes, sigma2 = 0.01. ``fitted`` holds the
+    intercepts, the fits of a design whose first column is ones; a sampler
+    that knows its design sets it to ``fitted_values(design, beta)``."""
     k = grid.n
     counts = (np.asarray(y)[None, :] <= grid.points[:, None]).sum(axis=1)
     p = (counts + (np.arange(k) + 1.0) / (k + 1.0)) / (len(y) + 1.0)
@@ -509,7 +516,10 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
     model design. Thresholds update in batches: one latent draw, one path
-    draw (monotone or not) and one variance draw on each stacked batch. In
+    draw (monotone or not) and one variance draw on each stacked batch. The
+    draws exchange fits: after every batch ``state.fitted`` holds
+    ``fitted_values(design, state.beta)``, and the next latent draw of a
+    batch reads its fits from there instead of recomputing them. In
     monotone mode a threshold sees the others only through its neighbors'
     fits, which bound it below and above, so all even thresholds update
     given the odd ones, then all odd ones given the even ones: a red-black
@@ -519,9 +529,10 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     What does not change within a fit is built once, before the first
     iteration: the likelihood band X'X, each batch's latent bounds, and the
     band storage, which every path draw refills in place. Batches
-    are strided views of the state, and in monotone mode the fits the
-    ordering check computes become the neighbors' bounds directly. The
-    draws are those of calling the public draws batch by batch.
+    are strided views of the state. In monotone mode the fits the ordering
+    check computes become the state's fits, and so the neighbors' bounds,
+    directly; an unconstrained batch computes its fits once after its path
+    draw. The draws are those of calling the public draws batch by batch.
 
     ``buffers(kept, K, T, d)`` returns the (kept, K, Q, d) and (kept, K, d)
     targets that receive the kept draws, one ``target[i] = draw`` per kept
@@ -568,7 +579,8 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     # bounds beyond the ends of the grid, so a batch's neighbor fits are
     # strided views of it. The batches take turns with one band storage:
     # its leading columns are Fortran-ordered storage for a smaller batch.
-    bounds = np.vstack([np.full(t_len, -np.inf), state.fitted, np.full(t_len, np.inf)])
+    bounds = np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
+                        np.full(t_len, np.inf)])
     state.fitted = bounds[1:-1]
     likelihood = likelihood_band(design)
     colors = [slice(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [slice(0, k)]
@@ -583,8 +595,7 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     for it in range(spec.iterations):
         for batch, rows, box, storage, neighbors in work:
             try:
-                latent = draw_latent(grid.points[batch], y, design, state.beta[batch], gen,
-                                     box=box)
+                latent = draw_latent(grid.points[batch], y, state.fitted[batch], gen, box=box)
                 if spec.monotone:
                     beta = draw_beta_monotone(
                         *neighbors, design, latent, state.sigma2[batch], gen,
@@ -594,6 +605,7 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
                 else:
                     beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
                                                    likelihood=likelihood, out=storage)
+                    state.fitted[batch] = fitted_values(design, beta)
                 state.beta[batch] = beta
                 state.sigma2[batch] = draw_sigma2(
                     beta, nu, s, gen, include_initial=spec.include_initial_state_in_ig,

@@ -17,7 +17,8 @@ time-major block of at most ``_BLOCK_BYTES`` and, when the block fills or the
 last draw is in, writes it with one positioned write per quarter; once the
 fit ends it hands back a read-only map of the blob. So a fit holds one block
 of draws in RAM, not all of them, and ``save_estimate`` then only syncs and
-renames the blobs.
+renames the blobs. Draws that live in memory are saved through the same
+writer, so there is one code path that lays a blob out.
 
 A save never rewrites a blob in place. Each is written under a temp name and
 moved over the old one, so a reader that has the previous estimate mapped
@@ -130,37 +131,48 @@ class _DrawWriter:
             raise ValueError(f"{self.name}: {self._count} of {self.shape[0]} kept draws written")
         if self._count > self._start:
             self._write()
-        q, _, k, d = self._block.shape
         self._block = None
-        blob = np.memmap(self.name, dtype="<f8", mode="r", shape=(q, self.shape[0], k, d))
-        return blob.transpose(1, 2, 0, 3).reshape(self.shape)
+        return _kept_major(np.memmap(self.name, dtype="<f8", mode="r"), self.shape)
 
 
-def _is_buffer(disk: np.ndarray, partial: str) -> bool:
-    """True when ``disk`` is the whole map of the temp blob ``partial``."""
-    return (isinstance(disk, np.memmap) and disk.filename == os.path.abspath(partial)
-            and disk.flags.c_contiguous and disk.dtype == "<f8"
-            and os.path.isfile(partial) and os.path.getsize(partial) == disk.nbytes)
+def _kept_major(blob: np.ndarray, shape: tuple) -> np.ndarray:
+    """The view in ``shape``, (kept, K, Q, d) or (kept, K, d), of a blob whose
+    flat C order is time-major (Q, kept, K, d), Q = 1 without a time axis."""
+    kept, k, d = shape[0], shape[1], shape[-1]
+    quarters = shape[2] if len(shape) == 4 else 1
+    return blob.reshape(quarters, kept, k, d).transpose(1, 2, 0, 3).reshape(shape)
 
 
-def _put_blob(path: str, name: str, disk: np.ndarray) -> None:
-    """Store ``disk`` (already in the blob's axis order) as ``name``, by rename.
+def _is_buffer(draws: np.ndarray, partial: str) -> bool:
+    """True when ``draws`` is what ``_DrawWriter.finish()`` returned for the
+    temp blob ``partial``: a map of the whole file in its kept-major view."""
+    if not (isinstance(draws, np.memmap) and draws.filename == os.path.abspath(partial)
+            and draws.dtype == "<f8" and os.path.isfile(partial)
+            and os.path.getsize(partial) == draws.nbytes):
+        return False
+    kept, k, d = draws.shape[0], draws.shape[1], draws.shape[-1]
+    # _kept_major's strides: kept, K, the time-major quarter if any, d
+    want = (8 * k * d, 8 * d) + (8 * kept * k * d,) * (draws.ndim - 3) + (8,)
+    return all(n == 1 or s == w for n, s, w in zip(draws.shape, draws.strides, want))
 
-    A blob from ``draw_buffers`` is synced to disk and renamed. Any other
-    array is written slab by slab along its first axis through one reused
-    buffer.
+
+def _put_blob(path: str, name: str, draws: np.ndarray) -> None:
+    """Store kept draws, (kept, K, Q, d) or (kept, K, d), as ``name``, by rename.
+
+    A blob that a fit streamed through ``draw_buffers`` is synced to disk and
+    renamed. Draws that live in memory are written to the temp blob by a
+    ``_DrawWriter``, a block at a time, and renamed without a sync.
     """
     final = os.path.join(path, name)
     partial = final + _PARTIAL
-    if _is_buffer(disk, partial):
+    if _is_buffer(draws, partial):
         with open(partial, "rb") as fh:
             os.fsync(fh.fileno())
     else:
-        buf = np.empty(disk.shape[1:], dtype="<f8")
-        with open(partial, "wb") as fh:
-            for slab in disk:
-                np.copyto(buf, slab)
-                fh.write(buf)
+        writer = _DrawWriter(partial, draws.shape)
+        for i, draw in enumerate(draws):
+            writer[i] = draw
+        writer.finish()
     os.replace(partial, final)
 
 
@@ -204,7 +216,7 @@ def save_estimate(path: str, draws: PosteriorDraws) -> None:
     }
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(path, "MANIFEST"))
-    _put_blob(path, "beta.f64", draws.beta.transpose(2, 0, 1, 3))
+    _put_blob(path, "beta.f64", draws.beta)
     _put_blob(path, "sigma2.f64", draws.sigma2)
     _put_text(path, "grid.tsv", "index\tthreshold\n" + "".join(
         f"{j}\t{_fmt(float(y))}\n" for j, y in enumerate(draws.grid.points)))
@@ -259,9 +271,13 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         spec_hash, data_hash = man["spec_hash"], man["data_hash"]
     except (KeyError, ValueError) as exc:
         raise StoreError(f"{path}: manifest is missing or corrupt: {exc}") from exc
+    manifest = os.path.join(path, "MANIFEST")
     for key, count in (("kept", kept), ("n_thresholds", k), ("n_obs", t_len), ("d", d)):
         if count < 1:
-            raise StoreError(f"{os.path.join(path, 'MANIFEST')}: {key}={count} must be positive")
+            raise StoreError(f"{manifest}: {key}={count} must be positive")
+    for key, value in (("grid_min", grid_min), ("grid_max", grid_max), ("grid_step", grid_step)):
+        if not math.isfinite(value):
+            raise StoreError(f"{manifest}: {key}={man[key]} must be finite")
     for key, known in (("link", LINKS), ("design_transform", DESIGN_TRANSFORMS)):
         if man.get(key) not in known:
             raise StoreError(f"{path}: unknown {key.replace('_', ' ')} {man.get(key)!r}")
@@ -300,7 +316,8 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
 
     return PosteriorDraws(
         grid=grid,
-        beta=_map_blob(os.path.join(path, "beta.f64"), (t_len, kept, k, d)).transpose(1, 2, 0, 3),
+        beta=_kept_major(_map_blob(os.path.join(path, "beta.f64"), (t_len, kept, k, d)),
+                         (kept, k, t_len, d)),
         sigma2=_map_blob(os.path.join(path, "sigma2.f64"), (kept, k, d)),
         seed=seed,
         stream=stream,

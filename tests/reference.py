@@ -364,7 +364,8 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     """The Gibbs loop written against the package's public draws, batch by
     batch, with nothing built ahead: fancy-indexed red-black batches (one
     batch of all thresholds when unconstrained), neighbor bounds stacked
-    afresh and fits recomputed after every monotone draw. Returns the kept
+    afresh, fits recomputed after every monotone draw and the latents drawn
+    around fits recomputed from the current paths. Returns the kept
     (beta, sigma2)."""
     from tvpdr.model import (PROBIT, apply_design_transform, draw_beta_monotone,
                              draw_beta_unconstrained, draw_latent, draw_sigma2, fitted_values,
@@ -381,7 +382,8 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     kept_beta, kept_sigma2 = [], []
     for it in range(spec.iterations):
         for batch in colors:
-            latent = draw_latent(spec.grid.points[batch], y, design, state.beta[batch], gen)
+            latent = draw_latent(spec.grid.points[batch], y,
+                                 fitted_values(design, state.beta[batch]), gen)
             if spec.monotone:
                 bounds = np.vstack([-edge, state.fitted, edge])
                 beta = draw_beta_monotone(

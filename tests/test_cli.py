@@ -1,19 +1,23 @@
 """End-to-end command line checks on a small synthetic quarterly file."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tvpdr.model
-from tvpdr.cli import COMMANDS, build_parser, main
+from tvpdr.cli import COMMANDS, _build_spec, build_parser, main
 from tvpdr.data import assemble_design, load_csv
-from tvpdr.distribution import cdf_interpolate, conditional_cdf, forecast_predictive
-from tvpdr.model import apply_design_transform
+from tvpdr.distribution import (build_threshold_grid, cdf_interpolate, conditional_cdf,
+                                forecast_predictive)
+from tvpdr.evaluation import BacktestPlan
+from tvpdr.model import ModelSpec, apply_design_transform
 from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
 from tvpdr.samplers import RngHandle
 from tvpdr.store import load_estimate
@@ -394,6 +398,23 @@ DISPATCH_ARGV = {
                  "--workers", "2"],
     "plotdata": ["plotdata", "--records", "r.tsv", "--taus", "0.5", "--out", "tidy.tsv"],
 }
+
+
+def test_commands_without_model_options_take_the_library_defaults():
+    argv = ["--data", "m.csv", "--target", "y", "--covariates", "u"]
+    args = build_parser("estimate").parse_args(["estimate", *argv, "--out", "est"])
+    aligned = SimpleNamespace(y=np.array([0.0, 1.0]))
+    spec = _build_spec(args, aligned, np.ones((2, 2)))
+    want = ModelSpec(d=2, grid=build_threshold_grid(0.0, 1.0, 0.1))
+    assert spec.grid.canonical() == want.grid.canonical()
+    assert all(getattr(spec, f.name) == getattr(want, f.name)
+               for f in dataclasses.fields(ModelSpec) if f.name != "grid")
+
+    args = build_parser("evaluate").parse_args(
+        ["evaluate", *argv, "--initial-start", "1990Q1", "--initial-end", "2000Q1"])
+    plan = BacktestPlan(initial_start="1990Q1", initial_end="2000Q1")
+    assert (args.refit_every, args.taus, args.variant) == (
+        plan.refit_every, plan.taus, plan.score_variant)
 
 
 def test_the_invoked_command_parser_parses_as_the_full_parser(capsys):

@@ -109,7 +109,7 @@ def test_hash_data_tracks_content():
 def test_draw_latent_signs_match_indicator():
     y, x = small_problem(seed=2)
     beta = np.zeros((len(y), 2))
-    z = draw_latent(np.median(y), y, x, beta, RngHandle(3))
+    z = draw_latent(np.median(y), y, fitted_values(x, beta), RngHandle(3))
     below = y <= np.median(y)
     assert np.all(z[below] > 0.0)
     assert np.all(z[~below] < 0.0)
@@ -140,7 +140,7 @@ def test_draw_latent_matches_the_frozen_two_sided_draw():
     for threshold, paths in calls:
         seed = int(rs.integers(2**32))
         new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = draw_latent(threshold, y, design, paths, new_gen)
+        new = draw_latent(threshold, y, fitted_values(design, paths), new_gen)
         _same_draws(new_gen, old_gen, new, frozen_draw_latent(threshold, y, design, paths, old_gen))
     # fitted_values never returns -0.0; the core with draw_latent's constant
     # clamps still matches on it
@@ -160,7 +160,7 @@ def test_draw_latent_rejects_a_non_finite_fit():
     beta = np.zeros((len(y), 2))
     beta[3, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        draw_latent(0.0, y, x, beta, RngHandle(3))
+        draw_latent(0.0, y, fitted_values(x, beta), RngHandle(3))
 
 
 def test_draw_sigma2_matches_the_frozen_draw():
@@ -246,7 +246,7 @@ def test_monotone_draw_respects_neighbor_paths():
     lower = np.full(t_len, -0.8)
     upper = np.full(t_len, 1.1)
     handle = RngHandle(10)
-    z = draw_latent(np.median(y), y, x, np.zeros((t_len, 2)), handle)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
     for _ in range(50):
         beta = draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), handle)
         fit = fitted_values(x, beta)
@@ -258,7 +258,7 @@ def test_monotone_draw_one_sided_and_unbounded():
     y, x = small_problem(seed=11, t_len=15, d=3)
     t_len = len(y)
     handle = RngHandle(12)
-    z = draw_latent(np.median(y), y, x, np.zeros((t_len, 3)), handle)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
     sig = np.full(3, 0.2)
     lo = np.full(t_len, 0.0)
     for _ in range(20):
@@ -277,7 +277,7 @@ def test_monotone_draw_detects_crossing_paths():
     y, x = small_problem(seed=13)
     t_len = len(y)
     handle = RngHandle(14)
-    z = draw_latent(np.median(y), y, x, np.zeros((t_len, 2)), handle)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
     lower = np.zeros(t_len)
     upper = np.zeros(t_len) - 0.1
     with pytest.raises(MonotonicityError, match="cross at t="):
@@ -443,7 +443,7 @@ def test_batched_fitted_values_match_single_calls_bitwise():
 def test_draws_accept_a_leading_threshold_axis():
     y, x = small_problem(seed=26, t_len=10, d=2)
     beta = np.zeros((3, 10, 2))
-    z = draw_latent(np.array([-0.5, 0.0, 0.5]), y, x, beta, RngHandle(27))
+    z = draw_latent(np.array([-0.5, 0.0, 0.5]), y, fitted_values(x, beta), RngHandle(27))
     assert z.shape == (3, 10)
     assert np.all((z > 0.0) == (y <= np.array([-0.5, 0.0, 0.5])[:, None]))
     sig = np.full((3, 2), 0.3)
@@ -473,7 +473,7 @@ def test_monotone_draw_pins_degenerate_boxes(rows):
     lower, upper = lower[rows], upper[rows]
     pinned = lower == upper
     handle = RngHandle(32)
-    z = draw_latent(np.zeros(len(rows)), y, x, np.zeros((len(rows), 10, 2)), handle)
+    z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), handle)
     for _ in range(20):
         fits = fitted_values(x, draw_beta_monotone(lower, upper, x, z,
                                                    np.full((len(rows), 2), 0.3), handle))

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -240,7 +241,7 @@ def test_non_finite_grid_parameter_is_a_store_error(tmp_path, key):
     text = Path(name).read_text(encoding="utf-8")
     line = next(ln for ln in text.splitlines() if ln.startswith(key + "="))
     Path(name).write_text(text.replace(line + "\n", f"{key}=nan\n"), encoding="utf-8")
-    with pytest.raises(StoreError, match="must be finite"):
+    with pytest.raises(StoreError, match=re.escape(f"{name}: {key}=nan must be finite")):
         load_estimate(where)
 
 
@@ -412,13 +413,14 @@ def test_failed_save_never_loads_mixed_draws(tmp_path, monkeypatch, fail_at):
     new = make_draws(seed=2)
     save_estimate(where, old)
     calls = {"copy": 0, "replace": 0}
-    real_copyto, real_replace = np.copyto, os.replace
+    real_pwrite, real_replace = os.pwrite, os.replace
 
-    def copyto(*args, **kwargs):
+    def pwrite(*args, **kwargs):
+        # the writer's third positioned write: beta.f64 is part written
         calls["copy"] += 1
         if fail_at == "copy" and calls["copy"] == 3:
             raise OSError("disk full")
-        return real_copyto(*args, **kwargs)
+        return real_pwrite(*args, **kwargs)
 
     def replace(*args, **kwargs):
         if calls["replace"] == fail_at:
@@ -426,7 +428,7 @@ def test_failed_save_never_loads_mixed_draws(tmp_path, monkeypatch, fail_at):
         calls["replace"] += 1
         return real_replace(*args, **kwargs)
 
-    monkeypatch.setattr(np, "copyto", copyto)
+    monkeypatch.setattr(os, "pwrite", pwrite)
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(OSError, match="disk full"):
         save_estimate(where, new)
@@ -473,7 +475,7 @@ def test_streamed_fit_equals_the_in_memory_fit(tmp_path):
     assert same_bits(streamed.sigma2, in_memory.sigma2)
 
     save_estimate(streamed_dir, streamed)  # flush and rename, no copy
-    save_estimate(written_dir, in_memory)  # slab by slab through one buffer
+    save_estimate(written_dir, in_memory)  # through a writer, a block at a time
     assert read_all_bytes(streamed_dir) == read_all_bytes(written_dir)
     back = load_estimate(streamed_dir)
     assert same_bits(back.beta, in_memory.beta)
@@ -502,7 +504,18 @@ def test_streamed_fit_in_blocks_that_do_not_divide_kept_saves_the_same_bytes(
     assert same_bits(streamed.beta, in_memory.beta)
     assert same_bits(streamed.sigma2, in_memory.sigma2)
     save_estimate(streamed_dir, streamed)
+
+    # the in-memory save goes through the same writer, in the same blocks
+    blocks = []
+
+    class Spy(tvpdr.store._DrawWriter):
+        def _write(self):
+            blocks.append((os.path.basename(self.name), self._count - self._start))
+            super()._write()
+
+    monkeypatch.setattr(tvpdr.store, "_DrawWriter", Spy)
     save_estimate(written_dir, in_memory)
+    assert [n for name, n in blocks if name == "beta.f64.partial"] == [3, 3, 1]
     assert read_all_bytes(streamed_dir) == read_all_bytes(written_dir)
 
 

@@ -6,12 +6,12 @@ Carlo error.
 
 The backtest walks forecast origins in calendar order, refitting every few
 origins and forecasting one step ahead from each origin's own covariates.
-Every origin draws from its own named random stream, so records do not
-depend on which origins ran before them; that is what makes the record file
-resumable after a crash and identical under parallel execution. A sidecar
-next to the records file names what they were computed from, so a resume
-with another spec, seed, data, covariate set, plan or predictive draw is
-refused.
+Every refit block and every origin draw from their own named streams of
+one integer seed, so records do not depend on which origins ran before
+them; that is what makes the record file resumable after a crash and
+identical under parallel execution. A sidecar next to the records file
+names what they were computed from, so a resume with another spec, seed,
+data, covariate set, plan or predictive draw is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import smirnovi
@@ -206,25 +208,25 @@ def _check_meta(out_path, meta: str):
 
 
 def _load_done(out_path, expected_header: list, meta: str) -> set:
-    """Dates already recorded; trims any torn trailing row from a crash.
+    """Dates already recorded; cuts the unterminated tail a crash leaves.
 
-    The layout and the sidecar are checked before anything is rewritten.
+    A row counts only once its newline is written. The layout and the
+    sidecar are checked before the file is touched.
     """
     if not os.path.exists(out_path):
         return set()
-    with open(out_path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0].split("\t") != expected_header:
-        raise ValueError(f"{out_path}: existing records use a different layout")
-    _check_meta(out_path, meta)
-    rows = [ln for ln in lines[1:] if ln]
-    good = [ln for ln in rows if len(ln.split("\t")) == len(expected_header)]
-    if len(good) != len(rows) or (lines and lines[-1] != ""):
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\t".join(expected_header) + "\n")
-            for ln in good:
-                fh.write(ln + "\n")
-    return {ln.split("\t", 1)[0] for ln in good}
+    with open(out_path, "r+b") as fh:
+        text = fh.read()
+        lines = text.decode("utf-8").split("\n")
+        if lines[0].split("\t") != expected_header:
+            raise ValueError(f"{out_path}: existing records use a different layout")
+        _check_meta(out_path, meta)
+        complete = text.rfind(b"\n") + 1
+        if not complete:  # the header lost its newline: give it back
+            fh.write(b"\n")
+        elif complete < len(text):
+            fh.truncate(complete)
+    return {ln.split("\t", 1)[0] for ln in lines[1:-1]}
 
 
 def _last_quarter(kept: int, k: int, t_len: int, d: int):
@@ -233,39 +235,41 @@ def _last_quarter(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
 
 
-def _run_block(payload) -> tuple:
-    """Fit once, forecast each origin in the block. Top level so it pickles."""
-    (spec, y, x_raw, x_design, train_lo, train_hi, origin_rows, origin_dates,
-     outcome_dates, report_points, taus, variant, seed, block_stream) = payload
-    records, failures = [], []
-    y_train = y[train_lo : train_hi + 1]
-    x_train = x_raw[train_lo : train_hi + 1]
+def _run_block(spec: ModelSpec, aligned, x_design, train_lo: int, plan: BacktestPlan,
+               seed: int, job) -> tuple:
+    """Fit once on stream ``job[0]``, forecast each origin of block ``job[1]``.
+
+    Top level so it pickles. Training rows run from ``train_lo`` to the
+    last row whose outcome was known at the block's first origin.
+    """
+    stream, block = job
+    train = slice(train_lo, block[0] - aligned.offset + 1)
+    y_train = aligned.y[train]
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
-        spec_fit = replace(spec, grid=grid)
-        draws = run_gibbs(spec_fit, (y_train, x_train), RngHandle(seed, stream=block_stream),
-                          buffers=_last_quarter)
+        draws = run_gibbs(replace(spec, grid=grid), (y_train, aligned.x[train]),
+                          RngHandle(seed, stream=stream), buffers=_last_quarter)
     except Exception as exc:
-        for i in origin_rows:
-            failures.append((origin_dates[i], f"refit failed: {exc}"))
-        return records, failures
-    for i in origin_rows:
+        return [], [(aligned.origin_dates[i], f"refit failed: {exc}") for i in block]
+    records = []
+    for i in block:
+        realized = float(aligned.y[i])
         pred = forecast_predictive(draws, x_design[i],
                                    RngHandle(seed, stream=_FORECAST_STREAM_BASE + i))
-        quantiles = {t: float(quantile_from_cdf(pred, t)) for t in taus}
-        scores = {t: quantile_score(float(y[i]), quantiles[t], t, variant) for t in taus}
+        quantiles = {t: float(quantile_from_cdf(pred, t)) for t in plan.taus}
         records.append(
             BacktestRecord(
-                origin=origin_dates[i],
-                date=outcome_dates[i],
-                realized=float(y[i]),
-                pit=pit(pred, float(y[i])),
+                origin=aligned.origin_dates[i],
+                date=aligned.outcome_dates[i],
+                realized=realized,
+                pit=pit(pred, realized),
                 quantiles=quantiles,
-                scores=scores,
-                cdf=np.asarray(cdf_interpolate(pred, report_points)),
+                scores={t: quantile_score(realized, quantiles[t], t, plan.score_variant)
+                        for t in plan.taus},
+                cdf=np.asarray(cdf_interpolate(pred, spec.grid.points)),
             )
         )
-    return records, failures
+    return records, []
 
 
 def expanding_window_backtest(
@@ -273,22 +277,24 @@ def expanding_window_backtest(
     spec: ModelSpec,
     data: MacroDataset,
     covariates,
-    rng,
+    seed: int,
     out_path=None,
     workers: int = 1,
 ) -> BacktestResult:
     """Walk origins from the end of the initial window to the sample's edge.
 
-    ``rng`` is an integer seed, not a handle: every stream derives from it
+    ``seed`` is an integer, not a handle: every stream derives from it
     (refit block b draws on stream 1 + b, origin i's forecast on stream
     2**32 + i), so a handle's own stream would be ignored.
 
     Each refit re-estimates from scratch on all rows whose outcome was known
     at the origin (expanding, fixed start), with the threshold grid rebuilt
     from that training sample's range at the template's step. Records are
-    appended to ``out_path`` as they complete; rerunning with an existing
-    file skips finished origins, so an interrupted run resumes where it
-    stopped and ends with the identical file. A fresh file gets the sidecar
+    appended to ``out_path``, whose directory is created if missing, in
+    origin order as they complete. Rerunning with an existing file skips the
+    refit blocks whose rows all ended with a newline, so an interrupted run
+    resumes where it stopped and ends with the identical file; its result
+    holds only the blocks it ran. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
     aligned (y, x), the seed, the covariates, the plan and the predictive
     draw scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
@@ -298,9 +304,9 @@ def expanding_window_backtest(
     way. The process pool is imported only then. A worker count below 1 is
     refused before anything is written.
     """
-    if not isinstance(rng, (int, np.integer)):
-        raise TypeError(f"rng must be an integer seed, got {type(rng)!r}")
-    seed = int(rng)
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"expected an integer seed, got {type(seed)!r}")
+    seed = int(seed)
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     if plan.horizon != data.horizon:
@@ -312,13 +318,11 @@ def expanding_window_backtest(
         raise ValueError(f"design has {x_design.shape[1]} columns, spec says {spec.d}")
 
     origin_q = np.array([parse_quarter(d) for d in aligned.origin_dates])
-    start_q = parse_quarter(plan.initial_start)
-    end_q = parse_quarter(plan.initial_end)
-    candidates = np.nonzero(origin_q >= start_q)[0]
+    candidates = np.nonzero(origin_q >= parse_quarter(plan.initial_start))[0]
     if candidates.size == 0:
         raise ValueError("initial window start is after every aligned row")
     train_lo = int(candidates[0])
-    origins = [int(i) for i in np.nonzero(origin_q >= end_q)[0]]
+    origins = [int(i) for i in np.nonzero(origin_q >= parse_quarter(plan.initial_end))[0]]
     if not origins:
         raise ValueError("no forecast origins at or after the initial window end")
     first_train_len = origins[0] - aligned.offset - train_lo + 1
@@ -327,59 +331,39 @@ def expanding_window_backtest(
             f"initial window holds {max(first_train_len, 0)} observations; need at least 8"
         )
 
-    columns = _tsv_columns(plan.taus, spec.grid)
-    done = set()
-    sink = None
-    if out_path is not None:
-        out_path = os.fspath(out_path)
-        meta = _records_meta(plan, spec, aligned, covariates, seed)
-        done = _load_done(out_path, columns, meta)
-        fresh = not os.path.exists(out_path)
-        if fresh:  # the sidecar goes first, so records never exist without one
-            with open(out_path + ".meta", "w", encoding="utf-8") as fh:
-                fh.write(meta)
-        sink = open(out_path, "a", encoding="utf-8")
-        if fresh:
-            sink.write("\t".join(columns) + "\n")
-            sink.flush()
-
     blocks = [origins[b : b + plan.refit_every] for b in range(0, len(origins), plan.refit_every)]
-    payloads = []
-    for bi, block in enumerate(blocks):
-        if all(aligned.outcome_dates[i] in done for i in block):
-            continue
-        payloads.append((
-            spec, aligned.y, aligned.x, x_design, train_lo, block[0] - aligned.offset,
-            block, aligned.origin_dates, aligned.outcome_dates, spec.grid.points,
-            plan.taus, plan.score_variant, seed, 1 + bi,
-        ))
+    records, failures, done = [], [], set()
+    with ExitStack() as stack:
+        sink = None
+        if out_path is not None:
+            out_path = os.fspath(out_path)
+            columns = _tsv_columns(plan.taus, spec.grid)
+            meta = _records_meta(plan, spec, aligned, covariates, seed)
+            done = _load_done(out_path, columns, meta)
+            if not os.path.exists(out_path):  # the sidecar first: records never lack one
+                os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+                with open(out_path + ".meta", "w", encoding="utf-8") as fh:
+                    fh.write(meta)
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write("\t".join(columns) + "\n")
+            sink = stack.enter_context(open(out_path, "a", encoding="utf-8"))
 
-    records, failures = [], []
-
-    def _consume(block_records, block_failures):
-        for msg in block_failures:
-            failures.append(msg)
-            print(f"refit skipped at {msg[0]}: {msg[1]}", file=sys.stderr)
-        for rec in block_records:
-            records.append(rec)
-            if sink is not None and rec.date not in done:
-                sink.write("\t".join(_record_row(rec, plan.taus)) + "\n")
-                sink.flush()
-
-    try:
-        if workers == 1 or len(payloads) <= 1:
-            for payload in payloads:
-                _consume(*_run_block(payload))
-        else:
+        jobs = [(1 + b, block) for b, block in enumerate(blocks)
+                if not all(aligned.outcome_dates[i] in done for i in block)]
+        run = partial(_run_block, spec, aligned, x_design, train_lo, plan, seed)
+        results = map(run, jobs)
+        if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_block, p) for p in payloads]
-                for fut in futures:  # submission order keeps the file deterministic
-                    _consume(*fut.result())
-    finally:
-        if sink is not None:
-            sink.close()
-
-    records.sort(key=lambda r: parse_quarter(r.origin))
+            # map yields in submission order, which keeps the file deterministic
+            results = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(run, jobs)
+        for block_records, block_failures in results:
+            for origin, msg in block_failures:
+                print(f"refit skipped at {origin}: {msg}", file=sys.stderr)
+            failures += block_failures
+            records += block_records
+            for rec in block_records:
+                if sink is not None and rec.date not in done:
+                    sink.write("\t".join(_record_row(rec, plan.taus)) + "\n")
+                    sink.flush()
     return BacktestResult(records=records, failures=failures)

@@ -515,7 +515,10 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
-    model design. Thresholds update in batches: one latent draw, one path
+    model design. ``rng`` is the ``RngHandle`` the fit draws from,
+    ``RngHandle(spec.seed)`` if None; the result records its seed and
+    stream, so anything else, a bare numpy Generator included, is a
+    TypeError. Thresholds update in batches: one latent draw, one path
     draw (monotone or not) and one variance draw on each stacked batch. The
     draws exchange fits: after every batch ``state.fitted`` holds
     ``fitted_values(design, state.beta)``, and the next latent draw of a
@@ -561,8 +564,9 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
 
     if rng is None:
         rng = RngHandle(spec.seed)
-    handle = rng if isinstance(rng, RngHandle) else None
-    gen = as_generator(rng)
+    if not isinstance(rng, RngHandle):
+        raise TypeError(f"rng must be an RngHandle or None, got {type(rng)!r}")
+    gen = rng.rng
     nu, s = spec.prior_arrays()
     grid = spec.grid
     k = grid.n
@@ -626,8 +630,8 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
         grid=grid,
         beta=beta,
         sigma2=sigma2,
-        seed=int(handle.seed) if handle is not None else int(spec.seed),
-        stream=int(handle.stream) if handle is not None else 0,
+        seed=int(rng.seed),
+        stream=int(rng.stream),
         spec_hash=spec.spec_hash(),
         data_hash=hash_data(y, x_raw),
         design_transform=spec.design_transform,

@@ -301,6 +301,23 @@ def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "r.tsv")
 
 
+def test_evaluate_creates_the_directory_of_its_records(tmp_path, capsys):
+    # as estimate --out does, but only once every argument has been checked
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    out = tmp_path / "runs" / "a" / "records.tsv"
+    argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+            "--initial-start", dates[0], "--initial-end", dates[-10], "--out", str(out)]
+    code, stdout, stderr = run(capsys, [*argv, "--workers", "0"])
+    assert code == 1 and stdout == "" and "workers must be a positive integer" in stderr
+    assert not (tmp_path / "runs").exists()
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 0 and stderr == ""
+    assert dict(parse_table(stdout))["records"] == "9"
+    assert sorted(os.listdir(out.parent)) == ["records.tsv", "records.tsv.meta"]
+    assert len(out.read_text(encoding="utf-8").split("\n")) == 1 + 9 + 1
+
+
 def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)

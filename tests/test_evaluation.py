@@ -147,17 +147,22 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     full = tmp_path / "full.tsv"
     expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(full))
 
-    # simulate a crash part way through, with a torn final line
-    torn = tmp_path / "torn.tsv"
-    lines = full.read_text().split("\n")
-    torn.write_text("\n".join(lines[:5]) + "\n" + lines[5][:17])
-    (tmp_path / "torn.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
-    resumed = expanding_window_backtest(plan, spec, ds, cov, 4,
-                                        out_path=str(torn))
-    assert torn.read_bytes() == full.read_bytes()
-    # the resumed call recomputes whole refit blocks but returns only rows
-    # it appended or re-verified deterministically
-    assert all(r.date for r in resumed.records)
+    # simulate a crash part way through, torn at three points: part way
+    # through a row; inside the last cell, where the row still has every
+    # cell; and after the header, before its newline
+    text = full.read_text()
+    lines = text.split("\n")
+    assert len(lines[-2].rsplit("\t", 1)[1]) >= 2  # so text[:-2] ends inside it
+    tears = ["\n".join(lines[:5]) + "\n" + lines[5][:17], text[:-2], lines[0]]
+    for n, head in enumerate(tears):
+        torn = tmp_path / f"torn{n}.tsv"
+        torn.write_text(head)
+        (tmp_path / f"torn{n}.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
+        resumed = expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(torn))
+        assert torn.read_bytes() == full.read_bytes(), f"tear {n}"
+        # the resumed call recomputes whole refit blocks but returns only rows
+        # it appended or re-verified deterministically
+        assert all(r.date for r in resumed.records)
 
     par = tmp_path / "par.tsv"
     expanding_window_backtest(plan, spec, ds, cov, 4,
@@ -197,13 +202,13 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     other = synthetic_dataset(seed=1)
     other.series["infl_P_1q"][40] += 0.25
     mismatches = [
-        (dict(rng=5), "seed"),
+        (dict(seed=5), "seed"),
         (dict(spec=replace(spec, iterations=31)), "spec_hash"),
         (dict(plan=replace(plan, refit_every=2)), "plan.refit_every"),
         (dict(data=other), "data_hash"),
     ]
     for change, key in mismatches:
-        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, rng=4) | change
+        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, seed=4) | change
         with pytest.raises(ValueError, match=rf"different {key}; refusing to resume"):
             expanding_window_backtest(**args, out_path=str(out))
         assert out.read_bytes() == records and sidecar.read_bytes() == meta
@@ -269,7 +274,7 @@ def test_backtest_validates_window_and_horizon():
                                   spec, ds, ["infl_P_1q", "u"], 6)
     with pytest.raises(TypeError):
         expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], rng=None)
+                                  spec, ds, ["infl_P_1q", "u"], seed=None)
     # every stream derives from the seed, so a handle's stream would be ignored
     with pytest.raises(TypeError, match="integer seed"):
         expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),

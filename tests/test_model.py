@@ -338,6 +338,19 @@ def test_run_gibbs_shapes_metadata_and_reproducibility():
     assert c.stream == 3
 
 
+def test_run_gibbs_takes_only_a_handle_whose_stream_it_records():
+    # a bare Generator has no seed or stream, so the result would record
+    # spec.seed on stream 0, a stream the fit never drew from
+    y, x = small_problem(seed=19, t_len=12)
+    grid = build_threshold_grid(float(y.min()), float(y.max()), 0.5)
+    spec = ModelSpec(d=2, grid=grid, iterations=4, burnin=2, seed=9)
+    for rng in (np.random.default_rng(123), 123):
+        with pytest.raises(TypeError, match="RngHandle or None"):
+            run_gibbs(spec, (y, x), rng)
+    draws = run_gibbs(spec, (y, x), RngHandle(5, stream=2))
+    assert (draws.seed, draws.stream) == (5, 2)
+
+
 def test_run_gibbs_kept_ordering_every_iteration():
     y, x = small_problem(seed=20, t_len=30)
     grid = build_threshold_grid(float(y.min()), float(y.max()), 0.4)

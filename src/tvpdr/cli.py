@@ -57,10 +57,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _print_rows(rows, out=None):
-    out = out or sys.stdout
+def _print_rows(rows):
     for row in rows:
-        out.write("\t".join(_fmt(c) for c in row) + "\n")
+        sys.stdout.write("\t".join(_fmt(c) for c in row) + "\n")
 
 
 def _comma_floats(text: str):
@@ -188,8 +187,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_forecast(args) -> int:
     _, aligned, x_design, draws = _load_for_reading(args)
-    pred = forecast_predictive(draws, x_design[_row(aligned, args.date)],
-                               RngHandle(args.seed, stream=args.stream))
+    pred = forecast_predictive(draws, x_design[_row(aligned, args.date)])
     rows = [("statistic", "value", "censored")]
     for tau in args.taus:
         q = quantile_from_cdf(pred, tau)
@@ -199,16 +197,11 @@ def _cmd_forecast(args) -> int:
     return 0
 
 
-def _conditioning_cdf(args, aligned, x_design, draws) -> ConditionalCdf:
-    t = _row(aligned, args.date)
-    if args.predictive:
-        return forecast_predictive(draws, x_design[t], RngHandle(args.seed, stream=args.stream))
-    return conditional_cdf(draws, x_design[t], t)
-
-
 def _cmd_risk(args) -> int:
     _, aligned, x_design, draws = _load_for_reading(args)
-    cdf = _conditioning_cdf(args, aligned, x_design, draws)
+    t = _row(aligned, args.date)
+    cdf = (forecast_predictive(draws, x_design[t]) if args.predictive
+           else conditional_cdf(draws, x_design[t], t))
     # the risk measures check their own exponents and targets
     if not args.lower < args.upper:
         raise ValueError("need lower_target < upper_target")
@@ -318,6 +311,11 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
+def _add_unused_rng_options(p: argparse.ArgumentParser):
+    for flag in ("--seed", "--stream"):  # older command lines still parse
+        p.add_argument(flag, type=int, default=0, help="no effect: reads draw no random numbers")
+
+
 def _estimate_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     _add_model_options(p)
@@ -328,27 +326,27 @@ def _estimate_options(p: argparse.ArgumentParser):
 def _forecast_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     p.add_argument("--estimate", required=True, help="directory written by estimate")
-    p.add_argument("--date", help="forecast origin quarter (default: last aligned row)")
+    p.add_argument("--date", help="design row to forecast from (default: last aligned row); "
+                                  "the state is the estimate's last, beta_T")
     p.add_argument("--taus", type=_comma_floats, default=(0.05, 0.5, 0.95))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
+    _add_unused_rng_options(p)
     p.set_defaults(func=_cmd_forecast)
 
 
 def _risk_options(p: argparse.ArgumentParser):
     _add_data_options(p)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--date", help="conditioning quarter (default: last aligned row)")
+    p.add_argument("--date", help="conditioning quarter (default: last aligned row); "
+                                  "with --predictive only its design row is used")
     p.add_argument("--predictive", action="store_true",
-                   help="use the one-step-ahead curve from the --date row instead of "
-                        "that quarter's in-sample curve")
+                   help="the one-step-ahead curve instead of the in-sample one: the "
+                        "estimate's last state beta_T moved one step, at the --date design row")
     p.add_argument("--lower", type=float, default=1.0)
     p.add_argument("--upper", type=float, default=3.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--probes", type=_comma_floats, default=DEFAULT_PROBES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
+    _add_unused_rng_options(p)
     p.set_defaults(func=_cmd_risk)
 
 

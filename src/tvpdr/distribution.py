@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .samplers import as_generator
-
-# How forecast_predictive draws its innovations; records computed from its
-# curves name this, so a change of scheme is never mixed into old records.
-PREDICTIVE_DRAW = "one innovation per kept draw"
+# How forecast_predictive integrates the innovation step; records computed
+# from its curves name this, so a change of scheme is never mixed into old
+# records.
+PREDICTIVE_DRAW = "closed form Phi(x'beta_T / sqrt(1 + x'diag(sigma2)x))"
 # Read curves take Phi of this many kept draws at a time.
 _CURVE_BLOCK = 64
 
@@ -167,40 +166,30 @@ def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
     return ConditionalCdf(grid=draws.grid, values=values)
 
 
-def forecast_predictive(draws, x_next, rng) -> ConditionalCdf:
+def forecast_predictive(draws, x_next) -> ConditionalCdf:
     """One-step-ahead predictive CDF at design point x_next.
 
-    Each kept draw's final state is propagated one step with its own
-    innovation variances, Phi is applied draw by draw, the curves are
-    averaged, and the average is rearranged.
-
-    Only the projection x'(beta_T + eta) reaches Phi, and with
-    eta ~ N(0, diag(sigma2)) the projected innovation x'eta is exactly
-    N(0, sum_j x_j^2 sigma2_j). So draw n takes one standard normal z_n,
-    shared by its K thresholds, and threshold k uses
-    x'beta_T + sqrt(x' diag(sigma2_k) x) z_n. Across draws the z_n are iid
-    N(0, 1), so each threshold's estimator has the same distribution as one
-    that propagates all d coefficients; sharing z_n across thresholds only
-    correlates their errors (common random numbers). The generator advances
-    by exactly ``kept`` normals. The numbers drawn for a given rng differ
-    from those of earlier versions, which drew one normal per (draw,
-    threshold) or per coefficient; ``PREDICTIVE_DRAW`` names the scheme.
+    Each kept draw's final state moves one random-walk step with its own
+    innovation variances, beta_T + eta with eta ~ N(0, diag(sigma2)), and
+    only the projection x'(beta_T + eta) reaches Phi. Given the draw, that
+    projection is N(x'beta_T, x' diag(sigma2) x), so for the probit link
+    E_eta Phi(x'beta_T + x'eta) = Phi(x'beta_T / sqrt(1 + x' diag(sigma2) x))
+    exactly. The curve is the mean of that over kept draws, rearranged, so
+    it takes no random numbers and carries no Monte Carlo error from the
+    step ahead; ``PREDICTIVE_DRAW`` names the scheme.
     """
-    gen = as_generator(rng)
     x_next = np.asarray(x_next, dtype=np.float64)
     if x_next.shape != (draws.d,):
         raise ValueError(f"x_next has shape {x_next.shape}, expected ({draws.d},)")
     beta_last, var = draws.beta[:, :, -1, :], x_next * x_next
     kept, k = beta_last.shape[:2]
-    z = gen.standard_normal(kept)
     scale = np.empty((min(kept, _curve_block(k, kept)), k))
 
     def fill(lo, hi, out):
         np.matmul(beta_last[lo:hi], x_next, out=out)
-        step = np.matmul(draws.sigma2[lo:hi], var, out=scale[: hi - lo])
-        np.sqrt(step, out=step)
-        step *= z[lo:hi, None]
-        out += step
+        spread = np.matmul(draws.sigma2[lo:hi], var, out=scale[: hi - lo])
+        spread += 1.0
+        out /= np.sqrt(spread, out=spread)
 
     values = np.sort(_mean_cdf(fill, kept, k))
     return ConditionalCdf(grid=draws.grid, values=values)

@@ -6,12 +6,13 @@ Carlo error.
 
 The backtest walks forecast origins in calendar order, refitting every few
 origins and forecasting one step ahead from each origin's own covariates.
-Every refit block and every origin draw from their own named streams of
-one integer seed, so records do not depend on which origins ran before
-them; that is what makes the record file resumable after a crash and
-identical under parallel execution. A sidecar next to the records file
-names what they were computed from, so a resume with another spec, seed,
-data, covariate set, plan or predictive draw is refused.
+Every refit block draws from its own named stream of one integer seed and
+the one-step curve takes no random numbers, so records do not depend on
+which blocks ran before them; that is what makes the record file
+resumable after a crash and identical under parallel execution. A sidecar
+next to the records file names what they were computed from, so a resume
+with another spec, seed, data, covariate set, plan or predictive scheme is
+refused.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ __all__ = [
 ]
 
 SCORE_VARIANTS = ("standard", "one_sided")
-
-# Forecast streams live far away from refit streams so the two families can
-# never collide however many origins there are.
-_FORECAST_STREAM_BASE = 2**32
 
 
 def pit(cdf, realization: float) -> float:
@@ -254,8 +251,7 @@ def _run_block(spec: ModelSpec, aligned, x_design, train_lo: int, plan: Backtest
     records = []
     for i in block:
         realized = float(aligned.y[i])
-        pred = forecast_predictive(draws, x_design[i],
-                                   RngHandle(seed, stream=_FORECAST_STREAM_BASE + i))
+        pred = forecast_predictive(draws, x_design[i])
         quantiles = {t: float(quantile_from_cdf(pred, t)) for t in plan.taus}
         records.append(
             BacktestRecord(
@@ -283,9 +279,9 @@ def expanding_window_backtest(
 ) -> BacktestResult:
     """Walk origins from the end of the initial window to the sample's edge.
 
-    ``seed`` is an integer, not a handle: every stream derives from it
-    (refit block b draws on stream 1 + b, origin i's forecast on stream
-    2**32 + i), so a handle's own stream would be ignored.
+    ``seed`` is an integer, not a handle: every refit stream derives from
+    it (refit block b draws on stream 1 + b), so a handle's own stream
+    would be ignored.
 
     Each refit re-estimates from scratch on all rows whose outcome was known
     at the origin (expanding, fixed start), with the threshold grid rebuilt
@@ -297,10 +293,10 @@ def expanding_window_backtest(
     holds only the blocks it ran. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
     aligned (y, x), the seed, the covariates, the plan and the predictive
-    draw scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
+    scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
     sidecar is missing or differs is refused with a ValueError naming the
     keys that differ. ``workers`` above 1 fans refit blocks out to
-    processes; per-origin streams keep the output byte-identical either
+    processes; per-block streams keep the output byte-identical either
     way. The process pool is imported only then. A worker count below 1 is
     refused before anything is written.
     """

@@ -412,13 +412,24 @@ def frozen_conditional_cdf(draws, x, t: int, link) -> np.ndarray:
 
 
 def frozen_forecast_predictive(draws, x_next, gen: np.random.Generator, link) -> np.ndarray:
-    """One-step predictive CDF values as first written with one innovation
-    per kept draw, all (kept, K) fits and scales at once."""
+    """One-step predictive CDF values as first simulated with one innovation
+    per kept draw, all (kept, K) fits and scales at once. Its expectation
+    over ``gen`` is the closed form below."""
     x_next = np.asarray(x_next, dtype=np.float64)
     fits = draws.beta[:, :, -1, :] @ x_next
     scale = np.sqrt(draws.sigma2 @ (x_next * x_next))
     scale *= gen.standard_normal(fits.shape[0])[:, None]
     fits += scale
+    return np.sort(link.cdf(fits).mean(axis=0))
+
+
+def frozen_closed_form_predictive(draws, x_next, link) -> np.ndarray:
+    """One-step predictive CDF values in closed form as first written: all
+    (kept, K) fits divided by sqrt(1 + x' diag(sigma2) x) at once, the link
+    applied to all of them, then the mean and a sort."""
+    x_next = np.asarray(x_next, dtype=np.float64)
+    fits = draws.beta[:, :, -1, :] @ x_next
+    fits /= np.sqrt(1.0 + draws.sigma2 @ (x_next * x_next))
     return np.sort(link.cdf(fits).mean(axis=0))
 
 

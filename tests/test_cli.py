@@ -19,7 +19,6 @@ from tvpdr.distribution import (build_threshold_grid, cdf_interpolate, condition
 from tvpdr.evaluation import BacktestPlan
 from tvpdr.model import ModelSpec, apply_design_transform
 from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
-from tvpdr.samplers import RngHandle
 from tvpdr.store import load_estimate
 
 
@@ -130,14 +129,14 @@ def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     row = len(aligned.y) - 6
     date = aligned.origin_dates[row]
     base = ["risk", "--data", csv, *DATA_ARGS, "--estimate", est, "--predictive",
-            "--seed", "5", "--stream", "2", "--alpha", "1", "--gamma", "1", "--probes", "3"]
+            "--alpha", "1", "--gamma", "1", "--probes", "3"]
     code, at_date, _ = run(capsys, base + ["--date", date])
     assert code == 0
     code, at_last, _ = run(capsys, base)
     assert code == 0
     assert at_date != at_last
 
-    pred = forecast_predictive(draws, x_design[row], RngHandle(5, stream=2))
+    pred = forecast_predictive(draws, x_design[row])
     want = {
         "deflation_risk(target=1,alpha=1)": deflation_risk(pred, 1.0, 1.0),
         "excess_inflation_risk(target=3,gamma=1)": excess_inflation_risk(pred, 3.0, 1.0),
@@ -146,6 +145,19 @@ def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     }
     table = dict(parse_table(at_date)[1:])
     assert {k: table[k] for k in want} == {k: format(v, ".6g") for k, v in want.items()}
+
+
+def test_predictive_reads_ignore_seed_and_stream(estimate_dir, capsys):
+    # the predictive curve is exact, so --seed/--stream parse but change nothing
+    csv, est, _ = estimate_dir
+    read = ["--data", csv, *DATA_ARGS, "--estimate", est]
+    for argv in (["forecast", *read], ["risk", *read, "--predictive", "--probes", "3"]):
+        outs = set()
+        for seed, stream in (("0", "0"), ("5", "2")):
+            code, stdout, _ = run(capsys, [*argv, "--seed", seed, "--stream", stream])
+            assert code == 0
+            outs.add(stdout)
+        assert len(outs) == 1, argv[0]
 
 
 def test_counterfactual_moves_the_distribution(estimate_dir, capsys):

@@ -1,7 +1,5 @@
 """Grid construction, CDF averaging, rearrangement, quantiles, derivatives."""
 
-import pickle
-
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -18,9 +16,10 @@ from tvpdr.distribution import (
     quantile_from_cdf,
 )
 from tvpdr.model import ModelSpec, PROBIT, PosteriorDraws, apply_design_transform, run_gibbs
-from tvpdr.samplers import RngHandle, as_generator
+from tvpdr.samplers import RngHandle
 
-from reference import frozen_conditional_cdf, frozen_forecast_predictive, probit_mixture_cdf
+from reference import (frozen_closed_form_predictive, frozen_conditional_cdf,
+                       frozen_forecast_predictive, probit_mixture_cdf)
 
 
 def test_grid_counts_and_endpoints():
@@ -166,20 +165,18 @@ def fit_small_model(seed=0, t_len=40, monotone=True):
 
 def test_forecast_predictive_is_reproducible_and_monotone():
     draws, x, y = fit_small_model(seed=4)
-    a = forecast_predictive(draws, x[-1], RngHandle(9))
-    b = forecast_predictive(draws, x[-1], RngHandle(9))
+    a = forecast_predictive(draws, x[-1])
+    b = forecast_predictive(draws, x[-1])
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) >= 0.0)
-    c = forecast_predictive(draws, x[-1], RngHandle(10))
-    assert not np.array_equal(a.values, c.values)
 
 
 @pytest.mark.parametrize("transform", ["identity", "quadratic"])
 def test_forecast_predictive_matches_the_integrated_oracle(transform):
-    # For fixed draws the predictive CDF at threshold k is a mean of
+    # The simulated predictive CDF at threshold k is a mean of
     # Phi(x'beta_{n,T} + x'eta_n) over draws, so its expectation over
-    # streams is mean_n Phi(x'beta_{n,T} / sqrt(1 + x' Sigma_n x)). The
-    # fits are spread far apart across thresholds so the rearrangement
+    # streams is the closed form mean_n Phi(x'beta_{n,T} / sqrt(1 + x' Sigma_n x)).
+    # The fits are spread far apart across thresholds so the rearrangement
     # never reorders a curve, and the variances and |x| stay well away
     # from 1 so sigma for sigma2, x for x^2 or a lost sqrt would each be
     # more than 10 standard errors off at every threshold.
@@ -198,35 +195,12 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     draws.grid = grid
     draws.d = d
 
-    fits = draws.beta[:, :, -1, :] @ x
-    spread = draws.sigma2 @ (x * x)
-    oracle = ndtr(fits / np.sqrt(1.0 + spread)).mean(axis=0)
-
-    curves = np.array([forecast_predictive(draws, x, RngHandle(8, stream=s)).values
+    exact = forecast_predictive(draws, x).values
+    curves = np.array([frozen_forecast_predictive(draws, x, RngHandle(8, stream=s).rng, PROBIT)
                        for s in range(240)])
     se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
     assert np.all(se > 0.0)
-    assert np.all(np.abs(curves.mean(axis=0) - oracle) < 4.0 * se)
-
-
-def test_forecast_predictive_draws_one_innovation_per_kept_draw():
-    # each kept draw takes one standard normal, shared by all its thresholds
-    draws, x, y = fit_small_model(seed=6)
-    xn = x[-1]
-    pred = forecast_predictive(draws, xn, RngHandle(8, stream=3))
-
-    z = RngHandle(8, stream=3).rng.standard_normal(draws.kept)
-    fits = np.empty((draws.kept, draws.n_thresholds))
-    for n in range(draws.kept):
-        fits[n] = draws.beta[n, :, -1, :] @ xn + np.sqrt(draws.sigma2[n] @ (xn * xn)) * z[n]
-    want = np.sort(ndtr(fits).mean(axis=0))
-    assert np.array_equal(pred.values.view(np.int64), want.view(np.int64))
-
-    used = RngHandle(8, stream=3)
-    forecast_predictive(draws, xn, used)
-    ref = RngHandle(8, stream=3).rng
-    ref.standard_normal(draws.kept)
-    assert np.array_equal(used.rng.random(4), ref.random(4))
+    assert np.all(np.abs(curves.mean(axis=0) - exact) < 4.0 * se)
 
 
 def test_forecast_predictive_widens_the_insample_cdf():
@@ -234,7 +208,7 @@ def test_forecast_predictive_widens_the_insample_cdf():
     # at the extremes than the in-sample curve at the last time point
     draws, x, y = fit_small_model(seed=5, t_len=60)
     inc = conditional_cdf(draws, x[-1], draws.n_obs - 1)
-    prd = forecast_predictive(draws, x[-1], RngHandle(11))
+    prd = forecast_predictive(draws, x[-1])
     spread_in = inc.values.max() - inc.values.min()
     spread_out = prd.values.max() - prd.values.min()
     assert spread_out <= spread_in + 0.02
@@ -292,7 +266,5 @@ def test_blocked_read_curves_equal_the_one_shot_curves(kept):
             for t in (0, t_len - 1):
                 got = conditional_cdf(draws, x, t).values
                 assert got.tobytes() == frozen_conditional_cdf(draws, x, t, PROBIT).tobytes()
-            ours, frozen = as_generator(RngHandle(3, stream=k)), as_generator(RngHandle(3, stream=k))
-            got = forecast_predictive(draws, x, ours).values
-            assert got.tobytes() == frozen_forecast_predictive(draws, x, frozen, PROBIT).tobytes()
-            assert pickle.dumps(ours.bit_generator.state) == pickle.dumps(frozen.bit_generator.state)
+            got = forecast_predictive(draws, x).values
+            assert got.tobytes() == frozen_closed_form_predictive(draws, x, PROBIT).tobytes()

@@ -226,8 +226,12 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     assert par.read_bytes() == records
 
 
-def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path):
-    # records written before the sidecar named the predictive draw came
+@pytest.mark.parametrize("stored_predictive", [None, "one innovation per kept draw"],
+                         ids=["missing", "simulated"])
+def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
+                                                                    stored_predictive):
+    # records written before the sidecar named the predictive draw, or
+    # while the curve was simulated with one innovation per kept draw, came
     # from another estimator; appending new rows under them is refused
     ds = synthetic_dataset(seed=1)
     spec = fast_spec(ds)
@@ -240,6 +244,8 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path):
     assert stored["predictive"] == PREDICTIVE_DRAW
 
     del stored["predictive"]  # the sidecar as earlier versions wrote it
+    if stored_predictive is not None:
+        stored["predictive"] = stored_predictive
     sidecar.write_text(json.dumps(stored, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     lines = out.read_text(encoding="utf-8").split("\n")
     out.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # an unfinished run

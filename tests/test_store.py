@@ -634,6 +634,6 @@ def test_reads_on_loaded_draws_equal_in_memory_reads_bitwise(tmp_path, d):
         for j in (0, k // 2, k - 1):
             assert same_bits(cdf_derivative(draws, design[t], t, j),
                              cdf_derivative(back, design[t], t, j)), (t, j)
-    a = forecast_predictive(draws, design[-1], RngHandle(5, stream=2))
-    b = forecast_predictive(back, design[-1], RngHandle(5, stream=2))
+    a = forecast_predictive(draws, design[-1])
+    b = forecast_predictive(back, design[-1])
     assert same_bits(a.values, b.values)

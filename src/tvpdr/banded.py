@@ -1,9 +1,11 @@
 """Banded symmetric positive definite linear algebra.
 
 The Gibbs updates for the state paths work on precision matrices that are
-block tridiagonal with small dense blocks, so everything here is stored in
-LAPACK lower band layout and factorized with the banded Cholesky routines.
-Nothing in this module knows about the model; it is plain linear algebra.
+block tridiagonal with small dense blocks. Every function here takes and
+returns such a matrix, or its banded Cholesky factor, as the LAPACK lower
+band array itself: an n x n matrix A of bandwidth d is the (d + 1, n) array
+with ``band[k, j] == A[j + k, j]`` for ``j < n - k``, the last k entries of
+row k unused. Nothing here knows about the model; it is plain linear algebra.
 
 ``scipy.linalg`` is imported inside ``cholesky_banded`` and ``solve_banded``,
 its only callers, so a process that only reads a stored estimate never
@@ -12,12 +14,9 @@ loads LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BandedMatrix",
     "NotPositiveDefiniteError",
     "cholesky_banded",
     "solve_banded",
@@ -28,137 +27,54 @@ __all__ = [
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot. ``row`` is the 0-based offender."""
+    """Cholesky hit a non-positive or non-finite pivot. ``row`` is the 0-based offender."""
 
     def __init__(self, row: int):
         self.row = row
         super().__init__(f"matrix is not positive definite at row {row}")
 
 
-@dataclass
-class BandedMatrix:
-    """Lower band storage of a symmetric (or lower triangular) band matrix.
-
-    ``diagonals`` has shape ``(bandwidth + 1, dim)``; row ``k`` holds the
-    k-th subdiagonal aligned to the left, ``diagonals[k, j] == A[j + k, j]``
-    for ``j <= dim - 1 - k``. Trailing entries of each row are unused and
-    kept at zero. This is exactly the LAPACK ``uplo='L'`` band layout.
-    """
-
-    dim: int
-    bandwidth: int
-    diagonals: np.ndarray
-
-    def __post_init__(self):
-        self.diagonals = np.asarray(self.diagonals, dtype=np.float64)
-        if self.diagonals.shape != (self.bandwidth + 1, self.dim):
-            raise ValueError(
-                f"band storage shape {self.diagonals.shape} does not match "
-                f"dim={self.dim}, bandwidth={self.bandwidth}"
-            )
-        if not 0 <= self.bandwidth < self.dim:
-            raise ValueError(f"bandwidth {self.bandwidth} out of range for dim {self.dim}")
-
-    def to_dense(self) -> np.ndarray:
-        """Expand to a dense symmetric matrix (small problems and tests)."""
-        a = np.zeros((self.dim, self.dim))
-        for k in range(self.bandwidth + 1):
-            vals = self.diagonals[k, : self.dim - k]
-            idx = np.arange(self.dim - k)
-            a[idx + k, idx] = vals
-            if k > 0:
-                a[idx, idx + k] = vals
-        return a
-
-    def to_dense_lower(self) -> np.ndarray:
-        """Expand to a dense lower-triangular matrix (for Cholesky factors)."""
-        a = np.zeros((self.dim, self.dim))
-        for k in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - k)
-            a[idx + k, idx] = self.diagonals[k, : self.dim - k]
-        return a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Symmetric band matrix times vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.dim},)")
-        y = self.diagonals[0] * x
-        for k in range(1, self.bandwidth + 1):
-            band = self.diagonals[k, : self.dim - k]
-            y[k:] += band * x[: self.dim - k]
-            y[: self.dim - k] += band * x[k:]
-        return y
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int) -> "BandedMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        dim = a.shape[0]
-        diagonals = np.zeros((bandwidth + 1, dim))
-        for k in range(bandwidth + 1):
-            diagonals[k, : dim - k] = np.diagonal(a, offset=-k)
-        return cls(dim=dim, bandwidth=bandwidth, diagonals=diagonals)
-
-
-def cholesky_banded(precision: BandedMatrix, overwrite: bool = False) -> BandedMatrix:
+def cholesky_banded(band: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Banded Cholesky ``P = L L'`` with L in the same band layout.
 
-    The factor is Fortran-ordered, the order the triangular solves take.
-    A Fortran-ordered ``precision`` (what ``assemble_precision`` returns) is
-    handed to LAPACK without a transposing copy; with ``overwrite`` it is
-    factored in place, its storage becomes the factor's and the precision
-    is consumed. A C-ordered precision is copied either way and left as it
-    was; both orders give the same factor bit for bit.
+    The factor is Fortran-ordered, the order the triangular solves take,
+    and keeps ``band``'s unused tail entries as they were. A Fortran-ordered
+    ``band`` (what ``assemble_precision`` returns) is handed to LAPACK
+    without a transposing copy; with ``overwrite`` it is factored in place,
+    its storage becomes the factor's and the precision is consumed. A
+    C-ordered band is copied either way and left as it was; both orders give
+    the same factor bit for bit.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot is not positive. No jitter is applied.
+        If a pivot is not positive or not finite (LAPACK passes a NaN pivot;
+        a NaN or inf anywhere in the band reaches the diagonal). No jitter.
     """
     from scipy.linalg import lapack
 
-    factor, info = lapack.dpbtrf(precision.diagonals, lower=1, overwrite_ab=overwrite)
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=overwrite)
     if info > 0:
         raise NotPositiveDefiniteError(row=info - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded Cholesky")
-    # dpbtrf leaves junk in the unused tail of each band row; zero it so
-    # factors compare cleanly and to_dense stays honest.
-    for k in range(1, precision.bandwidth + 1):
-        factor[k, precision.dim - k :] = 0.0
-    return BandedMatrix(dim=precision.dim, bandwidth=precision.bandwidth, diagonals=factor)
+    finite = np.isfinite(factor[0])
+    if not finite.all():
+        raise NotPositiveDefiniteError(row=int(np.argmin(finite)))
+    return factor
 
 
-def solve_banded(factor: BandedMatrix, rhs: np.ndarray, mode: str = "full") -> np.ndarray:
-    """Triangular solves against a banded Cholesky factor.
-
-    mode
-        ``"forward"``  solves ``L x = rhs``,
-        ``"backward"`` solves ``L' x = rhs``,
-        ``"full"``     solves ``L L' x = rhs`` (i.e. the original system).
-
-    ``rhs`` may be a vector or a ``(dim, m)`` matrix of stacked columns.
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    squeeze = rhs.ndim == 1
-    b = rhs[:, None] if squeeze else rhs
-    if b.shape[0] != factor.dim:
-        raise ValueError(f"rhs has leading dim {b.shape[0]}, expected {factor.dim}")
-    if mode not in ("full", "forward", "backward"):
-        raise ValueError(f"unknown solve mode {mode!r}")
+def solve_banded(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``L x = rhs``, or ``L' x = rhs`` with ``transpose``, for L = ``cholesky_banded(...)``."""
+    if rhs.shape != (factor.shape[1],):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({factor.shape[1]},)")
 
     from scipy.linalg import lapack
 
-    x = b
-    if mode in ("full", "forward"):
-        x, info = lapack.dtbtrs(factor.diagonals, x, uplo=b"L", trans=b"N")
-        if info != 0:
-            raise ValueError(f"forward band solve failed with info={info}")
-    if mode in ("full", "backward"):
-        x, info = lapack.dtbtrs(factor.diagonals, x, uplo=b"L", trans=b"T")
-        if info != 0:
-            raise ValueError(f"backward band solve failed with info={info}")
-    return x[:, 0] if squeeze else x
+    x, info = lapack.dtbtrs(factor, rhs, uplo=b"L", trans=b"T" if transpose else b"N")
+    if info != 0:
+        raise ValueError(f"band solve failed with info={info}")
+    return x
 
 
 def likelihood_band(design: np.ndarray) -> np.ndarray:
@@ -200,7 +116,7 @@ def assemble_precision(
     sigma2: np.ndarray,
     likelihood: np.ndarray | None = None,
     out: np.ndarray | None = None,
-) -> BandedMatrix:
+) -> np.ndarray:
     """Posterior precision of one stacked state path, or of B of them.
 
     For T design rows g(x_t)' of width d and innovation variances sigma2
@@ -267,4 +183,4 @@ def assemble_precision(
     diag += np.multiply.outer(inv, walk_diagonal(t_len))
     cols[:, :-1, :, d].transpose(0, 2, 1)[...] = -inv[:, :, None]
 
-    return BandedMatrix(dim=shape[1], bandwidth=d, diagonals=out)
+    return out

@@ -129,6 +129,10 @@ class BacktestPlan:
         taus = tuple(sorted(float(t) for t in self.taus))
         if not taus or any(not 0.0 < t < 1.0 for t in taus):
             raise ValueError("taus must be a non-empty set inside (0, 1)")
+        for lo, hi in zip(taus, taus[1:]):  # column names rise with tau: a clash is adjacent
+            if _tau_column(lo) == _tau_column(hi):
+                raise ValueError(f"taus {lo:g} and {hi:g} share the records column "
+                                 f"{_tau_column(hi)}")
         object.__setattr__(self, "taus", taus)
         if self.score_variant not in SCORE_VARIANTS:
             raise ValueError(f"unknown quantile score variant {self.score_variant!r}")
@@ -153,9 +157,13 @@ class BacktestResult:
     failures: list          # (origin date, message) for skipped refits
 
 
+def _tau_column(tau: float) -> str:
+    return f"qs_{int(round(100 * tau)):02d}"
+
+
 def _tsv_columns(taus, grid: ThresholdGrid):
     cols = ["date", "realized", "pit"]
-    cols += [f"qs_{int(round(100 * t)):02d}" for t in taus]
+    cols += [_tau_column(t) for t in taus]
     # repr round-trips exactly, so plot tooling can rebuild the grid from the header
     cols += [f"cdf_{float(y)!r}" for y in grid.points]
     return cols

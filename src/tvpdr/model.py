@@ -342,9 +342,10 @@ def _intercept_system(design, latent, sigma2, rest):
     truncated sweep reads its conditional means from; nothing solves for
     the mean. With an intercept column of ones, diag_t is
     1 + walk_t / sigma2_0 and off_t is -1 / sigma2_0, 0 at each path's end.
-    K rest adds the intercept's own term, the slope terms, then the previous
-    and the next intercept: ``BandedMatrix.matvec``'s order without its
-    exact-zero terms, so every entry equals the joint system's bit for bit.
+    K rest adds, in order, the intercept's own term, the slopes j = 1..d-1,
+    the previous and the next intercept: a band product over subdiagonals
+    0..d, each adding its lower then its upper term, without its exact-zero
+    terms, so every entry equals the joint system's bit for bit.
     """
     inv = 1.0 / sigma2[:, :1]
     diag = 1.0 + inv * walk_diagonal(latent.shape[-1])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .banded import BandedMatrix, cholesky_banded, solve_banded
+from .banded import cholesky_banded, solve_banded
 
 __all__ = [
     "RngHandle",
@@ -191,14 +191,14 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     return float(draw) if draw.ndim == 0 else draw
 
 
-def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng,
+def sample_gaussian_precision(band: np.ndarray, b: np.ndarray, rng,
                               overwrite: bool = False) -> np.ndarray:
-    """One draw from N(K^{-1} b, K^{-1}) for banded SPD K.
+    """One draw from N(K^{-1} b, K^{-1}) for banded SPD K, given as its band.
 
     Factorizes K = L L' once and folds mean and noise into two triangular
     solves with iid normals z: x = L'^{-1}(L^{-1} b + z), which is the mean
     K^{-1} b plus the noise L'^{-1} z. On a block-diagonal stack of paths
-    this is one independent draw per path.
+    this is one independent draw per path. A non-finite b or K raises.
 
     With ``overwrite`` a Fortran-ordered K (as ``assemble_precision``
     builds it) is factored in place: the draw consumes the precision, whose
@@ -207,11 +207,11 @@ def sample_gaussian_precision(precision: BandedMatrix, b: np.ndarray, rng,
     """
     gen = as_generator(rng)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (precision.dim,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({precision.dim},)")
-    factor = cholesky_banded(precision, overwrite=overwrite)
-    z = gen.standard_normal(precision.dim)
-    return solve_banded(factor, solve_banded(factor, b, mode="forward") + z, mode="backward")
+    if not np.isfinite(b).all():
+        raise ValueError("precision rhs must be finite")
+    factor = cholesky_banded(band, overwrite=overwrite)
+    z = gen.standard_normal(band.shape[1])
+    return solve_banded(factor, solve_banded(factor, b) + z, transpose=True)
 
 
 def sample_truncated_mvn(

@@ -2,14 +2,15 @@
 
 Everything here is written against dense numpy/scipy primitives in the most
 literal way possible so it shares no code path with the package: dense
-precision assembly via kron, a one-threshold Gibbs sampler on top of
-scipy.stats.truncnorm and numpy.linalg, a single-site sequential-scan
-monotone Gibbs sampler, analytic distribution facts, a batch-means Monte
-Carlo standard error, and frozen copies of earlier truncated-normal kernels,
-Gibbs inner-loop draws, band assembly, one-shot read curves, the simulated
-PIT band and exact Kolmogorov quantiles. The one exception is
-``public_draw_loop``: the Gibbs loop spelled out over the package's public
-draws, which ``run_gibbs`` must reproduce bit for bit.
+precision assembly via kron, dense/band conversions, a one-threshold Gibbs
+sampler on top of scipy.stats.truncnorm and numpy.linalg, a single-site
+sequential-scan monotone Gibbs sampler, analytic distribution facts, a
+batch-means Monte Carlo standard error, and frozen copies of earlier
+truncated-normal kernels, Gibbs inner-loop draws, band assembly, the band
+matvec, one-shot read curves, the simulated PIT band and exact Kolmogorov
+quantiles. The one exception is ``public_draw_loop``: the Gibbs loop spelled
+out over the package's public draws, which ``run_gibbs`` must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,41 @@ def dense_precision(design: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
         dtd[t, t + 1] = -1.0
         dtd[t + 1, t] = -1.0
     return xtx + np.kron(dtd, np.diag(1.0 / sigma2))
+
+
+def band_to_dense(band: np.ndarray, lower: bool = False) -> np.ndarray:
+    """Dense matrix of a (d + 1, n) lower band array: symmetric, or with
+    ``lower`` only its lower triangle (a Cholesky factor)."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        idx = np.arange(n - k)
+        a[idx + k, idx] = band[k, : n - k]
+        if k > 0 and not lower:
+            a[idx, idx + k] = band[k, : n - k]
+    return a
+
+
+def dense_to_band(a: np.ndarray, bandwidth: int) -> np.ndarray:
+    """The (bandwidth + 1, n) lower band array of a dense symmetric matrix,
+    with zeros in each row's unused tail."""
+    n = a.shape[0]
+    band = np.zeros((bandwidth + 1, n))
+    for k in range(bandwidth + 1):
+        band[k, : n - k] = np.diagonal(a, offset=-k)
+    return band
+
+
+def frozen_band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric band matrix times vector in the order first written: the
+    diagonal term, then per subdiagonal k = 1..d its lower and upper terms."""
+    n = band.shape[1]
+    y = band[0] * x
+    for k in range(1, band.shape[0]):
+        sub = band[k, : n - k]
+        y[k:] += sub * x[: n - k]
+        y[: n - k] += sub * x[k:]
+    return y
 
 
 def dense_gibbs_reference(
@@ -289,24 +325,24 @@ def frozen_mirrored_truncated_normal(mean, sd, lower, upper, gen: np.random.Gene
     return float(draw) if draw.ndim == 0 else draw
 
 
-def frozen_truncated_mvn(precision, mean, lower, upper, init, sweeps: int,
+def frozen_truncated_mvn(band, mean, lower, upper, init, sweeps: int,
                          gen: np.random.Generator) -> np.ndarray:
-    """Color-group Gibbs sweep for a box-truncated Gaussian with band precision
-    (``dim``, ``bandwidth``, lower band ``diagonals``); the caller passes
+    """Color-group Gibbs sweep for a box-truncated Gaussian whose precision
+    is the (bandwidth + 1, n) lower band array ``band``; the caller passes
     valid input."""
-    n = precision.dim
+    n = band.shape[1]
     mean, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, lower, upper))
     x = np.array(init, dtype=np.float64, copy=True)
-    sd = 1.0 / np.sqrt(precision.diagonals[0])
-    width = precision.bandwidth
+    sd = 1.0 / np.sqrt(band[0])
+    width = band.shape[0] - 1
     r = np.zeros(n + 2 * width)
     offsets = np.array([0] + [s * k for k in range(1, width + 1) for s in (-1, 1)])
     groups = []
     for c in range(width + 1):
         own = slice(c, n, width + 1)
         nbr = np.arange(n)[own] + offsets[:, None]
-        band = precision.diagonals[abs(offsets)[:, None], np.maximum(np.minimum(nbr, nbr[0]), 0)]
-        coupling = np.where((nbr >= 0) & (nbr < n), band, 0.0)
+        entries = band[abs(offsets)[:, None], np.maximum(np.minimum(nbr, nbr[0]), 0)]
+        coupling = np.where((nbr >= 0) & (nbr < n), entries, 0.0)
         views = [slice(width + c + o, width + n + o, width + 1) for o in offsets]
         groups.append((own, views, coupling, sd[own], lower[own], upper[own]))
     for _ in range(sweeps):

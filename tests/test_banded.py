@@ -1,10 +1,9 @@
-"""Band storage, banded Cholesky and solves against dense numpy routes."""
+"""Band arrays, banded Cholesky and solves against dense numpy routes."""
 
 import numpy as np
 import pytest
 
 from tvpdr.banded import (
-    BandedMatrix,
     NotPositiveDefiniteError,
     assemble_precision,
     cholesky_banded,
@@ -14,7 +13,8 @@ from tvpdr.banded import (
 from tvpdr.model import draw_beta_unconstrained
 from tvpdr.samplers import RngHandle, sample_gaussian_precision
 
-from reference import dense_precision, frozen_assemble_bands
+from reference import (band_to_dense, dense_precision, dense_to_band, frozen_assemble_bands,
+                       frozen_band_matvec)
 
 
 def random_spd_band(rng, dim, bandwidth):
@@ -29,44 +29,31 @@ def random_spd_band(rng, dim, bandwidth):
 
 
 def test_band_storage_round_trip():
+    # the reference conversions and band matvec the other tests lean on
     rng = np.random.default_rng(0)
     a = random_spd_band(rng, 12, 3)
-    banded = BandedMatrix.from_dense(a, 3)
-    assert np.allclose(banded.to_dense(), a)
-    assert banded.diagonals.shape == (4, 12)
+    band = dense_to_band(a, 3)
+    assert np.allclose(band_to_dense(band), a)
+    assert band.shape == (4, 12)
     # trailing positions of each subdiagonal row stay zero
-    assert banded.diagonals[3, -3:].tolist() == [0.0, 0.0, 0.0]
-
-
-def test_band_storage_validates_shape():
-    with pytest.raises(ValueError):
-        BandedMatrix(dim=5, bandwidth=2, diagonals=np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        BandedMatrix(dim=3, bandwidth=3, diagonals=np.zeros((4, 3)))
-
-
-def test_matvec_matches_dense():
-    rng = np.random.default_rng(1)
-    for dim, bw in [(5, 1), (9, 3), (20, 4)]:
-        a = random_spd_band(rng, dim, bw)
-        banded = BandedMatrix.from_dense(a, bw)
-        x = rng.normal(size=dim)
-        assert np.allclose(banded.matvec(x), a @ x, rtol=1e-12, atol=1e-12)
+    assert band[3, -3:].tolist() == [0.0, 0.0, 0.0]
+    x = rng.normal(size=12)
+    assert np.allclose(frozen_band_matvec(band, x), a @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_cholesky_matches_dense():
     rng = np.random.default_rng(2)
     a = random_spd_band(rng, 15, 2)
-    factor = cholesky_banded(BandedMatrix.from_dense(a, 2))
+    factor = cholesky_banded(dense_to_band(a, 2))
     dense_l = np.linalg.cholesky(a)
-    assert np.allclose(factor.to_dense_lower(), dense_l, rtol=1e-12, atol=1e-12)
+    assert np.allclose(band_to_dense(factor, lower=True), dense_l, rtol=1e-12, atol=1e-12)
 
 
 def test_cholesky_reports_failing_row():
     # leading 2x2 block is fine, third pivot goes negative
     a = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(NotPositiveDefiniteError) as err:
-        cholesky_banded(BandedMatrix.from_dense(a, 1))
+        cholesky_banded(dense_to_band(a, 1))
     assert err.value.row == 2
     assert "row 2" in str(err.value)
 
@@ -74,18 +61,13 @@ def test_cholesky_reports_failing_row():
 def test_solve_modes_match_dense():
     rng = np.random.default_rng(3)
     a = random_spd_band(rng, 14, 3)
-    banded = BandedMatrix.from_dense(a, 3)
-    factor = cholesky_banded(banded)
+    factor = cholesky_banded(dense_to_band(a, 3))
     l = np.linalg.cholesky(a)
     rhs = rng.normal(size=14)
-    assert np.allclose(solve_banded(factor, rhs, mode="full"), np.linalg.solve(a, rhs))
-    assert np.allclose(solve_banded(factor, rhs, mode="forward"), np.linalg.solve(l, rhs))
-    assert np.allclose(solve_banded(factor, rhs, mode="backward"), np.linalg.solve(l.T, rhs))
-    # matrix right-hand sides solve column by column
-    rhs2 = rng.normal(size=(14, 4))
-    assert np.allclose(solve_banded(factor, rhs2, mode="full"), np.linalg.solve(a, rhs2))
-    with pytest.raises(ValueError):
-        solve_banded(factor, rhs, mode="sideways")
+    assert np.allclose(solve_banded(factor, rhs), np.linalg.solve(l, rhs))
+    assert np.allclose(solve_banded(factor, rhs, transpose=True), np.linalg.solve(l.T, rhs))
+    with pytest.raises(ValueError, match=r"rhs has shape \(15,\), expected \(14,\)"):
+        solve_banded(factor, rng.normal(size=15))
 
 
 def test_assemble_precision_matches_dense_kron():
@@ -93,17 +75,17 @@ def test_assemble_precision_matches_dense_kron():
     for t_len, d in [(2, 1), (6, 1), (5, 2), (8, 3), (4, 4)]:
         design = rng.normal(size=(t_len, d))
         sigma2 = rng.uniform(0.1, 2.0, size=d)
-        banded = assemble_precision(design, sigma2)
-        assert banded.bandwidth == d
+        band = assemble_precision(design, sigma2)
+        assert band.shape == (d + 1, t_len * d)
         dense = dense_precision(design, sigma2)
-        assert np.allclose(banded.to_dense(), dense, rtol=1e-12, atol=1e-12)
+        assert np.allclose(band_to_dense(band), dense, rtol=1e-12, atol=1e-12)
 
 
 def test_assemble_precision_prior_corners():
     # with a zero design the matrix is exactly (D'D) kron diag(1/sigma2);
     # T=2, d=1, sigma2=1 gives [[2, -1], [-1, 1]]
     k = assemble_precision(np.zeros((2, 1)), np.array([1.0]))
-    assert np.allclose(k.to_dense(), np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    assert np.allclose(band_to_dense(k), np.array([[2.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_assemble_precision_validates():
@@ -126,30 +108,29 @@ def test_band_storage_contract():
         sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
         like = likelihood_band(design)
         precision = assemble_precision(design, sigma2)
-        assert precision.diagonals.flags.f_contiguous
-        assert np.array_equal(precision.diagonals, frozen_assemble_bands(design, sigma2))
-        dim = precision.dim
+        assert precision.flags.f_contiguous
+        assert np.array_equal(precision, frozen_assemble_bands(design, sigma2))
+        dim = precision.shape[1]
         storage = np.full((d + 1, dim), np.nan, order="F")
         reused = assemble_precision(design, sigma2, likelihood=like, out=storage)
-        assert reused.diagonals is storage
-        assert np.array_equal(storage, precision.diagonals)
+        assert reused is storage
+        assert np.array_equal(storage, precision)
         dense = np.zeros((dim, dim))
         for b in range(n_paths):
             span = slice(b * t_len * d, (b + 1) * t_len * d)
             dense[span, span] = dense_precision(design, sigma2[b])
-        assert np.array_equal(precision.to_dense(), dense)
+        assert np.array_equal(band_to_dense(precision), dense)
 
-        c_copy = BandedMatrix(dim, d, np.ascontiguousarray(precision.diagonals))
-        assert np.array_equal(cholesky_banded(precision).diagonals,
-                              cholesky_banded(c_copy).diagonals)
-        assert np.array_equal(precision.diagonals, c_copy.diagonals)  # neither consumed
+        c_copy = np.ascontiguousarray(precision)
+        assert np.array_equal(cholesky_banded(precision), cholesky_banded(c_copy))
+        assert np.array_equal(precision, c_copy)  # neither consumed
 
         b_vec = rng.normal(size=dim)
-        untouched = BandedMatrix(dim, d, precision.diagonals.copy(order="F"))
+        untouched = precision.copy(order="F")
         want = sample_gaussian_precision(untouched, b_vec, RngHandle(7))
         got = sample_gaussian_precision(precision, b_vec, RngHandle(7), overwrite=True)
         assert np.array_equal(got, want)
-        assert np.array_equal(precision.diagonals, cholesky_banded(untouched).diagonals)
+        assert np.array_equal(precision, cholesky_banded(untouched))
 
         latent = rng.normal(size=(n_paths, t_len))
         plain = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8))
@@ -168,3 +149,25 @@ def test_assemble_precision_validates_its_workspace():
         assemble_precision(design, np.ones(2), out=np.zeros((3, 10)))
     with pytest.raises(ValueError, match="Fortran"):
         assemble_precision(design, np.ones((2, 2)), out=np.zeros((3, 10), order="F"))
+
+
+def test_non_finite_input_raises_instead_of_drawing_nan():
+    # dpbtrf reports success on a NaN band, so without the package's own
+    # checks a NaN design entry or latent comes back as an all-NaN path
+    rng = np.random.default_rng(9)
+    t_len, d = 8, 2
+    design, latent, sigma2 = rng.normal(size=(t_len, d)), rng.normal(size=t_len), np.ones(d)
+    nan_design, nan_latent = design.copy(), latent.copy()
+    nan_design[3, 1] = nan_latent[5] = np.nan
+    with pytest.raises(ValueError):
+        draw_beta_unconstrained(nan_design, latent, sigma2, RngHandle(1))
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        draw_beta_unconstrained(design, nan_latent, sigma2, RngHandle(1))
+
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky_banded(assemble_precision(nan_design, sigma2))
+    assert err.value.row == 3 * d + 1  # state (3, 1), the first diagonal the NaN reaches
+    band = assemble_precision(design, sigma2)
+    band[1, 6] = np.inf
+    with pytest.raises(NotPositiveDefiniteError):
+        sample_gaussian_precision(band, np.zeros(t_len * d), RngHandle(1))

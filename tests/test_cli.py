@@ -313,6 +313,17 @@ def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "r.tsv")
 
 
+def test_evaluate_refuses_taus_that_share_a_records_column(tmp_path, capsys):
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    code, stdout, stderr = run(capsys, [
+        "evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL, "--initial-start", dates[0],
+        "--initial-end", dates[-10], "--taus", "0.02,0.025", "--out", str(tmp_path / "r.tsv")])
+    assert code == 1 and stdout == ""
+    assert stderr == "error: taus 0.02 and 0.025 share the records column qs_02\n"
+    assert not os.path.exists(tmp_path / "r.tsv")
+
+
 def test_evaluate_creates_the_directory_of_its_records(tmp_path, capsys):
     # as estimate --out does, but only once every argument has been checked
     csv = str(tmp_path / "macro.csv")

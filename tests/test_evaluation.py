@@ -86,6 +86,15 @@ def test_backtest_plan_validation():
         BacktestPlan("1980Q1", "2000Q1", score_variant="weird")
 
 
+@pytest.mark.parametrize("taus, names", [((0.02, 0.025), "0.02 and 0.025"),
+                                          ((0.05, 0.05), "0.05 and 0.05"),
+                                          ((0.001, 0.5, 0.004), "0.001 and 0.004")])
+def test_backtest_plan_refuses_taus_that_share_a_records_column(taus, names):
+    # both would write a qs_02 (qs_05, qs_00) column of the records file
+    with pytest.raises(ValueError, match=f"taus {names} share the records column qs_0"):
+        BacktestPlan("1980Q1", "2000Q1", taus=taus)
+
+
 def synthetic_dataset(n=90, seed=0):
     """Random-walk-parameter outcome plus a covariate, packaged as a dataset.
 

@@ -120,11 +120,6 @@ def _load_dataset(args):
     raise ValueError("need --price-column or --target to define the outcome")
 
 
-def _aligned_design(args, dataset, transform):
-    aligned = assemble_design(dataset, args.covariates, lag=args.lag)
-    return aligned, apply_design_transform(aligned.x, transform)
-
-
 def _row(aligned, date) -> int:
     """Aligned row of an origin quarter; the last row when no date is given."""
     if not date:
@@ -134,12 +129,12 @@ def _row(aligned, date) -> int:
     return aligned.origin_dates.index(date)
 
 
-def _build_spec(args, aligned, x_design) -> ModelSpec:
+def _build_spec(args, aligned) -> ModelSpec:
     lo = args.grid_min if args.grid_min is not None else float(aligned.y.min())
     hi = args.grid_max if args.grid_max is not None else float(aligned.y.max())
     grid = build_threshold_grid(lo, hi, args.grid_step)
     return ModelSpec(
-        d=x_design.shape[1],
+        d=apply_design_transform(aligned.x[:1], args.design_transform).shape[1],
         grid=grid,
         design_transform=args.design_transform,
         iterations=args.iters,
@@ -151,21 +146,17 @@ def _build_spec(args, aligned, x_design) -> ModelSpec:
 
 
 def _load_for_reading(args):
-    """Dataset, aligned rows, design and stored draws for a read command.
-
-    The draws are refused unless they were fit to this exact aligned data,
-    and the design transform is the one stored with them.
-    """
+    """Dataset, aligned raw rows and the stored draws, refused unless they
+    were fit to exactly these rows; the readers apply their design transform."""
     ds = _load_dataset(args)
     aligned = assemble_design(ds, args.covariates, lag=args.lag)
-    draws = load_estimate(args.estimate, expect_data_hash=hash_data(aligned.y, aligned.x))
-    return ds, aligned, apply_design_transform(aligned.x, draws.design_transform), draws
+    return ds, aligned, load_estimate(args.estimate,
+                                      expect_data_hash=hash_data(aligned.y, aligned.x))
 
 
 def _cmd_estimate(args) -> int:
-    ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds, args.design_transform)
-    spec = _build_spec(args, aligned, x_design)
+    aligned = assemble_design(_load_dataset(args), args.covariates, lag=args.lag)
+    spec = _build_spec(args, aligned)
     try:
         draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed),
                           buffers=partial(draw_buffers, args.out))
@@ -186,8 +177,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    _, aligned, x_design, draws = _load_for_reading(args)
-    pred = forecast_predictive(draws, x_design[_row(aligned, args.date)])
+    _, aligned, draws = _load_for_reading(args)
+    pred = forecast_predictive(draws, aligned.x[_row(aligned, args.date)])
     rows = [("statistic", "value", "censored")]
     for tau in args.taus:
         q = quantile_from_cdf(pred, tau)
@@ -198,10 +189,10 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    _, aligned, x_design, draws = _load_for_reading(args)
+    _, aligned, draws = _load_for_reading(args)
     t = _row(aligned, args.date)
-    cdf = (forecast_predictive(draws, x_design[t]) if args.predictive
-           else conditional_cdf(draws, x_design[t], t))
+    cdf = (forecast_predictive(draws, aligned.x[t]) if args.predictive
+           else conditional_cdf(draws, aligned.x[t], t))
     # the risk measures check their own exponents and targets
     if not args.lower < args.upper:
         raise ValueError("need lower_target < upper_target")
@@ -229,14 +220,14 @@ def _cmd_counterfactual(args) -> int:
         raise ValueError(f"--variable {args.variable!r} is not one of the covariates "
                          f"({','.join(args.covariates)}); shifting it would leave the "
                          "design unchanged")
-    ds, aligned, x_design, draws = _load_for_reading(args)
+    ds, aligned, draws = _load_for_reading(args)
     shifted = ds.with_shift(args.variable, args.delta, (args.start, args.end))
-    aligned_s, x_design_s = _aligned_design(args, shifted, draws.design_transform)
+    aligned_s = assemble_design(shifted, args.covariates, lag=args.lag)
     if aligned_s.origin_dates != aligned.origin_dates:
         raise ValueError("shifted dataset no longer aligns with the baseline sample")
     t = _row(aligned, args.date)
-    base = conditional_cdf(draws, x_design[t], t)
-    counter = conditional_cdf(draws, x_design_s[t], t)
+    base = conditional_cdf(draws, aligned.x[t], t)
+    counter = conditional_cdf(draws, aligned_s.x[t], t)
     table = compare_distributions(base, counter, probes=args.probes)
     rows = [("statistic",) + tuple(r.label for r in table)]
     rows.append(("mean",) + tuple(r.mean for r in table))
@@ -248,8 +239,7 @@ def _cmd_counterfactual(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds = _load_dataset(args)
-    aligned, x_design = _aligned_design(args, ds, args.design_transform)
-    spec = _build_spec(args, aligned, x_design)
+    spec = _build_spec(args, assemble_design(ds, args.covariates, lag=args.lag))
     plan = BacktestPlan(
         initial_start=args.initial_start,
         initial_end=args.initial_end,

@@ -164,6 +164,8 @@ class MacroDataset:
         """Copy with ``variable`` shifted by delta over inclusive period range."""
         if variable not in self.series:
             raise ValueError(f"unknown series {variable!r}")
+        if not np.isfinite(delta):
+            raise ValueError(f"shift delta must be finite, got {delta} for {variable!r}")
         start, end = periods
         i0 = self.index_of(start)
         i1 = self.index_of(end)

@@ -29,6 +29,8 @@ _CURVE_BLOCK = 64
 __all__ = [
     "LinkFunction",
     "PROBIT",
+    "DESIGN_TRANSFORMS",
+    "apply_design_transform",
     "ThresholdGrid",
     "ConditionalCdf",
     "Quantile",
@@ -59,6 +61,32 @@ class LinkFunction:
 # Chib 1993), so the sampler is probit by construction, and every reader
 # takes Phi and phi from here.
 PROBIT = LinkFunction(cdf=ndtr, pdf=_phi, inverse=ndtri)
+
+
+# The expansions g of the model Phi(g(x_t)' beta_t). The fit and the readers
+# both take raw design rows and apply the one the estimate names; quadratic
+# appends the squares of the non-intercept columns on the right.
+DESIGN_TRANSFORMS = {
+    "identity": lambda x: x,
+    "quadratic": lambda x: np.hstack([x, x[:, 1:] ** 2]),
+}
+
+
+def apply_design_transform(x: np.ndarray, name: str) -> np.ndarray:
+    """Map raw design rows (intercept first) through a named expansion g."""
+    if name not in DESIGN_TRANSFORMS:
+        raise ValueError(f"unknown design transform {name!r}")
+    return DESIGN_TRANSFORMS[name](np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+
+def _design_row(draws, x, name: str) -> np.ndarray:
+    """g(x) of one raw design row, checked against the draws' width."""
+    x = np.asarray(x, dtype=np.float64)
+    row = apply_design_transform(x, draws.design_transform)[0] if x.ndim == 1 else x
+    if row.shape != (draws.d,):
+        raise ValueError(f"{name} has shape {x.shape}, which the {draws.design_transform} "
+                         f"design maps to {row.shape}; the draws need ({draws.d},)")
+    return row
 
 
 @dataclass(eq=False, frozen=True)
@@ -150,15 +178,15 @@ class Quantile(float):
 
 
 def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
-    """Posterior-mean CDF at in-sample time t for design point x.
+    """Posterior-mean CDF at in-sample time t for the raw design row x.
 
-    Under monotone estimation at an in-sample point the per-draw curves are
-    already ordered and the average needs no adjustment; otherwise the
-    averaged curve is rearranged (sorted ascending) before finalization.
+    x is intercept first, as ``run_gibbs`` takes its rows, and the draws'
+    design transform maps it here. Under monotone estimation the per-draw
+    curves at an in-sample point are already ordered and the average needs
+    no adjustment; otherwise the averaged curve is rearranged (sorted
+    ascending) before finalization.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (draws.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({draws.d},)")
+    x = _design_row(draws, x, "x")
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
     beta_t = draws.beta[:, :, t, :]
@@ -170,8 +198,10 @@ def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
 
 
 def forecast_predictive(draws, x_next) -> ConditionalCdf:
-    """One-step-ahead predictive CDF at design point x_next.
+    """One-step-ahead predictive CDF at the raw design row x_next.
 
+    x_next is intercept first and is mapped through the estimate's design
+    transform, as in ``conditional_cdf``; x below is that mapped row.
     Each kept draw's final state moves one random-walk step with its own
     innovation variances, beta_T + eta with eta ~ N(0, diag(sigma2)), and
     only the projection x'(beta_T + eta) reaches Phi. Given the draw, that
@@ -181,9 +211,7 @@ def forecast_predictive(draws, x_next) -> ConditionalCdf:
     it takes no random numbers and carries no Monte Carlo error from the
     step ahead; ``PREDICTIVE_DRAW`` names the scheme.
     """
-    x_next = np.asarray(x_next, dtype=np.float64)
-    if x_next.shape != (draws.d,):
-        raise ValueError(f"x_next has shape {x_next.shape}, expected ({draws.d},)")
+    x_next = _design_row(draws, x_next, "x_next")
     beta_last, var = draws.beta[:, :, -1, :], x_next * x_next
     kept, k = beta_last.shape[:2]
     scale = np.empty((min(kept, _curve_block(k, kept)), k))
@@ -246,7 +274,10 @@ def quantile_from_cdf(cdf: ConditionalCdf, tau: float) -> Quantile:
 
 def cdf_interpolate(cdf: ConditionalCdf, at) -> np.ndarray:
     """CDF evaluated anywhere: linear between thresholds, extended to 0 one
-    step below the grid and to 1 one step above, clamped outside."""
+    step below the grid and to 1 one step above, clamped outside. A NaN
+    point raises ValueError rather than reading NaN; +-inf read 0 and 1."""
+    if np.isnan(at).any():
+        raise ValueError("cannot read a CDF at NaN; a probe must be a number")
     g = cdf.grid
     xs = np.concatenate(([g.points[0] - g.step], g.points, [g.points[-1] + g.step]))
     vs = np.concatenate(([0.0], cdf.values, [1.0]))
@@ -262,9 +293,7 @@ def cdf_derivative(draws, x, t: int, j: int) -> np.ndarray:
     """
     if draws.design_transform != "identity":
         raise ValueError("cdf_derivative is defined for the identity design transform")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (draws.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({draws.d},)")
+    x = _design_row(draws, x, "x")
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
     if not 0 <= j < draws.n_thresholds:

@@ -240,8 +240,8 @@ def _last_quarter(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
 
 
-def _run_block(spec: ModelSpec, aligned, x_design, train_lo: int, plan: BacktestPlan,
-               seed: int, job) -> tuple:
+def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, seed: int,
+               job) -> tuple:
     """Fit once on stream ``job[0]``, forecast each origin of block ``job[1]``.
 
     Top level so it pickles. Training rows run from ``train_lo`` to the
@@ -259,7 +259,7 @@ def _run_block(spec: ModelSpec, aligned, x_design, train_lo: int, plan: Backtest
     records = []
     for i in block:
         realized = float(aligned.y[i])
-        pred = forecast_predictive(draws, x_design[i])
+        pred = forecast_predictive(draws, aligned.x[i])
         quantiles = {t: float(quantile_from_cdf(pred, t)) for t in plan.taus}
         records.append(
             BacktestRecord(
@@ -317,9 +317,9 @@ def expanding_window_backtest(
         raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 
     aligned = assemble_design(data, covariates, lag=plan.lag)
-    x_design = apply_design_transform(aligned.x, spec.design_transform)
-    if x_design.shape[1] != spec.d:
-        raise ValueError(f"design has {x_design.shape[1]} columns, spec says {spec.d}")
+    width = apply_design_transform(aligned.x[:1], spec.design_transform).shape[1]
+    if width != spec.d:
+        raise ValueError(f"design has {width} columns, spec says {spec.d}")
 
     origin_q = np.array([parse_quarter(d) for d in aligned.origin_dates])
     candidates = np.nonzero(origin_q >= parse_quarter(plan.initial_start))[0]
@@ -354,7 +354,7 @@ def expanding_window_backtest(
 
         jobs = [(1 + b, block) for b, block in enumerate(blocks)
                 if not all(aligned.outcome_dates[i] in done for i in block)]
-        run = partial(_run_block, spec, aligned, x_design, train_lo, plan, seed)
+        run = partial(_run_block, spec, aligned, train_lo, plan, seed)
         results = map(run, jobs)
         if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band, walk_diagonal
-from .distribution import PROBIT, LinkFunction, ThresholdGrid
+from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
+                           apply_design_transform)
 from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
 
@@ -68,31 +69,6 @@ class EstimationError(RuntimeError):
 
 # Stored estimates name their link; this is the only one there is.
 LINKS = {"probit": PROBIT}
-
-
-def _transform_identity(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _transform_quadratic(x: np.ndarray) -> np.ndarray:
-    # squares of the non-intercept columns appended on the right
-    return np.hstack([x, x[:, 1:] ** 2])
-
-
-DESIGN_TRANSFORMS = {
-    "identity": _transform_identity,
-    "quadratic": _transform_quadratic,
-}
-
-
-def apply_design_transform(x: np.ndarray, name: str) -> np.ndarray:
-    """Map raw design rows (intercept first) through a named expansion g."""
-    try:
-        fn = DESIGN_TRANSFORMS[name]
-    except KeyError:
-        raise ValueError(f"unknown design transform {name!r}") from None
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return fn(x)
 
 
 def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:

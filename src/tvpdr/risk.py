@@ -45,8 +45,8 @@ def deflation_risk(cdf: ConditionalCdf, lower_target: float, alpha: float) -> fl
     Always <= 0; alpha = 0 reduces to -P(y < target) and alpha = 1 to minus
     the expected shortfall below the target.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < np.inf:  # False for NaN too
+        raise ValueError(f"alpha must be >= 0 and finite, got {alpha}")
     if not np.isfinite(lower_target):
         raise ValueError("lower_target must be finite")
     mids, masses = _cell_masses(cdf)
@@ -60,8 +60,8 @@ def excess_inflation_risk(cdf: ConditionalCdf, upper_target: float, gamma: float
     gamma = 0 reduces to P(y > target), gamma = 1 to the expected excess
     over the target.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
+    if not 0.0 <= gamma < np.inf:  # False for NaN too
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     if not np.isfinite(upper_target):
         raise ValueError("upper_target must be finite")
     mids, masses = _cell_masses(cdf)

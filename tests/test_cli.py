@@ -17,7 +17,7 @@ from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import (build_threshold_grid, cdf_interpolate, conditional_cdf,
                                 forecast_predictive)
 from tvpdr.evaluation import BacktestPlan
-from tvpdr.model import ModelSpec, apply_design_transform
+from tvpdr.model import ModelSpec
 from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
 from tvpdr.store import load_estimate
 
@@ -111,7 +111,10 @@ def test_risk_table(estimate_dir, capsys):
 
 
 @pytest.mark.parametrize("bad", [["--lower", "3", "--upper", "1"], ["--alpha", "-1"],
-                                 ["--gamma", "-1"]], ids=["targets", "alpha", "gamma"])
+                                 ["--gamma", "-1"], ["--alpha", "nan"], ["--alpha", "inf"],
+                                 ["--gamma", "nan"], ["--gamma", "inf"], ["--probes", "3,nan"]],
+                         ids=["targets", "alpha", "gamma", "alpha-nan", "alpha-inf",
+                              "gamma-nan", "gamma-inf", "probe-nan"])
 def test_risk_refuses_bad_targets_and_exponents(estimate_dir, capsys, bad):
     csv, est, _ = estimate_dir
     code, stdout, stderr = run(capsys, ["risk", "--data", csv, *DATA_ARGS,
@@ -120,12 +123,57 @@ def test_risk_refuses_bad_targets_and_exponents(estimate_dir, capsys, bad):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--delta=nan"], "shift delta must be finite, got nan for 'u'"),
+    (["--delta=inf"], "shift delta must be finite, got inf for 'u'"),
+    (["--delta=-inf"], "shift delta must be finite, got -inf for 'u'"),
+    (["--delta=1", "--probes", "3,nan"], "cannot read a CDF at NaN; a probe must be a number"),
+], ids=["delta-nan", "delta-inf", "delta-minus-inf", "probe-nan"])
+def test_counterfactual_refuses_a_non_finite_delta_or_a_nan_probe(estimate_dir, capsys, bad,
+                                                                  message):
+    # a non-finite shift is refused by name, not blamed on the data as a missing row
+    csv, est, _ = estimate_dir
+    code, stdout, stderr = run(capsys, [
+        "counterfactual", "--data", csv, *DATA_ARGS, "--estimate", est, "--variable", "u",
+        "--start", "1995Q1", "--end", "1996Q4", *bad,
+    ])
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+def test_target_column_round_trip(estimate_dir, tmp_path, capsys):
+    # --target reads an outcome column the file carries; holding the price
+    # route's inflation, it gives that route's aligned data and draws
+    csv, est, stdout = estimate_dir
+    ds = load_csv(csv).with_inflation("P", 1)
+    own = str(tmp_path / "own.csv")
+    with open(own, "w", encoding="utf-8") as fh:
+        fh.write("date,pi,u\n")
+        for date, pi, u in zip(ds.dates, ds.series["infl_P_1q"], ds.series["u"]):
+            fh.write(f"{date},{'' if np.isnan(pi) else repr(float(pi))},{float(u)!r}\n")
+    target_args = ["--target", "pi", "--horizon", "1", "--covariates", "pi,u"]
+    est_own = str(tmp_path / "est_own")
+    code, own_stdout, _ = run(capsys, ["estimate", "--data", own, *target_args, *FAST_MODEL,
+                                       "--out", est_own])
+    assert code == 0
+    assert dict(parse_table(own_stdout))["data_hash"] == dict(parse_table(stdout))["data_hash"]
+    for read in (["risk", "--alpha", "1", "--gamma", "1"], ["forecast"]):
+        code, got, _ = run(capsys, [*read, "--data", own, *target_args, "--estimate", est_own])
+        assert code == 0
+        code, want, _ = run(capsys, [*read, "--data", csv, *DATA_ARGS, "--estimate", est])
+        assert code == 0 and got == want
+
+    code, stdout, stderr = run(capsys, ["risk", "--data", own, "--target", "nope",
+                                        "--covariates", "u", "--estimate", est_own])
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: target column 'nope' not in {own}\n"
+
+
 def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     # risk --predictive uses the row at --date, as forecast --date does
     csv, est, _ = estimate_dir
     aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ["infl_P_1q", "u"])
     draws = load_estimate(est)
-    x_design = apply_design_transform(aligned.x, draws.design_transform)
     row = len(aligned.y) - 6
     date = aligned.origin_dates[row]
     base = ["risk", "--data", csv, *DATA_ARGS, "--estimate", est, "--predictive",
@@ -136,7 +184,7 @@ def test_predictive_risk_conditions_on_the_given_date(estimate_dir, capsys):
     assert code == 0
     assert at_date != at_last
 
-    pred = forecast_predictive(draws, x_design[row])
+    pred = forecast_predictive(draws, aligned.x[row])
     want = {
         "deflation_risk(target=1,alpha=1)": deflation_risk(pred, 1.0, 1.0),
         "excess_inflation_risk(target=3,gamma=1)": excess_inflation_risk(pred, 3.0, 1.0),
@@ -251,8 +299,7 @@ def test_reads_take_the_design_transform_from_the_estimate(tmp_path, capsys):
     assert code == 0
     aligned = assemble_design(load_csv(csv).with_inflation("P", 1), ("infl_P_1q", "u"), lag=1)
     t = aligned.origin_dates.index("2000Q2")
-    x = apply_design_transform(aligned.x, "quadratic")[t]
-    want = distribution_mean(conditional_cdf(draws, x, t))
+    want = distribution_mean(conditional_cdf(draws, aligned.x[t], t))
     assert dict(parse_table(stdout)[1:])["mean"] == format(want, ".6g")
 
     code, _, _ = run(capsys, ["forecast", *common])
@@ -443,8 +490,8 @@ DISPATCH_ARGV = {
 def test_commands_without_model_options_take_the_library_defaults():
     argv = ["--data", "m.csv", "--target", "y", "--covariates", "u"]
     args = build_parser("estimate").parse_args(["estimate", *argv, "--out", "est"])
-    aligned = SimpleNamespace(y=np.array([0.0, 1.0]))
-    spec = _build_spec(args, aligned, np.ones((2, 2)))
+    aligned = SimpleNamespace(y=np.array([0.0, 1.0]), x=np.ones((2, 2)))
+    spec = _build_spec(args, aligned)
     want = ModelSpec(d=2, grid=build_threshold_grid(0.0, 1.0, 0.1))
     assert spec.grid.canonical() == want.grid.canonical()
     assert all(getattr(spec, f.name) == getattr(want, f.name)

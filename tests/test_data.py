@@ -109,6 +109,10 @@ def test_with_inflation_and_gap_columns():
     # exact float arithmetic on the shifted values
     base = ds3.series["ugap"][2]
     assert ds4.series["ugap"][2] == base + (-5.0)
+    # a non-finite shift is refused by name, before it can drop rows
+    for delta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"shift delta must be finite, got {delta} for 'ugap'"):
+            ds3.with_shift("ugap", delta, ("2000Q3", "2000Q4"))
 
 
 def test_csv_round_trip(tmp_path):
@@ -167,6 +171,23 @@ def test_csv_error_reporting(tmp_path):
     with pytest.raises(ValueError, match="date"):
         load_csv(not_date)
 
+    for text, message in [
+        ("", r"e.csv: empty file"),
+        ("date,x\n", r"e.csv: no data rows"),
+        ("date,x\n\n  ,  \n", r"e.csv: no data rows"),  # blank rows hold no quarter
+        ("date,x,y\n2001Q1,1,2\n2001Q2,3\n", r"e.csv:3: expected 3 cells, got 2"),
+        ("date,x\n2001Q1,1\n2001Q2,2,3\n", r"e.csv:3: expected 2 cells, got 3"),
+        # blank rows are skipped, and the line numbers still count them
+        ("date,x\n\n2001Q1,1\n , \n2001Q2,2\n\n2001Q4,4\n",
+         r"e.csv:7: missing quarter before 2001Q4"),
+    ]:
+        (tmp_path / "e.csv").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(tmp_path / "e.csv")
+    (tmp_path / "e.csv").write_text("date,x\n\n2001Q1,1\n , \n2001Q2,2\n\n")
+    ds = load_csv(tmp_path / "e.csv")
+    assert ds.dates == ("2001Q1", "2001Q2") and np.array_equal(ds.series["x"], [1.0, 2.0])
+
 
 def test_schema_parsing(tmp_path):
     sch = tmp_path / "schema.txt"
@@ -178,6 +199,15 @@ def test_schema_parsing(tmp_path):
     bad.write_text("PCEPI=9\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         load_schema(bad)
+    for text, message in [
+        ("PCEPI=5\nUNRATE 1\n", r"bad.txt:2: expected name=<code>"),
+        ("# codes\nPCEPI=five\n", r"bad.txt:2: transform code must be an integer"),
+        ("PCEPI=2.5\n", r"bad.txt:1: transform code must be an integer"),
+        ("PCEPI=5\n\nPCEPI = 2\n", r"bad.txt:3: duplicate schema entry 'PCEPI'"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_schema(bad)
 
     csv = tmp_path / "macro.csv"
     csv.write_text("date,x\n2001Q1,1\n")

@@ -151,6 +151,11 @@ def test_cdf_interpolate_boundary_extension():
     assert cdf_interpolate(cdf, 10.0) == 1.0
     arr = cdf_interpolate(cdf, np.array([0.0, 0.5, 1.0]))
     assert np.allclose(arr, [0.2, 0.5, 0.8])
+    # infinities read exactly 0 and 1; NaN has no probability to read
+    assert cdf_interpolate(cdf, -np.inf) == 0.0 and cdf_interpolate(cdf, np.inf) == 1.0
+    for at in (np.nan, np.array([0.25, np.nan])):
+        with pytest.raises(ValueError, match="cannot read a CDF at NaN"):
+            cdf_interpolate(cdf, at)
 
 
 def fit_small_model(seed=0, t_len=40, monotone=True):
@@ -181,7 +186,8 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     # from 1 so sigma for sigma2, x for x^2 or a lost sqrt would each be
     # more than 10 standard errors off at every threshold.
     rng = np.random.default_rng(3)
-    x = apply_design_transform(np.array([[1.0, 1.3, -0.8]]), transform)[0]
+    raw = np.array([1.0, 1.3, -0.8])
+    x = apply_design_transform(raw, transform)[0]
     kept, k, t_len, d = 200, 4, 3, x.size
     grid = build_threshold_grid(0.0, 3.0, 1.0)
 
@@ -193,9 +199,10 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     draws.beta[..., 0] += np.array([-4.5, -1.5, 1.5, 4.5])[None, :, None]
     draws.sigma2 = np.exp(rng.uniform(np.log(1.5), np.log(4.0), (kept, k, d)))
     draws.grid = grid
+    draws.design_transform = transform
     draws.d = d
 
-    exact = forecast_predictive(draws, x).values
+    exact = forecast_predictive(draws, raw).values
     curves = np.array([frozen_forecast_predictive(draws, x, RngHandle(8, stream=s).rng, PROBIT)
                        for s in range(240)])
     se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
@@ -268,3 +275,31 @@ def test_blocked_read_curves_equal_the_one_shot_curves(kept):
                 assert got.tobytes() == frozen_conditional_cdf(draws, x, t, PROBIT).tobytes()
             got = forecast_predictive(draws, x).values
             assert got.tobytes() == frozen_closed_form_predictive(draws, x, PROBIT).tobytes()
+
+
+@pytest.mark.parametrize("transform", ["identity", "quadratic"])
+def test_reads_take_the_raw_rows_the_fit_took(transform):
+    # run_gibbs maps raw rows (intercept first) through the spec's design
+    # transform, and so do the readers: the same rows go into both
+    rng = np.random.default_rng(12)
+    t_len = 30
+    x = np.column_stack([np.ones(t_len), rng.standard_normal((t_len, 2))])
+    y = 1.0 + 0.5 * x[:, 1] + rng.standard_normal(t_len)
+    grid = build_threshold_grid(float(y.min()), float(y.max()), 0.5)
+    d = apply_design_transform(x[:1], transform).shape[1]
+    spec = ModelSpec(d=d, grid=grid, design_transform=transform, iterations=60, burnin=20,
+                     monotone=False, seed=2)
+    draws = run_gibbs(spec, (y, x))
+    assert draws.design_transform == transform and draws.d == (3 if transform == "identity" else 5)
+    design = apply_design_transform(x, transform)
+    for t in (0, t_len // 2, t_len - 1):
+        got = conditional_cdf(draws, x[t], t).values
+        assert got.tobytes() == frozen_conditional_cdf(draws, design[t], t, PROBIT).tobytes()
+    got = forecast_predictive(draws, x[-1]).values
+    assert got.tobytes() == frozen_closed_form_predictive(draws, design[-1], PROBIT).tobytes()
+    # a row already mapped is not a raw row
+    if transform == "quadratic":
+        with pytest.raises(ValueError, match=r"x has shape \(5,\).*need \(5,\)"):
+            conditional_cdf(draws, design[0], 0)
+        with pytest.raises(ValueError, match=r"x_next has shape \(5,\)"):
+            forecast_predictive(draws, design[-1])

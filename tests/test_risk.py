@@ -39,6 +39,12 @@ def test_risk_measures_validate_exponents_and_targets():
         deflation_risk(cdf, np.nan, 0.0)
     with pytest.raises(ValueError, match="upper_target must be finite"):
         excess_inflation_risk(cdf, np.inf, 0.0)
+    # NaN passes a plain "< 0" check, and an infinite power reads -inf or inf
+    for exponent in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"alpha must be >= 0 and finite, got {exponent}"):
+            deflation_risk(cdf, 1.0, exponent)
+        with pytest.raises(ValueError, match=f"gamma must be >= 0 and finite, got {exponent}"):
+            excess_inflation_risk(cdf, 3.0, exponent)
 
 
 def test_exponent_zero_reduces_to_probabilities():
@@ -105,6 +111,11 @@ def test_compare_distributions_rows():
     assert set(rows[0].exceedance) == {3.0, 4.0}
     with pytest.raises(ValueError):
         compare_distributions(base, gaussian_cdf(step=0.02), probes=(3.0,))
+    # a NaN probe is refused, and infinite ones read exactly 1 and 0
+    with pytest.raises(ValueError, match="cannot read a CDF at NaN"):
+        compare_distributions(base, shifted, probes=(3.0, np.nan))
+    rows = compare_distributions(base, shifted, probes=(-np.inf, np.inf))
+    assert all(r.exceedance == {-np.inf: 1.0, np.inf: 0.0} for r in rows)
 
 
 

@@ -22,22 +22,23 @@ import numpy as np
 
 from .data import assemble_design, load_csv, load_schema
 from .distribution import (
+    DESIGN_TRANSFORMS,
+    apply_design_transform,
     build_threshold_grid,
     cdf_interpolate,
     conditional_cdf,
     forecast_predictive,
     quantile_from_cdf,
     ConditionalCdf,
-    ThresholdGrid,
 )
 from .evaluation import (
     BacktestPlan,
     expanding_window_backtest,
     pit_uniformity_band,
+    read_records,
     SCORE_VARIANTS,
 )
-from .model import (DESIGN_TRANSFORMS, EstimationError, ModelSpec, apply_design_transform,
-                    hash_data, run_gibbs)
+from .model import EstimationError, ModelSpec, hash_data, run_gibbs
 from .risk import (
     DEFAULT_PROBES,
     compare_distributions,
@@ -267,31 +268,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    with open(args.records, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines:
-        raise ValueError(f"{args.records}: empty records file")
-    header = lines[0].split("\t")
-    if header[:3] != ["date", "realized", "pit"]:
-        raise ValueError(f"{args.records}: not a backtest records file")
-    cdf_cols = [i for i, name in enumerate(header) if name.startswith("cdf_")]
-    if not cdf_cols:
-        raise ValueError(f"{args.records}: no cdf_* columns to rebuild curves from")
-    points = np.array([float(header[i][4:]) for i in cdf_cols])
-    step = float(points[1] - points[0]) if points.size > 1 else 1.0
-    grid = ThresholdGrid(points=points, min_value=float(points[0]),
-                         max_value=float(points[-1]), step=step)
-
+    with open(args.records, "rb") as fh:
+        _, grid, rows = read_records(fh.read(), args.records)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write("date\tseries\tvalue\n")
-        for ln in lines[1:]:
-            cells = ln.split("\t")
-            date = cells[0]
-            values = np.array([float(cells[i]) for i in cdf_cols])
+        for date, realized, pit, *cells in rows:
+            values = np.array([float(v) for v in cells[-grid.n:]])
             cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values))
-            out.write(f"{date}\trealized\t{_fmt(float(cells[1]))}\n")
-            out.write(f"{date}\tpit\t{_fmt(float(cells[2]))}\n")
+            out.write(f"{date}\trealized\t{_fmt(float(realized))}\n")
+            out.write(f"{date}\tpit\t{_fmt(float(pit))}\n")
             for tau in args.taus:
                 q = quantile_from_cdf(cdf, tau)
                 out.write(f"{date}\tq{tau:g}\t{_fmt(float(q))}\n")

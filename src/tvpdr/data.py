@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "QuarterAxis",
     "MacroDataset",
     "AlignedDesign",
     "parse_quarter",
@@ -45,29 +46,12 @@ def format_quarter(index: int) -> str:
     return f"{index // 4:04d}Q{index % 4 + 1}"
 
 
-# The last date axis known to be consecutive quarters. Derived datasets
-# (with_inflation, with_shift, ...) pass their parent's tuple on, so it is
-# recognised by identity and not parsed again; holding the reference keeps
-# that identity from being reused by another object.
-_valid_axis = None
+class QuarterAxis(tuple):
+    """Quarter labels checked to be consecutive: ``MacroDataset`` wraps the
+    axis it checked and ``load_csv`` the labels its row loop checked, so a
+    dataset derived by ``replace()`` keeps its parent's axis unparsed."""
 
-
-def _check_axis(dates) -> None:
-    """Raise unless ``dates`` are consecutive quarters.
-
-    Only an axis that passed is remembered, so a bad one raises on every
-    construction. Equal tuples from another load are parsed again, just as
-    they are in a fresh process.
-    """
-    global _valid_axis
-    if dates is _valid_axis:
-        return
-    idx = [parse_quarter(d) for d in dates]
-    for a, b, lbl in zip(idx, idx[1:], dates[1:]):
-        if b != a + 1:
-            raise ValueError(f"date axis has a gap or disorder before {lbl}")
-    if isinstance(dates, tuple):
-        _valid_axis = dates
+    __slots__ = ()
 
 
 def apply_transform(values: np.ndarray, code: int, name: str = "series") -> np.ndarray:
@@ -113,7 +97,12 @@ class MacroDataset:
     horizon: int | None = None
 
     def __post_init__(self):
-        _check_axis(self.dates)
+        if not isinstance(self.dates, QuarterAxis):  # a bad axis raises every time
+            idx = [parse_quarter(d) for d in self.dates]
+            for a, b, lbl in zip(idx, idx[1:], self.dates[1:]):
+                if b != a + 1:
+                    raise ValueError(f"date axis has a gap or disorder before {lbl}")
+            self.dates = QuarterAxis(self.dates)
         n = len(self.dates)
         for name, vals in self.series.items():
             if np.asarray(vals).shape != (n,):
@@ -181,7 +170,7 @@ class MacroDataset:
 def load_schema(path) -> dict:
     """Transform-code schema: UTF-8 lines ``name=<code>``, # comments allowed."""
     schema = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -211,9 +200,8 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
     and NROU are present, the computed unemployment gap column ``ugap`` is
     added automatically.
     """
-    global _valid_axis
     schema = dict(schema or {})
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -260,8 +248,7 @@ def load_csv(path, schema: dict | None = None) -> MacroDataset:
             raise ValueError(f"schema references absent column {key!r}")
     series = {n: np.asarray(col, dtype=np.float64) for n, col in zip(names, columns)}
     codes = {n: schema.get(n, 1) for n in names}
-    _valid_axis = tuple(dates)  # checked row by row above
-    data = MacroDataset(dates=_valid_axis, series=series, codes=codes)
+    data = MacroDataset(dates=QuarterAxis(dates), series=series, codes=codes)  # checked above
     if "UNRATE" in series and "NROU" in series:
         data = data.with_unemployment_gap()
     return data
@@ -313,13 +300,11 @@ def assemble_design(dataset: MacroDataset, covariates, lag: int = 1) -> AlignedD
             f"interior missing data breaks the quarterly clock at {dataset.dates[gap]}"
         )
 
-    rows = np.arange(first, n - offset)
-    x = np.column_stack([np.ones(rows.size)] + [c[rows] for c in cols])
-    y = tgt[rows + offset]
+    x = np.column_stack([np.ones(n - offset - first)] + [c[first : n - offset] for c in cols])
     return AlignedDesign(
-        y=np.ascontiguousarray(y),
+        y=tgt[first + offset :].copy(),
         x=np.ascontiguousarray(x),
-        origin_dates=tuple(dataset.dates[i] for i in rows),
-        outcome_dates=tuple(dataset.dates[i + offset] for i in rows),
+        origin_dates=dataset.dates[first : n - offset],
+        outcome_dates=dataset.dates[first + offset :],
         offset=offset,
     )

@@ -19,7 +19,7 @@ from scipy.special import ndtr, ndtri
 # How forecast_predictive integrates the innovation step; records computed
 # from its curves name this, so a change of scheme is never mixed into old
 # records.
-PREDICTIVE_DRAW = "closed form Phi(x'beta_T / sqrt(1 + x'diag(sigma2)x))"
+PREDICTIVE_DRAW = "closed form Phi(x'beta_T / sqrt(1 + j x'diag(sigma2)x)) at j steps"
 # Read curves take Phi of this many kept draws at a time. One pass over all
 # (kept, K) fits gives the same bits, but its fresh (kept, K) temporaries cost
 # read latency: at the bench read shape (1000 kept, K 65, 2 cores) median
@@ -197,22 +197,26 @@ def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
     return ConditionalCdf(grid=draws.grid, values=values)
 
 
-def forecast_predictive(draws, x_next) -> ConditionalCdf:
-    """One-step-ahead predictive CDF at the raw design row x_next.
+def forecast_predictive(draws, x_next, steps: int = 1) -> ConditionalCdf:
+    """Predictive CDF ``steps`` quarters past the last state, at the raw
+    design row x_next.
 
     x_next is intercept first and is mapped through the estimate's design
     transform, as in ``conditional_cdf``; x below is that mapped row.
-    Each kept draw's final state moves one random-walk step with its own
-    innovation variances, beta_T + eta with eta ~ N(0, diag(sigma2)), and
-    only the projection x'(beta_T + eta) reaches Phi. Given the draw, that
-    projection is N(x'beta_T, x' diag(sigma2) x), so for the probit link
-    E_eta Phi(x'beta_T + x'eta) = Phi(x'beta_T / sqrt(1 + x' diag(sigma2) x))
+    Each kept draw's final state moves j = ``steps`` random-walk steps with
+    its own innovation variances, beta_T + eta with eta ~ N(0, j diag(sigma2)),
+    and only the projection x'(beta_T + eta) reaches Phi. Given the draw,
+    that projection is N(x'beta_T, j x' diag(sigma2) x), so for the probit
+    link E_eta Phi(x'beta_T + x'eta) = Phi(x'beta_T / sqrt(1 + j x' diag(sigma2) x))
     exactly. The curve is the mean of that over kept draws, rearranged, so
     it takes no random numbers and carries no Monte Carlo error from the
-    step ahead; ``PREDICTIVE_DRAW`` names the scheme.
+    steps ahead; ``PREDICTIVE_DRAW`` names the scheme.
     """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     x_next = _design_row(draws, x_next, "x_next")
-    beta_last, var = draws.beta[:, :, -1, :], x_next * x_next
+    # j x^2 is x^2 to the bit at j = 1
+    beta_last, var = draws.beta[:, :, -1, :], steps * (x_next * x_next)
     kept, k = beta_last.shape[:2]
     scale = np.empty((min(kept, _curve_block(k, kept)), k))
 

@@ -5,9 +5,10 @@ The PIT uniformity band is the exact Kolmogorov quantile in closed form
 Carlo error.
 
 The backtest walks forecast origins in calendar order, refitting every few
-origins and forecasting one step ahead from each origin's own covariates.
+origins and forecasting each origin from its own covariates, as many steps
+past the fit's last state as the origin lies beyond it.
 Every refit block draws from its own named stream of one integer seed and
-the one-step curve takes no random numbers, so records do not depend on
+the predictive curve takes no random numbers, so records do not depend on
 which blocks ran before them; that is what makes the record file
 resumable after a crash and identical under parallel execution. A sidecar
 next to the records file names what they were computed from, so a resume
@@ -31,12 +32,13 @@ from .data import MacroDataset, assemble_design, parse_quarter
 from .distribution import (
     PREDICTIVE_DRAW,
     ThresholdGrid,
+    apply_design_transform,
     build_threshold_grid,
     cdf_interpolate,
     forecast_predictive,
     quantile_from_cdf,
 )
-from .model import ModelSpec, apply_design_transform, hash_data, run_gibbs
+from .model import ModelSpec, hash_data, run_gibbs
 from .samplers import RngHandle
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "pit_uniformity_band",
     "quantile_score",
     "expanding_window_backtest",
+    "read_records",
 ]
 
 SCORE_VARIANTS = ("standard", "one_sided")
@@ -176,6 +179,23 @@ def _record_row(rec: BacktestRecord, taus) -> list:
     return vals
 
 
+def read_records(data: bytes, name) -> tuple:
+    """The column names, the grid the trailing ``cdf_`` columns name, and the
+    cells of each row whose newline was written, from a records file's bytes;
+    the unterminated tail a crash leaves is no row. ``name`` labels errors."""
+    lines = data.decode("utf-8").split("\n")
+    header = lines[0].split("\t")
+    n = sum(col.startswith("cdf_") for col in header)
+    if header[:3] != ["date", "realized", "pit"] or not n or not all(
+            col.startswith("cdf_") for col in header[-n:]):
+        raise ValueError(f"{name}: not a backtest records file")
+    points = np.array([float(col[4:]) for col in header[-n:]])
+    step = float(points[1] - points[0]) if n > 1 else 1.0
+    grid = ThresholdGrid(points=points, min_value=float(points[0]),
+                         max_value=float(points[-1]), step=step)
+    return header, grid, [ln.split("\t") for ln in lines[1:-1] if ln]
+
+
 def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates, seed: int) -> str:
     """Sidecar text: everything the records depend on, as sorted JSON.
 
@@ -222,8 +242,7 @@ def _load_done(out_path, expected_header: list, meta: str) -> set:
         return set()
     with open(out_path, "r+b") as fh:
         text = fh.read()
-        lines = text.decode("utf-8").split("\n")
-        if lines[0].split("\t") != expected_header:
+        if text.split(b"\n", 1)[0] != "\t".join(expected_header).encode():
             raise ValueError(f"{out_path}: existing records use a different layout")
         _check_meta(out_path, meta)
         complete = text.rfind(b"\n") + 1
@@ -231,7 +250,7 @@ def _load_done(out_path, expected_header: list, meta: str) -> set:
             fh.write(b"\n")
         elif complete < len(text):
             fh.truncate(complete)
-    return {ln.split("\t", 1)[0] for ln in lines[1:-1]}
+    return {row[0] for row in read_records(text, out_path)[2]}
 
 
 def _last_quarter(kept: int, k: int, t_len: int, d: int):
@@ -244,11 +263,13 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, seed
                job) -> tuple:
     """Fit once on stream ``job[0]``, forecast each origin of block ``job[1]``.
 
-    Top level so it pickles. Training rows run from ``train_lo`` to the
-    last row whose outcome was known at the block's first origin.
+    Top level so it pickles. Training rows run from ``train_lo`` to
+    ``last``, the last row whose outcome was known at the block's first
+    origin; beta_T is that row's state, and origin i lies i - last steps on.
     """
     stream, block = job
-    train = slice(train_lo, block[0] - aligned.offset + 1)
+    last = block[0] - aligned.offset
+    train = slice(train_lo, last + 1)
     y_train = aligned.y[train]
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
@@ -259,7 +280,7 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, seed
     records = []
     for i in block:
         realized = float(aligned.y[i])
-        pred = forecast_predictive(draws, aligned.x[i])
+        pred = forecast_predictive(draws, aligned.x[i], steps=i - last)
         quantiles = {t: float(quantile_from_cdf(pred, t)) for t in plan.taus}
         records.append(
             BacktestRecord(

@@ -27,11 +27,7 @@ from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian
                        sample_truncated_mvn)
 
 __all__ = [
-    "LinkFunction",
-    "PROBIT",
     "LINKS",
-    "DESIGN_TRANSFORMS",
-    "apply_design_transform",
     "ModelSpec",
     "GibbsState",
     "PosteriorDraws",

@@ -38,8 +38,8 @@ import re
 
 import numpy as np
 
-from .distribution import ThresholdGrid
-from .model import DESIGN_TRANSFORMS, LINKS, PosteriorDraws
+from .distribution import DESIGN_TRANSFORMS, ThresholdGrid
+from .model import LINKS, PosteriorDraws
 
 __all__ = ["save_estimate", "load_estimate", "read_manifest", "draw_buffers", "StoreError"]
 

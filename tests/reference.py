@@ -403,9 +403,9 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     afresh, fits recomputed after every monotone draw and the latents drawn
     around fits recomputed from the current paths. Returns the kept
     (beta, sigma2)."""
-    from tvpdr.model import (PROBIT, apply_design_transform, draw_beta_monotone,
-                             draw_beta_unconstrained, draw_latent, draw_sigma2, fitted_values,
-                             initial_state)
+    from tvpdr.distribution import PROBIT, apply_design_transform
+    from tvpdr.model import (draw_beta_monotone, draw_beta_unconstrained, draw_latent, draw_sigma2,
+                             fitted_values, initial_state)
 
     y = np.asarray(y, dtype=np.float64)
     design = apply_design_transform(x, spec.design_transform)
@@ -435,6 +435,49 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
             kept_beta.append(state.beta.copy())
             kept_sigma2.append(state.sigma2.copy())
     return np.array(kept_beta), np.array(kept_sigma2)
+
+
+def prior_draws(n: int, t_len: int, d: int, nu: float, s: float, gen: np.random.Generator):
+    """n independent draws of (beta (n, T, d), sigma2 (n, d)) from the
+    model's prior: sigma2_j ~ IG(nu, s), then beta_1 ~ N(0, diag(sigma2))
+    and random-walk increments N(0, diag(sigma2)), as the walk precision
+    (diagonal 2, ..., 2, 1) and the inverse gamma update with the initial
+    state both state it."""
+    sigma2 = s / gen.gamma(nu, 1.0, size=(n, d))
+    steps = np.sqrt(sigma2)[:, None, :] * gen.standard_normal((n, t_len, d))
+    return np.cumsum(steps, axis=1), sigma2
+
+
+def successive_conditional(design, beta, sigma2, nu: float, s: float, sweeps: int,
+                           gen: np.random.Generator, statistic):
+    """Geweke's (2004) successive-conditional simulator for unconstrained
+    paths, over the package's public draws.
+
+    Each sweep simulates the data given the parameters, the indicators
+    1{y <= c} at every path b and time t as Bernoulli(Phi(fit_bt)), then
+    runs one Gibbs update of the parameters given the data: latents,
+    paths, variances with the initial state in the inverse gamma update.
+    An indicator goes in as y = -1 (1) or +1 (0) against threshold 0, so
+    ``draw_latent`` sees the probit likelihood it samples. The B paths in
+    ``beta`` (B, T, d) and ``sigma2`` (B, d) are independent chains,
+    stacked as ``run_gibbs`` stacks an unconstrained batch. Started at
+    prior draws the joint chain is stationary from its first sweep, and
+    its (beta, sigma2) marginal is the prior exactly when the update is a
+    valid kernel for it. Returns each chain's mean over the sweeps of
+    ``statistic(beta, sigma2)``, which maps the (B, T, d) paths and (B, d)
+    variances to (B, S) values.
+    """
+    from tvpdr.model import draw_beta_unconstrained, draw_latent, draw_sigma2, fitted_values
+
+    total = 0.0
+    for _ in range(sweeps):
+        fits = fitted_values(design, beta)
+        y = np.where(gen.random(fits.shape) < ndtr(fits), -1.0, 1.0)
+        latent = draw_latent(0.0, y, fits, gen)
+        beta = draw_beta_unconstrained(design, latent, sigma2, gen)
+        sigma2 = draw_sigma2(beta, nu, s, gen, include_initial=True)
+        total = total + statistic(beta, sigma2)
+    return total / sweeps
 
 
 def frozen_conditional_cdf(draws, x, t: int, link) -> np.ndarray:

@@ -347,6 +347,27 @@ def test_evaluate_then_plotdata_round_trip(tmp_path, capsys):
         assert 0.0 <= vals["pit"] <= 1.0
 
 
+def test_plotdata_reads_only_complete_rows_of_torn_records(tmp_path, capsys):
+    # a run killed mid-write leaves an unterminated last row; plotdata, like
+    # a resume, reads only the rows whose newline was written
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    records = tmp_path / "records.tsv"
+    code, _, _ = run(capsys, ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                              "--initial-start", dates[0], "--initial-end", dates[-10],
+                              "--out", str(records)])
+    assert code == 0
+    text = records.read_bytes()
+    complete = text[: text.rstrip(b"\n").rfind(b"\n") + 1]
+    records.write_bytes(complete)
+    code, want, _ = run(capsys, ["plotdata", "--records", str(records)])
+    assert code == 0 and want.count("\trealized\t") == complete.count(b"\n") - 1
+    for torn in (text[: len(complete) + 17], text[:-2]):  # mid-row; inside the last cell
+        records.write_bytes(torn)
+        code, got, stderr = run(capsys, ["plotdata", "--records", str(records)])
+        assert (code, got, stderr) == (0, want, "")
+
+
 def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import tvpdr.data
 from tvpdr.data import (
     MacroDataset,
+    QuarterAxis,
     apply_transform,
     assemble_design,
     format_quarter,
@@ -85,6 +87,27 @@ def test_axis_validation_fires_on_every_construction():
     # a remembered axis still has its series checked against it
     with pytest.raises(ValueError, match="span"):
         MacroDataset(dates=good, series={"a": np.zeros(3)}, codes={})
+
+
+def test_a_checked_axis_is_typed_and_passed_on(tmp_path, monkeypatch):
+    # MacroDataset and load_csv wrap the axis they checked; derived datasets
+    # take it as it is, and nothing parses a checked axis again
+    ds = MacroDataset(dates=list(make_dates(n=4)), series={"P": np.arange(1.0, 5.0)},
+                      codes={})
+    assert isinstance(ds.dates, QuarterAxis) and ds.dates == make_dates(n=4)
+    (tmp_path / "m.csv").write_text("date,P\n2000Q1,1\n2000Q2,2\n2000Q3,3\n")
+    loaded = load_csv(tmp_path / "m.csv")
+    assert isinstance(loaded.dates, QuarterAxis)
+
+    parsed = []
+    real = tvpdr.data.parse_quarter
+    monkeypatch.setattr(tvpdr.data, "parse_quarter", lambda s: parsed.append(s) or real(s))
+    derived = ds.with_inflation("P", 1).with_shift("P", 1.0, ("2000Q2", "2000Q3"))
+    assert derived.dates is ds.dates and parsed == ["2000Q2", "2000Q1", "2000Q3", "2000Q1"]
+    aligned = assemble_design(derived, ["P"])
+    assert aligned.origin_dates == make_dates(n=3) and type(aligned.origin_dates) is tuple
+    assert aligned.outcome_dates == make_dates(n=4)[1:]
+    assert len(parsed) == 4  # the four index_of labels of with_shift
 
 
 def test_with_inflation_and_gap_columns():
@@ -187,6 +210,21 @@ def test_csv_error_reporting(tmp_path):
     (tmp_path / "e.csv").write_text("date,x\n\n2001Q1,1\n , \n2001Q2,2\n\n")
     ds = load_csv(tmp_path / "e.csv")
     assert ds.dates == ("2001Q1", "2001Q2") and np.array_equal(ds.series["x"], [1.0, 2.0])
+
+
+def test_csv_with_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    csv = tmp_path / "excel.csv"
+    csv.write_text("\ufeffdate,u,P\n2001Q1,5.0,100\n2001Q2,5.1,101\n", encoding="utf-8")
+    ds = load_csv(csv, {"u": 2})
+    assert ds.dates == ("2001Q1", "2001Q2") and list(ds.series) == ["u", "P"]
+    assert ds.codes == {"u": 2, "P": 1}
+
+
+def test_schema_with_a_byte_order_mark(tmp_path):
+    sch = tmp_path / "schema.txt"
+    sch.write_text("\ufeffu=2\nP=5\n", encoding="utf-8")
+    assert load_schema(sch) == {"u": 2, "P": 5}
 
 
 def test_schema_parsing(tmp_path):

@@ -7,7 +7,9 @@ from scipy.special import ndtr
 from tvpdr.distribution import (
     ConditionalCdf,
     Quantile,
+    PROBIT,
     ThresholdGrid,
+    apply_design_transform,
     build_threshold_grid,
     cdf_derivative,
     cdf_interpolate,
@@ -15,7 +17,7 @@ from tvpdr.distribution import (
     forecast_predictive,
     quantile_from_cdf,
 )
-from tvpdr.model import ModelSpec, PROBIT, PosteriorDraws, apply_design_transform, run_gibbs
+from tvpdr.model import ModelSpec, PosteriorDraws, run_gibbs
 from tvpdr.samplers import RngHandle
 
 from reference import (frozen_closed_form_predictive, frozen_conditional_cdf,
@@ -208,6 +210,46 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
     assert np.all(se > 0.0)
     assert np.all(np.abs(curves.mean(axis=0) - exact) < 4.0 * se)
+
+
+@pytest.mark.parametrize("steps", [2, 4])
+def test_forecast_predictive_steps_match_simulated_random_walks(steps):
+    # j steps past beta_T the state is beta_T + eta_1 + ... + eta_j, each
+    # eta ~ N(0, diag(sigma2)). Simulating those innovations coordinate by
+    # coordinate, stream by stream, estimates the j-step curve without the
+    # closed form; the one-step curve is far outside its error.
+    rng = np.random.default_rng(4)
+    raw = np.array([1.0, 1.3])
+    kept, k, d = 200, 4, 2
+    draws = PosteriorDraws(
+        grid=build_threshold_grid(0.0, 3.0, 1.0),
+        beta=0.3 * rng.standard_normal((kept, k, 2, d)) + np.array([-3.0, -1.0, 1.0, 3.0])[
+            None, :, None, None] * np.array([1.0, 0.0]),
+        sigma2=np.exp(rng.uniform(np.log(0.2), np.log(0.6), (kept, k, d))),
+        seed=0, stream=0, spec_hash="", data_hash="")
+
+    def simulated(gen):
+        beta = draws.beta[:, :, -1, :].copy()
+        for _ in range(steps):
+            beta += np.sqrt(draws.sigma2) * gen.standard_normal(beta.shape)
+        return np.sort(ndtr(beta @ raw).mean(axis=0))
+
+    curves = np.array([simulated(RngHandle(9, stream=s).rng) for s in range(240)])
+    mean, se = curves.mean(axis=0), curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(mean - forecast_predictive(draws, raw, steps=steps).values) < 4.0 * se)
+    assert np.any(np.abs(mean - forecast_predictive(draws, raw).values) > 10.0 * se)
+
+
+def test_forecast_predictive_one_step_is_the_default_and_steps_are_counts():
+    draws, x, _ = fit_small_model(seed=5, t_len=20)
+    one = forecast_predictive(draws, x[-1])
+    assert forecast_predictive(draws, x[-1], steps=1).values.tobytes() == one.values.tobytes()
+    assert forecast_predictive(draws, x[-1], steps=np.int64(1)).values.tobytes() == \
+        one.values.tobytes()
+    for bad in (0, -1, 1.5, None):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            forecast_predictive(draws, x[-1], steps=bad)
 
 
 def test_forecast_predictive_widens_the_insample_cdf():

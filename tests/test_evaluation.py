@@ -15,6 +15,7 @@ from tvpdr.evaluation import (
     pit,
     pit_uniformity_band,
     quantile_score,
+    read_records,
 )
 from tvpdr.model import ModelSpec
 from tvpdr.samplers import RngHandle, as_generator
@@ -177,6 +178,51 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     expanding_window_backtest(plan, spec, ds, cov, 4,
                               out_path=str(par), workers=3)
     assert par.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("lag", [1, 2])
+def test_backtest_forecasts_each_origin_its_distance_past_the_fit(monkeypatch, lag):
+    # a block trains through row block[0] - offset, so origin i of the block
+    # lies i - block[0] + offset random-walk steps past the fit's last state
+    import tvpdr.evaluation as ev
+
+    ds = synthetic_dataset(seed=4)
+    spec = fast_spec(ds)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4, lag=lag)
+    real, steps = ev.forecast_predictive, []
+
+    def spy(draws, x_next, **kwargs):
+        steps.append(kwargs["steps"])
+        return real(draws, x_next, **kwargs)
+
+    monkeypatch.setattr(ev, "forecast_predictive", spy)
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 7)
+    offset = lag
+    assert len(steps) == len(res.records) == 9 - (lag - 1)
+    assert steps == [offset + j % 4 for j in range(len(steps))]
+
+
+def test_read_records_keeps_only_terminated_rows(tmp_path):
+    ds = synthetic_dataset(seed=1)
+    spec = fast_spec(ds)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
+    out = tmp_path / "records.tsv"
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 4, out_path=str(out))
+    text = out.read_bytes()
+    header, grid, rows = read_records(text, "records.tsv")
+    assert header == text.decode().split("\n", 1)[0].split("\t")
+    assert np.array_equal(grid.points, spec.grid.points)
+    assert [r[0] for r in rows] == [r.date for r in res.records]
+    assert all(len(r) == len(header) for r in rows)
+    # torn inside a row, inside the last cell, and after the header
+    tears = [(text[: text.rfind(b"\t")], len(rows) - 1), (text[:-2], len(rows) - 1),
+             (text[: text.find(b"\n")], 0)]
+    for torn, complete in tears:
+        assert read_records(torn, "torn")[2] == rows[:complete]
+    for bogus in (b"", b"a\tb\n1\t2\n", b"date\trealized\tpit\tqs_05\n",
+                  b"date\trealized\tpit\tcdf_0.5\tqs_05\n"):
+        with pytest.raises(ValueError, match="bogus: not a backtest records file"):
+            read_records(bogus, "bogus")
 
 
 def test_backtest_refuses_a_worker_count_below_one(tmp_path):

@@ -6,13 +6,11 @@ from scipy.linalg import block_diag
 from scipy.special import ndtr
 
 from tvpdr.banded import assemble_precision
-from tvpdr.distribution import build_threshold_grid
+from tvpdr.distribution import PROBIT, apply_design_transform, build_threshold_grid
 from tvpdr.model import (
     EstimationError,
     ModelSpec,
     MonotonicityError,
-    PROBIT,
-    apply_design_transform,
     draw_beta_monotone,
     draw_beta_unconstrained,
     draw_latent,
@@ -38,7 +36,9 @@ from reference import (
     frozen_mirrored_truncated_normal,
     inverse_gamma_cdf,
     kolmogorov_distance,
+    prior_draws,
     public_draw_loop,
+    successive_conditional,
 )
 
 
@@ -606,3 +606,35 @@ def test_run_gibbs_buffers_may_keep_the_last_quarters():
 
     with pytest.raises(ValueError, match="buffers"):
         run_gibbs(spec, (y, x), buffers=too_long)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d", [1, 2])
+def test_unconstrained_kernel_passes_a_joint_distribution_test(d):
+    # Geweke (2004): alternate simulating the indicators given the
+    # parameters with one Gibbs update given the indicators. Started at
+    # prior draws, the chains keep the prior as their marginal exactly when
+    # the update is a valid kernel for it, which holds here: the walk prior
+    # gives beta_1 ~ N(0, sigma2) and the initial state joins the sigma2
+    # update. T = 5, sigma2 ~ IG(3, 1), slope column 1.5 N(0, 1); the
+    # unconstrained paths of a K = 2 fit are independent chains like these.
+    # Moments of log sigma2, beta_1 and beta_T, their squares and the fits
+    # at t = 1 and T: chain means against direct prior draws.
+    gen = np.random.default_rng(1)
+    t_len, nu, s, chains, prior_n = 5, 3.0, 1.0, 2000, 400_000
+    design = np.column_stack([np.ones(t_len)] +
+                             [1.5 * gen.standard_normal(t_len) for _ in range(d - 1)])
+
+    def moments(beta, sigma2):
+        firsts = [np.log(sigma2), beta[..., 0, :], beta[..., -1, :]]
+        fits = fitted_values(design, beta)
+        return np.concatenate(firsts + [m ** 2 for m in firsts]
+                              + [fits[..., :1], fits[..., -1:]], axis=-1)
+
+    per_chain = successive_conditional(design, *prior_draws(chains, t_len, d, nu, s, gen),
+                                       nu, s, 2000, gen, moments)
+    prior = np.concatenate([moments(*prior_draws(prior_n // 4, t_len, d, nu, s, gen))
+                            for _ in range(4)])
+    z = (per_chain.mean(axis=0) - prior.mean(axis=0)) / np.sqrt(
+        per_chain.var(axis=0, ddof=1) / chains + prior.var(axis=0, ddof=1) / prior_n)
+    assert np.abs(z).max() <= 3.5, np.round(z, 2)

@@ -89,7 +89,7 @@ def _add_data_options(p: argparse.ArgumentParser):
     g.add_argument("--lag", type=int, default=1, help="covariate lag, 1 = one quarter back")
 
 
-def _add_model_options(p: argparse.ArgumentParser):
+def _add_model_options(p: argparse.ArgumentParser, grid_note=""):
     # the model's defaults are ModelSpec's; the grid is built from --grid-* here
     g = p.add_argument_group("model")
     g.add_argument("--iters", type=int, default=ModelSpec.iterations,
@@ -100,8 +100,10 @@ def _add_model_options(p: argparse.ArgumentParser):
                    default="on" if ModelSpec.monotone else "off",
                    help="enforce ordering across thresholds inside the sampler")
     g.add_argument("--grid-step", type=float, default=0.1, help="threshold spacing")
-    g.add_argument("--grid-min", type=float, help="lowest threshold (default: sample min)")
-    g.add_argument("--grid-max", type=float, help="highest threshold (default: sample max)")
+    g.add_argument("--grid-min", type=float,
+                   help=f"lowest threshold (default: sample min){grid_note}")
+    g.add_argument("--grid-max", type=float,
+                   help=f"highest threshold (default: sample max){grid_note}")
     g.add_argument("--design-transform", choices=tuple(DESIGN_TRANSFORMS),
                    default=ModelSpec.design_transform)
     g.add_argument("--sweeps", type=int, default=ModelSpec.truncation_sweeps,
@@ -340,7 +342,9 @@ def _counterfactual_options(p: argparse.ArgumentParser):
 
 def _evaluate_options(p: argparse.ArgumentParser):
     _add_data_options(p)
-    _add_model_options(p)
+    _add_model_options(p, grid_note="; sets only the records' report grid (the cdf_ "
+                                    "columns): each refit fits on its own training range "
+                                    "at --grid-step")
     p.add_argument("--initial-start", required=True, help="first training quarter")
     p.add_argument("--initial-end", required=True, help="first forecast origin quarter")
     p.add_argument("--refit-every", type=int, default=BacktestPlan.refit_every)

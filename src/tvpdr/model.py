@@ -84,7 +84,8 @@ class ModelSpec:
     """Everything that defines one estimation run except the data and rng.
 
     The link is not a setting: every latent is N(fit, 1) truncated at 0, so
-    the model is probit (``distribution.PROBIT``) by construction.
+    the model is probit (``distribution.PROBIT``) by construction. Every
+    innovation variance has the one prior IG(``ig_prior_nu``, ``ig_prior_s``).
     """
 
     d: int
@@ -108,17 +109,11 @@ class ModelSpec:
             raise ValueError("need iterations > burnin >= 0")
         if self.truncation_sweeps < 1:
             raise ValueError("truncation_sweeps must be >= 1")
-        nu, s = self.prior_arrays()
-        if not (np.all(nu > 0.0) and np.all(s > 0.0)):
-            raise ValueError("inverse gamma prior parameters must be positive")
-
-    def prior_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        nu = np.broadcast_to(np.asarray(self.ig_prior_nu, dtype=np.float64), (self.d,))
-        s = np.broadcast_to(np.asarray(self.ig_prior_s, dtype=np.float64), (self.d,))
-        return np.array(nu), np.array(s)
+        for name, value in (("ig_prior_nu", self.ig_prior_nu), ("ig_prior_s", self.ig_prior_s)):
+            if np.ndim(value) != 0 or not value > 0.0:
+                raise ValueError(f"{name} must be one positive number")
 
     def canonical(self) -> dict:
-        nu, s = self.prior_arrays()
         return {
             "d": self.d,
             "grid": self.grid.canonical(),
@@ -132,8 +127,9 @@ class ModelSpec:
             "include_initial_state_in_ig": self.include_initial_state_in_ig,
             # a retired option at its only value: dropping it would move every spec_hash
             "ridge_scale": 0.0,
-            "ig_prior_nu": nu.tolist(),
-            "ig_prior_s": s.tolist(),
+            # d copies of the one prior, the per-coefficient form: no spec_hash moves
+            "ig_prior_nu": [float(self.ig_prior_nu)] * self.d,
+            "ig_prior_s": [float(self.ig_prior_s)] * self.d,
         }
 
     def spec_hash(self) -> str:
@@ -264,11 +260,11 @@ def draw_beta_unconstrained(design, latent, sigma2, rng, likelihood=None,
         latent.shape + design.shape[1:])
 
 
-def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
+def draw_sigma2(beta, nu: float, s: float, rng, include_initial: bool = False) -> np.ndarray:
     """Conjugate inverse gamma update of the innovation variances.
 
-    Shape nu + (T-1)/2 and scale S + sum of squared increments / 2 per
-    coefficient. With ``include_initial`` the initial condition joins the
+    One prior IG(nu, s) for every coefficient: shape nu + (T-1)/2 and scale
+    s + sum of squared increments / 2 per coefficient. With ``include_initial`` the initial condition joins the
     sum of squares and the shape becomes nu + T/2. Paths (B, T, d) give
     variances (B, d).
     """
@@ -276,10 +272,8 @@ def draw_sigma2(beta, nu, s, rng, include_initial: bool = False) -> np.ndarray:
     if beta.ndim not in (2, 3) or beta.shape[-2] < 2:
         raise ValueError("beta must be (T, d) or (B, T, d) with T >= 2")
     t_len, d = beta.shape[-2:]
-    nu, s = (np.asarray(p, dtype=np.float64) for p in (nu, s))
-    nu, s = (p if p.shape == (d,) else np.broadcast_to(p, (d,)) for p in (nu, s))
-    if not ((nu > 0.0).all() and (s > 0.0).all()):
-        raise ValueError("prior parameters must be positive")
+    if np.ndim(nu) != 0 or np.ndim(s) != 0 or not (nu > 0.0 and s > 0.0):
+        raise ValueError("prior parameters must be two positive numbers")
     sq = np.square(np.diff(beta, axis=-2))
     # For d > 1, np.sum(axis=-2) adds over t in sequence through a strided
     # pass; einsum adds in the same order along rows, so the sums are equal
@@ -371,13 +365,12 @@ def draw_beta_monotone(
     design,
     latent,
     sigma2,
+    current,
     rng,
     sweeps: int = ModelSpec.truncation_sweeps,
-    warm_start=None,
     likelihood=None,
     out=None,
-    fitted_out=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Path draw for one threshold under the fitted-value ordering box.
 
     The non-intercept block comes from its unconstrained marginal posterior
@@ -396,6 +389,9 @@ def draw_beta_monotone(
     thresholds are drawn together from one stacked block-diagonal system,
     and their intercepts from one stacked tridiagonal system whose blocks
     never couple. A MonotonicityError's ``path`` names the offending one.
+    ``current`` holds the threshold's current paths, shaped like the
+    result; the intercept sweep continues the chain from their intercepts,
+    clipped into the new box, which makes the update a Gibbs step.
 
     ``likelihood`` and ``out`` go to the joint draw, which factors in
     place; it is the only factorization here. The intercept step builds
@@ -403,9 +399,8 @@ def draw_beta_monotone(
     the latents and the drawn slopes. Intercepts whose box is a single
     point are pinned to it; the free ones are drawn by ``sweeps`` two-colour
     sweeps of ``sample_truncated_mvn``, which reads each conditional mean
-    from that precision and rhs. Given ``fitted_out``, an
-    array shaped like ``latent``, the fits of the returned paths are
-    written into it: the ordering check computes them anyway.
+    from that precision and rhs. Returns the paths and their fits, which
+    the ordering check computes anyway.
     """
     gen = as_generator(rng)
     design = np.asarray(design, dtype=np.float64)
@@ -414,6 +409,8 @@ def draw_beta_monotone(
         raise ValueError("monotone updates require a leading intercept column of ones")
     latent = np.asarray(latent, dtype=np.float64)
     single = latent.ndim == 1
+    if np.shape(current) != latent.shape + (d,):
+        raise ValueError("current paths must have one (T, d) path per threshold drawn")
     lo_path = np.full(latent.shape, -np.inf) if lower_path is None else lower_path
     up_path = np.full(latent.shape, np.inf) if upper_path is None else upper_path
     lo_path, up_path = (np.asarray(p, dtype=np.float64) for p in (lo_path, up_path))
@@ -424,9 +421,8 @@ def draw_beta_monotone(
     beta = draw_beta_unconstrained(design, latent, sigma2, gen, likelihood=likelihood, out=out)
 
     if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
-        if fitted_out is not None:
-            fitted_out[...] = fitted_values(design, beta).reshape(np.shape(fitted_out))
-        return beta[0] if single else beta
+        fits = fitted_values(design, beta)
+        return (beta[0], fits[0]) if single else (beta, fits)
     if np.any(lo_path > up_path):
         row, t = np.argwhere(lo_path > up_path)[0]
         raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
@@ -451,16 +447,14 @@ def draw_beta_monotone(
     if free.any():
         diag, off, rhs = _intercept_system(design, latent, np.reshape(sigma2, (-1, d)), rest)
         diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
-        start = beta if warm_start is None else np.asarray(warm_start, dtype=np.float64)
-        init = np.clip(start[..., 0].ravel()[free], lo[free], up[free])
+        init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free],
+                       lo[free], up[free])
         x1[free] = sample_truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo[free], up[free],
                                         init, sweeps, gen)
 
     beta[..., 0] = x1.reshape(lo_path.shape)
     beta, fits = _repair_ordering(beta, design, lo_path, up_path)
-    if fitted_out is not None:
-        fitted_out[...] = fits.reshape(np.shape(fitted_out))
-    return beta[0] if single else beta
+    return (beta[0], fits[0]) if single else (beta, fits)
 
 
 def initial_state(y: np.ndarray, grid: ThresholdGrid, t_len: int, d: int, link: LinkFunction) -> GibbsState:
@@ -540,7 +534,6 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     if not isinstance(rng, RngHandle):
         raise TypeError(f"rng must be an RngHandle or None, got {type(rng)!r}")
     gen = rng.rng
-    nu, s = spec.prior_arrays()
     grid = spec.grid
     k = grid.n
 
@@ -574,18 +567,19 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
             try:
                 latent = draw_latent(grid.points[batch], y, state.fitted[batch], gen, box=box)
                 if spec.monotone:
-                    beta = draw_beta_monotone(
-                        *neighbors, design, latent, state.sigma2[batch], gen,
-                        sweeps=spec.truncation_sweeps, warm_start=state.beta[batch],
-                        likelihood=likelihood, out=storage, fitted_out=state.fitted[batch],
+                    beta, fits = draw_beta_monotone(
+                        *neighbors, design, latent, state.sigma2[batch], state.beta[batch], gen,
+                        sweeps=spec.truncation_sweeps, likelihood=likelihood, out=storage,
                     )
                 else:
                     beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
                                                    likelihood=likelihood, out=storage)
-                    state.fitted[batch] = fitted_values(design, beta)
+                    fits = fitted_values(design, beta)
                 state.beta[batch] = beta
+                state.fitted[batch] = fits
                 state.sigma2[batch] = draw_sigma2(
-                    beta, nu, s, gen, include_initial=spec.include_initial_state_in_ig,
+                    beta, spec.ig_prior_nu, spec.ig_prior_s, gen,
+                    include_initial=spec.include_initial_state_in_ig,
                 )
             except Exception as exc:
                 row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0

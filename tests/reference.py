@@ -412,7 +412,7 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     t_len, d = design.shape
     k = spec.grid.n
     state = initial_state(y, spec.grid, t_len, d, PROBIT)
-    nu, s = spec.prior_arrays()
+    nu, s = spec.ig_prior_nu, spec.ig_prior_s
     colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
     edge = np.full((1, t_len), np.inf)
     kept_beta, kept_sigma2 = [], []
@@ -422,9 +422,9 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
                                  fitted_values(design, state.beta[batch]), gen)
             if spec.monotone:
                 bounds = np.vstack([-edge, state.fitted, edge])
-                beta = draw_beta_monotone(
-                    bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch], gen,
-                    sweeps=spec.truncation_sweeps, warm_start=state.beta[batch])
+                beta, _ = draw_beta_monotone(
+                    bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch],
+                    state.beta[batch], gen, sweeps=spec.truncation_sweeps)
                 state.fitted[batch] = fitted_values(design, beta)
             else:
                 beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen)
@@ -476,6 +476,59 @@ def successive_conditional(design, beta, sigma2, nu: float, s: float, sweeps: in
         latent = draw_latent(0.0, y, fits, gen)
         beta = draw_beta_unconstrained(design, latent, sigma2, gen)
         sigma2 = draw_sigma2(beta, nu, s, gen, include_initial=True)
+        total = total + statistic(beta, sigma2)
+    return total / sweeps
+
+
+def ordered_prior_draws(n: int, design: np.ndarray, nu: float, s: float,
+                        gen: np.random.Generator):
+    """n draws of (beta (n, 2, T, d), sigma2 (n, 2, d)) from the monotone
+    model's prior for K = 2 thresholds: two independent ``prior_draws``
+    paths, rejected unless fit_1 <= fit_2 at every t."""
+    t_len, d = design.shape
+    beta, sigma2, found = [], [], 0
+    while found < n:
+        paths, variances = prior_draws(2 * n, t_len, d, nu, s, gen)
+        paths, variances = paths.reshape(n, 2, t_len, d), variances.reshape(n, 2, d)
+        fits = np.einsum("td,nktd->nkt", design, paths)
+        keep = np.all(fits[:, 0] <= fits[:, 1], axis=-1)
+        beta.append(paths[keep])
+        sigma2.append(variances[keep])
+        found += int(keep.sum())
+    return np.concatenate(beta)[:n], np.concatenate(sigma2)[:n]
+
+
+def monotone_successive_conditional(design, beta, sigma2, nu: float, s: float, sweeps: int,
+                                    truncation_sweeps: int, gen: np.random.Generator,
+                                    statistic):
+    """Geweke's (2004) successive-conditional simulator for a monotone fit
+    of K = 2 thresholds, over the package's public draws.
+
+    Each sweep simulates the indicators of each threshold at every t as
+    Bernoulli(Phi(fit)), the likelihood a threshold's update sees, then
+    updates threshold 0 with threshold 1's fits as its upper bound and
+    threshold 1 with threshold 0's new fits as its lower bound, as the
+    red-black scan of ``run_gibbs`` does at K = 2: latents, the monotone
+    path draw from the current paths with ``truncation_sweeps`` sweeps,
+    variances with the initial state in the inverse gamma update. The B
+    chains in ``beta`` (B, 2, T, d) and ``sigma2`` (B, 2, d) are
+    independent; started at ``ordered_prior_draws`` the joint chain is
+    stationary from its first sweep. Returns each chain's mean over the
+    sweeps of ``statistic(beta, sigma2)``, which maps them to (B, S) values.
+    """
+    from tvpdr.model import draw_beta_monotone, draw_latent, draw_sigma2, fitted_values
+
+    beta, sigma2 = beta.copy(), sigma2.copy()
+    fits = fitted_values(design, beta)
+    total = 0.0
+    for _ in range(sweeps):
+        y = np.where(gen.random(fits.shape) < ndtr(fits), -1.0, 1.0)
+        for k, (lower, upper) in enumerate([(None, fits[:, 1]), (fits[:, 0], None)]):
+            latent = draw_latent(0.0, y[:, k], fits[:, k], gen)
+            beta[:, k], fits[:, k] = draw_beta_monotone(
+                lower, upper, design, latent, sigma2[:, k], beta[:, k], gen,
+                sweeps=truncation_sweeps)
+            sigma2[:, k] = draw_sigma2(beta[:, k], nu, s, gen, include_initial=True)
         total = total + statistic(beta, sigma2)
     return total / sweeps
 

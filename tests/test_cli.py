@@ -585,6 +585,16 @@ def test_help_exits_zero(argv, capsys):
         assert all(name in out for name in COMMANDS)
 
 
+def test_evaluate_help_says_its_grid_edges_set_only_the_report_grid(capsys):
+    note = ("sets only the records' report grid (the cdf_ columns): each refit fits on its "
+            "own training range at --grid-step")
+    for command, says in (("evaluate", True), ("estimate", False)):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert (out.count(note) == 2) == says, out
+
+
 # Run in a fresh interpreter: each read command in turn, failing if it has
 # loaded a fit-only module, then an estimate, which must load LAPACK.
 FRESH_READS = """

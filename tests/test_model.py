@@ -36,6 +36,8 @@ from reference import (
     frozen_mirrored_truncated_normal,
     inverse_gamma_cdf,
     kolmogorov_distance,
+    monotone_successive_conditional,
+    ordered_prior_draws,
     prior_draws,
     public_draw_loop,
     successive_conditional,
@@ -85,6 +87,12 @@ def test_model_spec_validation_and_hash():
         ModelSpec(d=2, grid=grid, link="logit")
     with pytest.raises(ValueError):
         ModelSpec(d=2, grid=grid, ig_prior_s=-1.0)
+    # one inverse gamma prior for every coefficient: per-coefficient values are refused
+    for bad in ([3.0, 3.0], np.array([3.0]), float("nan")):
+        with pytest.raises(ValueError, match="ig_prior_nu must be one positive number"):
+            ModelSpec(d=2, grid=grid, ig_prior_nu=bad)
+    with pytest.raises(ValueError, match="ig_prior_s must be one positive number"):
+        ModelSpec(d=2, grid=grid, ig_prior_s=(0.01, 0.02))
 
 
 def test_spec_hash_is_pinned():
@@ -199,8 +207,7 @@ def test_draw_sigma2_matches_inverse_gamma_cdf():
     t_len = 5
     beta = np.cumsum(np.ones((t_len, 1)), axis=0)
     many = np.tile(beta, (1, 200_000))
-    draws = draw_sigma2(many, np.full(many.shape[1], 3.0), np.full(many.shape[1], 1.0),
-                        RngHandle(4))
+    draws = draw_sigma2(many, 3.0, 1.0, RngHandle(4))
     dist = kolmogorov_distance(draws, lambda q: inverse_gamma_cdf(q, 5.0, 3.0))
     assert dist < 0.005
     assert abs(draws.mean() - 0.75) < 0.01
@@ -209,8 +216,7 @@ def test_draw_sigma2_matches_inverse_gamma_cdf():
 def test_draw_sigma2_include_initial_flag():
     t_len = 4
     beta = np.array([[2.0], [2.0], [2.0], [2.0]])  # zero increments
-    nu = np.array([3.0])
-    s = np.array([1.0])
+    nu, s = 3.0, 1.0
     # without the initial state the scale stays s; with it, s + beta_1^2/2
     a = np.array([draw_sigma2(beta, nu, s, RngHandle(5, stream=i))[0] for i in range(4000)])
     b = np.array([
@@ -220,6 +226,8 @@ def test_draw_sigma2_include_initial_flag():
     # IG(4.5, 1) vs IG(5, 3) means: 1/3.5 vs 3/4
     assert abs(a.mean() - 1.0 / 3.5) < 0.02
     assert abs(b.mean() - 3.0 / 4.0) < 0.05
+    with pytest.raises(ValueError, match="two positive numbers"):
+        draw_sigma2(beta, np.array([3.0]), s, RngHandle(7))
 
 
 def test_unconstrained_beta_posterior_moments():
@@ -249,9 +257,10 @@ def test_monotone_draw_respects_neighbor_paths():
     upper = np.full(t_len, 1.1)
     handle = RngHandle(10)
     z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
+    beta = np.zeros((t_len, 2))  # the sweep clips the current intercepts into the box
     for _ in range(50):
-        beta = draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), handle)
-        fit = fitted_values(x, beta)
+        beta, fit = draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), beta, handle)
+        assert np.array_equal(fit, fitted_values(x, beta))
         assert np.all(fit >= lower), "fit fell below the lower neighbor"
         assert np.all(fit <= upper), "fit crossed the upper neighbor"
 
@@ -263,16 +272,20 @@ def test_monotone_draw_one_sided_and_unbounded():
     z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
     sig = np.full(3, 0.2)
     lo = np.full(t_len, 0.0)
+    b = np.zeros((t_len, 3))
     for _ in range(20):
-        b = draw_beta_monotone(lo, None, x, z, sig, handle)
-        assert np.all(fitted_values(x, b) >= lo)
+        b, fit = draw_beta_monotone(lo, None, x, z, sig, b, handle)
+        assert np.all(fit >= lo)
     hi = np.full(t_len, 0.5)
     for _ in range(20):
-        b = draw_beta_monotone(None, hi, x, z, sig, handle)
-        assert np.all(fitted_values(x, b) <= hi)
+        b, fit = draw_beta_monotone(None, hi, x, z, sig, b, handle)
+        assert np.all(fit <= hi)
     # fully unconstrained falls back to the joint Gaussian draw
-    b = draw_beta_monotone(None, None, x, z, sig, handle)
+    b, fit = draw_beta_monotone(None, None, x, z, sig, b, handle)
     assert b.shape == (t_len, 3)
+    assert np.array_equal(fit, fitted_values(x, b))
+    with pytest.raises(ValueError, match="current paths"):
+        draw_beta_monotone(lo, None, x, z, sig, np.zeros((t_len, 2)), handle)
 
 
 def test_monotone_draw_detects_crossing_paths():
@@ -283,7 +296,8 @@ def test_monotone_draw_detects_crossing_paths():
     lower = np.zeros(t_len)
     upper = np.zeros(t_len) - 0.1
     with pytest.raises(MonotonicityError, match="cross at t="):
-        draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), handle)
+        draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), np.zeros((t_len, 2)),
+                           handle)
 
 
 def test_monotone_draw_requires_intercept():
@@ -293,7 +307,7 @@ def test_monotone_draw_requires_intercept():
     handle = RngHandle(16)
     with pytest.raises(ValueError, match="intercept"):
         draw_beta_monotone(np.zeros(len(y)), None, x, np.zeros(len(y)),
-                           np.array([0.3, 0.3]), handle)
+                           np.array([0.3, 0.3]), np.zeros((len(y), 2)), handle)
 
 
 def test_monotone_matches_unconstrained_when_single_threshold():
@@ -466,9 +480,9 @@ def test_draws_accept_a_leading_threshold_axis():
     assert draw_sigma2(beta, 3.0, 0.01, RngHandle(29)).shape == (3, 2)
     lower = np.vstack([np.full(10, -np.inf), np.full((2, 10), -1.0)])
     upper = np.vstack([np.full((2, 10), 1.0), np.full(10, np.inf)])
-    b = draw_beta_monotone(lower, upper, x, z, sig, RngHandle(30))
-    fits = fitted_values(x, b)
+    b, fits = draw_beta_monotone(lower, upper, x, z, sig, beta, RngHandle(30))
     assert b.shape == (3, 10, 2)
+    assert np.array_equal(fits, fitted_values(x, b))
     assert np.all((fits >= lower) & (fits <= upper))
 
 
@@ -489,9 +503,10 @@ def test_monotone_draw_pins_degenerate_boxes(rows):
     pinned = lower == upper
     handle = RngHandle(32)
     z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), handle)
+    beta = np.zeros((len(rows), 10, 2))
     for _ in range(20):
-        fits = fitted_values(x, draw_beta_monotone(lower, upper, x, z,
-                                                   np.full((len(rows), 2), 0.3), handle))
+        beta, fits = draw_beta_monotone(lower, upper, x, z, np.full((len(rows), 2), 0.3),
+                                        beta, handle)
         assert np.array_equal(fits[pinned], lower[pinned])
         assert np.all((fits[~pinned] > lower[~pinned]) & (fits[~pinned] < upper[~pinned]))
 
@@ -520,7 +535,8 @@ def test_repair_leftover_raises():
     box = np.full(t_len, 1e-20)
     z = np.linspace(-1.0, 1.0, t_len)
     with pytest.raises(MonotonicityError, match=r"outside its ordering box .* at t=\d+ after"):
-        draw_beta_monotone(box, box, x, z, np.array([0.3, 0.3]), RngHandle(25))
+        draw_beta_monotone(box, box, x, z, np.array([0.3, 0.3]), np.zeros((t_len, 2)),
+                           RngHandle(25))
 
 
 def test_repair_steps_an_intercept_by_its_own_ulp():
@@ -608,6 +624,13 @@ def test_run_gibbs_buffers_may_keep_the_last_quarters():
         run_gibbs(spec, (y, x), buffers=too_long)
 
 
+def _geweke_z(per_chain, prior):
+    """Chain means against direct prior draws, one z per moment."""
+    return (per_chain.mean(axis=0) - prior.mean(axis=0)) / np.sqrt(
+        per_chain.var(axis=0, ddof=1) / per_chain.shape[0]
+        + prior.var(axis=0, ddof=1) / prior.shape[0])
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("d", [1, 2])
 def test_unconstrained_kernel_passes_a_joint_distribution_test(d):
@@ -635,6 +658,34 @@ def test_unconstrained_kernel_passes_a_joint_distribution_test(d):
                                        nu, s, 2000, gen, moments)
     prior = np.concatenate([moments(*prior_draws(prior_n // 4, t_len, d, nu, s, gen))
                             for _ in range(4)])
-    z = (per_chain.mean(axis=0) - prior.mean(axis=0)) / np.sqrt(
-        per_chain.var(axis=0, ddof=1) / chains + prior.var(axis=0, ddof=1) / prior_n)
+    z = _geweke_z(per_chain, prior)
+    assert np.abs(z).max() <= 3.5, np.round(z, 2)
+
+
+@pytest.mark.slow
+def test_monotone_kernel_passes_a_joint_distribution_test():
+    # The joint-distribution test above for a monotone K = 2 fit at d = 1.
+    # The prior is the product prior restricted to ordered fits, and each
+    # threshold's update is exact there: the intercept sweep is a Gibbs
+    # kernel for its truncated conditional when it continues from the
+    # current intercepts, whatever the number of sweeps; three keep the
+    # test sharp. Started at the joint draw's intercepts instead, the
+    # same sweep gives max |z| near 12. The same moments per threshold,
+    # chain means against ordered prior draws.
+    gen = np.random.default_rng(1)
+    t_len, nu, s, chains, prior_n = 5, 3.0, 1.0, 2000, 400_000
+    design = np.ones((t_len, 1))
+
+    def moments(beta, sigma2):
+        firsts = [np.log(sigma2), beta[..., 0, :], beta[..., -1, :]]
+        fits = fitted_values(design, beta)
+        m = np.concatenate(firsts + [f ** 2 for f in firsts]
+                           + [fits[..., :1], fits[..., -1:]], axis=-1)
+        return m.reshape(m.shape[0], -1)
+
+    per_chain = monotone_successive_conditional(
+        design, *ordered_prior_draws(chains, design, nu, s, gen), nu, s, 2000, 3, gen, moments)
+    prior = np.concatenate([moments(*ordered_prior_draws(prior_n // 4, design, nu, s, gen))
+                            for _ in range(4)])
+    z = _geweke_z(per_chain, prior)
     assert np.abs(z).max() <= 3.5, np.round(z, 2)

@@ -21,9 +21,14 @@ __all__ = [
     "cholesky_banded",
     "solve_banded",
     "likelihood_band",
+    "FIRST_STATE_VARIANCE",
     "walk_diagonal",
+    "add_prior_diagonal",
     "assemble_precision",
 ]
+
+# V of the first state's prior beta_1 ~ N(0, V I_d), independent of sigma2.
+FIRST_STATE_VARIANCE = 10.0
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -98,17 +103,21 @@ def likelihood_band(design: np.ndarray) -> np.ndarray:
 
 
 def walk_diagonal(t_len: int) -> np.ndarray:
-    """Diagonal (2, ..., 2, 1) of D'D, the random-walk prior's T x T part.
-
-    D is the first-difference matrix including the initial condition, so
-    the first state gets 1 from beta_1 ~ N(0, Sigma) plus 1 from the first
-    difference, every interior state touches two differences, and the last
-    touches only one. Off the diagonal D'D is -1. This is the one place the
-    prior's diagonal is written.
-    """
+    """Diagonal (1, 2, ..., 2, 1) of D'D, D the (T - 1) x T first-difference
+    matrix of the random walk: the end states touch one difference, every
+    interior state two. Off the diagonal D'D is -1."""
     walk = np.full(t_len, 2.0)
-    walk[-1] = 1.0
+    walk[[0, -1]] = 1.0
     return walk
+
+
+def add_prior_diagonal(diag: np.ndarray, inv: np.ndarray) -> None:
+    """Add the prior precision's diagonal to ``diag`` (..., T) in place:
+    walk_t * inv with ``inv`` (...) = 1/sigma2, then 1/V at t = 0 for
+    beta_1 ~ N(0, V). The joint precision and the intercepts' system both
+    add it here, so their entries agree bit for bit."""
+    diag += np.multiply.outer(inv, walk_diagonal(diag.shape[-1]))
+    diag[..., 0] += 1.0 / FIRST_STATE_VARIANCE
 
 
 def assemble_precision(
@@ -122,11 +131,11 @@ def assemble_precision(
     For T design rows g(x_t)' of width d and innovation variances sigma2
     (one per coefficient), builds
 
-        K = X'X + H' (I_T kron diag(sigma2))^{-1} H
+        K = X'X + (D'D) kron diag(1/sigma2) + (e_1 e_1') kron I_d / V
 
-    where X = diag(g(x_1)', ..., g(x_T)') and H is the random-walk
-    differencing operator, so H'Omega^{-1}H = (D'D) kron diag(1/sigma2)
-    with D the first-difference matrix including the initial condition.
+    where X = diag(g(x_1)', ..., g(x_T)'), D is the first-difference
+    matrix of the random walk and the last term is the first state's prior
+    N(0, V I_d).
     K is block tridiagonal with d x d blocks. Its bandwidth is d, not the
     2d-1 of a general block tridiagonal matrix: the blocks off the block
     diagonal are diagonal, diag(-1/sigma2), so the farthest nonzero in row
@@ -176,11 +185,10 @@ def assemble_precision(
     cols = out.T.reshape(n_paths, t_len, d, d + 1)
     cols[...] = likelihood
 
-    # Random-walk prior part: (D'D) kron diag(1/sigma2), D'D tridiagonal with
-    # ``walk_diagonal`` on the diagonal and -1 off it. Both bands are written
-    # as (B, d, T) views, so the long time axis is the inner loop.
-    diag = cols[..., 0].transpose(0, 2, 1)
-    diag += np.multiply.outer(inv, walk_diagonal(t_len))
+    # Prior part: ``add_prior_diagonal`` on the diagonal and -1/sigma2 off
+    # it. Both bands are written as (B, d, T) views, so the long time axis
+    # is the inner loop.
+    add_prior_diagonal(cols[..., 0].transpose(0, 2, 1), inv)
     cols[:, :-1, :, d].transpose(0, 2, 1)[...] = -inv[:, :, None]
 
     return out

@@ -132,8 +132,8 @@ class BacktestPlan:
         taus = tuple(sorted(float(t) for t in self.taus))
         if not taus or any(not 0.0 < t < 1.0 for t in taus):
             raise ValueError("taus must be a non-empty set inside (0, 1)")
-        for lo, hi in zip(taus, taus[1:]):  # column names rise with tau: a clash is adjacent
-            if _tau_column(lo) == _tau_column(hi):
+        for lo, hi in zip(taus, taus[1:]):  # sorted, so a repeated tau is adjacent
+            if lo == hi:
                 raise ValueError(f"taus {lo:g} and {hi:g} share the records column "
                                  f"{_tau_column(hi)}")
         object.__setattr__(self, "taus", taus)
@@ -161,7 +161,8 @@ class BacktestResult:
 
 
 def _tau_column(tau: float) -> str:
-    return f"qs_{int(round(100 * tau)):02d}"
+    # repr round-trips exactly, as the cdf_ columns do: distinct taus never share a name
+    return f"qs_{tau!r}"
 
 
 def _tsv_columns(taus, grid: ThresholdGrid):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import NotPositiveDefiniteError, assemble_precision, likelihood_band, walk_diagonal
+from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, add_prior_diagonal,
+                     assemble_precision, likelihood_band)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
 from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
@@ -84,8 +85,9 @@ class ModelSpec:
     """Everything that defines one estimation run except the data and rng.
 
     The link is not a setting: every latent is N(fit, 1) truncated at 0, so
-    the model is probit (``distribution.PROBIT``) by construction. Every
-    innovation variance has the one prior IG(``ig_prior_nu``, ``ig_prior_s``).
+    the model is probit (``distribution.PROBIT``) by construction. The priors:
+    beta_1 ~ N(0, V I) with V = ``banded.FIRST_STATE_VARIANCE``, increments
+    N(0, diag sigma2), and every sigma2_j ~ IG(``ig_prior_nu``, ``ig_prior_s``).
     """
 
     d: int
@@ -95,7 +97,6 @@ class ModelSpec:
     burnin: int = 5000
     monotone: bool = True
     truncation_sweeps: int = 5
-    include_initial_state_in_ig: bool = False
     ig_prior_nu: float = 3.0
     ig_prior_s: float = 0.01
     seed: int = 0
@@ -118,18 +119,13 @@ class ModelSpec:
             "d": self.d,
             "grid": self.grid.canonical(),
             "design_transform": self.design_transform,
-            # the sampler is probit by construction; kept so no spec_hash moves
-            "link": "probit",
             "iterations": self.iterations,
             "burnin": self.burnin,
             "monotone": self.monotone,
             "truncation_sweeps": self.truncation_sweeps,
-            "include_initial_state_in_ig": self.include_initial_state_in_ig,
-            # a retired option at its only value: dropping it would move every spec_hash
-            "ridge_scale": 0.0,
-            # d copies of the one prior, the per-coefficient form: no spec_hash moves
-            "ig_prior_nu": [float(self.ig_prior_nu)] * self.d,
-            "ig_prior_s": [float(self.ig_prior_s)] * self.d,
+            "ig_prior_nu": float(self.ig_prior_nu),
+            "ig_prior_s": float(self.ig_prior_s),
+            "first_state_variance": FIRST_STATE_VARIANCE,
         }
 
     def spec_hash(self) -> str:
@@ -260,13 +256,13 @@ def draw_beta_unconstrained(design, latent, sigma2, rng, likelihood=None,
         latent.shape + design.shape[1:])
 
 
-def draw_sigma2(beta, nu: float, s: float, rng, include_initial: bool = False) -> np.ndarray:
+def draw_sigma2(beta, nu: float, s: float, rng) -> np.ndarray:
     """Conjugate inverse gamma update of the innovation variances.
 
     One prior IG(nu, s) for every coefficient: shape nu + (T-1)/2 and scale
-    s + sum of squared increments / 2 per coefficient. With ``include_initial`` the initial condition joins the
-    sum of squares and the shape becomes nu + T/2. Paths (B, T, d) give
-    variances (B, d).
+    s + sum of squared increments / 2 per coefficient. The first state's
+    prior N(0, V) does not involve sigma2, so beta_1 stays out of the sum
+    and the update is exact. Paths (B, T, d) give variances (B, d).
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim not in (2, 3) or beta.shape[-2] < 2:
@@ -280,14 +276,8 @@ def draw_sigma2(beta, nu: float, s: float, rng, include_initial: bool = False) -
     # bit for bit. At d = 1 the t axis is contiguous and np.sum's pairwise
     # order is kept.
     rss = np.sum(sq, axis=-2) if d == 1 else np.einsum("...td->...d", sq)
-    if include_initial:
-        shape = nu + 0.5 * t_len
-        scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)
-    else:
-        shape = nu + 0.5 * (t_len - 1)
-        scale = s + 0.5 * rss
     gen = as_generator(rng)
-    return 1.0 / gen.gamma(shape, 1.0 / scale)
+    return 1.0 / gen.gamma(nu + 0.5 * (t_len - 1), 1.0 / (s + 0.5 * rss))
 
 
 def _tridiag_submatrix(diag, off, keep):
@@ -306,17 +296,18 @@ def _intercept_system(design, latent, sigma2, rest):
     X'z - K rest. The intercepts' conditional is N(K_11^{-1} rhs, K_11^{-1})
     with K_11 the tridiagonal (diag, off), so rhs is the canonical rhs the
     truncated sweep reads its conditional means from; nothing solves for
-    the mean. With an intercept column of ones, diag_t is
-    1 + walk_t / sigma2_0 and off_t is -1 / sigma2_0, 0 at each path's end.
+    the mean. With an intercept column of ones, diag_t is 1 plus the prior's
+    diagonal (``add_prior_diagonal``) and off_t is -1 / sigma2_0, 0 at the end.
     K rest adds, in order, the intercept's own term, the slopes j = 1..d-1,
     the previous and the next intercept: a band product over subdiagonals
     0..d, each adding its lower then its upper term, without its exact-zero
     terms, so every entry equals the joint system's bit for bit.
     """
-    inv = 1.0 / sigma2[:, :1]
-    diag = 1.0 + inv * walk_diagonal(latent.shape[-1])
+    inv = 1.0 / sigma2[:, 0]
+    diag = np.ones(latent.shape)
+    add_prior_diagonal(diag, inv)
     off = np.zeros_like(diag)
-    off[:, :-1] = -inv
+    off[:, :-1] = -inv[:, None]
     acc = diag * rest[..., 0]
     for j in range(1, design.shape[1]):
         acc += design[:, j] * rest[..., j]
@@ -577,10 +568,7 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
                     fits = fitted_values(design, beta)
                 state.beta[batch] = beta
                 state.fitted[batch] = fits
-                state.sigma2[batch] = draw_sigma2(
-                    beta, spec.ig_prior_nu, spec.ig_prior_s, gen,
-                    include_initial=spec.include_initial_state_in_ig,
-                )
+                state.sigma2[batch] = draw_sigma2(beta, spec.ig_prior_nu, spec.ig_prior_s, gen)
             except Exception as exc:
                 row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
                 j = rows[exc.path if isinstance(exc, MonotonicityError) else row]

@@ -19,9 +19,25 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammainc, ndtr, ndtri
 
+from tvpdr.banded import FIRST_STATE_VARIANCE
+
+
+def dense_walk(t_len: int) -> np.ndarray:
+    """D'D for the (T - 1) x T first-difference matrix D, built from D."""
+    diff = np.eye(t_len)[1:] - np.eye(t_len)[:-1]
+    return diff.T @ diff
+
+
+def dense_first_state(t_len: int, d: int) -> np.ndarray:
+    """(e_1 e_1') kron I_d / V: the precision of beta_1 ~ N(0, V I_d)."""
+    first = np.zeros((t_len, t_len))
+    first[0, 0] = 1.0
+    return np.kron(first, np.eye(d) / FIRST_STATE_VARIANCE)
+
 
 def dense_precision(design: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Literal K = X'X + (D'D) kron diag(1/sigma2) as a dense matrix."""
+    """Literal K = X'X + (D'D) kron diag(1/sigma2) + (e_1 e_1') kron I_d / V
+    as a dense matrix."""
     design = np.asarray(design, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     t_len, d = design.shape
@@ -29,12 +45,7 @@ def dense_precision(design: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     for t in range(t_len):
         g = design[t]
         xtx[t * d : (t + 1) * d, t * d : (t + 1) * d] = np.outer(g, g)
-    dtd = 2.0 * np.eye(t_len)
-    dtd[-1, -1] = 1.0
-    for t in range(t_len - 1):
-        dtd[t, t + 1] = -1.0
-        dtd[t + 1, t] = -1.0
-    return xtx + np.kron(dtd, np.diag(1.0 / sigma2))
+    return xtx + np.kron(dense_walk(t_len), np.diag(1.0 / sigma2)) + dense_first_state(t_len, d)
 
 
 def band_to_dense(band: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -147,8 +158,8 @@ def dense_monotone_gibbs_reference(
     """
     y = np.asarray(y, dtype=np.float64)
     t_len, k = y.size, len(thresholds)
-    dtd = dense_precision(np.zeros((t_len, 1)), np.ones(1))
-    xtx = dense_precision(np.ones((t_len, 1)), np.ones(1)) - dtd
+    dtd = dense_walk(t_len)
+    xtx = np.eye(t_len) + dense_first_state(t_len, 1)  # the likelihood and beta_1's prior
     beta = np.tile(np.linspace(-1.0, 1.0, k)[None, :, None], (chains, 1, t_len))
     sigma2 = np.full((chains, k), 0.01)
     kept = np.empty((chains, iterations - burnin, k, t_len))
@@ -365,24 +376,21 @@ def frozen_draw_latent(threshold, y, design, beta, gen: np.random.Generator) -> 
     return frozen_mirrored_truncated_normal(mean, 1.0, lower, upper, gen)
 
 
-def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator, include_initial=False):
+def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator):
     """Inverse-gamma update of the random-walk variances, (T, d) or (B, T, d) paths."""
     beta = np.asarray(beta, dtype=np.float64)
     t_len, d = beta.shape[-2:]
     nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (d,))
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), (d,))
     rss = np.sum(np.diff(beta, axis=-2) ** 2, axis=-2)
-    if include_initial:
-        shape = nu + 0.5 * t_len
-        scale = s + 0.5 * (rss + beta[..., 0, :] ** 2)
-    else:
-        shape = nu + 0.5 * (t_len - 1)
-        scale = s + 0.5 * rss
+    shape = nu + 0.5 * (t_len - 1)
+    scale = s + 0.5 * rss
     return 1.0 / gen.gamma(shape, 1.0 / scale)
 
 def frozen_assemble_bands(design, sigma2) -> np.ndarray:
     """Band storage of the stacked precision as first written: C-ordered
-    (d + 1, B*T*d), the likelihood outer products per t, then the prior."""
+    (d + 1, B*T*d), the likelihood outer products per t, then the walk
+    prior, then the first state's 1/V."""
     design = np.asarray(design, dtype=np.float64)
     t_len, d = design.shape
     inv = 1.0 / np.asarray(sigma2, dtype=np.float64).reshape(-1, 1, d)
@@ -390,8 +398,9 @@ def frozen_assemble_bands(design, sigma2) -> np.ndarray:
     for k in range(d):
         bands[k, :, :, : d - k] = design[:, k:] * design[:, : d - k]
     walk = np.full((t_len, 1), 2.0)
-    walk[-1] = 1.0
+    walk[[0, -1]] = 1.0
     bands[0] += walk * inv
+    bands[0, :, 0] += 1.0 / FIRST_STATE_VARIANCE
     bands[d, :, :-1] = -inv
     return bands.reshape(d + 1, -1)
 
@@ -429,8 +438,7 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
             else:
                 beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen)
             state.beta[batch] = beta
-            state.sigma2[batch] = draw_sigma2(beta, nu, s, gen,
-                                              include_initial=spec.include_initial_state_in_ig)
+            state.sigma2[batch] = draw_sigma2(beta, nu, s, gen)
         if it >= spec.burnin:
             kept_beta.append(state.beta.copy())
             kept_sigma2.append(state.sigma2.copy())
@@ -439,12 +447,13 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
 
 def prior_draws(n: int, t_len: int, d: int, nu: float, s: float, gen: np.random.Generator):
     """n independent draws of (beta (n, T, d), sigma2 (n, d)) from the
-    model's prior: sigma2_j ~ IG(nu, s), then beta_1 ~ N(0, diag(sigma2))
-    and random-walk increments N(0, diag(sigma2)), as the walk precision
-    (diagonal 2, ..., 2, 1) and the inverse gamma update with the initial
-    state both state it."""
+    model's prior: sigma2_j ~ IG(nu, s), beta_1 ~ N(0, V I_d) with V =
+    ``FIRST_STATE_VARIANCE`` independent of sigma2, and random-walk
+    increments N(0, diag(sigma2)), as the precision and the inverse gamma
+    update both state it."""
     sigma2 = s / gen.gamma(nu, 1.0, size=(n, d))
     steps = np.sqrt(sigma2)[:, None, :] * gen.standard_normal((n, t_len, d))
+    steps[:, 0] = np.sqrt(FIRST_STATE_VARIANCE) * gen.standard_normal((n, d))
     return np.cumsum(steps, axis=1), sigma2
 
 
@@ -456,7 +465,7 @@ def successive_conditional(design, beta, sigma2, nu: float, s: float, sweeps: in
     Each sweep simulates the data given the parameters, the indicators
     1{y <= c} at every path b and time t as Bernoulli(Phi(fit_bt)), then
     runs one Gibbs update of the parameters given the data: latents,
-    paths, variances with the initial state in the inverse gamma update.
+    paths, variances, each drawn as ``run_gibbs`` draws it.
     An indicator goes in as y = -1 (1) or +1 (0) against threshold 0, so
     ``draw_latent`` sees the probit likelihood it samples. The B paths in
     ``beta`` (B, T, d) and ``sigma2`` (B, d) are independent chains,
@@ -475,7 +484,7 @@ def successive_conditional(design, beta, sigma2, nu: float, s: float, sweeps: in
         y = np.where(gen.random(fits.shape) < ndtr(fits), -1.0, 1.0)
         latent = draw_latent(0.0, y, fits, gen)
         beta = draw_beta_unconstrained(design, latent, sigma2, gen)
-        sigma2 = draw_sigma2(beta, nu, s, gen, include_initial=True)
+        sigma2 = draw_sigma2(beta, nu, s, gen)
         total = total + statistic(beta, sigma2)
     return total / sweeps
 
@@ -510,7 +519,7 @@ def monotone_successive_conditional(design, beta, sigma2, nu: float, s: float, s
     threshold 1 with threshold 0's new fits as its lower bound, as the
     red-black scan of ``run_gibbs`` does at K = 2: latents, the monotone
     path draw from the current paths with ``truncation_sweeps`` sweeps,
-    variances with the initial state in the inverse gamma update. The B
+    variances, each drawn as ``run_gibbs`` draws it. The B
     chains in ``beta`` (B, 2, T, d) and ``sigma2`` (B, 2, d) are
     independent; started at ``ordered_prior_draws`` the joint chain is
     stationary from its first sweep. Returns each chain's mean over the
@@ -528,7 +537,7 @@ def monotone_successive_conditional(design, beta, sigma2, nu: float, s: float, s
             beta[:, k], fits[:, k] = draw_beta_monotone(
                 lower, upper, design, latent, sigma2[:, k], beta[:, k], gen,
                 sweeps=truncation_sweeps)
-            sigma2[:, k] = draw_sigma2(beta[:, k], nu, s, gen, include_initial=True)
+            sigma2[:, k] = draw_sigma2(beta[:, k], nu, s, gen)
         total = total + statistic(beta, sigma2)
     return total / sweeps
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvpdr.banded import (
+    FIRST_STATE_VARIANCE,
     NotPositiveDefiniteError,
     assemble_precision,
     cholesky_banded,
@@ -82,10 +83,17 @@ def test_assemble_precision_matches_dense_kron():
 
 
 def test_assemble_precision_prior_corners():
-    # with a zero design the matrix is exactly (D'D) kron diag(1/sigma2);
-    # T=2, d=1, sigma2=1 gives [[2, -1], [-1, 1]]
+    # with a zero design the matrix is exactly the prior's precision,
+    # (D'D) kron diag(1/sigma2) plus 1/V at the first state of every
+    # coefficient: T=2, d=1, sigma2=1 gives [[1 + 1/V, -1], [-1, 1]], and
+    # T=3, d=2, sigma2=(1, 1/2) the walk diagonals (1, 2, 1) and (2, 4, 2)
     k = assemble_precision(np.zeros((2, 1)), np.array([1.0]))
-    assert np.allclose(band_to_dense(k), np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    assert np.array_equal(band_to_dense(k), np.array([[1.0 + 1.0 / FIRST_STATE_VARIANCE, -1.0],
+                                                      [-1.0, 1.0]]))
+    k = assemble_precision(np.zeros((3, 2)), np.array([1.0, 0.5]))
+    first = 1.0 / FIRST_STATE_VARIANCE
+    assert np.array_equal(k[0], [1.0 + first, 2.0 + first, 2.0, 4.0, 1.0, 2.0])
+    assert np.array_equal(k[2], [-1.0, -2.0, -1.0, -2.0, 0.0, 0.0])
 
 
 def test_assemble_precision_validates():

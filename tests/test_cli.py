@@ -382,14 +382,20 @@ def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
 
 
 def test_evaluate_refuses_taus_that_share_a_records_column(tmp_path, capsys):
+    # score columns are named by repr(tau), so only a repeated tau clashes:
+    # 0.02 and 0.025 get columns of their own
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)
-    code, stdout, stderr = run(capsys, [
-        "evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL, "--initial-start", dates[0],
-        "--initial-end", dates[-10], "--taus", "0.02,0.025", "--out", str(tmp_path / "r.tsv")])
+    argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL, "--initial-start", dates[0],
+            "--initial-end", dates[-3], "--out", str(tmp_path / "r.tsv")]
+    code, stdout, stderr = run(capsys, [*argv, "--taus", "0.05,0.02,0.05"])
     assert code == 1 and stdout == ""
-    assert stderr == "error: taus 0.02 and 0.025 share the records column qs_02\n"
+    assert stderr == "error: taus 0.05 and 0.05 share the records column qs_0.05\n"
     assert not os.path.exists(tmp_path / "r.tsv")
+    code, stdout, stderr = run(capsys, [*argv, "--taus", "0.02,0.025"])
+    assert code == 0 and stderr == ""
+    header = (tmp_path / "r.tsv").read_text().split("\n")[0].split("\t")
+    assert header[:5] == ["date", "realized", "pit", "qs_0.02", "qs_0.025"]
 
 
 def test_evaluate_creates_the_directory_of_its_records(tmp_path, capsys):

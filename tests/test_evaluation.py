@@ -16,6 +16,7 @@ from tvpdr.evaluation import (
     pit_uniformity_band,
     quantile_score,
     read_records,
+    _tsv_columns,
 )
 from tvpdr.model import ModelSpec
 from tvpdr.samplers import RngHandle, as_generator
@@ -87,13 +88,23 @@ def test_backtest_plan_validation():
         BacktestPlan("1980Q1", "2000Q1", score_variant="weird")
 
 
-@pytest.mark.parametrize("taus, names", [((0.02, 0.025), "0.02 and 0.025"),
+@pytest.mark.parametrize("taus, names", [((0.02, 0.02), "0.02 and 0.02"),
                                           ((0.05, 0.05), "0.05 and 0.05"),
-                                          ((0.001, 0.5, 0.004), "0.001 and 0.004")])
+                                          ((0.001, 0.5, 0.001), "0.001 and 0.001")])
 def test_backtest_plan_refuses_taus_that_share_a_records_column(taus, names):
-    # both would write a qs_02 (qs_05, qs_00) column of the records file
+    # a repeated tau would write its qs_ column twice; distinct taus never
+    # share one (test_score_columns_are_named_by_the_repr_of_tau)
     with pytest.raises(ValueError, match=f"taus {names} share the records column qs_0"):
         BacktestPlan("1980Q1", "2000Q1", taus=taus)
+
+
+def test_score_columns_are_named_by_the_repr_of_tau():
+    # whole-percent names gave 0.125 the column qs_12, and 0.001 and 0.002 both qs_00
+    plan = BacktestPlan("1980Q1", "2000Q1", taus=(0.125, 0.002, 0.001, 0.02, 0.025))
+    grid = build_threshold_grid(0.0, 1.0, 0.5)
+    assert _tsv_columns(plan.taus, grid) == [
+        "date", "realized", "pit", "qs_0.001", "qs_0.002", "qs_0.02", "qs_0.025", "qs_0.125",
+        "cdf_0.0", "cdf_0.5", "cdf_1.0"]
 
 
 def synthetic_dataset(n=90, seed=0):
@@ -145,7 +156,7 @@ def test_backtest_records_and_summary(tmp_path):
     # file rows line up with the records
     lines = out.read_text().strip().split("\n")
     assert len(lines) == len(res.records) + 1
-    assert lines[0].startswith("date\trealized\tpit\tqs_05\tqs_95\tcdf_")
+    assert lines[0].startswith("date\trealized\tpit\tqs_0.05\tqs_0.95\tcdf_")
 
 
 def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
@@ -219,8 +230,8 @@ def test_read_records_keeps_only_terminated_rows(tmp_path):
              (text[: text.find(b"\n")], 0)]
     for torn, complete in tears:
         assert read_records(torn, "torn")[2] == rows[:complete]
-    for bogus in (b"", b"a\tb\n1\t2\n", b"date\trealized\tpit\tqs_05\n",
-                  b"date\trealized\tpit\tcdf_0.5\tqs_05\n"):
+    for bogus in (b"", b"a\tb\n1\t2\n", b"date\trealized\tpit\tqs_0.05\n",
+                  b"date\trealized\tpit\tcdf_0.5\tqs_0.05\n"):
         with pytest.raises(ValueError, match="bogus: not a backtest records file"):
             read_records(bogus, "bogus")
 

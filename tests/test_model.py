@@ -1,12 +1,14 @@
 """Gibbs updates: latent draws, state paths, variances, ordering constraint."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 from scipy.special import ndtr
 
 from tvpdr.banded import assemble_precision
-from tvpdr.distribution import PROBIT, apply_design_transform, build_threshold_grid
+from tvpdr.distribution import PROBIT, apply_design_transform, build_threshold_grid, conditional_cdf
 from tvpdr.model import (
     EstimationError,
     ModelSpec,
@@ -96,15 +98,31 @@ def test_model_spec_validation_and_hash():
 
 
 def test_spec_hash_is_pinned():
-    # stored MANIFESTs and backtest sidecars carry these hashes, so a change
-    # to the spec's fields or canonical form must not move them
+    # stored MANIFESTs and backtest sidecars carry these hashes; they move
+    # only when the model does, never with a refactor of the spec's code
     grid = build_threshold_grid(0.0, 1.0, 0.5)
     assert ModelSpec(d=2, grid=grid).spec_hash() == (
-        "def6de39b389da6c955229e08eac2a9cbdb5b6771f1fcf3e8a5d1b06ee6eba7a")
-    spec = ModelSpec(d=3, grid=grid, monotone=False, include_initial_state_in_ig=True,
-                     ig_prior_s=0.1)
+        "587af11f1145e8bacd36db7bcb42060caefe2ffb65594a195de4d68317c8e047")
+    spec = ModelSpec(d=3, grid=grid, monotone=False, ig_prior_s=0.1)
     assert spec.spec_hash() == (
-        "abb36d2da2f81ee352ed4692774508a49025ed23aa22be305c20e4559329950d")
+        "19a0c066af0954a9846f27304e2f65cbf689c4cb7ee5efe3d0f6e385197c9176")
+
+
+def test_spec_hash_names_every_field_but_the_seed():
+    # every field that defines the model moves the hash, and the canonical
+    # form holds nothing else but the first-state variance the model fixes,
+    # so a retired option cannot linger in the hash
+    grid = build_threshold_grid(0.0, 1.0, 0.5)
+    spec = ModelSpec(d=2, grid=grid)
+    changed = dict(d=3, grid=build_threshold_grid(0.0, 1.0, 0.25), design_transform="quadratic",
+                   iterations=10001, burnin=4999, monotone=False, truncation_sweeps=4,
+                   ig_prior_nu=2.5, ig_prior_s=0.02)
+    names = {f.name for f in fields(ModelSpec)}
+    assert set(changed) == names - {"seed"}
+    for name, value in changed.items():
+        assert replace(spec, **{name: value}).spec_hash() != spec.spec_hash(), name
+    assert set(spec.canonical()) == set(changed) | {"first_state_variance"}
+
 
 
 def test_hash_data_tracks_content():
@@ -177,12 +195,11 @@ def test_draw_sigma2_matches_the_frozen_draw():
     rs = np.random.default_rng(42)
     for shape in [(2, 1), (12, 3), (4, 12, 2), (33, 160, 3)]:
         beta = rs.normal(size=shape)
-        for include_initial in (False, True):
-            seed = int(rs.integers(2**32))
-            new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = draw_sigma2(beta, 3.0, 0.01, new_gen, include_initial=include_initial)
-            old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen, include_initial=include_initial)
-            _same_draws(new_gen, old_gen, new, old)
+        seed = int(rs.integers(2**32))
+        new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = draw_sigma2(beta, 3.0, 0.01, new_gen)
+        old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen)
+        _same_draws(new_gen, old_gen, new, old)
 
 
 def test_draw_sigma2_matches_the_frozen_draw_on_long_paths():
@@ -192,18 +209,18 @@ def test_draw_sigma2_matches_the_frozen_draw_on_long_paths():
     for d in (1, 2, 3, 4):
         for shape in [(160, d), (33, 160, d), (5, 257, d)]:
             beta = rs.normal(size=shape) * 10.0 ** rs.uniform(-3, 3, size=shape)
-            for include_initial in (False, True):
-                seed = int(rs.integers(2**32))
-                new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-                new = draw_sigma2(beta, 3.0, 0.01, new_gen, include_initial=include_initial)
-                old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen, include_initial=include_initial)
-                _same_draws(new_gen, old_gen, new, old)
+            seed = int(rs.integers(2**32))
+            new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = draw_sigma2(beta, 3.0, 0.01, new_gen)
+            old = frozen_draw_sigma2(beta, 3.0, 0.01, old_gen)
+            _same_draws(new_gen, old_gen, new, old)
 
 
 def test_draw_sigma2_matches_inverse_gamma_cdf():
     # increments of the test path are fixed, so the posterior is exactly
     # IG(nu + (T-1)/2, s + sum(diff^2)/2); nu=3, s=1, four unit increments
-    # gives IG(5, 3) with mean 3/4
+    # gives IG(5, 3) with mean 3/4. beta_1 = 1 has its own N(0, V) prior and
+    # stays out: with it the posterior would be IG(5.5, 3.5)
     t_len = 5
     beta = np.cumsum(np.ones((t_len, 1)), axis=0)
     many = np.tile(beta, (1, 200_000))
@@ -211,23 +228,8 @@ def test_draw_sigma2_matches_inverse_gamma_cdf():
     dist = kolmogorov_distance(draws, lambda q: inverse_gamma_cdf(q, 5.0, 3.0))
     assert dist < 0.005
     assert abs(draws.mean() - 0.75) < 0.01
-
-
-def test_draw_sigma2_include_initial_flag():
-    t_len = 4
-    beta = np.array([[2.0], [2.0], [2.0], [2.0]])  # zero increments
-    nu, s = 3.0, 1.0
-    # without the initial state the scale stays s; with it, s + beta_1^2/2
-    a = np.array([draw_sigma2(beta, nu, s, RngHandle(5, stream=i))[0] for i in range(4000)])
-    b = np.array([
-        draw_sigma2(beta, nu, s, RngHandle(6, stream=i), include_initial=True)[0]
-        for i in range(4000)
-    ])
-    # IG(4.5, 1) vs IG(5, 3) means: 1/3.5 vs 3/4
-    assert abs(a.mean() - 1.0 / 3.5) < 0.02
-    assert abs(b.mean() - 3.0 / 4.0) < 0.05
     with pytest.raises(ValueError, match="two positive numbers"):
-        draw_sigma2(beta, np.array([3.0]), s, RngHandle(7))
+        draw_sigma2(beta, np.array([3.0]), 1.0, RngHandle(7))
 
 
 def test_unconstrained_beta_posterior_moments():
@@ -487,20 +489,32 @@ def test_draws_accept_a_leading_threshold_axis():
 
 
 @pytest.mark.parametrize("rows", [[0, 1], [1]])
-def test_monotone_draw_pins_degenerate_boxes(rows):
+def test_monotone_draw_pins_degenerate_boxes(rows, monkeypatch):
     # Row 0's neighbours meet at t = 0, an interior t and T-1; row 1's meet
     # everywhere but t = 3, so alone it leaves the sweep one free intercept
-    # and an empty odd colour. A pinned fit is its bound exactly. Every
-    # point bound lies inside [4, 8), the binade of the intercept that hits
-    # it, so an exact hit exists (test_repair_leftover_raises has a point
-    # box that no fit can hit).
+    # and an empty odd colour. A pinned fit is its bound exactly. An exact
+    # hit exists when the bound and the intercept that hits it (the bound
+    # less the slope term) share the binade [4, 8); every joint draw checks
+    # that premise on its slopes, so a stream that breaks it says so
+    # (test_repair_leftover_raises has a point box that no fit can hit).
+    import tvpdr.model as model_mod
+
     y, x = small_problem(seed=31, t_len=10, d=2)
-    lower = np.vstack([np.full(10, 4.0), 4.25 + np.arange(10) / 4.0])
+    lower = np.vstack([np.full(10, 4.0), [5.75, 6.0, 6.25, 6.0, 6.25, 6.0, 6.0, 6.0, 5.5, 6.5]])
     upper = np.vstack([np.full(10, 6.0), lower[1]])
-    lower[0, [0, 4, 9]] = upper[0, [0, 4, 9]] = [4.5, 5.0, 5.5]
-    lower[1, 3], upper[1, 3] = 4.0, 6.0
+    lower[0, [0, 4, 9]] = upper[0, [0, 4, 9]] = [5.25, 5.5, 5.75]
+    lower[1, 3] = 4.0
     lower, upper = lower[rows], upper[rows]
     pinned = lower == upper
+    joint_draw = model_mod.draw_beta_unconstrained
+
+    def checked_joint_draw(*args, **kwargs):
+        joint = joint_draw(*args, **kwargs)
+        hit = (lower - x[:, 1] * joint[..., 1])[pinned]
+        assert np.all((hit >= 4.0) & (hit < 8.0)), f"premise broken: {hit}"
+        return joint
+
+    monkeypatch.setattr(model_mod, "draw_beta_unconstrained", checked_joint_draw)
     handle = RngHandle(32)
     z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), handle)
     beta = np.zeros((len(rows), 10, 2))
@@ -594,13 +608,26 @@ def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
         step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
         grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
         assert grid.n == n_thresholds
-        for include_initial in (False, True):
-            spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
-                             include_initial_state_in_ig=include_initial, seed=d + n_thresholds)
-            draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
-            beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
-            assert np.array_equal(draws.beta, beta)
-            assert np.array_equal(draws.sigma2, sigma2)
+        spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
+                         seed=d + n_thresholds)
+        draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
+        beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
+        assert np.array_equal(draws.beta, beta)
+        assert np.array_equal(draws.sigma2, sigma2)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_early_cdf_follows_the_data_not_the_first_state_prior(monotone):
+    # y iid N(2, 1), intercept only, so the CDF at 0.5 is 0.081 in the data
+    # at every t. A first-state prior N(0, sigma2), with sigma2 near 0.01,
+    # pinned the early intercepts near 0: the t = 0 CDF read 0.47 in both
+    # modes. Under beta_1 ~ N(0, V) it reads 0.12 and 0.11
+    y = np.random.default_rng(3).normal(2.0, 1.0, size=160)
+    grid = build_threshold_grid(0.5, 3.5, 1.5)
+    spec = ModelSpec(d=1, grid=grid, iterations=600, burnin=200, monotone=monotone)
+    draws = run_gibbs(spec, (y, np.ones((160, 1))), RngHandle(3))
+    assert np.mean(y <= 0.5) == 0.08125
+    assert abs(conditional_cdf(draws, np.ones(1), 0).values[0] - 0.08125) < 0.1
 
 
 def test_run_gibbs_buffers_may_keep_the_last_quarters():
@@ -637,9 +664,9 @@ def test_unconstrained_kernel_passes_a_joint_distribution_test(d):
     # Geweke (2004): alternate simulating the indicators given the
     # parameters with one Gibbs update given the indicators. Started at
     # prior draws, the chains keep the prior as their marginal exactly when
-    # the update is a valid kernel for it, which holds here: the walk prior
-    # gives beta_1 ~ N(0, sigma2) and the initial state joins the sigma2
-    # update. T = 5, sigma2 ~ IG(3, 1), slope column 1.5 N(0, 1); the
+    # the update is a valid kernel for it. The update is the one run_gibbs
+    # makes: beta_1 ~ N(0, V) on its own, so the sigma2 update leaves it
+    # out. T = 5, sigma2 ~ IG(3, 1), slope column 1.5 N(0, 1); the
     # unconstrained paths of a K = 2 fit are independent chains like these.
     # Moments of log sigma2, beta_1 and beta_T, their squares and the fits
     # at t = 1 and T: chain means against direct prior draws.

@@ -46,7 +46,6 @@ from .risk import (
     distribution_mean,
     excess_inflation_risk,
 )
-from .samplers import RngHandle
 from .store import StoreError, _discard_partials, draw_buffers, load_estimate, save_estimate
 
 __all__ = ["main"]
@@ -83,7 +82,7 @@ def _add_data_options(p: argparse.ArgumentParser):
     g.add_argument("--schema", help="transform-code schema file (name=<code> lines)")
     g.add_argument("--price-column", help="price level column; inflation becomes the target")
     g.add_argument("--target", help="use an existing column as the target instead")
-    g.add_argument("--horizon", type=int, default=1, help="forecast horizon in quarters")
+    g.add_argument("--horizon", type=int, default=1, help="forecast horizon in quarters, >= 1")
     g.add_argument("--covariates", required=True, type=_comma_names,
                    help="comma-separated covariate columns (intercept is implicit)")
     g.add_argument("--lag", type=int, default=1, help="covariate lag, 1 = one quarter back")
@@ -108,7 +107,8 @@ def _add_model_options(p: argparse.ArgumentParser, grid_note=""):
                    default=ModelSpec.design_transform)
     g.add_argument("--sweeps", type=int, default=ModelSpec.truncation_sweeps,
                    help="truncated Gibbs sweeps per threshold")
-    g.add_argument("--seed", type=int, default=ModelSpec.seed)
+    g.add_argument("--seed", type=int, default=ModelSpec.seed,
+                   help="seed of the fit's random streams")
 
 
 def _load_dataset(args):
@@ -119,7 +119,7 @@ def _load_dataset(args):
     if args.target:
         if args.target not in ds.series:
             raise ValueError(f"target column {args.target!r} not in {args.data}")
-        return replace(ds, target=args.target, horizon=int(args.horizon))
+        return replace(ds, target=args.target, horizon=args.horizon)
     raise ValueError("need --price-column or --target to define the outcome")
 
 
@@ -161,8 +161,7 @@ def _cmd_estimate(args) -> int:
     aligned = assemble_design(_load_dataset(args), args.covariates, lag=args.lag)
     spec = _build_spec(args, aligned)
     try:
-        draws = run_gibbs(spec, (aligned.y, aligned.x), RngHandle(args.seed),
-                          buffers=partial(draw_buffers, args.out))
+        draws = run_gibbs(spec, (aligned.y, aligned.x), buffers=partial(draw_buffers, args.out))
         save_estimate(args.out, draws)
     except BaseException:
         # the temp blobs are the full kept-draw size and never load
@@ -246,15 +245,13 @@ def _cmd_evaluate(args) -> int:
     plan = BacktestPlan(
         initial_start=args.initial_start,
         initial_end=args.initial_end,
-        horizon=args.horizon,
         refit_every=args.refit_every,
         taus=args.taus,
         score_variant=args.variant,
         lag=args.lag,
     )
-    result = expanding_window_backtest(
-        plan, spec, ds, args.covariates, args.seed, out_path=args.out, workers=args.workers,
-    )
+    result = expanding_window_backtest(plan, spec, ds, args.covariates, out_path=args.out,
+                                       workers=args.workers)
     rows = [("records", len(result.records)), ("failures", len(result.failures))]
     if result.records:
         pits = np.array([r.pit for r in result.records])
@@ -270,22 +267,25 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
+    # every line is computed before one is written, so a failure leaves no
+    # partial output; a bad tau is refused even when there are no rows
+    if not all(0.0 < tau < 1.0 for tau in args.taus):
+        raise ValueError("tau must lie strictly inside (0, 1)")
     with open(args.records, "rb") as fh:
         _, grid, rows = read_records(fh.read(), args.records)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write("date\tseries\tvalue\n")
-        for date, realized, pit, *cells in rows:
-            values = np.array([float(v) for v in cells[-grid.n:]])
-            cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values))
-            out.write(f"{date}\trealized\t{_fmt(float(realized))}\n")
-            out.write(f"{date}\tpit\t{_fmt(float(pit))}\n")
-            for tau in args.taus:
-                q = quantile_from_cdf(cdf, tau)
-                out.write(f"{date}\tq{tau:g}\t{_fmt(float(q))}\n")
-    finally:
-        if args.out:
-            out.close()
+    lines = ["date\tseries\tvalue\n"]
+    for date, realized, pit, *cells in rows:
+        values = np.array([float(v) for v in cells[-grid.n:]])
+        cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values))
+        lines.append(f"{date}\trealized\t{_fmt(float(realized))}\n")
+        lines.append(f"{date}\tpit\t{_fmt(float(pit))}\n")
+        for tau in args.taus:
+            lines.append(f"{date}\tq{tau:g}\t{_fmt(float(quantile_from_cdf(cdf, tau)))}\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 

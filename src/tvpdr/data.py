@@ -97,6 +97,11 @@ class MacroDataset:
     horizon: int | None = None
 
     def __post_init__(self):
+        if self.horizon is not None:  # replace() checks a new horizon here too
+            if (isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer))
+                    or self.horizon < 1):
+                raise ValueError("horizon must be a positive number of quarters")
+            self.horizon = int(self.horizon)
         if not isinstance(self.dates, QuarterAxis):  # a bad axis raises every time
             idx = [parse_quarter(d) for d in self.dates]
             for a, b, lbl in zip(idx, idx[1:], self.dates[1:]):
@@ -133,7 +138,7 @@ class MacroDataset:
         codes = dict(self.codes)
         series[name] = inflation(self.series[price_column], horizon)
         codes[name] = 1
-        return replace(self, series=series, codes=codes, target=name, horizon=int(horizon))
+        return replace(self, series=series, codes=codes, target=name, horizon=horizon)
 
     def with_unemployment_gap(self, u: str = "UNRATE", u_star: str = "NROU",
                               name: str = "ugap") -> "MacroDataset":

@@ -7,7 +7,7 @@ Carlo error.
 The backtest walks forecast origins in calendar order, refitting every few
 origins and forecasting each origin from its own covariates, as many steps
 past the fit's last state as the origin lies beyond it.
-Every refit block draws from its own named stream of one integer seed and
+Every refit block draws from its own named stream of the spec's seed and
 the predictive curve takes no random numbers, so records do not depend on
 which blocks ran before them; that is what makes the record file
 resumable after a crash and identical under parallel execution. A sidecar
@@ -39,7 +39,6 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
-from .samplers import RngHandle
 
 __all__ = [
     "BacktestPlan",
@@ -114,7 +113,6 @@ class BacktestPlan:
 
     initial_start: str
     initial_end: str
-    horizon: int = 1
     refit_every: int = 1
     taus: tuple = (0.05, 0.95)
     score_variant: str = "standard"
@@ -123,8 +121,6 @@ class BacktestPlan:
     def __post_init__(self):
         if parse_quarter(self.initial_start) >= parse_quarter(self.initial_end):
             raise ValueError("initial window must start before it ends")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.refit_every < 1:
             raise ValueError("refit_every must be >= 1")
         if self.lag < 1:
@@ -197,7 +193,7 @@ def read_records(data: bytes, name) -> tuple:
     return header, grid, [ln.split("\t") for ln in lines[1:-1] if ln]
 
 
-def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates, seed: int) -> str:
+def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates) -> str:
     """Sidecar text: everything the records depend on, as sorted JSON.
 
     The worker count is left out, since records are identical for any.
@@ -206,7 +202,7 @@ def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates, seed
         "covariates": list(covariates),
         "data_hash": hash_data(aligned.y, aligned.x),
         "predictive": PREDICTIVE_DRAW,
-        "seed": seed,
+        "seed": spec.seed,
         "spec_hash": spec.spec_hash(),
         **{f"plan.{name}": value for name, value in asdict(plan).items()},
     }
@@ -260,9 +256,9 @@ def _last_quarter(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
 
 
-def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, seed: int,
-               job) -> tuple:
-    """Fit once on stream ``job[0]``, forecast each origin of block ``job[1]``.
+def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, job) -> tuple:
+    """Fit once on stream ``job[0]`` of ``spec.seed``, forecast each origin
+    of block ``job[1]``.
 
     Top level so it pickles. Training rows run from ``train_lo`` to
     ``last``, the last row whose outcome was known at the block's first
@@ -275,7 +271,7 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, seed
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
         draws = run_gibbs(replace(spec, grid=grid), (y_train, aligned.x[train]),
-                          RngHandle(seed, stream=stream), buffers=_last_quarter)
+                          stream=stream, buffers=_last_quarter)
     except Exception as exc:
         return [], [(aligned.origin_dates[i], f"refit failed: {exc}") for i in block]
     records = []
@@ -303,15 +299,14 @@ def expanding_window_backtest(
     spec: ModelSpec,
     data: MacroDataset,
     covariates,
-    seed: int,
+    *,
     out_path=None,
     workers: int = 1,
 ) -> BacktestResult:
     """Walk origins from the end of the initial window to the sample's edge.
 
-    ``seed`` is an integer, not a handle: every refit stream derives from
-    it (refit block b draws on stream 1 + b), so a handle's own stream
-    would be ignored.
+    Refit block b draws on stream 1 + b of ``spec.seed``; the forecast
+    horizon is ``data.horizon``.
 
     Each refit re-estimates from scratch on all rows whose outcome was known
     at the origin (expanding, fixed start), with the threshold grid rebuilt
@@ -322,21 +317,16 @@ def expanding_window_backtest(
     resumes where it stopped and ends with the identical file; its result
     holds only the blocks it ran. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
-    aligned (y, x), the seed, the covariates, the plan and the predictive
-    scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
+    aligned (y, x), ``spec.seed``, the covariates, the plan and the
+    predictive scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
     sidecar is missing or differs is refused with a ValueError naming the
     keys that differ. ``workers`` above 1 fans refit blocks out to
     processes; per-block streams keep the output byte-identical either
     way. The process pool is imported only then. A worker count below 1 is
     refused before anything is written.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"expected an integer seed, got {type(seed)!r}")
-    seed = int(seed)
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    if plan.horizon != data.horizon:
-        raise ValueError(f"plan horizon {plan.horizon} != dataset horizon {data.horizon}")
 
     aligned = assemble_design(data, covariates, lag=plan.lag)
     width = apply_design_transform(aligned.x[:1], spec.design_transform).shape[1]
@@ -364,7 +354,7 @@ def expanding_window_backtest(
         if out_path is not None:
             out_path = os.fspath(out_path)
             columns = _tsv_columns(plan.taus, spec.grid)
-            meta = _records_meta(plan, spec, aligned, covariates, seed)
+            meta = _records_meta(plan, spec, aligned, covariates)
             done = _load_done(out_path, columns, meta)
             if not os.path.exists(out_path):  # the sidecar first: records never lack one
                 os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
@@ -376,7 +366,7 @@ def expanding_window_backtest(
 
         jobs = [(1 + b, block) for b, block in enumerate(blocks)
                 if not all(aligned.outcome_dates[i] in done for i in block)]
-        run = partial(_run_block, spec, aligned, train_lo, plan, seed)
+        run = partial(_run_block, spec, aligned, train_lo, plan)
         results = map(run, jobs)
         if workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor

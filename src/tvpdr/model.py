@@ -82,7 +82,7 @@ def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything that defines one estimation run except the data and rng.
+    """Everything that defines one estimation run except the data.
 
     The link is not a setting: every latent is N(fit, 1) truncated at 0, so
     the model is probit (``distribution.PROBIT``) by construction. The priors:
@@ -113,6 +113,11 @@ class ModelSpec:
         for name, value in (("ig_prior_nu", self.ig_prior_nu), ("ig_prior_s", self.ig_prior_s)):
             if np.ndim(value) != 0 or not value > 0.0:
                 raise ValueError(f"{name} must be one positive number")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))  # a JSON-serialisable int
 
     def canonical(self) -> dict:
         return {
@@ -468,24 +473,23 @@ def _in_memory(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, t_len, d)), np.empty((kept, k, d))
 
 
-def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorDraws:
+def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> PosteriorDraws:
     """Full Gibbs pass over thresholds and iterations.
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
-    model design. ``rng`` is the ``RngHandle`` the fit draws from,
-    ``RngHandle(spec.seed)`` if None; the result records its seed and
-    stream, so anything else, a bare numpy Generator included, is a
-    TypeError. Thresholds update in batches: one latent draw, one path
-    draw (monotone or not) and one variance draw on each stacked batch. The
-    draws exchange fits: after every batch ``state.fitted`` holds
-    ``fitted_values(design, state.beta)``, and the next latent draw of a
-    batch reads its fits from there instead of recomputing them. In
-    monotone mode a threshold sees the others only through its neighbors'
-    fits, which bound it below and above, so all even thresholds update
-    given the odd ones, then all odd ones given the even ones: a red-black
-    systematic-scan Gibbs sampler that leaves every kept iteration exactly
-    ordered across the whole grid. Unconstrained mode is one batch of all K.
+    model design. The fit draws from ``RngHandle(spec.seed, stream)`` and
+    the result records that seed and stream. Thresholds update in batches:
+    one latent draw, one path draw (monotone or not) and one variance draw
+    on each stacked batch. The draws exchange fits: after every batch
+    ``state.fitted`` holds ``fitted_values(design, state.beta)``, and the
+    next latent draw of a batch reads its fits from there instead of
+    recomputing them. In monotone mode a threshold sees the others only
+    through its neighbors' fits, which bound it below and above, so all
+    even thresholds update given the odd ones, then all odd ones given the
+    even ones: a red-black systematic-scan Gibbs sampler that leaves every
+    kept iteration exactly ordered across the whole grid. Unconstrained
+    mode is one batch of all K.
 
     What does not change within a fit is built once, before the first
     iteration: the likelihood band X'X, each batch's latent bounds, and the
@@ -520,11 +524,7 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
     if spec.monotone and not np.all(design[:, 0] == 1.0):
         raise ValueError("monotone estimation requires an intercept column of ones")
 
-    if rng is None:
-        rng = RngHandle(spec.seed)
-    if not isinstance(rng, RngHandle):
-        raise TypeError(f"rng must be an RngHandle or None, got {type(rng)!r}")
-    gen = rng.rng
+    gen = RngHandle(spec.seed, stream).rng
     grid = spec.grid
     k = grid.n
 
@@ -585,8 +585,8 @@ def run_gibbs(spec: ModelSpec, data, rng=None, buffers=_in_memory) -> PosteriorD
         grid=grid,
         beta=beta,
         sigma2=sigma2,
-        seed=int(rng.seed),
-        stream=int(rng.stream),
+        seed=spec.seed,
+        stream=int(stream),
         spec_hash=spec.spec_hash(),
         data_hash=hash_data(y, x_raw),
         design_transform=spec.design_transform,

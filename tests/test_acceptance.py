@@ -155,7 +155,7 @@ def test_c04_monotone_ordering_zero_violations():
                      monotone=True, seed=404)
 
     t0 = time.perf_counter()
-    draws = run_gibbs(spec, (y, design), RngHandle(404))
+    draws = run_gibbs(spec, (y, design))
     elapsed = time.perf_counter() - t0
 
     violations = 0
@@ -182,7 +182,7 @@ def test_c05_posterior_recovery_constant_dgp():
     grid = ThresholdGrid(points=np.array([0.0]), min_value=0.0, max_value=0.0, step=0.5)
     spec = ModelSpec(d=2, grid=grid, iterations=4000, burnin=1000,
                      monotone=False, ig_prior_s=0.1, seed=505)
-    draws = run_gibbs(spec, (y, design), RngHandle(505))
+    draws = run_gibbs(spec, (y, design))
 
     paths = draws.beta[:, 0]  # (kept, T, 2)
     post_mean = paths.mean(axis=0)
@@ -209,7 +209,7 @@ def test_c06_dense_reference_gibbs_agreement():
     for s in range(5):
         spec = ModelSpec(d=1, grid=grid, iterations=iterations, burnin=burnin,
                          monotone=False, seed=s)
-        mine = run_gibbs(spec, (y, design), RngHandle(s))
+        mine = run_gibbs(spec, (y, design))
         chain = mine.beta[:, 0, :, 0]  # (kept, T)
 
         ref_beta, _ = dense_gibbs_reference(
@@ -248,7 +248,7 @@ def test_c12_monotone_matches_sequential_scan_reference():
                      ig_prior_s=0.1, seed=12)
 
     t0 = time.perf_counter()
-    mine = run_gibbs(spec, (y, np.ones((t_len, 1))), RngHandle(12)).beta[:, :, :, 0]
+    mine = run_gibbs(spec, (y, np.ones((t_len, 1)))).beta[:, :, :, 0]
     ref = dense_monotone_gibbs_reference(y, points, nu=3.0, s=0.1, iterations=1000, burnin=300,
                                          chains=40, rng=np.random.default_rng(1200))
     elapsed = time.perf_counter() - t0
@@ -291,10 +291,10 @@ def test_c07_out_of_sample_calibration():
     grid = build_threshold_grid(float(infl[1:].min()), float(infl[1:].max()), spread / 14.0)
     spec = ModelSpec(d=2, grid=grid, iterations=500, burnin=100,
                      monotone=False, seed=707)
-    plan = BacktestPlan(dates[0], dates[159], horizon=1, refit_every=4)
+    plan = BacktestPlan(dates[0], dates[159], refit_every=4)
 
     t0 = time.perf_counter()
-    result = expanding_window_backtest(plan, spec, ds, ("u",), 707)
+    result = expanding_window_backtest(plan, spec, ds, ("u",))
     elapsed = time.perf_counter() - t0
 
     pits = np.array([r.pit for r in result.records])

@@ -452,6 +452,54 @@ def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
     assert Path(lag1).read_bytes() == before
 
 
+@pytest.mark.parametrize("last_cdf, taus, message", [
+    ("0.9", "0.5,1.5", "tau must lie strictly inside (0, 1)"),
+    ("nine", "0.5", "could not convert string to float: 'nine'"),
+], ids=["tau", "cell"])
+def test_plotdata_fails_before_writing_a_line(tmp_path, capsys, last_cdf, taus, message):
+    # a tau outside (0, 1), or a cell that is no number in the second row,
+    # used to fail after the first row's lines were out, leaving a partial file
+    records = tmp_path / "r.tsv"
+    records.write_text("date\trealized\tpit\tqs_0.05\tcdf_0.0\tcdf_1.0\n"
+                       "2000Q1\t0.5\t0.4\t0.1\t0.3\t0.9\n"
+                       f"2000Q2\t0.5\t0.4\t0.1\t0.3\t{last_cdf}\n", encoding="utf-8")
+    tidy = tmp_path / "f"
+    for out in (["--out", str(tidy)], []):
+        code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records),
+                                            "--taus", taus, *out])
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {message}\n"
+    assert not tidy.exists()
+    records.write_text("date\trealized\tpit\tcdf_0.0\n", encoding="utf-8")  # no rows
+    code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records), "--taus", "1.5"])
+    assert (code, stdout, stderr) == (1, "", "error: tau must lie strictly inside (0, 1)\n")
+
+
+@pytest.mark.parametrize("route", [["--price-column", "P"], ["--target", "pi"]])
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_every_path_refuses_a_horizon_below_one(tmp_path, capsys, route, horizon):
+    # the dataset owns the horizon: at 0 the target met same-quarter
+    # covariates, and at -1 the fit died in a numpy broadcast
+    csv = tmp_path / "m.csv"
+    dates = write_csv(csv)
+    ds = load_csv(csv).with_inflation("P", 1)
+    with open(csv, "w", encoding="utf-8") as fh:
+        fh.write("date,P,pi,u\n")
+        for row in zip(dates, *(ds.series[name] for name in ("P", "infl_P_1q", "u"))):
+            fh.write(",".join([row[0]] + ["" if np.isnan(v) else repr(float(v))
+                                          for v in row[1:]]) + "\n")
+    data = ["--data", str(csv), *route, "--horizon", horizon, "--covariates", "u"]
+    est = tmp_path / "est"
+    for argv in (["estimate", *data, *FAST_MODEL, "--out", str(est)],
+                 ["forecast", *data, "--estimate", str(est)],
+                 ["evaluate", *data, *FAST_MODEL, "--initial-start", dates[0],
+                  "--initial-end", dates[-10], "--out", str(tmp_path / "r.tsv")]):
+        code, stdout, stderr = run(capsys, argv)
+        assert (code, stdout) == (1, ""), argv[0]
+        assert stderr == "error: horizon must be a positive number of quarters\n", argv[0]
+    assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
 def test_plotdata_rejects_foreign_files(tmp_path, capsys):
     bogus = tmp_path / "notes.tsv"
     bogus.write_text("a\tb\n1\t2\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 """Quarter labels, transform codes, CSV ingestion, design alignment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,20 @@ def test_dataset_validates_axis():
         MacroDataset(dates=("2000Q1", "2000Q3"), series={}, codes={})
     with pytest.raises(ValueError, match="span"):
         MacroDataset(dates=make_dates(n=3), series={"a": np.zeros(2)}, codes={})
+
+
+def test_dataset_is_the_one_owner_of_the_horizon():
+    # a horizon below 1 would pair the target with same-quarter or later
+    # covariates; the dataset refuses it however it is set, replace() included
+    ds = MacroDataset(dates=make_dates(n=6), series={"pi": np.arange(6.0)}, codes={})
+    for bad in (0, -1, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="horizon must be a positive number of quarters"):
+            MacroDataset(dates=ds.dates, series=ds.series, codes={}, target="pi", horizon=bad)
+        with pytest.raises(ValueError, match="horizon must be a positive number of quarters"):
+            replace(ds, target="pi", horizon=bad)
+    assert replace(ds, target="pi", horizon=np.int64(2)).horizon == 2
+    assert type(replace(ds, horizon=np.int64(2)).horizon) is int
+    assert replace(ds, horizon=None).horizon is None
 
 
 def test_axis_validation_fires_on_every_construction():

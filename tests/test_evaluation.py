@@ -79,8 +79,6 @@ def test_backtest_plan_validation():
     with pytest.raises(ValueError):
         BacktestPlan("2000Q1", "1990Q1")
     with pytest.raises(ValueError):
-        BacktestPlan("1980Q1", "2000Q1", horizon=0)
-    with pytest.raises(ValueError):
         BacktestPlan("1980Q1", "2000Q1", refit_every=0)
     with pytest.raises(ValueError):
         BacktestPlan("1980Q1", "2000Q1", taus=(0.0, 0.5))
@@ -128,21 +126,20 @@ def synthetic_dataset(n=90, seed=0):
     return ds
 
 
-def fast_spec(ds, step=0.5):
+def fast_spec(ds, step=0.5, seed=2):
     from tvpdr.data import assemble_design
 
     aligned = assemble_design(ds, ["infl_P_1q", "u"], lag=1)
     grid = build_threshold_grid(float(aligned.y.min()), float(aligned.y.max()), step)
-    return ModelSpec(d=3, grid=grid, iterations=30, burnin=10, monotone=False, seed=2)
+    return ModelSpec(d=3, grid=grid, iterations=30, burnin=10, monotone=False, seed=seed)
 
 
 def test_backtest_records_and_summary(tmp_path):
     ds = synthetic_dataset()
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=3)
     plan = BacktestPlan("1980Q1", "1998Q1", refit_every=4)
     out = tmp_path / "records.tsv"
-    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"],
-                                    3, out_path=str(out))
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
     assert res.failures == []
     assert len(res.records) > 10
     # origins start at the initial window end and outcomes trail by one
@@ -161,12 +158,12 @@ def test_backtest_records_and_summary(tmp_path):
 
 def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2001Q1", refit_every=3)
     cov = ["infl_P_1q", "u"]
 
     full = tmp_path / "full.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(full))
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(full))
 
     # simulate a crash part way through, torn at three points: part way
     # through a row; inside the last cell, where the row still has every
@@ -179,15 +176,14 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
         torn = tmp_path / f"torn{n}.tsv"
         torn.write_text(head)
         (tmp_path / f"torn{n}.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
-        resumed = expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(torn))
+        resumed = expanding_window_backtest(plan, spec, ds, cov, out_path=str(torn))
         assert torn.read_bytes() == full.read_bytes(), f"tear {n}"
         # the resumed call recomputes whole refit blocks but returns only rows
         # it appended or re-verified deterministically
         assert all(r.date for r in resumed.records)
 
     par = tmp_path / "par.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, 4,
-                              out_path=str(par), workers=3)
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(par), workers=3)
     assert par.read_bytes() == full.read_bytes()
 
 
@@ -198,7 +194,7 @@ def test_backtest_forecasts_each_origin_its_distance_past_the_fit(monkeypatch, l
     import tvpdr.evaluation as ev
 
     ds = synthetic_dataset(seed=4)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=7)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4, lag=lag)
     real, steps = ev.forecast_predictive, []
 
@@ -207,7 +203,7 @@ def test_backtest_forecasts_each_origin_its_distance_past_the_fit(monkeypatch, l
         return real(draws, x_next, **kwargs)
 
     monkeypatch.setattr(ev, "forecast_predictive", spy)
-    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 7)
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"])
     offset = lag
     assert len(steps) == len(res.records) == 9 - (lag - 1)
     assert steps == [offset + j % 4 for j in range(len(steps))]
@@ -215,10 +211,10 @@ def test_backtest_forecasts_each_origin_its_distance_past_the_fit(monkeypatch, l
 
 def test_read_records_keeps_only_terminated_rows(tmp_path):
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
     out = tmp_path / "records.tsv"
-    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 4, out_path=str(out))
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
     text = out.read_bytes()
     header, grid, rows = read_records(text, "records.tsv")
     assert header == text.decode().split("\n", 1)[0].split("\t")
@@ -240,25 +236,25 @@ def test_backtest_refuses_a_worker_count_below_one(tmp_path):
     # refused before any work, and before a records file or its sidecar is
     # written
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
     out = tmp_path / "records.tsv"
     cov = ["infl_P_1q", "u"]
     for workers in (0, -3):
         with pytest.raises(ValueError, match=rf"workers must be a positive integer, got {workers}"):
-            expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out), workers=workers)
+            expanding_window_backtest(plan, spec, ds, cov, out_path=str(out), workers=workers)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_backtest_resume_refuses_other_provenance(tmp_path):
     # a records file resumes only under the sidecar it was written with
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
     cov = ["infl_P_1q", "u"]
     out = tmp_path / "records.tsv"
     sidecar = tmp_path / "records.tsv.meta"
-    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     records, meta = out.read_bytes(), sidecar.read_bytes()
     stored = json.loads(meta)
     assert list(stored) == sorted(stored) and "workers" not in meta.decode()
@@ -268,27 +264,27 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     other = synthetic_dataset(seed=1)
     other.series["infl_P_1q"][40] += 0.25
     mismatches = [
-        (dict(seed=5), "seed"),
+        (dict(spec=replace(spec, seed=5)), "seed"),
         (dict(spec=replace(spec, iterations=31)), "spec_hash"),
         (dict(plan=replace(plan, refit_every=2)), "plan.refit_every"),
         (dict(data=other), "data_hash"),
     ]
     for change, key in mismatches:
-        args = dict(plan=plan, spec=spec, data=ds, covariates=cov, seed=4) | change
+        args = dict(plan=plan, spec=spec, data=ds, covariates=cov) | change
         with pytest.raises(ValueError, match=rf"different {key}; refusing to resume"):
             expanding_window_backtest(**args, out_path=str(out))
         assert out.read_bytes() == records and sidecar.read_bytes() == meta
 
     sidecar.unlink()
     with pytest.raises(ValueError, match="refusing to resume"):
-        expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
+        expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     assert out.read_bytes() == records
 
     # the sidecar does not depend on the worker count, and a matching resume runs
     par = tmp_path / "par.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(par), workers=2)
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(par), workers=2)
     assert (tmp_path / "par.tsv.meta").read_bytes() == meta
-    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(par))
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(par))
     assert par.read_bytes() == records
 
 
@@ -300,12 +296,12 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
     # while the curve was simulated with one innovation per kept draw, came
     # from another estimator; appending new rows under them is refused
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
     cov = ["infl_P_1q", "u"]
     out = tmp_path / "records.tsv"
     sidecar = tmp_path / "records.tsv.meta"
-    expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
+    expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     stored = json.loads(sidecar.read_text(encoding="utf-8"))
     assert stored["predictive"] == PREDICTIVE_DRAW
 
@@ -317,40 +313,39 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
     out.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # an unfinished run
     records, meta = out.read_bytes(), sidecar.read_bytes()
     with pytest.raises(ValueError, match="different predictive; refusing to resume"):
-        expanding_window_backtest(plan, spec, ds, cov, 4, out_path=str(out))
+        expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     assert out.read_bytes() == records and sidecar.read_bytes() == meta
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):
     ds = synthetic_dataset(seed=2)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=5)
     plan = BacktestPlan("1980Q1", "2001Q1")
     out = tmp_path / "other.tsv"
     out.write_text("date\tsomething\n")
     with pytest.raises(ValueError, match="different layout"):
-        expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"],
-                                  5, out_path=str(out))
+        expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
 
 
 def test_backtest_validates_window_and_horizon():
     ds = synthetic_dataset(seed=3)
-    spec = fast_spec(ds)
-    with pytest.raises(ValueError, match="horizon"):
-        expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1", horizon=2),
-                                  spec, ds, ["infl_P_1q", "u"], 6)
+    spec = fast_spec(ds, seed=6)
     with pytest.raises(ValueError, match="at least 8"):
         expanding_window_backtest(BacktestPlan("1980Q1", "1981Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], 6)
+                                  spec, ds, ["infl_P_1q", "u"])
     with pytest.raises(ValueError, match="origins"):
         expanding_window_backtest(BacktestPlan("1980Q1", "2090Q1"),
+                                  spec, ds, ["infl_P_1q", "u"])
+    # the seed is the spec's: a positional one is never read as the out path
+    with pytest.raises(TypeError, match="positional"):
+        expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
                                   spec, ds, ["infl_P_1q", "u"], 6)
-    with pytest.raises(TypeError):
-        expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], seed=None)
-    # every stream derives from the seed, so a handle's stream would be ignored
-    with pytest.raises(TypeError, match="integer seed"):
-        expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1"),
-                                  spec, ds, ["infl_P_1q", "u"], RngHandle(6, stream=7))
+    # the horizon is the dataset's: origins lie that many quarters before
+    # their outcomes
+    res = expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1", refit_every=9),
+                                    spec, ds.with_inflation("P", 2), ["infl_P_1q", "u"])
+    assert res.records and all(parse_quarter(r.date) == parse_quarter(r.origin) + 2
+                               for r in res.records)
 
 
 def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
@@ -359,7 +354,7 @@ def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
     import tvpdr.evaluation as ev
 
     ds = synthetic_dataset(seed=4)
-    spec = fast_spec(ds)
+    spec = fast_spec(ds, seed=7)
     # 9 origins from 2000Q1 in blocks of 4, 4 and 1; kill the second block
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
 
@@ -373,7 +368,7 @@ def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ev, "run_gibbs", flaky)
-    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], 7)
+    res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"])
     assert len(res.failures) == 4  # the whole second block is skipped
     assert all("synthetic refit explosion" in msg for _, msg in res.failures)
     assert len(res.records) > 0
@@ -391,22 +386,21 @@ def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch
     import tvpdr.evaluation as ev
 
     ds = synthetic_dataset(seed=5)
-    spec = replace(fast_spec(ds), iterations=510, burnin=10)
+    spec = replace(fast_spec(ds, seed=9), iterations=510, burnin=10)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=100)  # one block
     cov = ["infl_P_1q", "u"]
     real = ev.run_gibbs
     fits = []
 
-    def spy(spec_fit, data, rng, **kwargs):
+    def spy(spec_fit, data, **kwargs):
         fits.append((spec_fit.grid.n, len(data[0]), kwargs))
-        return real(spec_fit, data, rng, **kwargs)
+        return real(spec_fit, data, **kwargs)
 
     monkeypatch.setattr(ev, "run_gibbs", spy)
     lean_out = tmp_path / "lean.tsv"
     tracemalloc.start()
     try:
-        lean = expanding_window_backtest(plan, spec, ds, cov, 9,
-                                         out_path=str(lean_out))
+        lean = expanding_window_backtest(plan, spec, ds, cov, out_path=str(lean_out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,11 +409,10 @@ def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch
     whole_bytes = (spec.iterations - spec.burnin) * k * t_len * spec.d * 8
     assert peak < whole_bytes / 10
 
-    monkeypatch.setattr(ev, "run_gibbs", lambda spec_fit, data, rng, **kwargs:
-                        real(spec_fit, data, rng))
+    monkeypatch.setattr(ev, "run_gibbs", lambda spec_fit, data, stream, **kwargs:
+                        real(spec_fit, data, stream=stream))
     whole_out = tmp_path / "whole.tsv"
-    whole = expanding_window_backtest(plan, spec, ds, cov, 9,
-                                      out_path=str(whole_out))
+    whole = expanding_window_backtest(plan, spec, ds, cov, out_path=str(whole_out))
     assert lean_out.read_bytes() == whole_out.read_bytes()
     assert len(lean.records) == len(whole.records) > 1
     for a, b in zip(lean.records, whole.records):

@@ -97,6 +97,23 @@ def test_model_spec_validation_and_hash():
         ModelSpec(d=2, grid=grid, ig_prior_s=(0.01, 0.02))
 
 
+def test_model_spec_seed_is_one_64_bit_integer():
+    # the one seed of a run: it keys every Philox stream and goes into JSON
+    # sidecars, so it is a plain int in [0, 2**64)
+    grid = build_threshold_grid(0.0, 1.0, 0.5)
+    for bad in (True, 1.5, None, "3"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            ModelSpec(d=2, grid=grid, seed=bad)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            ModelSpec(d=2, grid=grid, seed=bad)
+    for good in (np.uint64(2**64 - 1), np.int32(7)):
+        spec = ModelSpec(d=2, grid=grid, seed=good)
+        assert type(spec.seed) is int and spec.seed == int(good)
+    with pytest.raises(ValueError, match="seed must lie"):
+        replace(ModelSpec(d=2, grid=grid), seed=-1)
+
+
 def test_spec_hash_is_pinned():
     # stored MANIFESTs and backtest sidecars carry these hashes; they move
     # only when the model does, never with a refactor of the spec's code
@@ -350,23 +367,25 @@ def test_run_gibbs_shapes_metadata_and_reproducibility():
     assert a.spec_hash == spec.spec_hash()
     assert a.data_hash == hash_data(y, x)
     assert a.seed == 77 and a.stream == 0
-    # a different stream changes the draws but not the metadata
-    c = run_gibbs(spec, (y, x), RngHandle(77, stream=3))
+    # a different stream changes the draws but not the seed
+    c = run_gibbs(spec, (y, x), stream=3)
     assert not np.array_equal(a.beta, c.beta)
-    assert c.stream == 3
+    assert (c.seed, c.stream) == (77, 3)
 
 
-def test_run_gibbs_takes_only_a_handle_whose_stream_it_records():
-    # a bare Generator has no seed or stream, so the result would record
-    # spec.seed on stream 0, a stream the fit never drew from
+def test_run_gibbs_draws_the_spec_seed_on_the_stream_it_records():
+    # the seed is the spec's and the stream keyword-only, so a handle or
+    # seed passed the old way fails loudly instead of being read as a stream
     y, x = small_problem(seed=19, t_len=12)
     grid = build_threshold_grid(float(y.min()), float(y.max()), 0.5)
-    spec = ModelSpec(d=2, grid=grid, iterations=4, burnin=2, seed=9)
-    for rng in (np.random.default_rng(123), 123):
-        with pytest.raises(TypeError, match="RngHandle or None"):
-            run_gibbs(spec, (y, x), rng)
-    draws = run_gibbs(spec, (y, x), RngHandle(5, stream=2))
+    spec = ModelSpec(d=2, grid=grid, iterations=4, burnin=2, seed=5)
+    draws = run_gibbs(spec, (y, x), stream=2)
     assert (draws.seed, draws.stream) == (5, 2)
+    beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(5, stream=2).rng)
+    assert np.array_equal(draws.beta, beta) and np.array_equal(draws.sigma2, sigma2)
+    for old in (RngHandle(5), 5):
+        with pytest.raises(TypeError, match="positional"):
+            run_gibbs(spec, (y, x), old)
 
 
 def test_run_gibbs_kept_ordering_every_iteration():
@@ -610,7 +629,7 @@ def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
         assert grid.n == n_thresholds
         spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
                          seed=d + n_thresholds)
-        draws = run_gibbs(spec, (y, x), RngHandle(spec.seed))
+        draws = run_gibbs(spec, (y, x))
         beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
         assert np.array_equal(draws.beta, beta)
         assert np.array_equal(draws.sigma2, sigma2)
@@ -624,8 +643,8 @@ def test_early_cdf_follows_the_data_not_the_first_state_prior(monotone):
     # modes. Under beta_1 ~ N(0, V) it reads 0.12 and 0.11
     y = np.random.default_rng(3).normal(2.0, 1.0, size=160)
     grid = build_threshold_grid(0.5, 3.5, 1.5)
-    spec = ModelSpec(d=1, grid=grid, iterations=600, burnin=200, monotone=monotone)
-    draws = run_gibbs(spec, (y, np.ones((160, 1))), RngHandle(3))
+    spec = ModelSpec(d=1, grid=grid, iterations=600, burnin=200, monotone=monotone, seed=3)
+    draws = run_gibbs(spec, (y, np.ones((160, 1))))
     assert np.mean(y <= 0.5) == 0.08125
     assert abs(conditional_cdf(draws, np.ones(1), 0).values[0] - 0.08125) < 0.1
 

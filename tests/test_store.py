@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from tvpdr import (
     EstimationError,
     ModelSpec,
     PosteriorDraws,
-    RngHandle,
     StoreError,
     ThresholdGrid,
     build_threshold_grid,
@@ -446,7 +446,7 @@ def test_failed_save_never_loads_mixed_draws(tmp_path, monkeypatch, fail_at):
 def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeypatch):
     where = str(tmp_path / "est")
     spec, data = small_fit()
-    previous = run_gibbs(spec, data, RngHandle(1))
+    previous = run_gibbs(replace(spec, seed=1), data)
     save_estimate(where, previous)
 
     real = tvpdr.model.draw_sigma2
@@ -460,7 +460,7 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
 
     monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
     with pytest.raises(EstimationError, match="injected"):
-        run_gibbs(spec, data, RngHandle(2), buffers=partial(draw_buffers, where))
+        run_gibbs(replace(spec, seed=2), data, buffers=partial(draw_buffers, where))
     back = load_estimate(where, expect_data_hash=hash_data(*data))
     assert same_bits(back.beta, previous.beta)
     assert same_bits(back.sigma2, previous.sigma2)
@@ -468,9 +468,10 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
 
 def test_streamed_fit_equals_the_in_memory_fit(tmp_path):
     spec, data = small_fit()
-    in_memory = run_gibbs(spec, data, RngHandle(6))
+    spec = replace(spec, seed=6)
+    in_memory = run_gibbs(spec, data)
     streamed_dir, written_dir = str(tmp_path / "streamed"), str(tmp_path / "written")
-    streamed = run_gibbs(spec, data, RngHandle(6), buffers=partial(draw_buffers, streamed_dir))
+    streamed = run_gibbs(spec, data, buffers=partial(draw_buffers, streamed_dir))
     assert same_bits(streamed.beta, in_memory.beta)
     assert same_bits(streamed.sigma2, in_memory.sigma2)
 
@@ -490,8 +491,9 @@ def _blocks_of(monkeypatch, spec, t_len, draws):
 def test_streamed_fit_in_blocks_that_do_not_divide_kept_saves_the_same_bytes(
         tmp_path, monkeypatch):
     spec, data = small_fit(iterations=10, burnin=3)  # 7 kept draws
+    spec = replace(spec, seed=6)
     _blocks_of(monkeypatch, spec, 12, 3)             # written as 3 + 3 + 1
-    in_memory = run_gibbs(spec, data, RngHandle(6))
+    in_memory = run_gibbs(spec, data)
     streamed_dir, written_dir = str(tmp_path / "streamed"), str(tmp_path / "written")
     writers = []
 
@@ -499,7 +501,7 @@ def test_streamed_fit_in_blocks_that_do_not_divide_kept_saves_the_same_bytes(
         writers.extend(draw_buffers(streamed_dir, *shape))
         return writers
 
-    streamed = run_gibbs(spec, data, RngHandle(6), buffers=spy)
+    streamed = run_gibbs(spec, data, buffers=spy)
     assert writers[0]._block is None and writers[0].shape[0] == 7
     assert same_bits(streamed.beta, in_memory.beta)
     assert same_bits(streamed.sigma2, in_memory.sigma2)
@@ -549,7 +551,7 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
         tmp_path, monkeypatch):
     where = str(tmp_path / "est")
     spec, data = small_fit(iterations=10, burnin=3)
-    previous = run_gibbs(spec, data, RngHandle(1))
+    previous = run_gibbs(replace(spec, seed=1), data)
     save_estimate(where, previous)
     _blocks_of(monkeypatch, spec, 12, 3)
 
@@ -566,7 +568,7 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EstimationError, match="injected"):
-            run_gibbs(spec, data, RngHandle(2), buffers=partial(draw_buffers, where))
+            run_gibbs(replace(spec, seed=2), data, buffers=partial(draw_buffers, where))
         held = [name for name in _open_paths() if name.endswith(".partial")]
         gc.collect()
     assert held == []

@@ -35,6 +35,7 @@ from .evaluation import (
     BacktestPlan,
     expanding_window_backtest,
     pit_uniformity_band,
+    quantile_score,
     read_records,
     SCORE_VARIANTS,
 )
@@ -242,14 +243,8 @@ def _cmd_counterfactual(args) -> int:
 def _cmd_evaluate(args) -> int:
     ds = _load_dataset(args)
     spec = _build_spec(args, assemble_design(ds, args.covariates, lag=args.lag))
-    plan = BacktestPlan(
-        initial_start=args.initial_start,
-        initial_end=args.initial_end,
-        refit_every=args.refit_every,
-        taus=args.taus,
-        score_variant=args.variant,
-        lag=args.lag,
-    )
+    plan = BacktestPlan(args.initial_start, args.initial_end, refit_every=args.refit_every,
+                        taus=args.taus, lag=args.lag)
     result = expanding_window_backtest(plan, spec, ds, args.covariates, out_path=args.out,
                                        workers=args.workers)
     rows = [("records", len(result.records)), ("failures", len(result.failures))]
@@ -259,7 +254,8 @@ def _cmd_evaluate(args) -> int:
         rows.append(("pit_band_95", pit_uniformity_band(len(pits), 0.95)))
         for tau in plan.taus:
             hits = np.array([r.realized <= r.quantiles[tau] for r in result.records])
-            score = np.array([r.scores[tau] for r in result.records])
+            score = np.array([quantile_score(r.realized, r.quantiles[tau], tau, args.variant)
+                              for r in result.records])
             rows.append((f"coverage_{tau:g}", float(hits.mean())))
             rows.append((f"mean_score_{tau:g}", float(score.mean())))
     _print_rows(rows)
@@ -272,15 +268,14 @@ def _cmd_plotdata(args) -> int:
     if not all(0.0 < tau < 1.0 for tau in args.taus):
         raise ValueError("tau must lie strictly inside (0, 1)")
     with open(args.records, "rb") as fh:
-        _, grid, rows = read_records(fh.read(), args.records)
+        grid, records = read_records(fh.read(), args.records)
     lines = ["date\tseries\tvalue\n"]
-    for date, realized, pit, *cells in rows:
-        values = np.array([float(v) for v in cells[-grid.n:]])
-        cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(values))
-        lines.append(f"{date}\trealized\t{_fmt(float(realized))}\n")
-        lines.append(f"{date}\tpit\t{_fmt(float(pit))}\n")
+    for rec in records:
+        cdf = ConditionalCdf(grid=grid, values=np.maximum.accumulate(rec.cdf))
+        lines.append(f"{rec.date}\trealized\t{_fmt(rec.realized)}\n")
+        lines.append(f"{rec.date}\tpit\t{_fmt(rec.pit)}\n")
         for tau in args.taus:
-            lines.append(f"{date}\tq{tau:g}\t{_fmt(float(quantile_from_cdf(cdf, tau)))}\n")
+            lines.append(f"{rec.date}\tq{tau:g}\t{_fmt(float(quantile_from_cdf(cdf, tau)))}\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             out.writelines(lines)
@@ -349,7 +344,8 @@ def _evaluate_options(p: argparse.ArgumentParser):
     p.add_argument("--initial-end", required=True, help="first forecast origin quarter")
     p.add_argument("--refit-every", type=int, default=BacktestPlan.refit_every)
     p.add_argument("--taus", type=_comma_floats, default=BacktestPlan.taus)
-    p.add_argument("--variant", choices=SCORE_VARIANTS, default=BacktestPlan.score_variant)
+    p.add_argument("--variant", choices=SCORE_VARIANTS, default=SCORE_VARIANTS[0],
+                   help="score printed as mean_score_<tau>; the records hold no scores")
     p.add_argument("--out", help="records TSV, appended to and resumed from")
     p.add_argument("--workers", type=int, default=1, help="refit blocks in parallel")
     p.set_defaults(func=_cmd_evaluate)

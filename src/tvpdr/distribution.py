@@ -26,6 +26,8 @@ PREDICTIVE_DRAW = "closed form Phi(x'beta_T / sqrt(1 + j x'diag(sigma2)x)) at j 
 # per in-sample curve and 0.805, 0.751 and 0.954 ms per predictive curve,
 # and a one-pass read allocates fresh (kept, K) temporaries.
 _CURVE_BLOCK = 64
+# Most thresholds a grid may hold: a fit keeps K x T x d states, so more is a typo.
+MAX_THRESHOLDS = 10_000
 
 __all__ = [
     "LinkFunction",
@@ -133,7 +135,8 @@ def build_threshold_grid(min_value: float, max_value: float, step: float) -> Thr
     """Grid min, min+step, ... up to the largest point <= max.
 
     A 0.1 step over [0, 9.1] gives 92 thresholds; the endpoint lands on the
-    grid whenever (max - min) is an integer multiple of step.
+    grid whenever (max - min) is an integer multiple of step. More than
+    ``MAX_THRESHOLDS`` are refused.
     """
     if not (np.isfinite(min_value) and np.isfinite(max_value) and np.isfinite(step)):
         raise ValueError("grid parameters must be finite")
@@ -143,8 +146,12 @@ def build_threshold_grid(min_value: float, max_value: float, step: float) -> Thr
         raise ValueError("grid step must be positive")
     if step > max_value - min_value:
         raise ValueError("grid step exceeds the grid range")
-    count = int(math.floor((max_value - min_value) / step + 1.0 + 1e-9))
-    points = min_value + step * np.arange(count)
+    count = (max_value - min_value) / step + 1.0 + 1e-9  # inf for a subnormal step
+    if count >= MAX_THRESHOLDS + 1:  # refused before anything is allocated
+        shown = math.floor(count) if math.isfinite(count) else count
+        raise ValueError(f"grid step {step:g} over [{min_value:g}, {max_value:g}] gives "
+                         f"{shown:.6g} thresholds, more than {MAX_THRESHOLDS}")
+    points = min_value + step * np.arange(int(count))
     return ThresholdGrid(points=points, min_value=float(min_value),
                          max_value=float(max_value), step=float(step))
 

@@ -19,6 +19,7 @@ refused.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -115,7 +116,6 @@ class BacktestPlan:
     initial_end: str
     refit_every: int = 1
     taus: tuple = (0.05, 0.95)
-    score_variant: str = "standard"
     lag: int = 1
 
     def __post_init__(self):
@@ -133,20 +133,16 @@ class BacktestPlan:
                 raise ValueError(f"taus {lo:g} and {hi:g} share the records column "
                                  f"{_tau_column(hi)}")
         object.__setattr__(self, "taus", taus)
-        if self.score_variant not in SCORE_VARIANTS:
-            raise ValueError(f"unknown quantile score variant {self.score_variant!r}")
 
 
 @dataclass
 class BacktestRecord:
-    """One scored forecast origin."""
+    """One forecast origin: its outcome and the forecast every score reads."""
 
-    origin: str
     date: str
     realized: float
     pit: float
-    quantiles: dict
-    scores: dict
+    quantiles: dict         # tau -> quantile forecast
     cdf: np.ndarray  # on the report grid
 
 
@@ -158,28 +154,28 @@ class BacktestResult:
 
 def _tau_column(tau: float) -> str:
     # repr round-trips exactly, as the cdf_ columns do: distinct taus never share a name
-    return f"qs_{tau!r}"
+    return f"q_{tau!r}"
 
 
 def _tsv_columns(taus, grid: ThresholdGrid):
-    cols = ["date", "realized", "pit"]
-    cols += [_tau_column(t) for t in taus]
     # repr round-trips exactly, so plot tooling can rebuild the grid from the header
-    cols += [f"cdf_{float(y)!r}" for y in grid.points]
-    return cols
+    return ["date", "realized", "pit", *map(_tau_column, taus),
+            *(f"cdf_{float(y)!r}" for y in grid.points)]
 
 
 def _record_row(rec: BacktestRecord, taus) -> list:
-    vals = [rec.date, format(rec.realized, ".12g"), format(rec.pit, ".12g")]
-    vals += [format(rec.scores[t], ".12g") for t in taus]
-    vals += [format(v, ".12g") for v in rec.cdf]
-    return vals
+    # repr of a Python float (not of a numpy scalar) reads back to the same bits
+    exact = (rec.realized, rec.pit, *(rec.quantiles[t] for t in taus))
+    return [rec.date, *(repr(float(v)) for v in exact), *(format(v, ".12g") for v in rec.cdf)]
 
 
 def read_records(data: bytes, name) -> tuple:
-    """The column names, the grid the trailing ``cdf_`` columns name, and the
-    cells of each row whose newline was written, from a records file's bytes;
-    the unterminated tail a crash leaves is no row. ``name`` labels errors."""
+    """The grid the trailing ``cdf_`` columns name and a record per row whose
+    newline was written, from a records file's bytes; the unterminated tail a
+    crash leaves is no row. Quantiles come from the ``q_`` columns (the ``qs_``
+    scores of older files are dropped). A row of another width than the header,
+    or with a cell after the date that is no finite number, is refused as
+    ``name:line: ...``."""
     lines = data.decode("utf-8").split("\n")
     header = lines[0].split("\t")
     n = sum(col.startswith("cdf_") for col in header)
@@ -190,7 +186,25 @@ def read_records(data: bytes, name) -> tuple:
     step = float(points[1] - points[0]) if n > 1 else 1.0
     grid = ThresholdGrid(points=points, min_value=float(points[0]),
                          max_value=float(points[-1]), step=step)
-    return header, grid, [ln.split("\t") for ln in lines[1:-1] if ln]
+    taus = {j: float(col[2:]) for j, col in enumerate(header) if col.startswith("q_")}
+    records = []
+    for line_no, line in enumerate(lines[1:-1], start=2):
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ValueError(f"{name}:{line_no}: expected {len(header)} cells, got {len(cells)}")
+        values = [cells[0]]
+        for col, cell in zip(header[1:], cells[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{name}:{line_no}: {col} {cell!r} is not a finite number")
+            values.append(value)
+        records.append(BacktestRecord(date=cells[0], realized=values[1], pit=values[2],
+                                      quantiles={tau: values[j] for j, tau in taus.items()},
+                                      cdf=np.array(values[-n:])))
+    return grid, records
 
 
 def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates) -> str:
@@ -229,25 +243,26 @@ def _check_meta(out_path, meta: str):
                          f"{', '.join(differ)}; refusing to resume")
 
 
-def _load_done(out_path, expected_header: list, meta: str) -> set:
-    """Dates already recorded; cuts the unterminated tail a crash leaves.
+def _load_done(out_path, expected_header: list, meta: str) -> list:
+    """The records already written; cuts the unterminated tail a crash leaves.
 
-    A row counts only once its newline is written. The layout and the
-    sidecar are checked before the file is touched.
+    A row counts only once its newline is written. The layout, the sidecar
+    and every complete row are checked before the file is touched.
     """
     if not os.path.exists(out_path):
-        return set()
+        return []
     with open(out_path, "r+b") as fh:
         text = fh.read()
         if text.split(b"\n", 1)[0] != "\t".join(expected_header).encode():
             raise ValueError(f"{out_path}: existing records use a different layout")
         _check_meta(out_path, meta)
+        done = read_records(text, out_path)[1]
         complete = text.rfind(b"\n") + 1
         if not complete:  # the header lost its newline: give it back
             fh.write(b"\n")
         elif complete < len(text):
             fh.truncate(complete)
-    return {row[0] for row in read_records(text, out_path)[2]}
+    return done
 
 
 def _last_quarter(kept: int, k: int, t_len: int, d: int):
@@ -278,16 +293,12 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, job)
     for i in block:
         realized = float(aligned.y[i])
         pred = forecast_predictive(draws, aligned.x[i], steps=i - last)
-        quantiles = {t: float(quantile_from_cdf(pred, t)) for t in plan.taus}
         records.append(
             BacktestRecord(
-                origin=aligned.origin_dates[i],
                 date=aligned.outcome_dates[i],
                 realized=realized,
                 pit=pit(pred, realized),
-                quantiles=quantiles,
-                scores={t: quantile_score(realized, quantiles[t], t, plan.score_variant)
-                        for t in plan.taus},
+                quantiles={t: float(quantile_from_cdf(pred, t)) for t in plan.taus},
                 cdf=np.asarray(cdf_interpolate(pred, spec.grid.points)),
             )
         )
@@ -314,8 +325,9 @@ def expanding_window_backtest(
     appended to ``out_path``, whose directory is created if missing, in
     origin order as they complete. Rerunning with an existing file skips the
     refit blocks whose rows all ended with a newline, so an interrupted run
-    resumes where it stopped and ends with the identical file; its result
-    holds only the blocks it ran. A fresh file gets the sidecar
+    resumes where it stopped and ends with the identical file. With
+    ``out_path`` the result holds every record of that file, in file order:
+    the rows read back, then the new ones. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
     aligned (y, x), ``spec.seed``, the covariates, the plan and the
     predictive scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
@@ -348,14 +360,14 @@ def expanding_window_backtest(
         )
 
     blocks = [origins[b : b + plan.refit_every] for b in range(0, len(origins), plan.refit_every)]
-    records, failures, done = [], [], set()
+    records, failures = [], []
     with ExitStack() as stack:
         sink = None
         if out_path is not None:
             out_path = os.fspath(out_path)
             columns = _tsv_columns(plan.taus, spec.grid)
             meta = _records_meta(plan, spec, aligned, covariates)
-            done = _load_done(out_path, columns, meta)
+            records = _load_done(out_path, columns, meta)
             if not os.path.exists(out_path):  # the sidecar first: records never lack one
                 os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
                 with open(out_path + ".meta", "w", encoding="utf-8") as fh:
@@ -364,6 +376,7 @@ def expanding_window_backtest(
                     fh.write("\t".join(columns) + "\n")
             sink = stack.enter_context(open(out_path, "a", encoding="utf-8"))
 
+        done = {rec.date for rec in records}
         jobs = [(1 + b, block) for b, block in enumerate(blocks)
                 if not all(aligned.outcome_dates[i] in done for i in block)]
         run = partial(_run_block, spec, aligned, train_lo, plan)
@@ -377,9 +390,10 @@ def expanding_window_backtest(
             for origin, msg in block_failures:
                 print(f"refit skipped at {origin}: {msg}", file=sys.stderr)
             failures += block_failures
-            records += block_records
-            for rec in block_records:
-                if sink is not None and rec.date not in done:
-                    sink.write("\t".join(_record_row(rec, plan.taus)) + "\n")
-                    sink.flush()
+            # a re-run block's rows that the file holds are neither written nor returned twice
+            new = [rec for rec in block_records if rec.date not in done]
+            records += new
+            if sink is not None:
+                sink.writelines("\t".join(_record_row(rec, plan.taus)) + "\n" for rec in new)
+                sink.flush()
     return BacktestResult(records=records, failures=failures)

@@ -16,7 +16,7 @@ from tvpdr.cli import COMMANDS, _build_spec, build_parser, main
 from tvpdr.data import assemble_design, load_csv
 from tvpdr.distribution import (build_threshold_grid, cdf_interpolate, conditional_cdf,
                                 forecast_predictive)
-from tvpdr.evaluation import BacktestPlan
+from tvpdr.evaluation import SCORE_VARIANTS, BacktestPlan, quantile_score, read_records
 from tvpdr.model import ModelSpec
 from tvpdr.risk import deflation_risk, distribution_mean, excess_inflation_risk
 from tvpdr.store import load_estimate
@@ -382,7 +382,7 @@ def test_evaluate_refuses_a_worker_count_below_one(tmp_path, capsys):
 
 
 def test_evaluate_refuses_taus_that_share_a_records_column(tmp_path, capsys):
-    # score columns are named by repr(tau), so only a repeated tau clashes:
+    # quantile columns are named by repr(tau), so only a repeated tau clashes:
     # 0.02 and 0.025 get columns of their own
     csv = str(tmp_path / "macro.csv")
     dates = write_csv(csv)
@@ -390,12 +390,73 @@ def test_evaluate_refuses_taus_that_share_a_records_column(tmp_path, capsys):
             "--initial-end", dates[-3], "--out", str(tmp_path / "r.tsv")]
     code, stdout, stderr = run(capsys, [*argv, "--taus", "0.05,0.02,0.05"])
     assert code == 1 and stdout == ""
-    assert stderr == "error: taus 0.05 and 0.05 share the records column qs_0.05\n"
+    assert stderr == "error: taus 0.05 and 0.05 share the records column q_0.05\n"
     assert not os.path.exists(tmp_path / "r.tsv")
     code, stdout, stderr = run(capsys, [*argv, "--taus", "0.02,0.025"])
     assert code == 0 and stderr == ""
     header = (tmp_path / "r.tsv").read_text().split("\n")[0].split("\t")
-    assert header[:5] == ["date", "realized", "pit", "qs_0.02", "qs_0.025"]
+    assert header[:5] == ["date", "realized", "pit", "q_0.02", "q_0.025"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_resumed_evaluate_prints_the_summary_of_the_whole_file(tmp_path, capsys, workers):
+    # a run torn before its end, then a rerun with nothing left to do, both
+    # print what the uninterrupted run printed and leave its file
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+            "--initial-start", dates[0], "--initial-end", dates[-10], "--refit-every", "4",
+            "--workers", workers]
+    full, torn = tmp_path / "full.tsv", tmp_path / "torn.tsv"
+    code, want, _ = run(capsys, [*argv, "--out", str(full)])
+    assert code == 0 and dict(parse_table(want))["records"] == "9"
+    torn.write_bytes(full.read_bytes()[:-4])
+    (tmp_path / "torn.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
+    for _ in ("resume", "rerun"):
+        assert run(capsys, [*argv, "--out", str(torn)]) == (0, want, "")
+        assert torn.read_bytes() == full.read_bytes()
+
+
+def test_the_variant_picks_only_the_printed_score(tmp_path, capsys):
+    # the records hold forecasts, not scores, so both variants write the same
+    # file, and a resume may switch the variant: it scores the whole file
+    csv = str(tmp_path / "macro.csv")
+    dates = write_csv(csv)
+    argv = ["evaluate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+            "--initial-start", dates[0], "--initial-end", dates[-10], "--refit-every", "4"]
+    printed = {}
+    for variant in SCORE_VARIANTS:
+        code, printed[variant], _ = run(capsys, [*argv, "--variant", variant,
+                                                 "--out", str(tmp_path / f"{variant}.tsv")])
+        assert code == 0
+    standard, one_sided = (tmp_path / f"{v}.tsv" for v in SCORE_VARIANTS)
+    assert standard.read_bytes() == one_sided.read_bytes()
+    assert (tmp_path / "standard.tsv.meta").read_bytes() == (
+        tmp_path / "one_sided.tsv.meta").read_bytes()
+    assert printed["standard"] != printed["one_sided"]
+
+    whole = standard.read_bytes()
+    standard.write_bytes(whole[:-4])
+    code, stdout, stderr = run(capsys, [*argv, "--variant", "one_sided", "--out", str(standard)])
+    assert (code, stdout, stderr) == (0, printed["one_sided"], "")
+    assert standard.read_bytes() == whole
+    _, records = read_records(whole, "standard.tsv")
+    table = dict(parse_table(stdout))
+    for tau in (0.05, 0.95):
+        score = np.mean([quantile_score(r.realized, r.quantiles[tau], tau, "one_sided")
+                         for r in records])
+        assert table[f"mean_score_{tau:g}"] == format(float(score), ".6g")
+
+
+def test_estimate_refuses_a_grid_of_too_many_thresholds(tmp_path, capsys):
+    # refused before the grid is allocated; at a 1e-9 step that was 48 GiB
+    csv = str(tmp_path / "macro.csv")
+    write_csv(csv)
+    code, stdout, stderr = run(capsys, ["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
+                                        "--grid-step", "1e-9", "--out", str(tmp_path / "est")])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: grid step 1e-09 over [") and "more than 10000" in stderr
+    assert stderr.count("\n") == 1 and not (tmp_path / "est").exists()
 
 
 def test_evaluate_creates_the_directory_of_its_records(tmp_path, capsys):
@@ -454,7 +515,7 @@ def test_evaluate_aligns_with_the_lag(tmp_path, capsys):
 
 @pytest.mark.parametrize("last_cdf, taus, message", [
     ("0.9", "0.5,1.5", "tau must lie strictly inside (0, 1)"),
-    ("nine", "0.5", "could not convert string to float: 'nine'"),
+    ("nine", "0.5", "{records}:3: cdf_1.0 'nine' is not a finite number"),
 ], ids=["tau", "cell"])
 def test_plotdata_fails_before_writing_a_line(tmp_path, capsys, last_cdf, taus, message):
     # a tau outside (0, 1), or a cell that is no number in the second row,
@@ -468,7 +529,7 @@ def test_plotdata_fails_before_writing_a_line(tmp_path, capsys, last_cdf, taus, 
         code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records),
                                             "--taus", taus, *out])
         assert (code, stdout) == (1, "")
-        assert stderr == f"error: {message}\n"
+        assert stderr == f"error: {message.format(records=records)}\n"
     assert not tidy.exists()
     records.write_text("date\trealized\tpit\tcdf_0.0\n", encoding="utf-8")  # no rows
     code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records), "--taus", "1.5"])
@@ -498,6 +559,22 @@ def test_every_path_refuses_a_horizon_below_one(tmp_path, capsys, route, horizon
         assert (code, stdout) == (1, ""), argv[0]
         assert stderr == "error: horizon must be a positive number of quarters\n", argv[0]
     assert sorted(os.listdir(tmp_path)) == ["m.csv"]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2000Q2\t0.5\t0.4\t0.1\t0.3\tnine", "cdf_1.0 'nine' is not a finite number"),
+    ("2000Q2\t0.5", "expected 6 cells, got 2"),
+    ("2000Q2\t0.5\t0.4\t0.1\t0.3\tnan", "cdf_1.0 'nan' is not a finite number"),
+    ("2000Q2\t0.5\t0.4\t0.1\t0.3", "expected 6 cells, got 5"),
+], ids=["word", "two-cells", "nan", "one-short"])
+def test_plotdata_refuses_a_broken_row(tmp_path, capsys, row, message):
+    # a row one cell short was read from the wrong columns, and a nan CDF
+    # printed zero quantiles; every broken row is named by file and line
+    records = tmp_path / "r.tsv"
+    records.write_text("date\trealized\tpit\tq_0.05\tcdf_0.0\tcdf_1.0\n"
+                       f"2000Q1\t0.5\t0.4\t0.1\t0.3\t0.9\n{row}\n", encoding="utf-8")
+    code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records)])
+    assert (code, stdout, stderr) == (1, "", f"error: {records}:3: {message}\n")
 
 
 def test_plotdata_rejects_foreign_files(tmp_path, capsys):
@@ -576,7 +653,7 @@ def test_commands_without_model_options_take_the_library_defaults():
         ["evaluate", *argv, "--initial-start", "1990Q1", "--initial-end", "2000Q1"])
     plan = BacktestPlan(initial_start="1990Q1", initial_end="2000Q1")
     assert (args.refit_every, args.taus, args.variant) == (
-        plan.refit_every, plan.taus, plan.score_variant)
+        plan.refit_every, plan.taus, SCORE_VARIANTS[0])
 
 
 def test_the_invoked_command_parser_parses_as_the_full_parser(capsys):

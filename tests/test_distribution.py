@@ -51,6 +51,17 @@ def test_grid_validation():
                       max_value=0.3, step=0.1)
 
 
+def test_grid_refuses_more_than_max_thresholds():
+    # refused before the points are allocated: a mistyped --grid-step of 1e-9
+    # over a range of 6.45 asked for 48 GiB
+    assert build_threshold_grid(0.0, 9999.0, 1.0).n == 10_000
+    with pytest.raises(ValueError, match=r"grid step 0.0001 over \[0, 1\] gives 10001 "
+                                         r"thresholds, more than 10000"):
+        build_threshold_grid(0.0, 1.0, 1e-4)
+    with pytest.raises(ValueError, match=r"gives inf thresholds"):
+        build_threshold_grid(0.0, 1.0, 5e-324)
+
+
 @pytest.mark.parametrize("field, value", [
     ("points", [-1.0, np.nan, 1.0]), ("points", [np.nan]), ("points", [-1.0, 0.0, np.inf]),
     ("min_value", np.nan), ("max_value", np.nan), ("max_value", np.inf),

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvpdr.data import MacroDataset, format_quarter, parse_quarter
+from tvpdr.data import MacroDataset, assemble_design, format_quarter, parse_quarter
 from tvpdr.distribution import PREDICTIVE_DRAW, ConditionalCdf, build_threshold_grid
 from tvpdr.evaluation import (
     BacktestPlan,
@@ -82,26 +82,24 @@ def test_backtest_plan_validation():
         BacktestPlan("1980Q1", "2000Q1", refit_every=0)
     with pytest.raises(ValueError):
         BacktestPlan("1980Q1", "2000Q1", taus=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        BacktestPlan("1980Q1", "2000Q1", score_variant="weird")
 
 
 @pytest.mark.parametrize("taus, names", [((0.02, 0.02), "0.02 and 0.02"),
                                           ((0.05, 0.05), "0.05 and 0.05"),
                                           ((0.001, 0.5, 0.001), "0.001 and 0.001")])
 def test_backtest_plan_refuses_taus_that_share_a_records_column(taus, names):
-    # a repeated tau would write its qs_ column twice; distinct taus never
+    # a repeated tau would write its q_ column twice; distinct taus never
     # share one (test_score_columns_are_named_by_the_repr_of_tau)
-    with pytest.raises(ValueError, match=f"taus {names} share the records column qs_0"):
+    with pytest.raises(ValueError, match=f"taus {names} share the records column q_0"):
         BacktestPlan("1980Q1", "2000Q1", taus=taus)
 
 
 def test_score_columns_are_named_by_the_repr_of_tau():
-    # whole-percent names gave 0.125 the column qs_12, and 0.001 and 0.002 both qs_00
+    # whole-percent names gave 0.125 the suffix 12, and 0.001 and 0.002 both 00
     plan = BacktestPlan("1980Q1", "2000Q1", taus=(0.125, 0.002, 0.001, 0.02, 0.025))
     grid = build_threshold_grid(0.0, 1.0, 0.5)
     assert _tsv_columns(plan.taus, grid) == [
-        "date", "realized", "pit", "qs_0.001", "qs_0.002", "qs_0.02", "qs_0.025", "qs_0.125",
+        "date", "realized", "pit", "q_0.001", "q_0.002", "q_0.02", "q_0.025", "q_0.125",
         "cdf_0.0", "cdf_0.5", "cdf_1.0"]
 
 
@@ -142,18 +140,30 @@ def test_backtest_records_and_summary(tmp_path):
     res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
     assert res.failures == []
     assert len(res.records) > 10
-    # origins start at the initial window end and outcomes trail by one
-    assert parse_quarter(res.records[0].origin) >= parse_quarter("1998Q1")
+    # one record per origin from the initial window end, each dated one
+    # quarter past its origin
+    aligned = assemble_design(ds, ["infl_P_1q", "u"], lag=1)
+    origins = [o for o in map(parse_quarter, aligned.origin_dates)
+               if o >= parse_quarter("1998Q1")]
+    assert [parse_quarter(rec.date) for rec in res.records] == [o + 1 for o in origins]
     for rec in res.records:
-        assert parse_quarter(rec.date) == parse_quarter(rec.origin) + 1
         assert 0.0 <= rec.pit <= 1.0
         assert set(rec.quantiles) == {0.05, 0.95}
         assert rec.quantiles[0.05] <= rec.quantiles[0.95]
+        assert quantile_score(rec.realized, rec.quantiles[0.95], 0.95) >= 0.0
         assert rec.cdf.shape == (spec.grid.n,)
-    # file rows line up with the records
+    # file rows line up with the records, and read back to the same forecasts
     lines = out.read_text().strip().split("\n")
     assert len(lines) == len(res.records) + 1
-    assert lines[0].startswith("date\trealized\tpit\tqs_0.05\tqs_0.95\tcdf_")
+    assert lines[0].startswith("date\trealized\tpit\tq_0.05\tq_0.95\tcdf_")
+    _, back = read_records(out.read_bytes(), "records.tsv")
+    assert ([(r.date, r.realized, r.pit, r.quantiles) for r in back]
+            == [(r.date, r.realized, r.pit, r.quantiles) for r in res.records])
+
+
+def forecasts(result):
+    """What a summary reads of each record, in order."""
+    return [(r.date, r.realized, r.pit, r.quantiles) for r in result.records]
 
 
 def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
@@ -163,7 +173,7 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
     cov = ["infl_P_1q", "u"]
 
     full = tmp_path / "full.tsv"
-    expanding_window_backtest(plan, spec, ds, cov, out_path=str(full))
+    whole = forecasts(expanding_window_backtest(plan, spec, ds, cov, out_path=str(full)))
 
     # simulate a crash part way through, torn at three points: part way
     # through a row; inside the last cell, where the row still has every
@@ -176,11 +186,12 @@ def test_backtest_resume_and_parallel_are_byte_identical(tmp_path):
         torn = tmp_path / f"torn{n}.tsv"
         torn.write_text(head)
         (tmp_path / f"torn{n}.tsv.meta").write_bytes((tmp_path / "full.tsv.meta").read_bytes())
-        resumed = expanding_window_backtest(plan, spec, ds, cov, out_path=str(torn))
-        assert torn.read_bytes() == full.read_bytes(), f"tear {n}"
-        # the resumed call recomputes whole refit blocks but returns only rows
-        # it appended or re-verified deterministically
-        assert all(r.date for r in resumed.records)
+        # the result is the file: the rows read back, then the new ones; a
+        # rerun with nothing left to do returns them all too
+        for run in ("resume", "rerun"):
+            resumed = expanding_window_backtest(plan, spec, ds, cov, out_path=str(torn))
+            assert torn.read_bytes() == full.read_bytes(), f"tear {n}"
+            assert forecasts(resumed) == whole, f"tear {n} {run}"
 
     par = tmp_path / "par.tsv"
     expanding_window_backtest(plan, spec, ds, cov, out_path=str(par), workers=3)
@@ -216,16 +227,16 @@ def test_read_records_keeps_only_terminated_rows(tmp_path):
     out = tmp_path / "records.tsv"
     res = expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
     text = out.read_bytes()
-    header, grid, rows = read_records(text, "records.tsv")
-    assert header == text.decode().split("\n", 1)[0].split("\t")
+    grid, rows = read_records(text, "records.tsv")
     assert np.array_equal(grid.points, spec.grid.points)
-    assert [r[0] for r in rows] == [r.date for r in res.records]
-    assert all(len(r) == len(header) for r in rows)
+    assert [(r.date, r.realized, r.pit, r.quantiles) for r in rows] == forecasts(res)
+    for back, rec in zip(rows, res.records):
+        assert np.array_equal(back.cdf, [float(format(v, ".12g")) for v in rec.cdf])
     # torn inside a row, inside the last cell, and after the header
     tears = [(text[: text.rfind(b"\t")], len(rows) - 1), (text[:-2], len(rows) - 1),
              (text[: text.find(b"\n")], 0)]
     for torn, complete in tears:
-        assert read_records(torn, "torn")[2] == rows[:complete]
+        assert [r.date for r in read_records(torn, "torn")[1]] == [r.date for r in rows[:complete]]
     for bogus in (b"", b"a\tb\n1\t2\n", b"date\trealized\tpit\tqs_0.05\n",
                   b"date\trealized\tpit\tcdf_0.5\tqs_0.05\n"):
         with pytest.raises(ValueError, match="bogus: not a backtest records file"):
@@ -327,6 +338,23 @@ def test_backtest_layout_mismatch_refuses(tmp_path):
         expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
 
 
+def test_backtest_resume_refuses_a_broken_row(tmp_path):
+    # every complete row is read before the file is touched, so a broken one
+    # is named by its line and the torn tail is left where it was
+    ds = synthetic_dataset(seed=2)
+    spec = fast_spec(ds, seed=5)
+    plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
+    out = tmp_path / "records.tsv"
+    expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
+    lines = out.read_text(encoding="utf-8").split("\n")
+    lines[2] = "\t".join(["2000Q3", "0.5", "x"] + lines[2].split("\t")[3:])
+    out.write_text("\n".join(lines)[:-5], encoding="utf-8")
+    broken = out.read_bytes()
+    with pytest.raises(ValueError, match=f"{out}:3: pit 'x' is not a finite number"):
+        expanding_window_backtest(plan, spec, ds, ["infl_P_1q", "u"], out_path=str(out))
+    assert out.read_bytes() == broken
+
+
 def test_backtest_validates_window_and_horizon():
     ds = synthetic_dataset(seed=3)
     spec = fast_spec(ds, seed=6)
@@ -342,10 +370,14 @@ def test_backtest_validates_window_and_horizon():
                                   spec, ds, ["infl_P_1q", "u"], 6)
     # the horizon is the dataset's: origins lie that many quarters before
     # their outcomes
+    ds2 = ds.with_inflation("P", 2)
     res = expanding_window_backtest(BacktestPlan("1980Q1", "2000Q1", refit_every=9),
-                                    spec, ds.with_inflation("P", 2), ["infl_P_1q", "u"])
-    assert res.records and all(parse_quarter(r.date) == parse_quarter(r.origin) + 2
-                               for r in res.records)
+                                    spec, ds2, ["infl_P_1q", "u"])
+    aligned = assemble_design(ds2, ["infl_P_1q", "u"], lag=1)
+    origins = [o for o in map(parse_quarter, aligned.origin_dates)
+               if o >= parse_quarter("2000Q1")]
+    assert res.records
+    assert [parse_quarter(r.date) for r in res.records] == [o + 2 for o in origins]
 
 
 def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
@@ -372,8 +404,9 @@ def test_backtest_failed_refit_is_recorded_not_fatal(monkeypatch, capsys):
     assert len(res.failures) == 4  # the whole second block is skipped
     assert all("synthetic refit explosion" in msg for _, msg in res.failures)
     assert len(res.records) > 0
-    recorded_dates = {r.origin for r in res.records}
-    assert not recorded_dates & {d for d, _ in res.failures}
+    aligned = assemble_design(ds, ["infl_P_1q", "u"], lag=1)
+    outcome_of = dict(zip(aligned.origin_dates, aligned.outcome_dates))
+    assert not {r.date for r in res.records} & {outcome_of[d] for d, _ in res.failures}
     assert "refit skipped" in capsys.readouterr().err
 
 
@@ -416,5 +449,7 @@ def test_backtest_keeps_only_the_last_quarter_of_each_path(tmp_path, monkeypatch
     assert lean_out.read_bytes() == whole_out.read_bytes()
     assert len(lean.records) == len(whole.records) > 1
     for a, b in zip(lean.records, whole.records):
-        assert (a.pit, a.quantiles, a.scores) == (b.pit, b.quantiles, b.scores)
+        assert (a.pit, a.quantiles) == (b.pit, b.quantiles)
+        assert ([quantile_score(a.realized, a.quantiles[t], t) for t in plan.taus]
+                == [quantile_score(b.realized, b.quantiles[t], t) for t in plan.taus])
         assert np.array_equal(a.cdf, b.cdf)

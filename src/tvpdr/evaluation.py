@@ -12,8 +12,8 @@ the predictive curve takes no random numbers, so records do not depend on
 which blocks ran before them; that is what makes the record file
 resumable after a crash and identical under parallel execution. A sidecar
 next to the records file names what they were computed from, so a resume
-with another spec, seed, data, covariate set, plan or predictive scheme is
-refused.
+with another spec, seed, data, covariate set, plan, draw scheme or
+predictive scheme is refused.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
+from .samplers import DRAW_SCHEME
 
 __all__ = [
     "BacktestPlan",
@@ -169,24 +170,39 @@ def _record_row(rec: BacktestRecord, taus) -> list:
     return [rec.date, *(repr(float(v)) for v in exact), *(format(v, ".12g") for v in rec.cdf)]
 
 
+def _column_number(name, col: str) -> float:
+    """The finite number a ``q_`` or ``cdf_`` header cell names."""
+    try:
+        value = float(col.partition("_")[2])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: column {col!r} does not name a finite number")
+    return value
+
+
 def read_records(data: bytes, name) -> tuple:
     """The grid the trailing ``cdf_`` columns name and a record per row whose
     newline was written, from a records file's bytes; the unterminated tail a
     crash leaves is no row. Quantiles come from the ``q_`` columns (the ``qs_``
     scores of older files are dropped). A row of another width than the header,
     or with a cell after the date that is no finite number, is refused as
-    ``name:line: ...``."""
+    ``name:line: ...``, and a header whose ``q_``/``cdf_`` columns are not
+    finite numbers rising evenly as ``name: ...``."""
     lines = data.decode("utf-8").split("\n")
     header = lines[0].split("\t")
     n = sum(col.startswith("cdf_") for col in header)
     if header[:3] != ["date", "realized", "pit"] or not n or not all(
             col.startswith("cdf_") for col in header[-n:]):
         raise ValueError(f"{name}: not a backtest records file")
-    points = np.array([float(col[4:]) for col in header[-n:]])
+    points = np.array([_column_number(name, col) for col in header[-n:]])
     step = float(points[1] - points[0]) if n > 1 else 1.0
-    grid = ThresholdGrid(points=points, min_value=float(points[0]),
-                         max_value=float(points[-1]), step=step)
-    taus = {j: float(col[2:]) for j, col in enumerate(header) if col.startswith("q_")}
+    try:
+        grid = ThresholdGrid(points=points, min_value=float(points[0]),
+                             max_value=float(points[-1]), step=step)
+    except ValueError as err:  # thresholds out of order or unevenly spaced
+        raise ValueError(f"{name}: cdf_ columns: {err}") from None
+    taus = {j: _column_number(name, col) for j, col in enumerate(header) if col.startswith("q_")}
     records = []
     for line_no, line in enumerate(lines[1:-1], start=2):
         cells = line.split("\t")
@@ -215,6 +231,7 @@ def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates) -> s
     meta = {
         "covariates": list(covariates),
         "data_hash": hash_data(aligned.y, aligned.x),
+        "draws": DRAW_SCHEME,
         "predictive": PREDICTIVE_DRAW,
         "seed": spec.seed,
         "spec_hash": spec.spec_hash(),

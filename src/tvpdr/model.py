@@ -24,7 +24,7 @@ from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, add_prior_d
                      assemble_precision, likelihood_band)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (RngHandle, _draw_one_sided, as_generator, sample_gaussian_precision,
+from .samplers import (RngHandle, _draw, _uint64, as_generator, sample_gaussian_precision,
                        sample_truncated_mvn)
 
 __all__ = [
@@ -113,11 +113,7 @@ class ModelSpec:
         for name, value in (("ig_prior_nu", self.ig_prior_nu), ("ig_prior_s", self.ig_prior_s)):
             if np.ndim(value) != 0 or not value > 0.0:
                 raise ValueError(f"{name} must be one positive number")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))  # a JSON-serialisable int
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))  # a JSON-serialisable int
 
     def canonical(self) -> dict:
         return {
@@ -200,11 +196,11 @@ class PosteriorDraws:
 
 
 def _latent_box(threshold, y: np.ndarray) -> tuple:
-    """Side of the latents and their one-ulp-inside clamps: True for (0, inf)
-    where y_t <= threshold, False for (-inf, 0) elsewhere; (B, T) for B
-    thresholds."""
+    """Bounds of the latents and their one-ulp-inside clamps: (0, inf) where
+    y_t <= threshold, (-inf, 0) elsewhere; (B, T) for B thresholds."""
     below = y <= np.asarray(threshold)[..., None]
-    return below, np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY)
+    return (np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
+            np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY))
 
 
 def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np.ndarray:
@@ -216,11 +212,9 @@ def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np
     (-inf, 0), so the sign always reproduces the indicator. With B
     thresholds and fits (B, T) this is one (B, T) draw. The draws are
     those of ``sample_truncated_normal`` with these bounds, through its
-    unchecked one-sided core, which takes ndtr only at each latent's finite
-    bound: the fit is checked here, the bounds are valid by construction,
-    and their one-ulp-inside clamps are the constants +-5e-324 and
-    +-max-float, not per-call ``nextafter`` arrays. A non-finite fit raises
-    ValueError.
+    unchecked core: the fit is checked here, the bounds are valid by
+    construction, and their one-ulp-inside clamps are the constants
+    +-5e-324 and +-max-float. A non-finite fit raises ValueError.
 
     The bounds depend only on the data and the thresholds, so a sampler
     builds them once per fit, as ``_latent_box(threshold, y)``, and passes
@@ -231,7 +225,7 @@ def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np
         raise ValueError("latent draw needs finite fitted values")
     if box is None:
         box = _latent_box(threshold, y)
-    return _draw_one_sided(fits, *box, as_generator(rng))
+    return _draw(fits, 1.0, *box, as_generator(rng))
 
 
 def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:

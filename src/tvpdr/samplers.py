@@ -4,16 +4,16 @@ Three primitives: univariate truncated normals (vectorized), Gaussian draws
 parameterized by a banded precision matrix, and a two-colour Gibbs sweep for
 box-truncated Gaussians with tridiagonal precision, which reads each full
 conditional from the precision and the canonical rhs and so factors
-nothing. Truncated normals are drawn by inversion, each interval mirrored
-onto the lower tail where ndtr/ndtri keep full relative accuracy out to
-30 sd, and by rejection beyond that. All randomness flows through
+nothing. A truncated normal is one standard normal proposal, kept where it
+lies inside its box; the misses are drawn by inversion, each interval
+mirrored onto the lower tail where ndtr/ndtri keep full relative accuracy
+out to 30 sd, and by rejection beyond that. All randomness flows through
 ``RngHandle`` so that (seed, stream, call sequence) pins every draw bit for
 bit, including across parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
-the Gibbs sampler then draw every truncated normal through an unchecked
-private core: ``_draw``, or ``_draw_one_sided`` for the probit latents,
-whose intervals all have one end at 0 and the other at infinity.
+the Gibbs sampler then draw every truncated normal, the probit latents
+included, through one unchecked private core, ``_draw``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from scipy.special import ndtr, ndtri
 from .banded import cholesky_banded, solve_banded
 
 __all__ = [
+    "DRAW_SCHEME",
     "RngHandle",
     "as_generator",
     "sample_truncated_normal",
@@ -37,16 +38,27 @@ __all__ = [
 # out to this many sds: ndtr(-30) ~ 5e-198 is still a normal double.
 # Intervals lying entirely beyond it are drawn by rejection.
 _TAIL = 30.0
+# Records name this, so draws of another generator or scheme never mix into them.
+DRAW_SCHEME = "SFC64 streams; truncated normals: one normal proposal, inversion for the misses"
+
+
+def _uint64(name: str, value) -> int:
+    """``value`` as a plain int in [0, 2**64); a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= int(value) < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return int(value)
 
 
 @dataclass
 class RngHandle:
-    """Named, reproducible random stream.
+    """Named, reproducible random stream: the one owner of the bit generator.
 
     Streams with the same seed and different stream ids are statistically
-    independent (Philox keyed off a SeedSequence spawn key), which is what
+    independent (SFC64 seeded from a SeedSequence spawn key), which is what
     lets backtest origins run in any order, or in parallel, without changing
-    the numbers.
+    the numbers. Seed and stream follow ``ModelSpec.seed``'s rule.
     """
 
     seed: int
@@ -54,16 +66,14 @@ class RngHandle:
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0 <= int(self.stream) < 2**64:
-            raise ValueError("stream must be a 64-bit unsigned integer")
+        self.seed = _uint64("seed", self.seed)
+        self.stream = _uint64("stream", self.stream)
 
     @property
     def rng(self) -> np.random.Generator:
         if self._gen is None:
-            ss = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream),))
-            self._gen = np.random.Generator(np.random.Philox(ss))
+            ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
+            self._gen = np.random.Generator(np.random.SFC64(ss))
         return self._gen
 
 
@@ -127,42 +137,21 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
     """N(mean, sd^2) on (lower, upper), unchecked.
 
     Callers have checked that mean is finite, sd finite and positive and
-    lower < upper. ``lower_in``/``upper_in`` are the bounds moved one ulp
-    inside: rounding can land a draw exactly on a bound, and clamping to
-    them keeps draws strictly inside everywhere downstream.
+    lower < upper. A standard normal is kept where it lies strictly inside
+    the standardized box (a, b), and the misses go, in one call, to the
+    inversion core: exact, since a draw lands in A within the box with
+    probability N(A) + (1 - N(a, b)) N(A) / N(a, b) = N(A) / N(a, b).
+    Clamping to ``lower_in``/``upper_in``, the bounds moved one ulp inside,
+    keeps a draw that rounds onto a bound strictly inside.
     """
     a, b = (lower - mean) / sd, (upper - mean) / sd
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    z = _truncated_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
+    z = gen.standard_normal(a.shape)
+    miss = np.flatnonzero((z <= a) | (z >= b))  # indices gather faster than a random mask
+    if miss.size:
+        z.ravel()[miss] = _truncated_std_normal(a.ravel()[miss], b.ravel()[miss], gen)
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
-
-
-def _draw_one_sided(mean, positive, lower_in, upper_in, gen):
-    """N(mean, 1) on (0, inf) where ``positive``, on (-inf, 0) elsewhere, unchecked.
-
-    The draws, and the generator's state after them, are those of
-    ``_draw(mean, 1.0, lower, upper, lower_in, upper_in, gen)`` with these
-    bounds. That path takes ndtr at both ends of each mirrored interval,
-    one of them infinite; this one takes it only at the finite end f. Since
-    ndtr(-inf) and ndtr(inf) are exactly 0 and 1, the inverted probability
-    fa + u (ndtr(hi) - fa) is then exactly u ndtr(f) on (-inf, f) and
-    c + u (1 - c), c = ndtr(f), on (f, inf): the same uniforms, the same
-    rejection beyond _TAIL sds and the same clamps.
-    """
-    a = 0.0 - mean  # the standardized bound 0
-    flip = positive & (a >= 0.0)
-    rising = (positive & ~flip).ravel()  # (f, inf) after mirroring; the rest are (-inf, f)
-    f = np.where(flip, -a, a)
-    shape, f = f.shape, f.ravel()
-    c = ndtr(f)
-    u = gen.random(f.size)
-    z = ndtri(np.where(rising, c + u * (1.0 - c), u * c))  # tail slots are redrawn below
-    tail = ~rising & (f <= -_TAIL)
-    if tail.any():
-        z[tail] = -_tail_reject(-f[tail], np.full(np.count_nonzero(tail), np.inf), gen)
-    z = z.reshape(shape)
-    return np.minimum(np.maximum(mean + np.where(flip, -z, z), lower_in), upper_in)
 
 
 def sample_truncated_normal(mean, sd, lower, upper, rng):
@@ -170,11 +159,11 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
 
     Scalars broadcast against arrays; the output has the broadcast shape
     (a float for all-scalar input). Draws are strictly inside the interval.
-    Every interval is mirrored to start left of center and drawn in one
-    ndtr/ndtri inversion pass, accurate out to 30 sd; intervals entirely
-    beyond 30 sd use rejection sampling (exponential proposal, uniform
-    proposal for narrow slivers). Raises ValueError for a non-finite mean, a
-    non-finite or non-positive sd, or an empty interval.
+    A standard normal proposal is kept where it lands inside; misses are
+    mirrored to start left of center and inverted by ndtr/ndtri, accurate
+    out to 30 sd, or beyond 30 sd drawn by rejection (exponential proposal,
+    uniform proposal for narrow slivers). Raises ValueError for a non-finite
+    mean, a non-finite or non-positive sd, or an empty interval.
     """
     gen = as_generator(rng)
     mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))

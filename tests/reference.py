@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammainc, ndtr, ndtri
+from scipy.special import gammainc, log_ndtr, ndtr, ndtri
 
 from tvpdr.banded import FIRST_STATE_VARIANCE
 
@@ -208,6 +208,22 @@ def inverse_gamma_cdf(x, shape: float, scale: float):
     return out
 
 
+def truncated_normal_cdf(mean, sd, lower, upper):
+    """CDF of N(mean, sd^2) on (lower, upper), from log Phi on the lower tail
+    (a box right of the mean is mirrored there), so it holds 40 sd out."""
+    a, b = (lower - mean) / sd, (upper - mean) / sd
+    flip = a >= 0.0
+    lo, hi = (-b, -a) if flip else (a, b)
+
+    def lower_tail(t):
+        return (np.exp(log_ndtr(t) - log_ndtr(hi)) - np.exp(log_ndtr(lo) - log_ndtr(hi))) / (
+            1.0 - np.exp(log_ndtr(lo) - log_ndtr(hi)))
+
+    if flip:
+        return lambda x: 1.0 - lower_tail(-(x - mean) / sd)
+    return lambda x: lower_tail((x - mean) / sd)
+
+
 def kolmogorov_distance(samples: np.ndarray, cdf) -> float:
     """sup_x |ECDF(x) - cdf(x)| over the sample points."""
     s = np.sort(np.asarray(samples, dtype=np.float64))
@@ -226,8 +242,9 @@ def probit_mixture_cdf(a: float, b: float) -> float:
 # Frozen copy of the truncated-normal kernel before intervals were mirrored
 # and inversion extended to 30 sd: inversion on the survival scale (a >= 0)
 # or the distribution scale (a < 0) when the interval reaches within 4 sd,
-# rejection beyond. The package must reproduce its draws, and leave the
-# generator in the same state, whenever no bound lies beyond 4 sd.
+# rejection beyond. The package's inversion core must reproduce its draws,
+# and leave the generator in the same state, whenever no bound lies beyond
+# 4 sd.
 FROZEN_TAIL = 4.0
 
 
@@ -282,24 +299,15 @@ def frozen_truncated_std_normal(a: np.ndarray, b: np.ndarray,
     return z
 
 
-def frozen_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
-    """N(mean, sd^2) on (lower, upper) through the frozen kernel, broadcast as
-    ``sample_truncated_normal`` does (a float for all-scalar input)."""
-    args = [np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper)]
-    shape = np.broadcast_shapes(*(v.shape for v in args))
-    mean, sd, lower, upper = (np.broadcast_to(v, shape).ravel() for v in args)
-    z = frozen_truncated_std_normal((lower - mean) / sd, (upper - mean) / sd, gen)
-    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
-                      np.nextafter(upper, -np.inf)).reshape(shape)
-    return float(draw) if shape == () else draw
-
-
 # Frozen copy of the Gibbs inner loop before its checks and clamps moved out
-# of the per-draw path: the mirrored kernel that inverts out to 30 sd behind
-# a checked public draw, the intercept sweep that re-enters that draw per
-# color and refreshes all of x - mean, the latent draw through it with
-# two-sided bounds, and the variance draw. The package must reproduce their
-# draws, and leave the generator in the same state, for every input.
+# of the per-draw path: the mirrored kernel that inverts out to 30 sd, the
+# intercept sweep that re-enters a checked public draw per color and
+# refreshes all of x - mean, the latent draw through it with two-sided
+# bounds, and the variance draw. The package's inversion core and variance
+# draw must reproduce their draws, and leave the generator in the same
+# state, for every input. The sweep and the latent draw take that public
+# draw as an argument: around the package's own, they check its sweep and
+# latent bounds.
 FROZEN_MIRRORED_TAIL = 30.0
 
 
@@ -319,28 +327,12 @@ def frozen_mirrored_std_normal(a: np.ndarray, b: np.ndarray,
     return np.where(flip, -z, z)
 
 
-def frozen_mirrored_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
-    """N(mean, sd^2) on (lower, upper), checked on every call, clamped one ulp
-    inside bounds computed on every call."""
-    mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("truncated normal mean must be finite")
-    if not np.all(np.isfinite(sd) & (sd > 0.0)):
-        raise ValueError("truncated normal sd must be finite and positive")
-    if not np.all(lower < upper):
-        raise ValueError("empty truncation interval: lower must be < upper")
-    a, b = np.broadcast_arrays((lower - mean) / sd, (upper - mean) / sd)
-    z = frozen_mirrored_std_normal(a.ravel(), b.ravel(), gen).reshape(a.shape)
-    draw = np.minimum(np.maximum(mean + sd * z, np.nextafter(lower, np.inf)),
-                      np.nextafter(upper, -np.inf))
-    return float(draw) if draw.ndim == 0 else draw
-
-
 def frozen_truncated_mvn(band, mean, lower, upper, init, sweeps: int,
-                         gen: np.random.Generator) -> np.ndarray:
+                         gen: np.random.Generator, draw) -> np.ndarray:
     """Color-group Gibbs sweep for a box-truncated Gaussian whose precision
     is the (bandwidth + 1, n) lower band array ``band``; the caller passes
-    valid input."""
+    valid input. ``draw(mean, sd, lower, upper, gen)`` draws each color's
+    conditional."""
     n = band.shape[1]
     mean, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, lower, upper))
     x = np.array(init, dtype=np.float64, copy=True)
@@ -362,18 +354,19 @@ def frozen_truncated_mvn(band, mean, lower, upper, init, sweeps: int,
             v = coupling[0] * r[views[0]]
             for cpl, view in zip(coupling[1:], views[1:]):
                 v += cpl * r[view]
-            x[own] = frozen_mirrored_truncated_normal(x[own] - v / coupling[0], sd_c,
-                                                      lower_c, upper_c, gen)
+            x[own] = draw(x[own] - v / coupling[0], sd_c, lower_c, upper_c, gen)
     return x
 
 
-def frozen_draw_latent(threshold, y, design, beta, gen: np.random.Generator) -> np.ndarray:
-    """Probit latents: N(fit, 1) on (0, inf) where y <= threshold, else (-inf, 0)."""
+def frozen_draw_latent(threshold, y, design, beta, gen: np.random.Generator,
+                       draw) -> np.ndarray:
+    """Probit latents: N(fit, 1) on (0, inf) where y <= threshold, else (-inf, 0),
+    drawn with ``draw(mean, sd, lower, upper, gen)`` on these two-sided bounds."""
     mean = np.einsum("td,...td->...t", np.ascontiguousarray(design), np.ascontiguousarray(beta))
     below = y <= np.asarray(threshold)[..., None]
     lower = np.where(below, 0.0, -np.inf)
     upper = np.where(below, np.inf, 0.0)
-    return frozen_mirrored_truncated_normal(mean, 1.0, lower, upper, gen)
+    return draw(mean, 1.0, lower, upper, gen)
 
 
 def frozen_draw_sigma2(beta, nu, s, gen: np.random.Generator):

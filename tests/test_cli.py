@@ -577,6 +577,22 @@ def test_plotdata_refuses_a_broken_row(tmp_path, capsys, row, message):
     assert (code, stdout, stderr) == (1, "", f"error: {records}:3: {message}\n")
 
 
+@pytest.mark.parametrize("header, message", [
+    ("q_x\tcdf_0.0\tcdf_1.0", "column 'q_x' does not name a finite number"),
+    ("q_0.5\tcdf_0.0\tcdf_a", "column 'cdf_a' does not name a finite number"),
+    ("q_0.5\tcdf_1.0\tcdf_0.0", "cdf_ columns: grid points must be strictly increasing"),
+    ("cdf_0.0\tcdf_1.0\tcdf_3.0", "cdf_ columns: grid spacing is not uniform"),
+], ids=["tau", "threshold", "order", "spacing"])
+def test_plotdata_refuses_a_broken_header(tmp_path, capsys, header, message):
+    # a header cell that names no number, or thresholds out of order, used
+    # to exit with only a float() or grid error naming neither file nor column
+    records = tmp_path / "r.tsv"
+    records.write_text(f"date\trealized\tpit\t{header}\n2000Q1\t0.5\t0.4\t0.1\t0.3\t0.9\n",
+                       encoding="utf-8")
+    code, stdout, stderr = run(capsys, ["plotdata", "--records", str(records)])
+    assert (code, stdout, stderr) == (1, "", f"error: {records}: {message}\n")
+
+
 def test_plotdata_rejects_foreign_files(tmp_path, capsys):
     bogus = tmp_path / "notes.tsv"
     bogus.write_text("a\tb\n1\t2\n", encoding="utf-8")

@@ -19,7 +19,7 @@ from tvpdr.evaluation import (
     _tsv_columns,
 )
 from tvpdr.model import ModelSpec
-from tvpdr.samplers import RngHandle, as_generator
+from tvpdr.samplers import DRAW_SCHEME, RngHandle, as_generator
 
 from reference import KS95_N100, KSTWO_PPF, frozen_pit_uniformity_band
 
@@ -299,13 +299,10 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     assert par.read_bytes() == records
 
 
-@pytest.mark.parametrize("stored_predictive", [None, "one innovation per kept draw"],
-                         ids=["missing", "simulated"])
-def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
-                                                                    stored_predictive):
-    # records written before the sidecar named the predictive draw, or
-    # while the curve was simulated with one innovation per kept draw, came
-    # from another estimator; appending new rows under them is refused
+def _resume_under_a_changed_sidecar_key(tmp_path, key, want, stored_value):
+    """Write records, set ``key`` of their sidecar to ``stored_value`` (None
+    deletes it), cut the last rows as a crash would, and check that a resume
+    is refused, naming ``key``, without touching either file."""
     ds = synthetic_dataset(seed=1)
     spec = fast_spec(ds, seed=4)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
@@ -314,18 +311,40 @@ def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
     sidecar = tmp_path / "records.tsv.meta"
     expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     stored = json.loads(sidecar.read_text(encoding="utf-8"))
-    assert stored["predictive"] == PREDICTIVE_DRAW
+    assert stored[key] == want
 
-    del stored["predictive"]  # the sidecar as earlier versions wrote it
-    if stored_predictive is not None:
-        stored["predictive"] = stored_predictive
+    del stored[key]  # the sidecar as earlier versions wrote it
+    if stored_value is not None:
+        stored[key] = stored_value
     sidecar.write_text(json.dumps(stored, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     lines = out.read_text(encoding="utf-8").split("\n")
     out.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")  # an unfinished run
     records, meta = out.read_bytes(), sidecar.read_bytes()
-    with pytest.raises(ValueError, match="different predictive; refusing to resume"):
+    with pytest.raises(ValueError, match=f"different {key}; refusing to resume"):
         expanding_window_backtest(plan, spec, ds, cov, out_path=str(out))
     assert out.read_bytes() == records and sidecar.read_bytes() == meta
+
+
+@pytest.mark.parametrize("stored_predictive", [None, "one innovation per kept draw"],
+                         ids=["missing", "simulated"])
+def test_backtest_resume_refuses_records_of_another_predictive_draw(tmp_path,
+                                                                    stored_predictive):
+    # records written before the sidecar named the predictive draw, or
+    # while the curve was simulated with one innovation per kept draw, came
+    # from another estimator; appending new rows under them is refused
+    _resume_under_a_changed_sidecar_key(tmp_path, "predictive", PREDICTIVE_DRAW,
+                                        stored_predictive)
+
+
+@pytest.mark.parametrize("stored_draws",
+                         [None, "Philox streams; truncated normals by inversion"],
+                         ids=["missing", "philox"])
+def test_backtest_resume_refuses_records_of_another_draw_scheme(tmp_path, stored_draws):
+    # records written before the sidecar named the draw scheme came from
+    # Philox streams and another truncated-normal draw: the same spec and
+    # seed drew other numbers, so new rows are not appended under them
+    assert "SFC64" in DRAW_SCHEME
+    _resume_under_a_changed_sidecar_key(tmp_path, "draws", DRAW_SCHEME, stored_draws)
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):

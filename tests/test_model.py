@@ -26,7 +26,7 @@ from tvpdr.model import (
     _intercept_system,
     _repair_ordering,
 )
-from tvpdr.samplers import RngHandle, _draw
+from tvpdr.samplers import RngHandle, _draw, sample_truncated_normal
 
 from reference import (
     band_to_dense,
@@ -35,7 +35,6 @@ from reference import (
     frozen_band_matvec,
     frozen_draw_latent,
     frozen_draw_sigma2,
-    frozen_mirrored_truncated_normal,
     inverse_gamma_cdf,
     kolmogorov_distance,
     monotone_successive_conditional,
@@ -43,6 +42,7 @@ from reference import (
     prior_draws,
     public_draw_loop,
     successive_conditional,
+    truncated_normal_cdf,
 )
 
 
@@ -98,7 +98,7 @@ def test_model_spec_validation_and_hash():
 
 
 def test_model_spec_seed_is_one_64_bit_integer():
-    # the one seed of a run: it keys every Philox stream and goes into JSON
+    # the one seed of a run: it keys every random stream and goes into JSON
     # sidecars, so it is a plain int in [0, 2**64)
     grid = build_threshold_grid(0.0, 1.0, 0.5)
     for bad in (True, 1.5, None, "3"):
@@ -168,6 +168,8 @@ def _same_draws(new_gen, old_gen, new, old):
 
 
 def test_draw_latent_matches_the_frozen_two_sided_draw():
+    # draw_latent's bounds, built once per fit, and its constant clamps give
+    # the public checked draw on the frozen two-sided bounds, bit for bit:
     # fits beyond 30 sd on either side of either bound, at the cutoff, so far
     # out that a draw rounds onto its bound 0 and is clamped, and exactly
     # zero, for single paths, batches and a broadcast threshold
@@ -186,18 +188,42 @@ def test_draw_latent_matches_the_frozen_two_sided_draw():
         seed = int(rs.integers(2**32))
         new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         new = draw_latent(threshold, y, fitted_values(design, paths), new_gen)
-        _same_draws(new_gen, old_gen, new, frozen_draw_latent(threshold, y, design, paths, old_gen))
+        old = frozen_draw_latent(threshold, y, design, paths, old_gen,
+                                 draw=sample_truncated_normal)
+        _same_draws(new_gen, old_gen, new, old)
     # fitted_values never returns -0.0; the core with draw_latent's constant
     # clamps still matches on it
     mean = np.array([[-0.0, 0.0, -0.0, 0.0, 31.0, -31.0, 1e20, -1e20]])
     positive = np.array([[True, True, False, False, True, False, False, True]])
     lower, upper = np.where(positive, 0.0, -np.inf), np.where(positive, np.inf, 0.0)
     new_gen, old_gen = np.random.default_rng(41), np.random.default_rng(41)
-    old = frozen_mirrored_truncated_normal(mean, 1.0, lower, upper, old_gen)
+    old = sample_truncated_normal(mean, 1.0, lower, upper, old_gen)
     new = _draw(mean, 1.0, lower, upper, np.where(positive, _TINY, -_HUGE),
                 np.where(positive, _HUGE, -_TINY), new_gen)
     _same_draws(new_gen, old_gen, new, old)
     assert old[0, -2] == -5e-324 and old[0, -1] == 5e-324  # rounded onto 0, clamped
+
+
+def test_draw_latent_follows_the_exact_law():
+    # Each fit draws N(fit, 1) on (0, inf) in one row and on (-inf, 0) in the
+    # next: zero fits, fits whose proposal lands on the right side mostly,
+    # rarely and never, fits at the 30 sd cutoff and beyond it. Keeping a
+    # proposal on the wrong side of 0, or redrawing a miss from the
+    # untruncated normal, piles draws on the clamps and fails here.
+    fit_values = [0.0, -0.0, 0.4, -1.5, 3.0, -29.5, 30.0, -31.0, 36.0]
+    n = 20_000
+    fits = np.repeat(np.array(fit_values), 2)[:, None] * np.ones(n)
+    positive = np.tile([True, False], len(fit_values))
+    z = draw_latent(np.where(positive, 1.0, -1.0), np.zeros(n), fits, RngHandle(43))
+    assert np.all(np.where(positive[:, None], z > 0.0, z < 0.0))
+    for m, side, row in zip(fits[:, 0], positive, z):
+        cdf = truncated_normal_cdf(m, 1.0, *((0.0, np.inf) if side else (-np.inf, 0.0)))
+        assert np.sqrt(n) * kolmogorov_distance(row, cdf) < 1.95, (m, side)
+    # fits 1e20 sd from 0: on their own side they are the draw, exactly, and
+    # across 0 the draw rounds onto 0 and is clamped one ulp inside
+    fits = np.array([[1e20, -1e20, 1e20, -1e20]])
+    z = draw_latent(np.array([1.0]), np.array([0.0, 2.0, 2.0, 0.0]), fits, RngHandle(44))
+    assert np.array_equal(z, [[1e20, -1e20, -5e-324, 5e-324]])
 
 
 def test_draw_latent_rejects_a_non_finite_fit():
@@ -521,7 +547,7 @@ def test_monotone_draw_pins_degenerate_boxes(rows, monkeypatch):
     y, x = small_problem(seed=31, t_len=10, d=2)
     lower = np.vstack([np.full(10, 4.0), [5.75, 6.0, 6.25, 6.0, 6.25, 6.0, 6.0, 6.0, 5.5, 6.5]])
     upper = np.vstack([np.full(10, 6.0), lower[1]])
-    lower[0, [0, 4, 9]] = upper[0, [0, 4, 9]] = [5.25, 5.5, 5.75]
+    lower[0, [0, 4, 9]] = upper[0, [0, 4, 9]] = [5.5, 5.5, 6.5]
     lower[1, 3] = 4.0
     lower, upper = lower[rows], upper[rows]
     pinned = lower == upper

@@ -11,6 +11,7 @@ from scipy.special import log_ndtr, ndtr
 from tvpdr.banded import assemble_precision
 from tvpdr.samplers import (
     RngHandle,
+    _truncated_std_normal,
     as_generator,
     sample_gaussian_precision,
     sample_truncated_mvn,
@@ -21,9 +22,11 @@ from reference import (
     HALF_NORMAL_MEAN,
     UNIT_BOX_COORD_MEAN,
     band_to_dense,
+    frozen_mirrored_std_normal,
     frozen_truncated_mvn,
-    frozen_truncated_normal,
+    frozen_truncated_std_normal,
     kolmogorov_distance,
+    truncated_normal_cdf,
 )
 
 
@@ -47,6 +50,17 @@ def test_rng_handle_validates_range():
         RngHandle(0, stream=2**64)
     with pytest.raises(TypeError):
         as_generator(object())
+    # ModelSpec.seed's rule: a bool, float or string is no seed or stream,
+    # not a stand-in for the integer it rounds or converts to
+    for bad in (1.5, True, "3", np.float64(2.0)):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            RngHandle(bad)
+    for bad in (2.7, False, "1"):
+        with pytest.raises(TypeError, match="stream must be an integer"):
+            RngHandle(0, stream=bad)
+    handle = RngHandle(np.uint64(2**64 - 1), stream=np.int32(3))
+    assert type(handle.seed) is int and type(handle.stream) is int
+    assert handle.rng.random() == RngHandle(2**64 - 1, stream=3).rng.random()
 
 
 def test_truncated_normal_half_normal_mean():
@@ -68,14 +82,29 @@ def test_truncated_normal_within_bounds_and_scalar():
     assert np.all((y > lo) & (y < hi))
 
 
+# (mean, sd, lower, upper): proposals kept always, mostly, half the time,
+# rarely and never; one-sided either way; inverted within 30 sd and drawn
+# by rejection beyond
+LAW_BOXES = [
+    (0.0, 1.0, -0.7, 1.3), (0.3, 1.0, -np.inf, np.inf), (0.0, 2.0, -6.0, 6.0),
+    (1.0, 0.5, 1.0, np.inf), (0.0, 1.0, 0.1, 0.2), (2.0, 0.1, 2.5, 2.6),
+    (0.0, 1.0, -np.inf, -2.0), (-1.0, 1.0, 4.0, 6.0), (0.0, 1.0, 29.0, np.inf),
+    (5.0, 3.0, -np.inf, -88.0), (0.0, 1.0, -40.0, -39.9),
+]
+
+
 def test_truncated_normal_ks_against_exact_cdf():
-    # mid-region interval, exact truncated CDF via normal CDF ratios
-    rng = RngHandle(13)
-    a, b = -0.7, 1.3
-    z = sample_truncated_normal(0.0, 1.0, np.full(200_000, a), b, rng)
-    fa, fb = ndtr(a), ndtr(b)
-    dist = kolmogorov_distance(z, lambda t: (ndtr(t) - fa) / (fb - fa))
-    assert dist < 0.005
+    # One call holds every box, interleaved, so accepted proposals and
+    # inverted misses both land in their own slots. Keeping a proposal
+    # outside its box, or redrawing a miss from the untruncated normal,
+    # piles draws on the clamps and fails here.
+    n = 200_000
+    mean, sd, lower, upper = (np.tile(col, n) for col in np.array(LAW_BOXES).T)
+    draws = sample_truncated_normal(mean, sd, lower, upper, RngHandle(13))
+    assert np.all((draws > lower) & (draws < upper))
+    for j, box in enumerate(LAW_BOXES):
+        z = draws[j :: len(LAW_BOXES)]
+        assert np.sqrt(n) * kolmogorov_distance(z, truncated_normal_cdf(*box)) < 1.95, box
 
 
 def test_truncated_normal_deep_tail_regions():
@@ -122,6 +151,9 @@ def _within_4_sd(rs, n):
 
 @pytest.mark.parametrize("case", ["mixed", "scalar", "broadcast"])
 def test_truncated_normal_matches_the_frozen_kernel_within_4_sd(case):
+    # the inversion core behind the proposal: bit for bit the frozen mirrored
+    # kernel, and within 4 sd the frozen kernel before mirroring too; the
+    # public draw has the broadcast shape, a float for all-scalar input
     rs = np.random.default_rng(24)
     if case == "mixed":
         calls = [_within_4_sd(rs, n) for n in (1, 2, 7, 160, 5000)]
@@ -132,14 +164,19 @@ def test_truncated_normal_matches_the_frozen_kernel_within_4_sd(case):
         lo = np.array([-1.0, 0.0, 2.5])
         calls = [(np.zeros((4, 3)), 1.0, lo, np.inf), (rs.normal(size=(2, 1)), 0.5, -np.inf, 0.0),
                  (0.0, np.array([[1.0], [2.0]]), lo, lo + 0.25), (np.zeros(5), 1.0, 0.0, np.inf)]
-    for args in calls:
+    for mean, sd, lower, upper in calls:
+        a, b = np.broadcast_arrays(np.subtract(lower, mean) / sd, np.subtract(upper, mean) / sd)
+        draw = sample_truncated_normal(mean, sd, lower, upper, RngHandle(1))
+        assert np.shape(draw) == a.shape and (type(draw) is float) == (a.ndim == 0)
+        a, b = a.ravel(), b.ravel()
         seed = int(rs.integers(2**32))
-        new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = sample_truncated_normal(*args, new_gen)
-        old = frozen_truncated_normal(*args, old_gen)
-        assert type(new) is type(old)
-        assert np.array_equal(np.asarray(new).view(np.int64), np.asarray(old).view(np.int64))
-        assert new_gen.random() == old_gen.random()
+        new_gen = np.random.default_rng(seed)
+        new = _truncated_std_normal(a, b, new_gen)
+        for frozen in (frozen_mirrored_std_normal, frozen_truncated_std_normal):
+            old_gen = np.random.default_rng(seed)
+            old = frozen(a, b, old_gen)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+            assert old_gen.bit_generator.state == new_gen.bit_generator.state
 
 
 def test_truncated_normal_rejects_bad_input():
@@ -239,9 +276,10 @@ def _box_problem(rs, n):
 
 
 def test_truncated_mvn_matches_the_frozen_sweep():
-    # The frozen colour-group sweep reads its conditional means from the
-    # mean, this kernel from the rhs. They are equal in exact arithmetic, so
-    # the draws agree to rounding and consume the same random numbers.
+    # The frozen colour-group sweep, driving the public conditional draw,
+    # reads its conditional means from the mean, this kernel from the rhs.
+    # They are equal in exact arithmetic, so the draws agree to rounding and
+    # consume the same random numbers: the neighbour bookkeeping is right.
     rs = np.random.default_rng(31)
     for n in np.tile([1, 2, 3, 17, 160, 161], 34):
         diag, off, rhs, mean, lower, upper, init = _box_problem(rs, int(n))
@@ -250,7 +288,7 @@ def test_truncated_mvn_matches_the_frozen_sweep():
         new_gen, old_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         new = sample_truncated_mvn(diag, off, rhs, lower, upper, init, sweeps, new_gen)
         old = frozen_truncated_mvn(np.vstack([diag, off]), mean, lower, upper, init, sweeps,
-                                   old_gen)
+                                   old_gen, draw=sample_truncated_normal)
         np.testing.assert_allclose(new, old, rtol=1e-10, atol=0.0)
         assert new_gen.random() == old_gen.random()
         assert np.all((new > lower) & (new < upper))

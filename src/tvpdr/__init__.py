@@ -47,7 +47,6 @@ from .risk import (
     distribution_mean,
     excess_inflation_risk,
 )
-from .samplers import RngHandle
 from .store import StoreError, draw_buffers, load_estimate, read_manifest, save_estimate
 
 __version__ = "0.1.0"
@@ -65,7 +64,6 @@ __all__ = [
     "PosteriorDraws",
     "Quantile",
     "RiskReportRow",
-    "RngHandle",
     "StoreError",
     "ThresholdGrid",
     "assemble_design",

@@ -129,29 +129,28 @@ class MacroDataset:
             raise ValueError(f"unknown series {name!r}")
         return apply_transform(self.series[name], self.codes.get(name, 1), name)
 
-    def with_inflation(self, price_column: str, horizon: int, name: str | None = None) -> "MacroDataset":
-        """Add the computed inflation column and mark it as the target."""
+    def with_inflation(self, price_column: str, horizon: int) -> "MacroDataset":
+        """Add the computed inflation ``infl_<price>_<horizon>q`` and mark it as the target."""
         if price_column not in self.series:
             raise ValueError(f"unknown price series {price_column!r}")
-        name = name or f"infl_{price_column}_{horizon}q"
+        name = f"infl_{price_column}_{horizon}q"
         series = dict(self.series)
         codes = dict(self.codes)
         series[name] = inflation(self.series[price_column], horizon)
         codes[name] = 1
         return replace(self, series=series, codes=codes, target=name, horizon=horizon)
 
-    def with_unemployment_gap(self, u: str = "UNRATE", u_star: str = "NROU",
-                              name: str = "ugap") -> "MacroDataset":
-        """Add u - u* as a computed column."""
-        for col in (u, u_star):
+    def with_unemployment_gap(self) -> "MacroDataset":
+        """Add ``ugap``, UNRATE - NROU, as a computed column."""
+        for col in ("UNRATE", "NROU"):
             if col not in self.series:
                 raise ValueError(f"unknown series {col!r}")
         series = dict(self.series)
         codes = dict(self.codes)
-        series[name] = np.asarray(self.series[u], dtype=np.float64) - np.asarray(
-            self.series[u_star], dtype=np.float64
+        series["ugap"] = np.asarray(self.series["UNRATE"], dtype=np.float64) - np.asarray(
+            self.series["NROU"], dtype=np.float64
         )
-        codes[name] = 1
+        codes["ugap"] = 1
         return replace(self, series=series, codes=codes)
 
     def with_shift(self, variable: str, delta: float, periods) -> "MacroDataset":

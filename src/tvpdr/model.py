@@ -24,8 +24,8 @@ from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, add_prior_d
                      assemble_precision, likelihood_band)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (RngHandle, _draw, _uint64, as_generator, sample_gaussian_precision,
-                       sample_truncated_mvn)
+from .samplers import (_draw, _uint64, sample_gaussian_precision, sample_truncated_mvn,
+                       stream_generator)
 
 __all__ = [
     "LINKS",
@@ -42,11 +42,6 @@ __all__ = [
     "initial_state",
     "run_gibbs",
 ]
-
-# The latents' bounds 0 and +-inf moved one ulp inside.
-_TINY = np.nextafter(0.0, 1.0)
-_HUGE = np.finfo(np.float64).max
-
 
 class MonotonicityError(RuntimeError):
     """Neighbor threshold paths cross, or a fit cannot be put inside its box.
@@ -199,22 +194,24 @@ def _latent_box(threshold, y: np.ndarray) -> tuple:
     """Bounds of the latents and their one-ulp-inside clamps: (0, inf) where
     y_t <= threshold, (-inf, 0) elsewhere; (B, T) for B thresholds."""
     below = y <= np.asarray(threshold)[..., None]
-    return (np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0),
-            np.where(below, _TINY, -_HUGE), np.where(below, _HUGE, -_TINY))
+    lower, upper = np.where(below, 0.0, -np.inf), np.where(below, np.inf, 0.0)
+    return lower, upper, np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf)
 
 
-def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np.ndarray:
+def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, gen: np.random.Generator,
+                box=None) -> np.ndarray:
     """Latent utilities: one-sided truncated normals around the fits.
 
     ``fits`` is g(x_t)' beta_t, ``fitted_values(design, beta)`` of the
     current path; ``run_gibbs`` passes the state's fits. Observations with
     y_t <= threshold draw from N(fit, 1) on (0, inf), the rest on
     (-inf, 0), so the sign always reproduces the indicator. With B
-    thresholds and fits (B, T) this is one (B, T) draw. The draws are
-    those of ``sample_truncated_normal`` with these bounds, through its
-    unchecked core: the fit is checked here, the bounds are valid by
-    construction, and their one-ulp-inside clamps are the constants
-    +-5e-324 and +-max-float. A non-finite fit raises ValueError.
+    thresholds and fits (B, T) this is one (B, T) draw from ``gen``, the
+    numpy Generator of the fit, ``stream_generator(spec.seed, stream)`` in
+    ``run_gibbs``. The draws are those of ``sample_truncated_normal`` with
+    these bounds, through its unchecked core: the fit is checked here, the
+    bounds are valid by construction, and their clamps are moved one ulp
+    inside as that draw moves them. A non-finite fit raises ValueError.
 
     The bounds depend only on the data and the thresholds, so a sampler
     builds them once per fit, as ``_latent_box(threshold, y)``, and passes
@@ -225,7 +222,7 @@ def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, rng, box=None) -> np
         raise ValueError("latent draw needs finite fitted values")
     if box is None:
         box = _latent_box(threshold, y)
-    return _draw(fits, 1.0, *box, as_generator(rng))
+    return _draw(fits, 1.0, *box, gen)
 
 
 def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
@@ -237,8 +234,8 @@ def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
     return rhs.ravel()
 
 
-def draw_beta_unconstrained(design, latent, sigma2, rng, likelihood=None,
-                            out=None) -> np.ndarray:
+def draw_beta_unconstrained(design, latent, sigma2, gen: np.random.Generator,
+                            likelihood=None, out=None) -> np.ndarray:
     """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1}).
 
     With latents (B, T) and variances (B, d) the B paths come from one
@@ -251,11 +248,11 @@ def draw_beta_unconstrained(design, latent, sigma2, rng, likelihood=None,
     latent = np.asarray(latent, dtype=np.float64)
     precision = assemble_precision(design, sigma2, likelihood=likelihood, out=out)
     b = _likelihood_rhs(design, latent)
-    return sample_gaussian_precision(precision, b, rng, overwrite=True).reshape(
+    return sample_gaussian_precision(precision, b, gen, overwrite=True).reshape(
         latent.shape + design.shape[1:])
 
 
-def draw_sigma2(beta, nu: float, s: float, rng) -> np.ndarray:
+def draw_sigma2(beta, nu: float, s: float, gen: np.random.Generator) -> np.ndarray:
     """Conjugate inverse gamma update of the innovation variances.
 
     One prior IG(nu, s) for every coefficient: shape nu + (T-1)/2 and scale
@@ -275,7 +272,6 @@ def draw_sigma2(beta, nu: float, s: float, rng) -> np.ndarray:
     # bit for bit. At d = 1 the t axis is contiguous and np.sum's pairwise
     # order is kept.
     rss = np.sum(sq, axis=-2) if d == 1 else np.einsum("...td->...d", sq)
-    gen = as_generator(rng)
     return 1.0 / gen.gamma(nu + 0.5 * (t_len - 1), 1.0 / (s + 0.5 * rss))
 
 
@@ -356,7 +352,7 @@ def draw_beta_monotone(
     latent,
     sigma2,
     current,
-    rng,
+    gen: np.random.Generator,
     sweeps: int = ModelSpec.truncation_sweeps,
     likelihood=None,
     out=None,
@@ -392,7 +388,6 @@ def draw_beta_monotone(
     from that precision and rhs. Returns the paths and their fits, which
     the ordering check computes anyway.
     """
-    gen = as_generator(rng)
     design = np.asarray(design, dtype=np.float64)
     d = design.shape[1]
     if not np.all(design[:, 0] == 1.0):
@@ -472,8 +467,8 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
-    model design. The fit draws from ``RngHandle(spec.seed, stream)`` and
-    the result records that seed and stream. Thresholds update in batches:
+    model design. The fit draws from ``stream_generator(spec.seed, stream)``
+    and the result records that seed and stream. Thresholds update in batches:
     one latent draw, one path draw (monotone or not) and one variance draw
     on each stacked batch. The draws exchange fits: after every batch
     ``state.fitted`` holds ``fitted_values(design, state.beta)``, and the
@@ -518,7 +513,7 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
     if spec.monotone and not np.all(design[:, 0] == 1.0):
         raise ValueError("monotone estimation requires an intercept column of ones")
 
-    gen = RngHandle(spec.seed, stream).rng
+    gen = stream_generator(spec.seed, stream)
     grid = spec.grid
     k = grid.n
 

@@ -7,9 +7,10 @@ conditional from the precision and the canonical rhs and so factors
 nothing. A truncated normal is one standard normal proposal, kept where it
 lies inside its box; the misses are drawn by inversion, each interval
 mirrored onto the lower tail where ndtr/ndtri keep full relative accuracy
-out to 30 sd, and by rejection beyond that. All randomness flows through
-``RngHandle`` so that (seed, stream, call sequence) pins every draw bit for
-bit, including across parallel backtest origins.
+out to 30 sd, and by rejection beyond that. Every draw takes a numpy
+Generator, and a fit's comes from ``stream_generator(seed, stream)``, so
+(seed, stream, call sequence) pins every draw bit for bit, including
+across parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
 the Gibbs sampler then draw every truncated normal, the probit latents
@@ -18,8 +19,6 @@ included, through one unchecked private core, ``_draw``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import ndtr, ndtri
 
@@ -27,8 +26,7 @@ from .banded import cholesky_banded, solve_banded
 
 __all__ = [
     "DRAW_SCHEME",
-    "RngHandle",
-    "as_generator",
+    "stream_generator",
     "sample_truncated_normal",
     "sample_gaussian_precision",
     "sample_truncated_mvn",
@@ -51,39 +49,16 @@ def _uint64(name: str, value) -> int:
     return int(value)
 
 
-@dataclass
-class RngHandle:
-    """Named, reproducible random stream: the one owner of the bit generator.
+def stream_generator(seed, stream=0) -> np.random.Generator:
+    """The random stream named by (seed, stream): the one place that names the bit generator.
 
     Streams with the same seed and different stream ids are statistically
     independent (SFC64 seeded from a SeedSequence spawn key), which is what
     lets backtest origins run in any order, or in parallel, without changing
     the numbers. Seed and stream follow ``ModelSpec.seed``'s rule.
     """
-
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.seed = _uint64("seed", self.seed)
-        self.stream = _uint64("stream", self.stream)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-            self._gen = np.random.Generator(np.random.SFC64(ss))
-        return self._gen
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngHandle or a bare numpy Generator."""
-    if isinstance(rng, RngHandle):
-        return rng.rng
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngHandle or numpy Generator, got {type(rng)!r}")
+    ss = np.random.SeedSequence(_uint64("seed", seed), spawn_key=(_uint64("stream", stream),))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _tail_reject(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -154,7 +129,7 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
 
 
-def sample_truncated_normal(mean, sd, lower, upper, rng):
+def sample_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
     """Draw from N(mean, sd^2) truncated to (lower, upper).
 
     Scalars broadcast against arrays; the output has the broadcast shape
@@ -165,7 +140,6 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     uniform proposal for narrow slivers). Raises ValueError for a non-finite
     mean, a non-finite or non-positive sd, or an empty interval.
     """
-    gen = as_generator(rng)
     mean, sd, lower, upper = (np.asarray(v, dtype=np.float64) for v in (mean, sd, lower, upper))
 
     if not np.all(np.isfinite(mean)):
@@ -180,7 +154,7 @@ def sample_truncated_normal(mean, sd, lower, upper, rng):
     return float(draw) if draw.ndim == 0 else draw
 
 
-def sample_gaussian_precision(band: np.ndarray, b: np.ndarray, rng,
+def sample_gaussian_precision(band: np.ndarray, b: np.ndarray, gen: np.random.Generator,
                               overwrite: bool = False) -> np.ndarray:
     """One draw from N(K^{-1} b, K^{-1}) for banded SPD K, given as its band.
 
@@ -194,7 +168,6 @@ def sample_gaussian_precision(band: np.ndarray, b: np.ndarray, rng,
     storage then holds L. Callers that read K afterwards leave it False,
     and the factorization works on a copy. The draw is the same either way.
     """
-    gen = as_generator(rng)
     b = np.asarray(b, dtype=np.float64)
     if not np.isfinite(b).all():
         raise ValueError("precision rhs must be finite")
@@ -211,7 +184,7 @@ def sample_truncated_mvn(
     upper: np.ndarray,
     init: np.ndarray,
     sweeps: int,
-    rng,
+    gen: np.random.Generator,
 ) -> np.ndarray:
     """Coordinate-wise Gibbs for a box-truncated Gaussian with tridiagonal precision.
 
@@ -232,7 +205,6 @@ def sample_truncated_mvn(
     then too, so a sweep checks only that the conditional means it draws
     around are finite. Raises ValueError otherwise.
     """
-    gen = as_generator(rng)
     diag, off, rhs, lower, upper = (np.asarray(v, dtype=np.float64)
                                     for v in (diag, off, rhs, lower, upper))
     if diag.ndim != 1:

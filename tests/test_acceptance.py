@@ -24,7 +24,6 @@ from tvpdr import (
     MacroDataset,
     ModelSpec,
     PosteriorDraws,
-    RngHandle,
     ThresholdGrid,
     build_threshold_grid,
     cdf_derivative,
@@ -39,7 +38,7 @@ from tvpdr import (
 from tvpdr.banded import assemble_precision, cholesky_banded, solve_banded
 from tvpdr.cli import main
 from tvpdr.model import draw_sigma2
-from tvpdr.samplers import sample_gaussian_precision
+from tvpdr.samplers import sample_gaussian_precision, stream_generator
 from tvpdr.risk import DEFAULT_PROBES
 
 from reference import (
@@ -107,11 +106,11 @@ def test_c02_precision_sampler_moments():
     cov = np.linalg.inv(dense_k)
     mu = np.linalg.solve(dense_k, b)
 
-    handle = RngHandle(202)
+    gen = stream_generator(202)
     t0 = time.perf_counter()
     draws = np.empty((n, t_len * d))
     for i in range(n):
-        draws[i] = sample_gaussian_precision(precision, b, handle)
+        draws[i] = sample_gaussian_precision(precision, b, gen)
     elapsed = time.perf_counter() - t0
 
     mean_se = np.sqrt(np.diag(cov) / n)
@@ -132,7 +131,7 @@ def test_c03_variance_update_distribution():
     path = np.array([0.0, 0.3, -0.2, 0.5])
     beta = np.repeat(path[:, None], n, axis=1)  # one identical column per draw
     nu, s = 3.0, 0.01
-    samples = draw_sigma2(beta, nu, s, RngHandle(303))
+    samples = draw_sigma2(beta, nu, s, stream_generator(303))
 
     shape = nu + 0.5 * (path.size - 1)
     scale = s + 0.5 * float(np.sum(np.diff(path) ** 2))

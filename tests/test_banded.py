@@ -12,7 +12,7 @@ from tvpdr.banded import (
     solve_banded,
 )
 from tvpdr.model import draw_beta_unconstrained
-from tvpdr.samplers import RngHandle, sample_gaussian_precision
+from tvpdr.samplers import sample_gaussian_precision, stream_generator
 
 from reference import (band_to_dense, dense_precision, dense_to_band, frozen_assemble_bands,
                        frozen_band_matvec)
@@ -135,16 +135,16 @@ def test_band_storage_contract():
 
         b_vec = rng.normal(size=dim)
         untouched = precision.copy(order="F")
-        want = sample_gaussian_precision(untouched, b_vec, RngHandle(7))
-        got = sample_gaussian_precision(precision, b_vec, RngHandle(7), overwrite=True)
+        want = sample_gaussian_precision(untouched, b_vec, stream_generator(7))
+        got = sample_gaussian_precision(precision, b_vec, stream_generator(7), overwrite=True)
         assert np.array_equal(got, want)
         assert np.array_equal(precision, cholesky_banded(untouched))
 
         latent = rng.normal(size=(n_paths, t_len))
-        plain = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8))
+        plain = draw_beta_unconstrained(design, latent, sigma2, stream_generator(8))
         storage = np.empty((d + 1, n_paths * t_len * d), order="F")
         for _ in range(2):  # the second call refills storage that holds a factor
-            reused = draw_beta_unconstrained(design, latent, sigma2, RngHandle(8),
+            reused = draw_beta_unconstrained(design, latent, sigma2, stream_generator(8),
                                              likelihood=like, out=storage)
             assert np.array_equal(reused, plain)
 
@@ -168,9 +168,9 @@ def test_non_finite_input_raises_instead_of_drawing_nan():
     nan_design, nan_latent = design.copy(), latent.copy()
     nan_design[3, 1] = nan_latent[5] = np.nan
     with pytest.raises(ValueError):
-        draw_beta_unconstrained(nan_design, latent, sigma2, RngHandle(1))
+        draw_beta_unconstrained(nan_design, latent, sigma2, stream_generator(1))
     with pytest.raises(ValueError, match="rhs must be finite"):
-        draw_beta_unconstrained(design, nan_latent, sigma2, RngHandle(1))
+        draw_beta_unconstrained(design, nan_latent, sigma2, stream_generator(1))
 
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_banded(assemble_precision(nan_design, sigma2))
@@ -178,4 +178,4 @@ def test_non_finite_input_raises_instead_of_drawing_nan():
     band = assemble_precision(design, sigma2)
     band[1, 6] = np.inf
     with pytest.raises(NotPositiveDefiniteError):
-        sample_gaussian_precision(band, np.zeros(t_len * d), RngHandle(1))
+        sample_gaussian_precision(band, np.zeros(t_len * d), stream_generator(1))

@@ -18,7 +18,7 @@ from tvpdr.distribution import (
     quantile_from_cdf,
 )
 from tvpdr.model import ModelSpec, PosteriorDraws, run_gibbs
-from tvpdr.samplers import RngHandle
+from tvpdr.samplers import stream_generator
 
 from reference import (frozen_closed_form_predictive, frozen_conditional_cdf,
                        frozen_forecast_predictive, probit_mixture_cdf)
@@ -216,7 +216,7 @@ def test_forecast_predictive_matches_the_integrated_oracle(transform):
     draws.d = d
 
     exact = forecast_predictive(draws, raw).values
-    curves = np.array([frozen_forecast_predictive(draws, x, RngHandle(8, stream=s).rng, PROBIT)
+    curves = np.array([frozen_forecast_predictive(draws, x, stream_generator(8, s), PROBIT)
                        for s in range(240)])
     se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
     assert np.all(se > 0.0)
@@ -245,7 +245,7 @@ def test_forecast_predictive_steps_match_simulated_random_walks(steps):
             beta += np.sqrt(draws.sigma2) * gen.standard_normal(beta.shape)
         return np.sort(ndtr(beta @ raw).mean(axis=0))
 
-    curves = np.array([simulated(RngHandle(9, stream=s).rng) for s in range(240)])
+    curves = np.array([simulated(stream_generator(9, s)) for s in range(240)])
     mean, se = curves.mean(axis=0), curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
     assert np.all(se > 0.0)
     assert np.all(np.abs(mean - forecast_predictive(draws, raw, steps=steps).values) < 4.0 * se)

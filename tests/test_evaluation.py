@@ -19,7 +19,7 @@ from tvpdr.evaluation import (
     _tsv_columns,
 )
 from tvpdr.model import ModelSpec
-from tvpdr.samplers import DRAW_SCHEME, RngHandle, as_generator
+from tvpdr.samplers import DRAW_SCHEME, stream_generator
 
 from reference import KS95_N100, KSTWO_PPF, frozen_pit_uniformity_band
 
@@ -59,7 +59,7 @@ def test_pit_uniformity_band_near_asymptotic():
     assert abs(band - KS95_N100) < 0.01
     # within Monte Carlo error of the simulated band it replaced; a one-sided
     # quantile at 1 - level (0.1207 here) lies well outside
-    simulated = frozen_pit_uniformity_band(100, 0.95, as_generator(RngHandle(5)), 20000)
+    simulated = frozen_pit_uniformity_band(100, 0.95, stream_generator(5), 20000)
     assert abs(band - simulated) < 0.0025
     # deterministic, monotone in the level
     assert pit_uniformity_band(100, 0.95) == band

@@ -21,12 +21,11 @@ from tvpdr.model import (
     hash_data,
     initial_state,
     run_gibbs,
-    _HUGE,
-    _TINY,
     _intercept_system,
+    _latent_box,
     _repair_ordering,
 )
-from tvpdr.samplers import RngHandle, _draw, sample_truncated_normal
+from tvpdr.samplers import _draw, sample_truncated_normal, stream_generator
 
 from reference import (
     band_to_dense,
@@ -154,7 +153,7 @@ def test_hash_data_tracks_content():
 def test_draw_latent_signs_match_indicator():
     y, x = small_problem(seed=2)
     beta = np.zeros((len(y), 2))
-    z = draw_latent(np.median(y), y, fitted_values(x, beta), RngHandle(3))
+    z = draw_latent(np.median(y), y, fitted_values(x, beta), stream_generator(3))
     below = y <= np.median(y)
     assert np.all(z[below] > 0.0)
     assert np.all(z[~below] < 0.0)
@@ -168,7 +167,7 @@ def _same_draws(new_gen, old_gen, new, old):
 
 
 def test_draw_latent_matches_the_frozen_two_sided_draw():
-    # draw_latent's bounds, built once per fit, and its constant clamps give
+    # draw_latent's bounds, built once per fit, and their one-ulp-inside clamps give
     # the public checked draw on the frozen two-sided bounds, bit for bit:
     # fits beyond 30 sd on either side of either bound, at the cutoff, so far
     # out that a draw rounds onto its bound 0 and is clamped, and exactly
@@ -191,15 +190,14 @@ def test_draw_latent_matches_the_frozen_two_sided_draw():
         old = frozen_draw_latent(threshold, y, design, paths, old_gen,
                                  draw=sample_truncated_normal)
         _same_draws(new_gen, old_gen, new, old)
-    # fitted_values never returns -0.0; the core with draw_latent's constant
-    # clamps still matches on it
+    # fitted_values never returns -0.0; the core with _latent_box's bounds
+    # and clamps still matches on it
     mean = np.array([[-0.0, 0.0, -0.0, 0.0, 31.0, -31.0, 1e20, -1e20]])
     positive = np.array([[True, True, False, False, True, False, False, True]])
-    lower, upper = np.where(positive, 0.0, -np.inf), np.where(positive, np.inf, 0.0)
+    box = _latent_box(0.0, np.where(positive, -1.0, 1.0))
     new_gen, old_gen = np.random.default_rng(41), np.random.default_rng(41)
-    old = sample_truncated_normal(mean, 1.0, lower, upper, old_gen)
-    new = _draw(mean, 1.0, lower, upper, np.where(positive, _TINY, -_HUGE),
-                np.where(positive, _HUGE, -_TINY), new_gen)
+    old = sample_truncated_normal(mean, 1.0, box[0], box[1], old_gen)
+    new = _draw(mean, 1.0, *box, new_gen)
     _same_draws(new_gen, old_gen, new, old)
     assert old[0, -2] == -5e-324 and old[0, -1] == 5e-324  # rounded onto 0, clamped
 
@@ -214,7 +212,7 @@ def test_draw_latent_follows_the_exact_law():
     n = 20_000
     fits = np.repeat(np.array(fit_values), 2)[:, None] * np.ones(n)
     positive = np.tile([True, False], len(fit_values))
-    z = draw_latent(np.where(positive, 1.0, -1.0), np.zeros(n), fits, RngHandle(43))
+    z = draw_latent(np.where(positive, 1.0, -1.0), np.zeros(n), fits, stream_generator(43))
     assert np.all(np.where(positive[:, None], z > 0.0, z < 0.0))
     for m, side, row in zip(fits[:, 0], positive, z):
         cdf = truncated_normal_cdf(m, 1.0, *((0.0, np.inf) if side else (-np.inf, 0.0)))
@@ -222,7 +220,7 @@ def test_draw_latent_follows_the_exact_law():
     # fits 1e20 sd from 0: on their own side they are the draw, exactly, and
     # across 0 the draw rounds onto 0 and is clamped one ulp inside
     fits = np.array([[1e20, -1e20, 1e20, -1e20]])
-    z = draw_latent(np.array([1.0]), np.array([0.0, 2.0, 2.0, 0.0]), fits, RngHandle(44))
+    z = draw_latent(np.array([1.0]), np.array([0.0, 2.0, 2.0, 0.0]), fits, stream_generator(44))
     assert np.array_equal(z, [[1e20, -1e20, -5e-324, 5e-324]])
 
 
@@ -231,7 +229,7 @@ def test_draw_latent_rejects_a_non_finite_fit():
     beta = np.zeros((len(y), 2))
     beta[3, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        draw_latent(0.0, y, fitted_values(x, beta), RngHandle(3))
+        draw_latent(0.0, y, fitted_values(x, beta), stream_generator(3))
 
 
 def test_draw_sigma2_matches_the_frozen_draw():
@@ -267,12 +265,12 @@ def test_draw_sigma2_matches_inverse_gamma_cdf():
     t_len = 5
     beta = np.cumsum(np.ones((t_len, 1)), axis=0)
     many = np.tile(beta, (1, 200_000))
-    draws = draw_sigma2(many, 3.0, 1.0, RngHandle(4))
+    draws = draw_sigma2(many, 3.0, 1.0, stream_generator(4))
     dist = kolmogorov_distance(draws, lambda q: inverse_gamma_cdf(q, 5.0, 3.0))
     assert dist < 0.005
     assert abs(draws.mean() - 0.75) < 0.01
     with pytest.raises(ValueError, match="two positive numbers"):
-        draw_sigma2(beta, np.array([3.0]), 1.0, RngHandle(7))
+        draw_sigma2(beta, np.array([3.0]), 1.0, stream_generator(7))
 
 
 def test_unconstrained_beta_posterior_moments():
@@ -286,9 +284,9 @@ def test_unconstrained_beta_posterior_moments():
     cov = np.linalg.inv(k)
     mu = cov @ (design * z[:, None]).reshape(-1)
 
-    handle = RngHandle(8)
+    gen = stream_generator(8)
     draws = np.stack([
-        draw_beta_unconstrained(design, z, sigma2, handle).reshape(-1)
+        draw_beta_unconstrained(design, z, sigma2, gen).reshape(-1)
         for _ in range(50_000)
     ])
     se = np.sqrt(np.diag(cov) / draws.shape[0])
@@ -300,11 +298,11 @@ def test_monotone_draw_respects_neighbor_paths():
     t_len = len(y)
     lower = np.full(t_len, -0.8)
     upper = np.full(t_len, 1.1)
-    handle = RngHandle(10)
-    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
+    gen = stream_generator(10)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), gen)
     beta = np.zeros((t_len, 2))  # the sweep clips the current intercepts into the box
     for _ in range(50):
-        beta, fit = draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), beta, handle)
+        beta, fit = draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), beta, gen)
         assert np.array_equal(fit, fitted_values(x, beta))
         assert np.all(fit >= lower), "fit fell below the lower neighbor"
         assert np.all(fit <= upper), "fit crossed the upper neighbor"
@@ -313,46 +311,46 @@ def test_monotone_draw_respects_neighbor_paths():
 def test_monotone_draw_one_sided_and_unbounded():
     y, x = small_problem(seed=11, t_len=15, d=3)
     t_len = len(y)
-    handle = RngHandle(12)
-    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
+    gen = stream_generator(12)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), gen)
     sig = np.full(3, 0.2)
     lo = np.full(t_len, 0.0)
     b = np.zeros((t_len, 3))
     for _ in range(20):
-        b, fit = draw_beta_monotone(lo, None, x, z, sig, b, handle)
+        b, fit = draw_beta_monotone(lo, None, x, z, sig, b, gen)
         assert np.all(fit >= lo)
     hi = np.full(t_len, 0.5)
     for _ in range(20):
-        b, fit = draw_beta_monotone(None, hi, x, z, sig, b, handle)
+        b, fit = draw_beta_monotone(None, hi, x, z, sig, b, gen)
         assert np.all(fit <= hi)
     # fully unconstrained falls back to the joint Gaussian draw
-    b, fit = draw_beta_monotone(None, None, x, z, sig, b, handle)
+    b, fit = draw_beta_monotone(None, None, x, z, sig, b, gen)
     assert b.shape == (t_len, 3)
     assert np.array_equal(fit, fitted_values(x, b))
     with pytest.raises(ValueError, match="current paths"):
-        draw_beta_monotone(lo, None, x, z, sig, np.zeros((t_len, 2)), handle)
+        draw_beta_monotone(lo, None, x, z, sig, np.zeros((t_len, 2)), gen)
 
 
 def test_monotone_draw_detects_crossing_paths():
     y, x = small_problem(seed=13)
     t_len = len(y)
-    handle = RngHandle(14)
-    z = draw_latent(np.median(y), y, np.zeros(t_len), handle)
+    gen = stream_generator(14)
+    z = draw_latent(np.median(y), y, np.zeros(t_len), gen)
     lower = np.zeros(t_len)
     upper = np.zeros(t_len) - 0.1
     with pytest.raises(MonotonicityError, match="cross at t="):
         draw_beta_monotone(lower, upper, x, z, np.array([0.3, 0.3]), np.zeros((t_len, 2)),
-                           handle)
+                           gen)
 
 
 def test_monotone_draw_requires_intercept():
     y, x = small_problem(seed=15)
     x = x.copy()
     x[:, 0] = 2.0
-    handle = RngHandle(16)
+    gen = stream_generator(16)
     with pytest.raises(ValueError, match="intercept"):
         draw_beta_monotone(np.zeros(len(y)), None, x, np.zeros(len(y)),
-                           np.array([0.3, 0.3]), np.zeros((len(y), 2)), handle)
+                           np.array([0.3, 0.3]), np.zeros((len(y), 2)), gen)
 
 
 def test_monotone_matches_unconstrained_when_single_threshold():
@@ -400,16 +398,16 @@ def test_run_gibbs_shapes_metadata_and_reproducibility():
 
 
 def test_run_gibbs_draws_the_spec_seed_on_the_stream_it_records():
-    # the seed is the spec's and the stream keyword-only, so a handle or
+    # the seed is the spec's and the stream keyword-only, so a generator or
     # seed passed the old way fails loudly instead of being read as a stream
     y, x = small_problem(seed=19, t_len=12)
     grid = build_threshold_grid(float(y.min()), float(y.max()), 0.5)
     spec = ModelSpec(d=2, grid=grid, iterations=4, burnin=2, seed=5)
     draws = run_gibbs(spec, (y, x), stream=2)
     assert (draws.seed, draws.stream) == (5, 2)
-    beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(5, stream=2).rng)
+    beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(5, 2))
     assert np.array_equal(draws.beta, beta) and np.array_equal(draws.sigma2, sigma2)
-    for old in (RngHandle(5), 5):
+    for old in (stream_generator(5), 5):
         with pytest.raises(TypeError, match="positional"):
             run_gibbs(spec, (y, x), old)
 
@@ -519,15 +517,15 @@ def test_batched_fitted_values_match_single_calls_bitwise():
 def test_draws_accept_a_leading_threshold_axis():
     y, x = small_problem(seed=26, t_len=10, d=2)
     beta = np.zeros((3, 10, 2))
-    z = draw_latent(np.array([-0.5, 0.0, 0.5]), y, fitted_values(x, beta), RngHandle(27))
+    z = draw_latent(np.array([-0.5, 0.0, 0.5]), y, fitted_values(x, beta), stream_generator(27))
     assert z.shape == (3, 10)
     assert np.all((z > 0.0) == (y <= np.array([-0.5, 0.0, 0.5])[:, None]))
     sig = np.full((3, 2), 0.3)
-    assert draw_beta_unconstrained(x, z, sig, RngHandle(28)).shape == (3, 10, 2)
-    assert draw_sigma2(beta, 3.0, 0.01, RngHandle(29)).shape == (3, 2)
+    assert draw_beta_unconstrained(x, z, sig, stream_generator(28)).shape == (3, 10, 2)
+    assert draw_sigma2(beta, 3.0, 0.01, stream_generator(29)).shape == (3, 2)
     lower = np.vstack([np.full(10, -np.inf), np.full((2, 10), -1.0)])
     upper = np.vstack([np.full((2, 10), 1.0), np.full(10, np.inf)])
-    b, fits = draw_beta_monotone(lower, upper, x, z, sig, beta, RngHandle(30))
+    b, fits = draw_beta_monotone(lower, upper, x, z, sig, beta, stream_generator(30))
     assert b.shape == (3, 10, 2)
     assert np.array_equal(fits, fitted_values(x, b))
     assert np.all((fits >= lower) & (fits <= upper))
@@ -560,12 +558,12 @@ def test_monotone_draw_pins_degenerate_boxes(rows, monkeypatch):
         return joint
 
     monkeypatch.setattr(model_mod, "draw_beta_unconstrained", checked_joint_draw)
-    handle = RngHandle(32)
-    z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), handle)
+    gen = stream_generator(32)
+    z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), gen)
     beta = np.zeros((len(rows), 10, 2))
     for _ in range(20):
         beta, fits = draw_beta_monotone(lower, upper, x, z, np.full((len(rows), 2), 0.3),
-                                        beta, handle)
+                                        beta, gen)
         assert np.array_equal(fits[pinned], lower[pinned])
         assert np.all((fits[~pinned] > lower[~pinned]) & (fits[~pinned] < upper[~pinned]))
 
@@ -595,7 +593,7 @@ def test_repair_leftover_raises():
     z = np.linspace(-1.0, 1.0, t_len)
     with pytest.raises(MonotonicityError, match=r"outside its ordering box .* at t=\d+ after"):
         draw_beta_monotone(box, box, x, z, np.array([0.3, 0.3]), np.zeros((t_len, 2)),
-                           RngHandle(25))
+                           stream_generator(25))
 
 
 def test_repair_steps_an_intercept_by_its_own_ulp():
@@ -656,7 +654,7 @@ def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
         spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
                          seed=d + n_thresholds)
         draws = run_gibbs(spec, (y, x))
-        beta, sigma2 = public_draw_loop(spec, y, x, RngHandle(spec.seed).rng)
+        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed))
         assert np.array_equal(draws.beta, beta)
         assert np.array_equal(draws.sigma2, sigma2)
 

@@ -1,4 +1,4 @@
-"""Random stream handling and the three sampling primitives.
+"""Random streams and the three sampling primitives.
 
 Distributional checks use moderate draw counts and 4+ sigma tolerances so
 they are deterministic in practice under the pinned seeds.
@@ -10,12 +10,11 @@ from scipy.special import log_ndtr, ndtr
 
 from tvpdr.banded import assemble_precision
 from tvpdr.samplers import (
-    RngHandle,
     _truncated_std_normal,
-    as_generator,
     sample_gaussian_precision,
     sample_truncated_mvn,
     sample_truncated_normal,
+    stream_generator,
 )
 
 from reference import (
@@ -30,48 +29,60 @@ from reference import (
 )
 
 
-def test_rng_handle_reproducible_and_stream_separated():
-    a = RngHandle(123).rng.standard_normal(5)
-    b = RngHandle(123).rng.standard_normal(5)
+def test_stream_generator_reproducible_and_stream_separated():
+    a = stream_generator(123).standard_normal(5)
+    b = stream_generator(123).standard_normal(5)
     assert np.array_equal(a, b)
-    c = RngHandle(123, stream=1).rng.standard_normal(5)
+    c = stream_generator(123, 1).standard_normal(5)
     assert not np.array_equal(a, c)
-    # the handle caches its generator: consecutive use advances one stream
-    h = RngHandle(7)
-    first = h.rng.standard_normal(3)
-    second = h.rng.standard_normal(3)
+    # each call starts the stream afresh; one generator advances through it
+    gen = stream_generator(7)
+    first = gen.standard_normal(3)
+    second = gen.standard_normal(3)
     assert not np.array_equal(first, second)
+    assert np.array_equal(stream_generator(7).standard_normal(3), first)
 
 
-def test_rng_handle_validates_range():
+@pytest.mark.parametrize("seed, stream", [(0, 0), (123, 1), (2**64 - 1, 3),
+                                          (np.uint64(2**64 - 1), np.int32(3)),
+                                          (np.int64(123), np.uint8(1))])
+def test_stream_generator_is_sfc64_on_the_seed_sequence_spawn_key(seed, stream):
+    # the scheme DRAW_SCHEME names; its output is the same on every platform
+    want = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(int(seed), spawn_key=(int(stream),))))
+    got = stream_generator(seed, stream)
+    assert type(got.bit_generator) is np.random.SFC64
+    expected = want.random(8), want.standard_normal(8)
+    assert np.array_equal(got.random(8), expected[0])
+    assert np.array_equal(got.standard_normal(8), expected[1])
+    if stream == 0:  # the default stream
+        assert np.array_equal(stream_generator(seed).random(8), expected[0])
+
+
+def test_stream_generator_validates_range():
     with pytest.raises(ValueError):
-        RngHandle(-1)
+        stream_generator(-1)
     with pytest.raises(ValueError):
-        RngHandle(0, stream=2**64)
-    with pytest.raises(TypeError):
-        as_generator(object())
+        stream_generator(0, 2**64)
     # ModelSpec.seed's rule: a bool, float or string is no seed or stream,
     # not a stand-in for the integer it rounds or converts to
     for bad in (1.5, True, "3", np.float64(2.0)):
         with pytest.raises(TypeError, match="seed must be an integer"):
-            RngHandle(bad)
+            stream_generator(bad)
     for bad in (2.7, False, "1"):
         with pytest.raises(TypeError, match="stream must be an integer"):
-            RngHandle(0, stream=bad)
-    handle = RngHandle(np.uint64(2**64 - 1), stream=np.int32(3))
-    assert type(handle.seed) is int and type(handle.stream) is int
-    assert handle.rng.random() == RngHandle(2**64 - 1, stream=3).rng.random()
+            stream_generator(0, bad)
 
 
 def test_truncated_normal_half_normal_mean():
-    rng = RngHandle(11)
+    rng = stream_generator(11)
     z = sample_truncated_normal(0.0, 1.0, np.zeros(1_000_000), np.inf, rng)
     assert abs(z.mean() - HALF_NORMAL_MEAN) < 3e-3
     assert z.min() > 0.0
 
 
 def test_truncated_normal_within_bounds_and_scalar():
-    rng = RngHandle(12)
+    rng = stream_generator(12)
     x = sample_truncated_normal(1.0, 2.0, -0.5, 0.5, rng)
     assert isinstance(x, float)
     assert -0.5 < x < 0.5
@@ -100,7 +111,7 @@ def test_truncated_normal_ks_against_exact_cdf():
     # piles draws on the clamps and fails here.
     n = 200_000
     mean, sd, lower, upper = (np.tile(col, n) for col in np.array(LAW_BOXES).T)
-    draws = sample_truncated_normal(mean, sd, lower, upper, RngHandle(13))
+    draws = sample_truncated_normal(mean, sd, lower, upper, stream_generator(13))
     assert np.all((draws > lower) & (draws < upper))
     for j, box in enumerate(LAW_BOXES):
         z = draws[j :: len(LAW_BOXES)]
@@ -108,7 +119,7 @@ def test_truncated_normal_ks_against_exact_cdf():
 
 
 def test_truncated_normal_deep_tail_regions():
-    rng = RngHandle(14)
+    rng = stream_generator(14)
     # wide right tail: mean must match the inverse Mills ratio at the cut
     z = sample_truncated_normal(0.0, 1.0, np.full(100_000, 6.0), np.inf, rng)
     assert np.all(z > 6.0)
@@ -125,15 +136,15 @@ def test_truncated_normal_deep_tail_regions():
 @pytest.mark.parametrize("a", [12.0, 20.0, 25.0, 40.0])
 def test_truncated_normal_far_tails(a):
     # inversion reaches 30 sd; a = 40 still goes through rejection
-    z = sample_truncated_normal(0.0, 1.0, np.full(100_000, a), np.inf, RngHandle(22))
+    z = sample_truncated_normal(0.0, 1.0, np.full(100_000, a), np.inf, stream_generator(22))
     assert np.all(z > a)
     mills = np.exp(-0.5 * a * a - log_ndtr(-a)) / np.sqrt(2.0 * np.pi)
     assert abs(z.mean() - mills) < 5.0 * z.std() / np.sqrt(z.size)
     # the left tail mirrors the right, draw for draw
-    v = sample_truncated_normal(0.0, 1.0, -np.inf, np.full(100_000, -a), RngHandle(22))
+    v = sample_truncated_normal(0.0, 1.0, -np.inf, np.full(100_000, -a), stream_generator(22))
     assert np.array_equal(v, -z)
     # a sliver 1e-4 wide stays strictly inside and is not piled on a bound
-    w = sample_truncated_normal(0.0, 1.0, np.full(10_000, a), a + 1e-4, RngHandle(23))
+    w = sample_truncated_normal(0.0, 1.0, np.full(10_000, a), a + 1e-4, stream_generator(23))
     assert np.all((w > a) & (w < a + 1e-4))
     assert abs((w - a).mean() / 1e-4 - 0.5) < 0.02
 
@@ -166,7 +177,7 @@ def test_truncated_normal_matches_the_frozen_kernel_within_4_sd(case):
                  (0.0, np.array([[1.0], [2.0]]), lo, lo + 0.25), (np.zeros(5), 1.0, 0.0, np.inf)]
     for mean, sd, lower, upper in calls:
         a, b = np.broadcast_arrays(np.subtract(lower, mean) / sd, np.subtract(upper, mean) / sd)
-        draw = sample_truncated_normal(mean, sd, lower, upper, RngHandle(1))
+        draw = sample_truncated_normal(mean, sd, lower, upper, stream_generator(1))
         assert np.shape(draw) == a.shape and (type(draw) is float) == (a.ndim == 0)
         a, b = a.ravel(), b.ravel()
         seed = int(rs.integers(2**32))
@@ -180,7 +191,7 @@ def test_truncated_normal_matches_the_frozen_kernel_within_4_sd(case):
 
 
 def test_truncated_normal_rejects_bad_input():
-    rng = RngHandle(15)
+    rng = stream_generator(15)
     with pytest.raises(ValueError, match="empty truncation interval"):
         sample_truncated_normal(0.0, 1.0, 1.0, 1.0, rng)
     with pytest.raises(ValueError):
@@ -198,8 +209,8 @@ def test_gaussian_precision_sampler_moments():
     cov = np.linalg.inv(dense)
     b = rng.normal(size=4)
     mu = cov @ b
-    handle = RngHandle(17)
-    draws = np.stack([sample_gaussian_precision(prec, b, handle) for _ in range(60_000)])
+    gen = stream_generator(17)
+    draws = np.stack([sample_gaussian_precision(prec, b, gen) for _ in range(60_000)])
     se = np.sqrt(np.diag(cov) / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mu) < 4.0 * se)
     sample_cov = np.cov(draws.T)
@@ -209,13 +220,13 @@ def test_gaussian_precision_sampler_moments():
 def test_truncated_mvn_unit_box_coordinate_mean():
     # N(0, I2) truncated to [0,1]^2: coordinates are independent, each with
     # mean (phi(0) - phi(1)) / (Phi(1) - Phi(0))
-    handle = RngHandle(18)
+    gen = stream_generator(18)
     n = 25_000
     out = np.empty((n, 2))
     x = np.full(2, 0.5)
     for i in range(n):
         x = sample_truncated_mvn(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2),
-                                 x, 2, handle)
+                                 x, 2, gen)
         out[i] = x
     assert np.all((out > 0.0) & (out < 1.0))
     assert np.all(np.abs(out.mean(axis=0) - UNIT_BOX_COORD_MEAN) < 7e-3)
@@ -234,12 +245,12 @@ def test_truncated_mvn_tracks_correlated_target():
     raw = gen.multivariate_normal(np.zeros(2), cov, size=400_000)
     keep = raw[np.all((raw > lo) & (raw < hi), axis=1)]
 
-    handle = RngHandle(20)
+    gen = stream_generator(20)
     n = 30_000
     out = np.empty((n, 2))
     x = np.array([0.5, 1.0])
     for i in range(n):
-        x = sample_truncated_mvn(diag, off, np.zeros(2), lo, hi, x, 3, handle)
+        x = sample_truncated_mvn(diag, off, np.zeros(2), lo, hi, x, 3, gen)
         out[i] = x
     assert np.all(np.abs(out.mean(axis=0) - keep.mean(axis=0)) < 0.015)
     assert np.all(np.abs(out.std(axis=0) - keep.std(axis=0)) < 0.015)
@@ -296,27 +307,27 @@ def test_truncated_mvn_matches_the_frozen_sweep():
 
 def test_truncated_mvn_validates():
     diag, off, rhs, box = np.ones(2), np.zeros(2), np.zeros(2), (np.zeros(2), np.ones(2))
-    handle = RngHandle(21)
+    gen = stream_generator(21)
     with pytest.raises(ValueError, match="empty truncation box at coordinate 1"):
         sample_truncated_mvn(diag, off, rhs, np.array([0.0, 1.0]), np.array([1.0, 1.0]),
-                             np.full(2, 0.5), 1, handle)
+                             np.full(2, 0.5), 1, gen)
     with pytest.raises(ValueError, match="outside the truncation box"):
-        sample_truncated_mvn(diag, off, rhs, *box, np.array([0.5, 2.0]), 1, handle)
+        sample_truncated_mvn(diag, off, rhs, *box, np.array([0.5, 2.0]), 1, gen)
     with pytest.raises(ValueError, match="sweeps"):
-        sample_truncated_mvn(diag, off, rhs, *box, np.full(2, 0.5), 0, handle)
+        sample_truncated_mvn(diag, off, rhs, *box, np.full(2, 0.5), 0, gen)
     with pytest.raises(ValueError, match=r"off has shape \(1,\), expected \(2,\)"):
-        sample_truncated_mvn(diag, np.zeros(1), rhs, *box, np.full(2, 0.5), 1, handle)
+        sample_truncated_mvn(diag, np.zeros(1), rhs, *box, np.full(2, 0.5), 1, gen)
     # checked once per call, before any draw
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="rhs must be finite"):
             sample_truncated_mvn(diag, off, np.array([0.0, bad]), *box, np.full(2, 0.5), 1,
-                                 handle)
+                                 gen)
     for bad in (np.inf, np.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="precision diagonal must be finite and positive"):
             sample_truncated_mvn(np.array([1.0, bad]), off, rhs, *box, np.full(2, 0.5), 1,
-                                 handle)
+                                 gen)
     # and per sweep, a conditional mean that overflows
     with pytest.raises(ValueError, match="conditional mean is not finite"), \
             np.errstate(over="ignore"):
         sample_truncated_mvn(np.array([1e-300, 1.0]), np.array([1e300, 0.0]), rhs, *box,
-                             np.full(2, 0.5), 1, handle)
+                             np.full(2, 0.5), 1, gen)

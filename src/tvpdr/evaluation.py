@@ -40,7 +40,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
-from .samplers import DRAW_SCHEME
+from .samplers import DRAW_SCHEME, _integer
 
 __all__ = [
     "BacktestPlan",
@@ -110,7 +110,8 @@ class BacktestPlan:
     """Evaluation design: window, refit cadence, and scored quantiles.
 
     ``lag`` is the covariate lag the rows are aligned with, as in
-    ``assemble_design``.
+    ``assemble_design``. ``refit_every`` and ``lag`` are integers: a bool or
+    a float is refused, and a numpy integer is stored as a plain int.
     """
 
     initial_start: str
@@ -122,6 +123,8 @@ class BacktestPlan:
     def __post_init__(self):
         if parse_quarter(self.initial_start) >= parse_quarter(self.initial_end):
             raise ValueError("initial window must start before it ends")
+        for name in ("refit_every", "lag"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.refit_every < 1:
             raise ValueError("refit_every must be >= 1")
         if self.lag < 1:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, add_prior_diagonal,
-                     assemble_precision, likelihood_band)
+from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, _StackedPrecision,
+                     add_prior_diagonal, walk_diagonal)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (_draw, _uint64, sample_gaussian_precision, sample_truncated_mvn,
+from .samplers import (_draw, _gaussian_precision, _integer, _uint64, sample_truncated_mvn,
                        stream_generator)
 
 __all__ = [
@@ -63,6 +63,11 @@ class EstimationError(RuntimeError):
 LINKS = {"probit": PROBIT}
 
 
+# ``fitted_values``'s einsum; ``run_gibbs`` runs it on contiguous operands
+# straight into the state's fits.
+_FITS = "td,...td->...t"
+
+
 def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """g(x_t)' beta_t for every t; ``beta`` may carry a leading threshold axis.
 
@@ -72,7 +77,7 @@ def fitted_values(design: np.ndarray, beta: np.ndarray) -> np.ndarray:
     follows memory layout, so both operands are made C-contiguous: a batched
     call then equals the per-threshold calls bit for bit.
     """
-    return np.einsum("td,...td->...t", np.ascontiguousarray(design), np.ascontiguousarray(beta))
+    return np.einsum(_FITS, np.ascontiguousarray(design), np.ascontiguousarray(beta))
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,9 @@ class ModelSpec:
     the model is probit (``distribution.PROBIT``) by construction. The priors:
     beta_1 ~ N(0, V I) with V = ``banded.FIRST_STATE_VARIANCE``, increments
     N(0, diag sigma2), and every sigma2_j ~ IG(``ig_prior_nu``, ``ig_prior_s``).
+    The counts ``d``, ``iterations``, ``burnin`` and ``truncation_sweeps``
+    are integers: a bool or a float is refused, even 2.0, and a numpy
+    integer is stored as a plain int, so one model has one spec hash.
     """
 
     d: int
@@ -97,6 +105,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "iterations", "burnin", "truncation_sweeps"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if self.design_transform not in DESIGN_TRANSFORMS:
@@ -198,8 +208,16 @@ def _latent_box(threshold, y: np.ndarray) -> tuple:
     return lower, upper, np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf)
 
 
-def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, gen: np.random.Generator,
-                box=None) -> np.ndarray:
+def _draw_latent(fits: np.ndarray, box: tuple, gen: np.random.Generator) -> np.ndarray:
+    """``draw_latent``'s core: ``box`` is ``_latent_box(threshold, y)``,
+    which depends only on the data and the thresholds, so a sampler builds
+    it once per fit. Checks only that the fits are finite."""
+    if not np.isfinite(fits).all():
+        raise ValueError("latent draw needs finite fitted values")
+    return _draw(fits, 1.0, *box, gen)
+
+
+def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Latent utilities: one-sided truncated normals around the fits.
 
     ``fits`` is g(x_t)' beta_t, ``fitted_values(design, beta)`` of the
@@ -212,44 +230,68 @@ def draw_latent(threshold, y: np.ndarray, fits: np.ndarray, gen: np.random.Gener
     these bounds, through its unchecked core: the fit is checked here, the
     bounds are valid by construction, and their clamps are moved one ulp
     inside as that draw moves them. A non-finite fit raises ValueError.
-
-    The bounds depend only on the data and the thresholds, so a sampler
-    builds them once per fit, as ``_latent_box(threshold, y)``, and passes
-    them as ``box``; the draws are the same.
     """
-    fits = np.asarray(fits, dtype=np.float64)
-    if not np.isfinite(fits).all():
-        raise ValueError("latent draw needs finite fitted values")
-    if box is None:
-        box = _latent_box(threshold, y)
-    return _draw(fits, 1.0, *box, gen)
+    return _draw_latent(np.asarray(fits, dtype=np.float64), _latent_box(threshold, y), gen)
 
 
-def _likelihood_rhs(design: np.ndarray, latent: np.ndarray) -> np.ndarray:
-    """X'z of one path or a stack of them, flattened: entry (b, t, j) is
-    g_tj z_bt, filled one coefficient at a time along the long axes."""
-    rhs = np.empty(latent.shape + design.shape[1:])
+def _draw_paths(design, precision: _StackedPrecision, latent, sigma2, gen: np.random.Generator,
+                out: np.ndarray) -> np.ndarray:
+    """``draw_beta_unconstrained``'s core, on per-fit buffers.
+
+    ``precision`` is the per-fit ``_StackedPrecision`` of ``design``, for at
+    least B paths, and ``out`` a C-contiguous (B, T, d) float64 buffer. It
+    receives X'z, entry (b, t, j) g_tj z_bt, filled one coefficient at a
+    time along the long axes, and then the draw, in place; the precision is
+    factored in place. Returns ``out``. Checks only what depends on the
+    draws: positive variances, a finite X'z and the pivots.
+    """
     for j in range(design.shape[1]):
-        np.multiply(latent, design[:, j], out=rhs[..., j])
-    return rhs.ravel()
+        np.multiply(latent, design[:, j], out=out[..., j])
+    _gaussian_precision(precision(sigma2), out.reshape(-1), gen)
+    return out
 
 
-def draw_beta_unconstrained(design, latent, sigma2, gen: np.random.Generator,
-                            likelihood=None, out=None) -> np.ndarray:
+def draw_beta_unconstrained(design, latent, sigma2, gen: np.random.Generator) -> np.ndarray:
     """Joint draw of one threshold's path from N(K^{-1} X'z, K^{-1}).
 
     With latents (B, T) and variances (B, d) the B paths come from one
-    stacked block-diagonal system and the result is (B, T, d). Nothing
-    reads the precision after the draw, so it is factored in place.
-    ``likelihood`` and ``out`` go to ``assemble_precision``: the per-fit
-    X'X band and the band storage to reuse.
+    stacked block-diagonal system and the result is (B, T, d). The
+    precision is ``assemble_precision(design, sigma2)``; nothing reads it
+    after the draw, so it is factored in place.
     """
     design = np.asarray(design, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
-    precision = assemble_precision(design, sigma2, likelihood=likelihood, out=out)
-    b = _likelihood_rhs(design, latent)
-    return sample_gaussian_precision(precision, b, gen, overwrite=True).reshape(
-        latent.shape + design.shape[1:])
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    precision = _StackedPrecision(design, len(np.atleast_2d(latent)))
+    t_len, d = design.shape
+    if latent.ndim not in (1, 2) or latent.shape[-1] != t_len:
+        raise ValueError(f"latent has shape {latent.shape}, expected ({t_len},) or (B, {t_len})")
+    if sigma2.shape != latent.shape[:-1] + (d,):
+        raise ValueError(f"sigma2 has shape {sigma2.shape}, expected {latent.shape[:-1] + (d,)}")
+    return _draw_paths(design, precision, latent, sigma2.reshape(-1, d), gen,
+                       np.empty(latent.shape + (d,)))
+
+
+def _draw_sigma2(beta, nu: float, s: float, gen: np.random.Generator, increments: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """``draw_sigma2``'s core, on per-fit buffers: ``increments``
+    (..., T - 1, d) receives the squared increments and ``out`` (..., d) the
+    variances, which it returns. The prior and the shapes are checked once
+    per fit."""
+    t_len, d = beta.shape[-2:]
+    sq = np.square(np.subtract(beta[..., 1:, :], beta[..., :-1, :], out=increments), out=increments)
+    # For d > 1, np.sum(axis=-2) adds over t in sequence through a strided
+    # pass; einsum adds in the same order along rows, so the sums are equal
+    # bit for bit. At d = 1 the t axis is contiguous and np.sum's pairwise
+    # order is kept.
+    rss = np.sum(sq, axis=-2) if d == 1 else np.einsum("...td->...d", sq)
+    rss *= 0.5
+    rss += s
+    scale = np.divide(1.0, rss, out=rss)
+    # ``gen.gamma(shape, scale)`` is ``scale * gen.standard_gamma(shape)``,
+    # draw for draw, without the broadcast of a per-draw scale
+    draw = gen.standard_gamma(nu + 0.5 * (t_len - 1), size=scale.shape)
+    return np.divide(1.0, np.multiply(draw, scale, out=draw), out=out)
 
 
 def draw_sigma2(beta, nu: float, s: float, gen: np.random.Generator) -> np.ndarray:
@@ -263,16 +305,11 @@ def draw_sigma2(beta, nu: float, s: float, gen: np.random.Generator) -> np.ndarr
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim not in (2, 3) or beta.shape[-2] < 2:
         raise ValueError("beta must be (T, d) or (B, T, d) with T >= 2")
-    t_len, d = beta.shape[-2:]
     if np.ndim(nu) != 0 or np.ndim(s) != 0 or not (nu > 0.0 and s > 0.0):
         raise ValueError("prior parameters must be two positive numbers")
-    sq = np.square(np.diff(beta, axis=-2))
-    # For d > 1, np.sum(axis=-2) adds over t in sequence through a strided
-    # pass; einsum adds in the same order along rows, so the sums are equal
-    # bit for bit. At d = 1 the t axis is contiguous and np.sum's pairwise
-    # order is kept.
-    rss = np.sum(sq, axis=-2) if d == 1 else np.einsum("...td->...d", sq)
-    return 1.0 / gen.gamma(nu + 0.5 * (t_len - 1), 1.0 / (s + 0.5 * rss))
+    t_len, d = beta.shape[-2:]
+    return _draw_sigma2(beta, nu, s, gen, np.empty(beta.shape[:-2] + (t_len - 1, d)),
+                        np.empty(beta.shape[:-2] + (d,)))
 
 
 def _tridiag_submatrix(diag, off, keep):
@@ -300,7 +337,7 @@ def _intercept_system(design, latent, sigma2, rest):
     """
     inv = 1.0 / sigma2[:, 0]
     diag = np.ones(latent.shape)
-    add_prior_diagonal(diag, inv)
+    add_prior_diagonal(diag, inv, walk_diagonal(latent.shape[-1]))
     off = np.zeros_like(diag)
     off[:, :-1] = -inv[:, None]
     acc = diag * rest[..., 0]
@@ -345,6 +382,53 @@ def _repair_ordering(beta, design, lower, upper):
         f"{upper[row, t]:.17g}] at t={t} after 64 repair steps", path=row)
 
 
+def _draw_monotone(lo_path, up_path, design, precision: _StackedPrecision, latent, sigma2,
+                   current, gen: np.random.Generator, sweeps: int, out: np.ndarray) -> tuple:
+    """``draw_beta_monotone``'s core, on per-fit buffers.
+
+    Neighbor paths, latents and variances are stacked, (B, T) and (B, d),
+    ``current`` is (B, T, d), and ``precision`` and ``out`` are the joint
+    draw's per-fit buffers (``_draw_paths``); the paths are drawn into
+    ``out``. The design's intercept column is checked once per fit.
+    Returns the paths and their fits.
+    """
+    beta = _draw_paths(design, precision, latent, sigma2, gen, out)
+
+    if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
+        return beta, fitted_values(design, beta)
+    if np.any(lo_path > up_path):
+        row, t = np.argwhere(lo_path > up_path)[0]
+        raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
+                                f"{lo_path[row, t]:.6g} > upper {up_path[row, t]:.6g}", path=row)
+
+    # box on the intercepts given the non-intercept block
+    rest = beta.copy()
+    rest[..., 0] = 0.0
+    base = fitted_values(design, rest)
+    lo = (lo_path - base).ravel()
+    up = (up_path - base).ravel()
+    pinned = np.isfinite(lo) & (lo >= up)
+    free = ~pinned
+
+    # Conditional of the free intercepts given the rest and the pinned ones:
+    # precision K_ff and canonical rhs (X'z - K rest)_f with the pinned
+    # values placed in rest. The intercept block of K is tridiagonal, since
+    # only the random-walk prior couples neighboring intercepts, and it is
+    # zero across path boundaries.
+    rest[..., 0] = np.where(pinned, lo, 0.0).reshape(lo_path.shape)
+    x1 = rest[..., 0].ravel()
+    if free.any():
+        diag, off, rhs = _intercept_system(design, latent, sigma2, rest)
+        diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
+        init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free],
+                       lo[free], up[free])
+        x1[free] = sample_truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo[free], up[free],
+                                        init, sweeps, gen)
+
+    beta[..., 0] = x1.reshape(lo_path.shape)
+    return _repair_ordering(beta, design, lo_path, up_path)
+
+
 def draw_beta_monotone(
     lower_path,
     upper_path,
@@ -354,8 +438,6 @@ def draw_beta_monotone(
     current,
     gen: np.random.Generator,
     sweeps: int = ModelSpec.truncation_sweeps,
-    likelihood=None,
-    out=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Path draw for one threshold under the fitted-value ordering box.
 
@@ -379,14 +461,13 @@ def draw_beta_monotone(
     result; the intercept sweep continues the chain from their intercepts,
     clipped into the new box, which makes the update a Gibbs step.
 
-    ``likelihood`` and ``out`` go to the joint draw, which factors in
-    place; it is the only factorization here. The intercept step builds
-    the intercepts' tridiagonal precision and canonical rhs from sigma2_0,
-    the latents and the drawn slopes. Intercepts whose box is a single
-    point are pinned to it; the free ones are drawn by ``sweeps`` two-colour
-    sweeps of ``sample_truncated_mvn``, which reads each conditional mean
-    from that precision and rhs. Returns the paths and their fits, which
-    the ordering check computes anyway.
+    The joint draw factors in place; it is the only factorization here. The
+    intercept step builds the intercepts' tridiagonal precision and
+    canonical rhs from sigma2_0, the latents and the drawn slopes.
+    Intercepts whose box is a single point are pinned to it; the free ones
+    are drawn by ``sweeps`` two-colour sweeps of ``sample_truncated_mvn``,
+    which reads each conditional mean from that precision and rhs. Returns
+    the paths and their fits, which the ordering check computes anyway.
     """
     design = np.asarray(design, dtype=np.float64)
     d = design.shape[1]
@@ -401,44 +482,13 @@ def draw_beta_monotone(
     lo_path, up_path = (np.asarray(p, dtype=np.float64) for p in (lo_path, up_path))
     if lo_path.shape != latent.shape or up_path.shape != latent.shape:
         raise ValueError("neighbor paths must have one entry per time point")
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if sigma2.shape != latent.shape[:-1] + (d,):
+        raise ValueError(f"sigma2 has shape {sigma2.shape}, expected {latent.shape[:-1] + (d,)}")
     lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
-
-    beta = draw_beta_unconstrained(design, latent, sigma2, gen, likelihood=likelihood, out=out)
-
-    if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
-        fits = fitted_values(design, beta)
-        return (beta[0], fits[0]) if single else (beta, fits)
-    if np.any(lo_path > up_path):
-        row, t = np.argwhere(lo_path > up_path)[0]
-        raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
-                                f"{lo_path[row, t]:.6g} > upper {up_path[row, t]:.6g}", path=row)
-
-    # box on the intercepts given the non-intercept block
-    rest = beta.copy()
-    rest[..., 0] = 0.0
-    base = fitted_values(design, rest)
-    lo = (lo_path - base).ravel()
-    up = (up_path - base).ravel()
-    pinned = np.isfinite(lo) & (lo >= up)
-    free = ~pinned
-
-    # Conditional of the free intercepts given the rest and the pinned ones:
-    # precision K_ff and canonical rhs (X'z - K rest)_f with the pinned
-    # values placed in rest. The intercept block of K is tridiagonal, since
-    # only the random-walk prior couples neighboring intercepts, and it is
-    # zero across path boundaries.
-    rest[..., 0] = np.where(pinned, lo, 0.0).reshape(lo_path.shape)
-    x1 = rest[..., 0].ravel()
-    if free.any():
-        diag, off, rhs = _intercept_system(design, latent, np.reshape(sigma2, (-1, d)), rest)
-        diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
-        init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free],
-                       lo[free], up[free])
-        x1[free] = sample_truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo[free], up[free],
-                                        init, sweeps, gen)
-
-    beta[..., 0] = x1.reshape(lo_path.shape)
-    beta, fits = _repair_ordering(beta, design, lo_path, up_path)
+    beta, fits = _draw_monotone(lo_path, up_path, design, _StackedPrecision(design, len(latent)),
+                                latent, sigma2.reshape(-1, d), current, gen, sweeps,
+                                np.empty(latent.shape + (d,)))
     return (beta[0], fits[0]) if single else (beta, fits)
 
 
@@ -480,13 +530,20 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
     kept iteration exactly ordered across the whole grid. Unconstrained
     mode is one batch of all K.
 
-    What does not change within a fit is built once, before the first
-    iteration: the likelihood band X'X, each batch's latent bounds, and the
-    band storage, which every path draw refills in place. Batches
-    are strided views of the state. In monotone mode the fits the ordering
-    check computes become the state's fits, and so the neighbors' bounds,
-    directly; an unconstrained batch computes its fits once after its path
-    draw. The draws are those of calling the public draws batch by batch.
+    What does not change within a fit is built and checked once, before
+    the first iteration: the likelihood band X'X, the walk diagonal, each
+    batch's latent bounds, the band storage, which every path draw refills
+    and factors in place, the buffer the paths are drawn into and the
+    variance draw's increment buffer. The batches take turns with one set
+    of buffers, sized for the larger colour. Batches are strided views of
+    the state. An unconstrained batch is all of it, so its paths are drawn
+    straight into the state, and its fits and variances are written there
+    too. In monotone mode the fits the ordering check computes become the
+    state's fits, and so the neighbors' bounds, directly. Per batch, only
+    what depends on the draws is checked: finite fits and X'z, positive
+    variances and positive finite pivots. The draws are those of calling
+    the public draws batch by batch, which run the same cores on buffers of
+    their own.
 
     ``buffers(kept, K, T, d)`` returns the (kept, K, Q, d) and (kept, K, d)
     targets that receive the kept draws, one ``target[i] = draw`` per kept
@@ -504,7 +561,7 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
         raise ValueError("data must be (y, x) with matching lengths")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x_raw))):
         raise ValueError("estimation data must be free of missing values")
-    design = apply_design_transform(x_raw, spec.design_transform)
+    design = np.ascontiguousarray(apply_design_transform(x_raw, spec.design_transform))
     t_len, d = design.shape
     if d != spec.d:
         raise ValueError(f"design has {d} columns after transform, spec says {spec.d}")
@@ -527,37 +584,39 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
 
     # Per-fit workspace. Rows 1..K of ``bounds`` are the fits, with open
     # bounds beyond the ends of the grid, so a batch's neighbor fits are
-    # strided views of it. The batches take turns with one band storage:
-    # its leading columns are Fortran-ordered storage for a smaller batch.
+    # strided views of it. The batches take turns with one band storage,
+    # one path buffer and one increment buffer, whose leading rows serve a
+    # smaller batch.
     bounds = np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
                         np.full(t_len, np.inf)])
     state.fitted = bounds[1:-1]
-    likelihood = likelihood_band(design)
     colors = [slice(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [slice(0, k)]
-    storage = np.empty((d + 1, len(range(k)[colors[0]]) * t_len * d), order="F")
+    size = len(range(k)[colors[0]])
+    precision = _StackedPrecision(design, size)
+    paths = np.empty((size, t_len, d)) if spec.monotone else state.beta
+    increments = np.empty((size, t_len - 1, d))
+    nu, s = spec.ig_prior_nu, spec.ig_prior_s
     work = []
     for batch in colors:
         rows = range(k)[batch]
         neighbors = (bounds[batch], bounds[batch.start + 2 : k + 2 : 2]) if spec.monotone else ()
-        work.append((batch, rows, _latent_box(grid.points[batch], y),
-                     storage[:, : len(rows) * t_len * d], neighbors))
+        work.append((batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
+                     increments[: len(rows)], neighbors))
 
     for it in range(spec.iterations):
-        for batch, rows, box, storage, neighbors in work:
+        for batch, rows, box, into, inc, neighbors in work:
             try:
-                latent = draw_latent(grid.points[batch], y, state.fitted[batch], gen, box=box)
+                latent = _draw_latent(state.fitted[batch], box, gen)
                 if spec.monotone:
-                    beta, fits = draw_beta_monotone(
-                        *neighbors, design, latent, state.sigma2[batch], state.beta[batch], gen,
-                        sweeps=spec.truncation_sweeps, likelihood=likelihood, out=storage,
-                    )
-                else:
-                    beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen,
-                                                   likelihood=likelihood, out=storage)
-                    fits = fitted_values(design, beta)
-                state.beta[batch] = beta
-                state.fitted[batch] = fits
-                state.sigma2[batch] = draw_sigma2(beta, spec.ig_prior_nu, spec.ig_prior_s, gen)
+                    beta, fits = _draw_monotone(
+                        *neighbors, design, precision, latent, state.sigma2[batch],
+                        state.beta[batch], gen, spec.truncation_sweeps, into)
+                    state.beta[batch] = beta
+                    state.fitted[batch] = fits
+                else:  # the batch is the whole state, and ``into`` is state.beta
+                    beta = _draw_paths(design, precision, latent, state.sigma2[batch], gen, into)
+                    np.einsum(_FITS, design, beta, out=state.fitted[batch])
+                _draw_sigma2(beta, nu, s, gen, inc, out=state.sigma2[batch])
             except Exception as exc:
                 row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
                 j = rows[exc.path if isinstance(exc, MonotonicityError) else row]

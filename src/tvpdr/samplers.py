@@ -14,7 +14,9 @@ across parallel backtest origins.
 
 Inputs are validated once, at the public entry points. The inner loops of
 the Gibbs sampler then draw every truncated normal, the probit latents
-included, through one unchecked private core, ``_draw``.
+included, through one unchecked private core, ``_draw``, and every path
+through ``_gaussian_precision``, which factors and solves in buffers the
+sampler owns and checks only what the draws can break.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .banded import cholesky_banded, solve_banded
+from .banded import _factor, _solve
 
 __all__ = [
     "DRAW_SCHEME",
@@ -40,13 +42,20 @@ _TAIL = 30.0
 DRAW_SCHEME = "SFC64 streams; truncated normals: one normal proposal, inversion for the misses"
 
 
-def _uint64(name: str, value) -> int:
-    """``value`` as a plain int in [0, 2**64); a bool, float or string is refused."""
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int, so it hashes and serialises as one; a bool,
+    a float (integral or not) or a string is refused with TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= int(value) < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return int(value)
+
+
+def _uint64(name: str, value) -> int:
+    """``_integer(name, value)`` in [0, 2**64)."""
+    value = _integer(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def stream_generator(seed, stream=0) -> np.random.Generator:
@@ -154,26 +163,35 @@ def sample_truncated_normal(mean, sd, lower, upper, gen: np.random.Generator):
     return float(draw) if draw.ndim == 0 else draw
 
 
-def sample_gaussian_precision(band: np.ndarray, b: np.ndarray, gen: np.random.Generator,
-                              overwrite: bool = False) -> np.ndarray:
+def _gaussian_precision(band: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """``sample_gaussian_precision`` in place, for a draw that owns its
+    buffers: the Fortran-ordered float64 ``band`` is factored in place and
+    consumed, and the draw lands in ``b``, a contiguous float64 vector of
+    the band's dimension, which it returns. Checks only what depends on the
+    draws: a finite ``b`` and the pivots."""
+    if not np.isfinite(b).all():
+        raise ValueError("precision rhs must be finite")
+    factor = _factor(band)
+    z = gen.standard_normal(band.shape[1])
+    b = _solve(factor, b)
+    b += z
+    return _solve(factor, b, transpose=True)
+
+
+def sample_gaussian_precision(band: np.ndarray, b: np.ndarray,
+                              gen: np.random.Generator) -> np.ndarray:
     """One draw from N(K^{-1} b, K^{-1}) for banded SPD K, given as its band.
 
     Factorizes K = L L' once and folds mean and noise into two triangular
     solves with iid normals z: x = L'^{-1}(L^{-1} b + z), which is the mean
     K^{-1} b plus the noise L'^{-1} z. On a block-diagonal stack of paths
     this is one independent draw per path. A non-finite b or K raises.
-
-    With ``overwrite`` a Fortran-ordered K (as ``assemble_precision``
-    builds it) is factored in place: the draw consumes the precision, whose
-    storage then holds L. Callers that read K afterwards leave it False,
-    and the factorization works on a copy. The draw is the same either way.
+    ``band`` and ``b`` are left as they were: the draw works on copies.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if not np.isfinite(b).all():
-        raise ValueError("precision rhs must be finite")
-    factor = cholesky_banded(band, overwrite=overwrite)
-    z = gen.standard_normal(band.shape[1])
-    return solve_banded(factor, solve_banded(factor, b) + z, transpose=True)
+    if np.shape(b) != (np.shape(band)[1],):
+        raise ValueError(f"rhs has shape {np.shape(b)}, expected ({np.shape(band)[1]},)")
+    return _gaussian_precision(np.array(band, dtype=np.float64, order="F"),
+                               np.array(b, dtype=np.float64), gen)
 
 
 def sample_truncated_mvn(

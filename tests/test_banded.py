@@ -6,13 +6,14 @@ import pytest
 from tvpdr.banded import (
     FIRST_STATE_VARIANCE,
     NotPositiveDefiniteError,
+    _factor,
+    _StackedPrecision,
     assemble_precision,
     cholesky_banded,
-    likelihood_band,
     solve_banded,
 )
-from tvpdr.model import draw_beta_unconstrained
-from tvpdr.samplers import sample_gaussian_precision, stream_generator
+from tvpdr.model import _draw_paths, draw_beta_unconstrained
+from tvpdr.samplers import _gaussian_precision, sample_gaussian_precision, stream_generator
 
 from reference import (band_to_dense, dense_precision, dense_to_band, frozen_assemble_bands,
                        frozen_band_matvec)
@@ -108,21 +109,24 @@ def test_assemble_precision_validates():
 def test_band_storage_contract():
     # the storage is Fortran-ordered and holds, bit for bit, the values of
     # the dense kron formula and of the C-ordered assembly it replaced; it
-    # factors to the C-ordered copy's factor; a draw that consumes it in
-    # place equals one from an untouched copy
+    # factors to the C-ordered copy's factor; per-fit storage, reassembled
+    # in place over a factor and sized for more paths than drawn, equals a
+    # fresh assembly; draws that consume it in place equal the public draws
     rng = np.random.default_rng(6)
     for t_len, d, n_paths in [(2, 1, 1), (7, 1, 3), (6, 2, 4), (9, 3, 2), (5, 4, 3)]:
         design = rng.normal(size=(t_len, d))
         sigma2 = rng.uniform(0.05, 2.0, size=(n_paths, d))
-        like = likelihood_band(design)
         precision = assemble_precision(design, sigma2)
         assert precision.flags.f_contiguous
         assert np.array_equal(precision, frozen_assemble_bands(design, sigma2))
         dim = precision.shape[1]
-        storage = np.full((d + 1, dim), np.nan, order="F")
-        reused = assemble_precision(design, sigma2, likelihood=like, out=storage)
-        assert reused is storage
-        assert np.array_equal(storage, precision)
+        per_fit = _StackedPrecision(design, n_paths + 1)
+        per_fit.band[...] = np.nan
+        for _ in range(2):  # the second call refills storage that holds a factor
+            reused = per_fit(sigma2)
+            assert reused.flags.f_contiguous and np.shares_memory(reused, per_fit.band)
+            assert np.array_equal(reused, precision)
+            _factor(reused)
         dense = np.zeros((dim, dim))
         for b in range(n_paths):
             span = slice(b * t_len * d, (b + 1) * t_len * d)
@@ -134,29 +138,19 @@ def test_band_storage_contract():
         assert np.array_equal(precision, c_copy)  # neither consumed
 
         b_vec = rng.normal(size=dim)
-        untouched = precision.copy(order="F")
-        want = sample_gaussian_precision(untouched, b_vec, stream_generator(7))
-        got = sample_gaussian_precision(precision, b_vec, stream_generator(7), overwrite=True)
-        assert np.array_equal(got, want)
-        assert np.array_equal(precision, cholesky_banded(untouched))
+        want = sample_gaussian_precision(precision, b_vec, stream_generator(7))
+        assert np.array_equal(precision, c_copy)  # the public draw works on copies
+        in_place = b_vec.copy()
+        got = _gaussian_precision(per_fit(sigma2), in_place, stream_generator(7))
+        assert np.shares_memory(got, in_place) and np.array_equal(got, want)
+        assert np.array_equal(per_fit.band[:, :dim], cholesky_banded(precision))
 
         latent = rng.normal(size=(n_paths, t_len))
         plain = draw_beta_unconstrained(design, latent, sigma2, stream_generator(8))
-        storage = np.empty((d + 1, n_paths * t_len * d), order="F")
+        out = np.empty((n_paths, t_len, d))
         for _ in range(2):  # the second call refills storage that holds a factor
-            reused = draw_beta_unconstrained(design, latent, sigma2, stream_generator(8),
-                                             likelihood=like, out=storage)
-            assert np.array_equal(reused, plain)
-
-
-def test_assemble_precision_validates_its_workspace():
-    design = np.ones((5, 2))
-    with pytest.raises(ValueError, match="likelihood band"):
-        assemble_precision(design, np.ones(2), likelihood=np.zeros((5, 2, 2)))
-    with pytest.raises(ValueError, match="Fortran"):
-        assemble_precision(design, np.ones(2), out=np.zeros((3, 10)))
-    with pytest.raises(ValueError, match="Fortran"):
-        assemble_precision(design, np.ones((2, 2)), out=np.zeros((3, 10), order="F"))
+            reused = _draw_paths(design, per_fit, latent, sigma2, stream_generator(8), out)
+            assert reused is out and np.array_equal(out, plain)
 
 
 def test_non_finite_input_raises_instead_of_drawing_nan():

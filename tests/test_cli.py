@@ -226,7 +226,7 @@ def test_failed_estimate_removes_its_temp_blobs(estimate_dir, capsys, monkeypatc
     csv, est, _ = estimate_dir
     before = load_estimate(est)
     beta, sigma2 = np.array(before.beta), np.array(before.sigma2)
-    real = tvpdr.model.draw_sigma2
+    real = tvpdr.model._draw_sigma2
     calls = []
 
     def failing(*args, **kwargs):
@@ -235,7 +235,7 @@ def test_failed_estimate_removes_its_temp_blobs(estimate_dir, capsys, monkeypatc
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
+    monkeypatch.setattr(tvpdr.model, "_draw_sigma2", failing)
     code, _, stderr = run(capsys, ["estimate", "--data", csv, *DATA_ARGS, *FAST_MODEL,
                                    "--seed", "4", "--out", est])
     assert code == 1

@@ -84,6 +84,16 @@ def test_backtest_plan_validation():
         BacktestPlan("1980Q1", "2000Q1", taus=(0.0, 0.5))
 
 
+@pytest.mark.parametrize("field", ["refit_every", "lag"])
+def test_backtest_plan_counts_are_integers(field):
+    # refit_every=2.5, lag=1.5 and refit_every=True were all accepted
+    for bad in (2.0, 2.5, True, "2"):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            BacktestPlan("1980Q1", "2000Q1", **{field: bad})
+    plan = BacktestPlan("1980Q1", "2000Q1", **{field: np.int64(2)})
+    assert type(getattr(plan, field)) is int and getattr(plan, field) == 2
+
+
 @pytest.mark.parametrize("taus, names", [((0.02, 0.02), "0.02 and 0.02"),
                                           ((0.05, 0.05), "0.05 and 0.05"),
                                           ((0.001, 0.5, 0.001), "0.001 and 0.001")])

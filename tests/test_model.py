@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from tvpdr.banded import assemble_precision
 from tvpdr.distribution import PROBIT, apply_design_transform, build_threshold_grid, conditional_cdf
+from tvpdr.evaluation import _last_quarter
 from tvpdr.model import (
     EstimationError,
     ModelSpec,
@@ -111,6 +112,23 @@ def test_model_spec_seed_is_one_64_bit_integer():
         assert type(spec.seed) is int and spec.seed == int(good)
     with pytest.raises(ValueError, match="seed must lie"):
         replace(ModelSpec(d=2, grid=grid), seed=-1)
+
+
+@pytest.mark.parametrize("field", ["d", "iterations", "burnin", "truncation_sweeps"])
+def test_model_spec_counts_are_integers(field):
+    # a float count fit the model of the int but hashed apart from it, a
+    # numpy integer could not be hashed at all, and a fractional count
+    # failed deep inside the sampler
+    grid = build_threshold_grid(0.0, 1.0, 0.5)
+    counts = {"d": 2, "iterations": 10000, "burnin": 5000, "truncation_sweeps": 5}
+    for bad in (float(counts[field]), counts[field] + 0.5, True, "2"):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ModelSpec(grid=grid, **{**counts, field: bad})
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            replace(ModelSpec(grid=grid, **counts), **{field: bad})
+    spec = ModelSpec(grid=grid, **{**counts, field: np.int64(counts[field])})
+    assert type(getattr(spec, field)) is int
+    assert spec.spec_hash() == ModelSpec(grid=grid, **counts).spec_hash()
 
 
 def test_spec_hash_is_pinned():
@@ -447,7 +465,7 @@ def test_run_gibbs_wraps_update_failures(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("forced failure")
 
-    monkeypatch.setattr(model_mod, "draw_sigma2", boom)
+    monkeypatch.setattr(model_mod, "_draw_sigma2", boom)
     with pytest.raises(EstimationError, match=r"iteration 0, threshold 0 \(y="):
         run_gibbs(spec, (y, x))
 
@@ -549,7 +567,7 @@ def test_monotone_draw_pins_degenerate_boxes(rows, monkeypatch):
     lower[1, 3] = 4.0
     lower, upper = lower[rows], upper[rows]
     pinned = lower == upper
-    joint_draw = model_mod.draw_beta_unconstrained
+    joint_draw = model_mod._draw_paths
 
     def checked_joint_draw(*args, **kwargs):
         joint = joint_draw(*args, **kwargs)
@@ -557,7 +575,7 @@ def test_monotone_draw_pins_degenerate_boxes(rows, monkeypatch):
         assert np.all((hit >= 4.0) & (hit < 8.0)), f"premise broken: {hit}"
         return joint
 
-    monkeypatch.setattr(model_mod, "draw_beta_unconstrained", checked_joint_draw)
+    monkeypatch.setattr(model_mod, "_draw_paths", checked_joint_draw)
     gen = stream_generator(32)
     z = draw_latent(np.zeros(len(rows)), y, np.zeros((len(rows), 10)), gen)
     beta = np.zeros((len(rows), 10, 2))
@@ -621,30 +639,46 @@ def test_run_gibbs_names_the_failing_threshold_in_a_batch(monkeypatch):
     def leftover(*args, **kwargs):
         raise MonotonicityError("forced leftover at t=3", path=1)
 
-    monkeypatch.setattr(model_mod, "draw_beta_monotone", leftover)
+    monkeypatch.setattr(model_mod, "_draw_monotone", leftover)
     with pytest.raises(EstimationError, match=r"iteration 0, threshold 2 \(y=.*at t=3"):
         run_gibbs(ModelSpec(d=2, grid=grid, iterations=3, burnin=1), (y, x))
 
     # unconstrained: one batch; a pivot failure in block 3 names threshold 3
-    real = model_mod.assemble_precision
+    real = model_mod._gaussian_precision
     t_len, d = x.shape
 
-    def broken(design, sigma2, likelihood=None, out=None):
-        k = real(design, sigma2, likelihood=likelihood, out=out)
-        k[0, 3 * t_len * d + 5] = -1.0
-        return k
+    def broken(band, b, gen):
+        band[0, 3 * t_len * d + 5] = -1.0
+        return real(band, b, gen)
 
-    monkeypatch.setattr(model_mod, "assemble_precision", broken)
+    monkeypatch.setattr(model_mod, "_gaussian_precision", broken)
     spec = ModelSpec(d=2, grid=grid, iterations=3, burnin=1, monotone=False)
     with pytest.raises(EstimationError, match=r"iteration 0, threshold 3 \(y=.*not positive definite"):
         run_gibbs(spec, (y, x))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-@pytest.mark.parametrize("monotone", [True, False])
-def test_run_gibbs_equals_the_public_draws_bitwise(d, monotone):
+@pytest.mark.parametrize("monotone, d, buffers", [
+    *(pytest.param(monotone, d, None, id=f"{monotone}-{d}")
+      for monotone in (True, False) for d in (1, 2, 3, 4)),
+    pytest.param(False, 2, _last_quarter, id="backtest")])
+def test_run_gibbs_equals_the_public_draws_bitwise(monotone, d, buffers):
     # the per-fit workspace (likelihood band, latent bounds, band storage,
-    # strided batches, reused fits) must not move a single draw
+    # strided batches, reused fits, paths, fits and variances drawn into
+    # the state) must not move a single draw
+    if buffers is not None:
+        # a backtest refit: unconstrained, one batch of K >= 9 thresholds,
+        # on its own stream, keeping the last quarter of each path
+        y, x = small_problem(seed=46, t_len=48, d=d)
+        lo, hi = (float(q) for q in np.quantile(y, [0.05, 0.95]))
+        grid = build_threshold_grid(lo, hi, (hi - lo) / 10)
+        assert grid.n >= 9
+        spec = ModelSpec(d=d, grid=grid, iterations=10, burnin=4, monotone=False, seed=47)
+        draws = run_gibbs(spec, (y, x), stream=3, buffers=buffers)
+        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed, 3))
+        assert draws.n_obs == 1
+        assert np.array_equal(draws.beta, beta[:, :, -1:])
+        assert np.array_equal(draws.sigma2, sigma2)
+        return
     y, x = small_problem(seed=40 + d, t_len=12, d=d)
     lo = float(np.quantile(y, 0.1))
     for n_thresholds in (4, 5):

@@ -449,7 +449,7 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
     previous = run_gibbs(replace(spec, seed=1), data)
     save_estimate(where, previous)
 
-    real = tvpdr.model.draw_sigma2
+    real = tvpdr.model._draw_sigma2
     calls = []
 
     def failing(*args, **kwargs):
@@ -458,7 +458,7 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
+    monkeypatch.setattr(tvpdr.model, "_draw_sigma2", failing)
     with pytest.raises(EstimationError, match="injected"):
         run_gibbs(replace(spec, seed=2), data, buffers=partial(draw_buffers, where))
     back = load_estimate(where, expect_data_hash=hash_data(*data))
@@ -555,7 +555,7 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
     save_estimate(where, previous)
     _blocks_of(monkeypatch, spec, 12, 3)
 
-    real = tvpdr.model.draw_sigma2
+    real = tvpdr.model._draw_sigma2
     calls = []
 
     def failing(*args, **kwargs):
@@ -564,7 +564,7 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tvpdr.model, "draw_sigma2", failing)
+    monkeypatch.setattr(tvpdr.model, "_draw_sigma2", failing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EstimationError, match="injected"):

@@ -14,6 +14,7 @@ failed Gibbs update), 2 usage errors from the argument parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -158,11 +159,17 @@ def _load_for_reading(args):
                                       expect_data_hash=hash_data(aligned.y, aligned.x))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _cmd_estimate(args) -> int:
     aligned = assemble_design(_load_dataset(args), args.covariates, lag=args.lag)
     spec = _build_spec(args, aligned)
     try:
-        draws = run_gibbs(spec, (aligned.y, aligned.x), buffers=partial(draw_buffers, args.out))
+        draws = run_gibbs(spec, (aligned.y, aligned.x), buffers=partial(draw_buffers, args.out),
+                          workers=min(2, _usable_cpus()))
         save_estimate(args.out, draws)
     except BaseException:
         # the temp blobs are the full kept-draw size and never load

@@ -40,7 +40,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
-from .samplers import DRAW_SCHEME, _integer
+from .samplers import DRAW_SCHEME, LANE_SCHEME, _integer
 
 __all__ = [
     "BacktestPlan",
@@ -229,12 +229,13 @@ def read_records(data: bytes, name) -> tuple:
 def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates) -> str:
     """Sidecar text: everything the records depend on, as sorted JSON.
 
-    The worker count is left out, since records are identical for any.
+    The worker count is left out, since records are identical for any. A
+    monotone spec's records name the lanes its colours are drawn in.
     """
     meta = {
         "covariates": list(covariates),
         "data_hash": hash_data(aligned.y, aligned.x),
-        "draws": DRAW_SCHEME,
+        "draws": LANE_SCHEME if spec.monotone else DRAW_SCHEME,
         "predictive": PREDICTIVE_DRAW,
         "seed": spec.seed,
         "spec_hash": spec.spec_hash(),

@@ -14,8 +14,14 @@ block-diagonal banded system.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
+import mmap
+import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,7 @@ from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, _StackedPre
                      add_prior_diagonal, walk_diagonal)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (_draw, _gaussian_precision, _integer, _uint64, sample_truncated_mvn,
+from .samplers import (_draw, _gaussian_precision, _integer, _sweeps, _truncated_mvn, _uint64,
                        stream_generator)
 
 __all__ = [
@@ -396,7 +402,7 @@ def _draw_monotone(lo_path, up_path, design, precision: _StackedPrecision, laten
 
     if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
         return beta, fitted_values(design, beta)
-    if np.any(lo_path > up_path):
+    if (lo_path > up_path).any():
         row, t = np.argwhere(lo_path > up_path)[0]
         raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
                                 f"{lo_path[row, t]:.6g} > upper {up_path[row, t]:.6g}", path=row)
@@ -420,10 +426,9 @@ def _draw_monotone(lo_path, up_path, design, precision: _StackedPrecision, laten
     if free.any():
         diag, off, rhs = _intercept_system(design, latent, sigma2, rest)
         diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
-        init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free],
-                       lo[free], up[free])
-        x1[free] = sample_truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo[free], up[free],
-                                        init, sweeps, gen)
+        lo_f, up_f = lo[free], up[free]
+        init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free], lo_f, up_f)
+        x1[free] = _truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo_f, up_f, init, sweeps, gen)
 
     beta[..., 0] = x1.reshape(lo_path.shape)
     return _repair_ordering(beta, design, lo_path, up_path)
@@ -466,8 +471,10 @@ def draw_beta_monotone(
     canonical rhs from sigma2_0, the latents and the drawn slopes.
     Intercepts whose box is a single point are pinned to it; the free ones
     are drawn by ``sweeps`` two-colour sweeps of ``sample_truncated_mvn``,
-    which reads each conditional mean from that precision and rhs. Returns
-    the paths and their fits, which the ordering check computes anyway.
+    which reads each conditional mean from that precision and rhs;
+    ``sweeps`` is a positive integer, and a bool or a float raises
+    TypeError. Returns the paths and their fits, which the ordering check
+    computes anyway.
     """
     design = np.asarray(design, dtype=np.float64)
     d = design.shape[1]
@@ -485,6 +492,7 @@ def draw_beta_monotone(
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if sigma2.shape != latent.shape[:-1] + (d,):
         raise ValueError(f"sigma2 has shape {sigma2.shape}, expected {latent.shape[:-1] + (d,)}")
+    sweeps = _sweeps(sweeps)
     lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
     beta, fits = _draw_monotone(lo_path, up_path, design, _StackedPrecision(design, len(latent)),
                                 latent, sigma2.reshape(-1, d), current, gen, sweeps,
@@ -512,31 +520,158 @@ def _in_memory(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, t_len, d)), np.empty((kept, k, d))
 
 
-def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> PosteriorDraws:
+def _shared(a: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``a`` in anonymous shared memory: a process forked
+    afterwards writes these pages, not copies of them."""
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), count=a.size).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def _lanes(rows: range) -> tuple:
+    """A colour's two lanes: its lower half, one threshold larger when the
+    colour's size is odd, and its upper half."""
+    half = len(rows) - len(rows) // 2
+    return rows[:half], rows[half:]
+
+
+def _may_fork() -> bool:
+    """True on Linux in a process that runs one OS thread: forking one that
+    runs more (BLAS threads, say) can deadlock the child."""
+    try:
+        return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc to count them
+        return False
+
+
+class _Handoff:
+    """One process's ends of the two pipes between a fit's lane processes.
+
+    Each colour ends in a barrier: a process posts once its lane of the
+    colour is in and waits for the other's post. Reads do not block; a wait
+    polls with ``os.sched_yield()``, so the waiting process keeps its CPU
+    instead of sleeping until the post wakes it. A post is b"."; b"!" and
+    a message report a failed lane; end of file means the other process is
+    gone.
+    """
+
+    def __init__(self, read: int, write: int):
+        self.read, self.write = read, write
+
+    def post(self) -> None:
+        os.write(self.write, b".")
+
+    def fail(self, message: str) -> None:
+        # one write of at most PIPE_BUF bytes lands whole
+        os.write(self.write, b"!" + message.encode()[:4000])
+
+    def _read(self, size: int) -> bytes:
+        while True:
+            try:
+                return os.read(self.read, size)
+            except BlockingIOError:
+                os.sched_yield()
+
+    def wait(self) -> None:
+        got = self._read(1)
+        if got == b".":
+            return
+        if got == b"!":
+            parts = []
+            while part := self._read(4096):  # to end of file: the sender exits
+                parts.append(part)
+            raise EstimationError(b"".join(parts).decode(errors="replace"))
+        raise EstimationError("the other lane process exited before its lane was drawn")
+
+    def close(self) -> None:
+        os.close(self.read)
+        os.close(self.write)
+
+
+def _fork_helper(draw):
+    """Fork a helper that runs ``draw(handoff)`` and leaves through
+    ``os._exit``; returns its pid and this process's ``_Handoff``, or None
+    when the system refuses the fork.
+
+    The helper ignores SIGINT (its parent takes ^C and stops it), runs no
+    garbage collection, so no finalizer of its parent's objects runs twice,
+    and writes to /dev/null in place of stdout and stderr. A failed lane's
+    EstimationError goes to the parent as its message.
+    """
+    down, up = os.pipe(), os.pipe()  # parent to helper, helper to parent
+    os.set_blocking(down[0], False)
+    os.set_blocking(up[0], False)
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the lanes run in turn
+        for fd in (*down, *up):
+            os.close(fd)
+        return None
+    if pid:
+        os.close(down[0])
+        os.close(up[1])
+        return pid, _Handoff(up[0], down[1])
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        gc.disable()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        os.close(null)
+        os.close(down[1])
+        os.close(up[0])
+        handoff = _Handoff(down[0], up[1])
+        try:
+            draw(handoff)
+            code = 0
+        except EstimationError as exc:
+            handoff.fail(str(exc))
+        finally:
+            handoff.close()
+    finally:
+        os._exit(code)
+
+
+def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
+              workers: int = 1) -> PosteriorDraws:
     """Full Gibbs pass over thresholds and iterations.
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
     with an intercept first; the spec's design transform maps them to the
-    model design. The fit draws from ``stream_generator(spec.seed, stream)``
-    and the result records that seed and stream. Thresholds update in batches:
-    one latent draw, one path draw (monotone or not) and one variance draw
-    on each stacked batch. The draws exchange fits: after every batch
-    ``state.fitted`` holds ``fitted_values(design, state.beta)``, and the
-    next latent draw of a batch reads its fits from there instead of
-    recomputing them. In monotone mode a threshold sees the others only
-    through its neighbors' fits, which bound it below and above, so all
-    even thresholds update given the odd ones, then all odd ones given the
-    even ones: a red-black systematic-scan Gibbs sampler that leaves every
-    kept iteration exactly ordered across the whole grid. Unconstrained
-    mode is one batch of all K.
+    model design. The result records the spec's seed and ``stream``.
+    Thresholds update in batches: one latent draw, one path draw (monotone
+    or not) and one variance draw on each stacked batch. The draws exchange
+    fits: after every batch ``state.fitted`` holds ``fitted_values(design,
+    state.beta)``, and the next latent draw of a batch reads its fits from
+    there instead of recomputing them. Unconstrained mode is one batch of
+    all K, drawn from ``stream_generator(spec.seed, stream)``.
+
+    In monotone mode a threshold sees the others only through its
+    neighbors' fits, which bound it below and above, so all even thresholds
+    update given the odd ones, then all odd ones given the even ones: a
+    red-black systematic-scan Gibbs sampler that leaves every kept
+    iteration exactly ordered across the whole grid. Given the other
+    colour, the thresholds of a colour are independent, so each colour
+    splits into two fixed lanes (``_lanes``), each one batch drawn from its
+    own ``stream_generator(spec.seed, stream, lane)``. With ``workers`` >= 2,
+    on Linux, in a process that runs one OS thread, one helper process is
+    forked per fit, after the workspace is built, and draws lane 1 of every
+    colour while this process draws lane 0; the two meet at the end of each
+    colour (``_Handoff``). Otherwise the lanes run in turn. The state's
+    paths, variances and fits live in shared memory, and a lane's draws
+    depend only on its stream and the state, so the draws are the same
+    either way. No helper outlives the call: it is reaped on success and
+    killed on any exception, and a helper that dies fails the fit with
+    EstimationError.
 
     What does not change within a fit is built and checked once, before
     the first iteration: the likelihood band X'X, the walk diagonal, each
     batch's latent bounds, the band storage, which every path draw refills
     and factors in place, the buffer the paths are drawn into and the
     variance draw's increment buffer. The batches take turns with one set
-    of buffers, sized for the larger colour. Batches are strided views of
-    the state. An unconstrained batch is all of it, so its paths are drawn
+    of buffers, sized for the largest. Batches are strided views of the
+    state. An unconstrained batch is all of it, so its paths are drawn
     straight into the state, and its fits and variances are written there
     too. In monotone mode the fits the ordering check computes become the
     state's fits, and so the neighbors' bounds, directly. Per batch, only
@@ -552,7 +687,8 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
     array once every draw is in. Q is T for whole paths; a smaller Q keeps
     only the last Q quarters of each path, which is all a one-step forecast
     reads. The default keeps whole paths in memory; ``store.draw_buffers``
-    streams them to disk a block of draws at a time.
+    streams them to disk a block of draws at a time. Only this process
+    writes them.
     """
     y, x_raw = data
     y = np.asarray(y, dtype=np.float64)
@@ -569,8 +705,9 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
         raise ValueError("need at least two time points")
     if spec.monotone and not np.all(design[:, 0] == 1.0):
         raise ValueError("monotone estimation requires an intercept column of ones")
+    if _integer("workers", workers) < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
 
-    gen = stream_generator(spec.seed, stream)
     grid = spec.grid
     k = grid.n
 
@@ -584,48 +721,90 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> 
 
     # Per-fit workspace. Rows 1..K of ``bounds`` are the fits, with open
     # bounds beyond the ends of the grid, so a batch's neighbor fits are
-    # strided views of it. The batches take turns with one band storage,
-    # one path buffer and one increment buffer, whose leading rows serve a
-    # smaller batch.
-    bounds = np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
-                        np.full(t_len, np.inf)])
-    state.fitted = bounds[1:-1]
-    colors = [slice(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [slice(0, k)]
-    size = len(range(k)[colors[0]])
+    # strided views of it. The state lives in shared memory, which a lane
+    # helper writes too. The batches take turns with one band storage, one
+    # path buffer and one increment buffer, whose leading rows serve a
+    # smaller batch; a helper draws into its own copies.
+    bounds = _shared(np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
+                                np.full(t_len, np.inf)]))
+    state = GibbsState(beta=_shared(state.beta), sigma2=_shared(state.sigma2),
+                       fitted=bounds[1:-1])
+    gens = [stream_generator(spec.seed, stream, lane) for lane in range(2)]
+    colours = [_lanes(range(c, k, 2)) for c in range(min(k, 2))] if spec.monotone else [(range(k),)]
+    size = max(len(rows) for lanes in colours for rows in lanes)
     precision = _StackedPrecision(design, size)
     paths = np.empty((size, t_len, d)) if spec.monotone else state.beta
     increments = np.empty((size, t_len - 1, d))
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
     work = []
-    for batch in colors:
-        rows = range(k)[batch]
-        neighbors = (bounds[batch], bounds[batch.start + 2 : k + 2 : 2]) if spec.monotone else ()
-        work.append((batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
-                     increments[: len(rows)], neighbors))
+    for lanes in colours:
+        work.append([])
+        for rows, gen in zip(lanes, gens):
+            batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
+            neighbors = ((bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
+                         if spec.monotone else ())
+            work[-1].append((batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
+                             increments[: len(rows)], neighbors, gen))
 
-    for it in range(spec.iterations):
-        for batch, rows, box, into, inc, neighbors in work:
-            try:
-                latent = _draw_latent(state.fitted[batch], box, gen)
-                if spec.monotone:
-                    beta, fits = _draw_monotone(
-                        *neighbors, design, precision, latent, state.sigma2[batch],
-                        state.beta[batch], gen, spec.truncation_sweeps, into)
-                    state.beta[batch] = beta
-                    state.fitted[batch] = fits
-                else:  # the batch is the whole state, and ``into`` is state.beta
-                    beta = _draw_paths(design, precision, latent, state.sigma2[batch], gen, into)
-                    np.einsum(_FITS, design, beta, out=state.fitted[batch])
-                _draw_sigma2(beta, nu, s, gen, inc, out=state.sigma2[batch])
-            except Exception as exc:
-                row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
-                j = rows[exc.path if isinstance(exc, MonotonicityError) else row]
-                raise EstimationError(
-                    f"iteration {it}, threshold {j} (y={grid.points[j]:.6g}): {exc}"
-                ) from exc
-        if it >= spec.burnin:
-            out_beta[it - spec.burnin] = state.beta[:, t_len - quarters :]
-            out_sigma2[it - spec.burnin] = state.sigma2
+    def update(it, batch, rows, box, into, inc, neighbors, gen):
+        if not rows:
+            return
+        try:
+            latent = _draw_latent(state.fitted[batch], box, gen)
+            if spec.monotone:
+                beta, fits = _draw_monotone(
+                    *neighbors, design, precision, latent, state.sigma2[batch],
+                    state.beta[batch], gen, spec.truncation_sweeps, into)
+                state.beta[batch] = beta
+                state.fitted[batch] = fits
+            else:  # the batch is the whole state, and ``into`` is state.beta
+                beta = _draw_paths(design, precision, latent, state.sigma2[batch], gen, into)
+                np.einsum(_FITS, design, beta, out=state.fitted[batch])
+            _draw_sigma2(beta, nu, s, gen, inc, out=state.sigma2[batch])
+        except Exception as exc:
+            row = exc.row // (t_len * d) if isinstance(exc, NotPositiveDefiniteError) else 0
+            j = rows[exc.path if isinstance(exc, MonotonicityError) else row]
+            raise EstimationError(
+                f"iteration {it}, threshold {j} (y={grid.points[j]:.6g}): {exc}"
+            ) from exc
+
+    def draw_lane_1(handoff):
+        for it in range(spec.iterations):
+            for lanes in work:
+                update(it, *lanes[1])
+                handoff.post()
+                handoff.wait()
+
+    helper = None
+    if workers > 1 and spec.monotone and any(upper for _, upper in colours) and _may_fork():
+        # the first path draw imports LAPACK; imported here it is shared, not
+        # imported again in each process after the fork
+        from scipy.linalg import lapack  # noqa: F401
+        helper = _fork_helper(draw_lane_1)
+    pid, handoff = helper or (None, None)
+    drawn = 1 if handoff else 2  # the lanes of each colour this process draws
+    try:
+        for it in range(spec.iterations):
+            for c, lanes in enumerate(work):
+                for lane in lanes[:drawn]:
+                    update(it, *lane)
+                if handoff:
+                    handoff.wait()
+                # the helper writes the state again only after the post below
+                if c == len(work) - 1 and it >= spec.burnin:
+                    out_beta[it - spec.burnin] = state.beta[:, t_len - quarters :]
+                    out_sigma2[it - spec.burnin] = state.sigma2
+                if handoff:
+                    handoff.post()
+    except BaseException:
+        if handoff:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if handoff:
+            handoff.close()
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
+                os.waitpid(pid, 0)
 
     beta, sigma2 = (out if isinstance(out, np.ndarray) else out.finish()
                     for out in (out_beta, out_sigma2))

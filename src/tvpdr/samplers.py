@@ -8,15 +8,16 @@ nothing. A truncated normal is one standard normal proposal, kept where it
 lies inside its box; the misses are drawn by inversion, each interval
 mirrored onto the lower tail where ndtr/ndtri keep full relative accuracy
 out to 30 sd, and by rejection beyond that. Every draw takes a numpy
-Generator, and a fit's comes from ``stream_generator(seed, stream)``, so
-(seed, stream, call sequence) pins every draw bit for bit, including
-across parallel backtest origins.
+Generator, and a fit's come from ``stream_generator(seed, stream,
+lane)``, so (seed, stream, call sequence) pins every draw bit for bit,
+including across parallel backtest origins and lane processes.
 
 Inputs are validated once, at the public entry points. The inner loops of
 the Gibbs sampler then draw every truncated normal, the probit latents
-included, through one unchecked private core, ``_draw``, and every path
-through ``_gaussian_precision``, which factors and solves in buffers the
-sampler owns and checks only what the draws can break.
+included, through one unchecked private core, ``_draw``, every intercept
+sweep through ``_truncated_mvn``, and every path through
+``_gaussian_precision``, which factors and solves in buffers the sampler
+owns; each checks only what the draws can break.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .banded import _factor, _solve
 
 __all__ = [
     "DRAW_SCHEME",
+    "LANE_SCHEME",
     "stream_generator",
     "sample_truncated_normal",
     "sample_gaussian_precision",
@@ -40,6 +42,9 @@ __all__ = [
 _TAIL = 30.0
 # Records name this, so draws of another generator or scheme never mix into them.
 DRAW_SCHEME = "SFC64 streams; truncated normals: one normal proposal, inversion for the misses"
+# What a monotone fit's records name: its colours are drawn in two lanes,
+# each on its own stream, so its draws differ from those of one stream.
+LANE_SCHEME = DRAW_SCHEME + "; monotone colours in two lanes, the upper on spawn key (stream, 1)"
 
 
 def _integer(name: str, value) -> int:
@@ -50,6 +55,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _sweeps(value) -> int:
+    """``_integer("sweeps", value)``, at least 1."""
+    value = _integer("sweeps", value)
+    if value < 1:
+        raise ValueError("sweeps must be a positive integer")
+    return value
+
+
 def _uint64(name: str, value) -> int:
     """``_integer(name, value)`` in [0, 2**64)."""
     value = _integer(name, value)
@@ -58,15 +71,23 @@ def _uint64(name: str, value) -> int:
     return value
 
 
-def stream_generator(seed, stream=0) -> np.random.Generator:
+def stream_generator(seed, stream=0, lane=0) -> np.random.Generator:
     """The random stream named by (seed, stream): the one place that names the bit generator.
 
     Streams with the same seed and different stream ids are statistically
     independent (SFC64 seeded from a SeedSequence spawn key), which is what
     lets backtest origins run in any order, or in parallel, without changing
-    the numbers. Seed and stream follow ``ModelSpec.seed``'s rule.
+    the numbers. A ``lane`` >= 1 names a sub-stream of the stream, spawn key
+    (stream, lane), independent of it and of the other lanes; lane 0 is the
+    stream itself. A monotone fit draws each lane of a colour from its own,
+    whichever process draws it. Seed, stream and lane follow
+    ``ModelSpec.seed``'s rule.
     """
-    ss = np.random.SeedSequence(_uint64("seed", seed), spawn_key=(_uint64("stream", stream),))
+    key = (_uint64("stream", stream),)
+    lane = _uint64("lane", lane)
+    if lane:
+        key += (lane,)
+    ss = np.random.SeedSequence(_uint64("seed", seed), spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -132,7 +153,7 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     z = gen.standard_normal(a.shape)
-    miss = np.flatnonzero((z <= a) | (z >= b))  # indices gather faster than a random mask
+    miss = ((z <= a) | (z >= b)).ravel().nonzero()[0]  # indices gather faster than a random mask
     if miss.size:
         z.ravel()[miss] = _truncated_std_normal(a.ravel()[miss], b.ravel()[miss], gen)
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
@@ -218,7 +239,8 @@ def sample_truncated_mvn(
     chain, it does not produce an independent draw.
 
     The arguments are validated once, on entry: shapes, a finite rhs, a
-    non-empty box holding ``init``, and a finite positive diagonal. Each
+    non-empty box holding ``init``, a finite positive diagonal and a
+    positive integer ``sweeps`` (a bool or a float raises TypeError). Each
     colour's conditional sd, bounds and one-ulp-inside clamps are computed
     then too, so a sweep checks only that the conditional means it draws
     around are finite. Raises ValueError otherwise.
@@ -240,11 +262,19 @@ def sample_truncated_mvn(
         raise ValueError(f"empty truncation box at coordinate {int(np.argmin(nonempty))}")
     if np.any(init < lower) or np.any(init > upper):
         raise ValueError("init point lies outside the truncation box")
-    if sweeps < 1:
-        raise ValueError("sweeps must be a positive integer")
+    sweeps = _sweeps(sweeps)
     if not np.all(np.isfinite(diag) & (diag > 0.0)):
         raise ValueError("precision diagonal must be finite and positive")
+    return _truncated_mvn(diag, off, rhs, lower, upper, init, sweeps, gen)
 
+
+def _truncated_mvn(diag, off, rhs, lower, upper, init, sweeps: int, gen) -> np.ndarray:
+    """``sample_truncated_mvn``'s core, for a caller whose system is valid by
+    construction: float64 vectors of one length, a non-empty box holding
+    ``init``, a finite positive diagonal and a positive integer ``sweeps``.
+    Checks only that the conditional means it draws around are finite, which
+    a non-finite rhs breaks too."""
+    n = diag.size
     # x sits between two zeros, so a colour's neighbours on either side are
     # strided slices of the padded state; those past an end have coupling 0.
     padded = np.zeros(n + 2)
@@ -265,7 +295,7 @@ def sample_truncated_mvn(
         for own, after, rhs_c, left_c, right_c, diag_c, box in colours:
             # padded[own] holds each coordinate's left neighbour, padded[after] its right
             m = (rhs_c - left_c * padded[own] - right_c * padded[after]) / diag_c
-            if not np.all(np.isfinite(m)):
+            if not np.isfinite(m).all():
                 raise ValueError("truncated MVN conditional mean is not finite")
             x[own] = _draw(m, *box, gen)
     return x

@@ -398,13 +398,15 @@ def frozen_assemble_bands(design, sigma2) -> np.ndarray:
     return bands.reshape(d + 1, -1)
 
 
-def public_draw_loop(spec, y, x, gen: np.random.Generator):
+def public_draw_loop(spec, y, x, gen: np.random.Generator, lane_gen: np.random.Generator = None):
     """The Gibbs loop written against the package's public draws, batch by
-    batch, with nothing built ahead: fancy-indexed red-black batches (one
-    batch of all thresholds when unconstrained), neighbor bounds stacked
-    afresh, fits recomputed after every monotone draw and the latents drawn
-    around fits recomputed from the current paths. Returns the kept
-    (beta, sigma2)."""
+    batch, with nothing built ahead: fancy-indexed red-black colours, each
+    split into its lower half (one threshold larger at an odd size), drawn
+    from ``gen``, then its upper half, drawn from ``lane_gen`` (one batch
+    of all thresholds from ``gen`` when unconstrained), neighbor bounds
+    stacked afresh, fits recomputed after every monotone draw and the
+    latents drawn around fits recomputed from the current paths. Returns
+    the kept (beta, sigma2)."""
     from tvpdr.distribution import PROBIT, apply_design_transform
     from tvpdr.model import (draw_beta_monotone, draw_beta_unconstrained, draw_latent, draw_sigma2,
                              fitted_values, initial_state)
@@ -415,23 +417,30 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator):
     k = spec.grid.n
     state = initial_state(y, spec.grid, t_len, d, PROBIT)
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
-    colors = [np.arange(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [np.arange(k)]
+    batches = [(np.arange(k), gen)]
+    if spec.monotone:
+        batches = []
+        for colour in (np.arange(c, k, 2) for c in range(min(k, 2))):
+            half = len(colour) - len(colour) // 2
+            batches += [(colour[:half], gen), (colour[half:], lane_gen)]
     edge = np.full((1, t_len), np.inf)
     kept_beta, kept_sigma2 = [], []
     for it in range(spec.iterations):
-        for batch in colors:
+        for batch, batch_gen in batches:
+            if not batch.size:
+                continue
             latent = draw_latent(spec.grid.points[batch], y,
-                                 fitted_values(design, state.beta[batch]), gen)
+                                 fitted_values(design, state.beta[batch]), batch_gen)
             if spec.monotone:
                 bounds = np.vstack([-edge, state.fitted, edge])
                 beta, _ = draw_beta_monotone(
                     bounds[batch], bounds[batch + 2], design, latent, state.sigma2[batch],
-                    state.beta[batch], gen, sweeps=spec.truncation_sweeps)
+                    state.beta[batch], batch_gen, sweeps=spec.truncation_sweeps)
                 state.fitted[batch] = fitted_values(design, beta)
             else:
-                beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], gen)
+                beta = draw_beta_unconstrained(design, latent, state.sigma2[batch], batch_gen)
             state.beta[batch] = beta
-            state.sigma2[batch] = draw_sigma2(beta, nu, s, gen)
+            state.sigma2[batch] = draw_sigma2(beta, nu, s, batch_gen)
         if it >= spec.burnin:
             kept_beta.append(state.beta.copy())
             kept_sigma2.append(state.sigma2.copy())

@@ -784,3 +784,140 @@ def test_read_commands_load_no_fit_only_module(estimate_dir, capsys, tmp_path):
     proc = subprocess.run([sys.executable, "-c", FRESH_READS, json.dumps([reads, estimate])],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# Run one CLI command in a fresh interpreter on the given CPUs, with one
+# fault injected into the monotone path draws of one lane, then report the
+# exit code, whether a child process is left and the CPU time of the reaped
+# ones. ``-X dev -W error`` makes any warning, a fork from a process with
+# threads included, an error.
+LANE_RUN = """
+import json, os, resource, signal, sys
+import tvpdr.model
+from tvpdr.cli import main
+
+cpus, fault, argv = json.loads(sys.argv[1])
+os.sched_setaffinity(0, cpus)
+real = tvpdr.model._draw_monotone
+calls = [0, 0]
+
+def faulty(*args):
+    lane = len(args[7].bit_generator.seed_seq.spawn_key) - 1  # the lane's generator
+    calls[lane] += 1
+    if fault and fault["lane"] == lane and calls[lane] == 3:  # iteration 1, even colour
+        if fault["kind"] == "leftover":
+            raise tvpdr.model.MonotonicityError("injected leftover", path=1)
+        if fault["kind"] == "die":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyboardInterrupt
+    return real(*args)
+
+tvpdr.model._draw_monotone = faulty
+try:
+    code = main(argv)
+except KeyboardInterrupt:
+    code = "interrupted"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"code": code, "left": left, "children_cpu": usage.ru_utime + usage.ru_stime}))
+"""
+
+# K = 9 thresholds: the even colour (5) and its lanes {0, 2, 4} and {6, 8}
+# have odd sizes
+LANE_MODEL = ["--iters", "12", "--burnin", "4", "--monotone", "on", "--grid-min", "0.5",
+              "--grid-max", "4.5", "--grid-step", "0.5", "--seed", "8"]
+
+
+def _lane_run(tmp_path, out, cpus, fault=None):
+    csv = str(tmp_path / "macro.csv")
+    if not os.path.exists(csv):
+        write_csv(csv)
+    argv = ["estimate", "--data", csv, *DATA_ARGS, *LANE_MODEL, "--out", str(tmp_path / out)]
+    src = str(Path(tvpdr.model.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", LANE_RUN,
+                           json.dumps([sorted(cpus), fault, argv])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    *printed, report = proc.stdout.strip().split("\n")
+    return json.loads(report), printed, proc.stderr
+
+
+def _two_cpus():
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2 or sys.platform != "linux":
+        pytest.skip("needs Linux and two usable CPUs")
+    return cpus[:2]
+
+
+def test_monotone_estimate_is_the_same_with_and_without_the_lane_helper(tmp_path):
+    cpus = _two_cpus()
+    two, printed_two, err_two = _lane_run(tmp_path, "two", cpus)
+    one, printed_one, err_one = _lane_run(tmp_path, "one", cpus[:1])
+    assert two["code"] == one["code"] == 0 and not (two["left"] or one["left"])
+    assert two["children_cpu"] > 0.0 and one["children_cpu"] == 0.0  # only two CPUs fork
+    assert err_two == err_one == ""
+    assert printed_two[1:] == printed_one[1:]  # all but the estimate's path
+    assert dict(parse_table("\n".join(printed_two)))["thresholds"] == "9"
+    names = sorted(os.listdir(tmp_path / "two"))
+    assert names == sorted(os.listdir(tmp_path / "one")) and "beta.f64" in names
+    for name in names:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("fault", [{"lane": 1, "kind": "leftover"}, {"lane": 1, "kind": "die"},
+                                   {"lane": 0, "kind": "interrupt"}],
+                         ids=["lane1-error", "lane1-dies", "lane0-interrupt"])
+def test_a_failing_lane_stops_the_fit_and_leaves_no_process(tmp_path, fault):
+    cpus = _two_cpus()
+    got, printed, stderr = _lane_run(tmp_path, "est", cpus, fault)
+    assert printed == [] and not got["left"] and got["children_cpu"] > 0.0
+    if fault["kind"] == "leftover":
+        # path 1 of the even colour's upper lane {6, 8} is threshold 8, y = 4.5
+        assert got["code"] == 1
+        assert stderr.startswith("error: iteration 1, threshold 8 (y=4.5): injected leftover")
+    elif fault["kind"] == "die":
+        assert got["code"] == 1 and "lane process exited" in stderr
+    else:
+        assert got["code"] == "interrupted" and stderr == ""
+    assert not [name for name in os.listdir(tmp_path / "est") if name.endswith(".partial")]
+
+
+# Two lane processes on one CPU: each wait yields the CPU to the other, and
+# the barrier must still hand every colour over whole.
+ONE_CPU_LANES = """
+import json, os, resource, sys
+import numpy as np
+from tvpdr.distribution import build_threshold_grid
+from tvpdr.model import ModelSpec, run_gibbs
+
+os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+rng = np.random.default_rng(3)
+x = np.column_stack([np.ones(60), rng.standard_normal(60)])
+y = rng.standard_normal(60) + 0.5 * x[:, 1]
+spec = ModelSpec(d=2, grid=build_threshold_grid(-1.5, 1.5, 0.25), iterations=40, burnin=10,
+                 seed=13)
+alone, lanes = (run_gibbs(spec, (y, x), workers=w) for w in (1, 2))
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"same": bool(np.array_equal(alone.beta, lanes.beta)
+                               and np.array_equal(alone.sigma2, lanes.sigma2)),
+                  "forked": usage.ru_utime + usage.ru_stime > 0.0}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lane helpers fork on Linux only")
+def test_lane_processes_sharing_one_cpu_draw_the_same_fit():
+    src = str(Path(tvpdr.model.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", ONE_CPU_LANES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"same": True, "forked": True}

@@ -19,7 +19,7 @@ from tvpdr.evaluation import (
     _tsv_columns,
 )
 from tvpdr.model import ModelSpec
-from tvpdr.samplers import DRAW_SCHEME, stream_generator
+from tvpdr.samplers import DRAW_SCHEME, LANE_SCHEME, stream_generator
 
 from reference import KS95_N100, KSTWO_PPF, frozen_pit_uniformity_band
 
@@ -309,12 +309,12 @@ def test_backtest_resume_refuses_other_provenance(tmp_path):
     assert par.read_bytes() == records
 
 
-def _resume_under_a_changed_sidecar_key(tmp_path, key, want, stored_value):
+def _resume_under_a_changed_sidecar_key(tmp_path, key, want, stored_value, monotone=False):
     """Write records, set ``key`` of their sidecar to ``stored_value`` (None
     deletes it), cut the last rows as a crash would, and check that a resume
     is refused, naming ``key``, without touching either file."""
     ds = synthetic_dataset(seed=1)
-    spec = fast_spec(ds, seed=4)
+    spec = replace(fast_spec(ds, seed=4), monotone=monotone)
     plan = BacktestPlan("1980Q1", "2000Q1", refit_every=4)
     cov = ["infl_P_1q", "u"]
     out = tmp_path / "records.tsv"
@@ -355,6 +355,15 @@ def test_backtest_resume_refuses_records_of_another_draw_scheme(tmp_path, stored
     # seed drew other numbers, so new rows are not appended under them
     assert "SFC64" in DRAW_SCHEME
     _resume_under_a_changed_sidecar_key(tmp_path, "draws", DRAW_SCHEME, stored_draws)
+
+
+def test_monotone_backtest_resume_refuses_records_drawn_in_one_lane(tmp_path):
+    # a monotone fit draws each colour in two lanes on two streams, so the
+    # records of a monotone backtest written before the lanes came from
+    # other draws; unconstrained records keep their scheme, and their draws
+    assert LANE_SCHEME.startswith(DRAW_SCHEME) and LANE_SCHEME != DRAW_SCHEME
+    _resume_under_a_changed_sidecar_key(tmp_path, "draws", LANE_SCHEME, DRAW_SCHEME,
+                                        monotone=True)
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):

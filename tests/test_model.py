@@ -423,7 +423,7 @@ def test_run_gibbs_draws_the_spec_seed_on_the_stream_it_records():
     spec = ModelSpec(d=2, grid=grid, iterations=4, burnin=2, seed=5)
     draws = run_gibbs(spec, (y, x), stream=2)
     assert (draws.seed, draws.stream) == (5, 2)
-    beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(5, 2))
+    beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(5, 2), stream_generator(5, 2, 1))
     assert np.array_equal(draws.beta, beta) and np.array_equal(draws.sigma2, sigma2)
     for old in (stream_generator(5), 5):
         with pytest.raises(TypeError, match="positional"):
@@ -681,14 +681,17 @@ def test_run_gibbs_equals_the_public_draws_bitwise(monotone, d, buffers):
         return
     y, x = small_problem(seed=40 + d, t_len=12, d=d)
     lo = float(np.quantile(y, 0.1))
-    for n_thresholds in (4, 5):
+    # monotone: each colour's two lanes on two streams; at K = 2 and 3 a
+    # colour of one threshold leaves its upper lane empty
+    for n_thresholds in (2, 3, 4, 5) if monotone else (4, 5):
         step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
         grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
         assert grid.n == n_thresholds
         spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
                          seed=d + n_thresholds)
         draws = run_gibbs(spec, (y, x))
-        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed))
+        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed),
+                                        stream_generator(spec.seed, lane=1))
         assert np.array_equal(draws.beta, beta)
         assert np.array_equal(draws.sigma2, sigma2)
 

@@ -4,11 +4,14 @@ Distributional checks use moderate draw counts and 4+ sigma tolerances so
 they are deterministic in practice under the pinned seeds.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr
 
 from tvpdr.banded import assemble_precision
+from tvpdr.model import draw_beta_monotone
 from tvpdr.samplers import (
     _truncated_std_normal,
     sample_gaussian_precision,
@@ -72,6 +75,24 @@ def test_stream_generator_validates_range():
     for bad in (2.7, False, "1"):
         with pytest.raises(TypeError, match="stream must be an integer"):
             stream_generator(0, bad)
+
+
+@pytest.mark.parametrize("seed, stream, lane", [(0, 0, 1), (123, 4, 1), (2**64 - 1, 3, 2),
+                                                (np.int64(9), np.uint8(2), np.int32(1))])
+def test_stream_generator_lanes_are_sub_streams_on_the_spawn_key(seed, stream, lane):
+    # lane 0 is the stream itself; lane l >= 1 is spawn key (stream, l)
+    want = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(lane)))))
+    got = stream_generator(seed, stream, lane)
+    assert np.array_equal(got.random(8), want.random(8))
+    assert np.array_equal(stream_generator(seed, stream, 0).random(8),
+                          stream_generator(seed, stream).random(8))
+    assert not np.array_equal(stream_generator(seed, stream, lane).random(8),
+                              stream_generator(seed, stream).random(8))
+    with pytest.raises(TypeError, match="lane must be an integer"):
+        stream_generator(seed, stream, True)
+    with pytest.raises(ValueError, match="lane must lie in"):
+        stream_generator(seed, stream, -1)
 
 
 def test_truncated_normal_half_normal_mean():
@@ -303,6 +324,23 @@ def test_truncated_mvn_matches_the_frozen_sweep():
         np.testing.assert_allclose(new, old, rtol=1e-10, atol=0.0)
         assert new_gen.random() == old_gen.random()
         assert np.all((new > lower) & (new < upper))
+
+
+@pytest.mark.parametrize("sweeps, error", [(True, TypeError), (2.0, TypeError), (0, ValueError)],
+                         ids=["bool", "float", "zero"])
+@pytest.mark.parametrize("draw", ["sample_truncated_mvn", "draw_beta_monotone"])
+def test_sweeps_must_be_a_positive_integer(draw, sweeps, error):
+    # True ran one sweep and 2.0 died in range() without naming its argument
+    gen = stream_generator(22)
+    if draw == "sample_truncated_mvn":
+        call = partial(sample_truncated_mvn, np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2),
+                       np.ones(2), np.full(2, 0.5))
+    else:
+        x = np.ones((4, 1))
+        call = partial(draw_beta_monotone, np.full(4, -1.0), np.full(4, 1.0), x, np.zeros(4),
+                       np.array([0.3]), np.zeros((4, 1)))
+    with pytest.raises(error, match="sweeps must be"):
+        call(sweeps=sweeps, gen=gen)
 
 
 def test_truncated_mvn_validates():

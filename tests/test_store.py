@@ -454,12 +454,13 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 9:  # a kept iteration: draws are already streaming
+        # K = 5: two colours of two lanes, four variance draws an iteration
+        if len(calls) == 17:  # iteration 4, kept: draws are already streaming
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tvpdr.model, "_draw_sigma2", failing)
-    with pytest.raises(EstimationError, match="injected"):
+    with pytest.raises(EstimationError, match="iteration 4, .*injected"):
         run_gibbs(replace(spec, seed=2), data, buffers=partial(draw_buffers, where))
     back = load_estimate(where, expect_data_hash=hash_data(*data))
     assert same_bits(back.beta, previous.beta)
@@ -560,14 +561,15 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 15:  # iteration 7: kept draws 0-2 are written, 3 waits in the block
+        # K = 5: two colours of two lanes, four variance draws an iteration
+        if len(calls) == 29:  # iteration 7: kept draws 0-2 are written, 3 waits in the block
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tvpdr.model, "_draw_sigma2", failing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EstimationError, match="injected"):
+        with pytest.raises(EstimationError, match="iteration 7, .*injected"):
             run_gibbs(replace(spec, seed=2), data, buffers=partial(draw_buffers, where))
         held = [name for name in _open_paths() if name.endswith(".partial")]
         gc.collect()

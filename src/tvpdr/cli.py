@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -159,9 +160,32 @@ def _load_for_reading(args):
                                       expect_data_hash=hash_data(aligned.y, aligned.x))
 
 
+# A cgroup's CPU quota, v2 then v1, read at the mount root, where a container
+# sees its own group: "quota period", or the quota and the period in two files.
+_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _quota_cpus():
+    """Whole CPUs of the cgroup CPU quota, or None where none is set or readable."""
+    for files in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(f).read_text() for f in files).split()
+            return None if quota in ("max", "-1") else int(quota) // int(period)
+        except (OSError, ValueError):
+            continue
+    return None
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    capped by the whole CPUs of its cgroup's quota, which the mask does not
+    show. A fit's lanes in two processes both spin while they wait for each
+    other, so on a quota of fewer than two CPUs they would throttle each
+    other."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    quota = _quota_cpus()
+    return cpus if quota is None else max(1, min(cpus, quota))
 
 
 def _cmd_estimate(args) -> int:

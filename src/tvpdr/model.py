@@ -30,8 +30,8 @@ from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, _StackedPre
                      add_prior_diagonal, walk_diagonal)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (_draw, _gaussian_precision, _integer, _sweeps, _truncated_mvn, _uint64,
-                       stream_generator)
+from .samplers import (_draw, _gaussian_precision, _integer, _Lanes, _part, _sweeps,
+                       _truncated_mvn, _uint64, stream_generator)
 
 __all__ = [
     "LINKS",
@@ -402,7 +402,7 @@ def _draw_monotone(lo_path, up_path, design, precision: _StackedPrecision, laten
 
     if not (np.isfinite(lo_path).any() or np.isfinite(up_path).any()):
         return beta, fitted_values(design, beta)
-    if (lo_path > up_path).any():
+    if np.any(lo_path > up_path):
         row, t = np.argwhere(lo_path > up_path)[0]
         raise MonotonicityError(f"neighbor threshold paths cross at t={t}: lower "
                                 f"{lo_path[row, t]:.6g} > upper {up_path[row, t]:.6g}", path=row)
@@ -428,7 +428,8 @@ def _draw_monotone(lo_path, up_path, design, precision: _StackedPrecision, laten
         diag_f, off_f = _tridiag_submatrix(diag.ravel(), off.ravel(), free)
         lo_f, up_f = lo[free], up[free]
         init = np.clip(np.asarray(current, dtype=np.float64)[..., 0].ravel()[free], lo_f, up_f)
-        x1[free] = _truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo_f, up_f, init, sweeps, gen)
+        x1[free] = _truncated_mvn(diag_f, off_f, rhs.ravel()[free], lo_f, up_f, init, sweeps,
+                                  _part(gen, free, free.size))
 
     beta[..., 0] = x1.reshape(lo_path.shape)
     return _repair_ordering(beta, design, lo_path, up_path)
@@ -590,8 +591,8 @@ class _Handoff:
 
 def _fork_helper(draw):
     """Fork a helper that runs ``draw(handoff)`` and leaves through
-    ``os._exit``; returns its pid and this process's ``_Handoff``, or None
-    when the system refuses the fork.
+    ``os._exit``; returns its pid and this process's ``_Handoff``, or two
+    Nones when the system refuses the fork.
 
     The helper ignores SIGINT (its parent takes ^C and stops it), runs no
     garbage collection, so no finalizer of its parent's objects runs twice,
@@ -606,7 +607,7 @@ def _fork_helper(draw):
     except OSError:  # out of processes or memory: the lanes run in turn
         for fd in (*down, *up):
             os.close(fd)
-        return None
+        return None, None
     if pid:
         os.close(down[0])
         os.close(up[1])
@@ -653,12 +654,14 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
     red-black systematic-scan Gibbs sampler that leaves every kept
     iteration exactly ordered across the whole grid. Given the other
     colour, the thresholds of a colour are independent, so each colour
-    splits into two fixed lanes (``_lanes``), each one batch drawn from its
-    own ``stream_generator(spec.seed, stream, lane)``. With ``workers`` >= 2,
+    splits into two fixed lanes (``_lanes``), each drawn from its own
+    ``stream_generator(spec.seed, stream, lane)``. With ``workers`` >= 2,
     on Linux, in a process that runs one OS thread, one helper process is
     forked per fit, after the workspace is built, and draws lane 1 of every
-    colour while this process draws lane 0; the two meet at the end of each
-    colour (``_Handoff``). Otherwise the lanes run in turn. The state's
+    colour while this process draws lane 0, each lane one batch; the two
+    meet at the end of each colour (``_Handoff``). Otherwise this process
+    draws each colour as one batch whose draws ``samplers._Lanes`` takes
+    from the two lanes' streams, lane by lane. With a helper the state's
     paths, variances and fits live in shared memory, and a lane's draws
     depend only on its stream and the state, so the draws are the same
     either way. No helper outlives the call: it is reaped on success and
@@ -719,32 +722,42 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
         raise ValueError(f"buffers gave beta of shape {out_beta.shape} for "
                          f"{(kept, k, t_len, d)}")
 
-    # Per-fit workspace. Rows 1..K of ``bounds`` are the fits, with open
-    # bounds beyond the ends of the grid, so a batch's neighbor fits are
-    # strided views of it. The state lives in shared memory, which a lane
-    # helper writes too. The batches take turns with one band storage, one
-    # path buffer and one increment buffer, whose leading rows serve a
-    # smaller batch; a helper draws into its own copies.
-    bounds = _shared(np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
-                                np.full(t_len, np.inf)]))
-    state = GibbsState(beta=_shared(state.beta), sigma2=_shared(state.sigma2),
-                       fitted=bounds[1:-1])
+    # Per-fit workspace. A colour's batches are its two lanes, one for this
+    # process and one for a helper, or, drawn alone, the whole colour as one
+    # batch on both lanes' streams. Either way each lane draws from its own.
     gens = [stream_generator(spec.seed, stream, lane) for lane in range(2)]
     colours = [_lanes(range(c, k, 2)) for c in range(min(k, 2))] if spec.monotone else [(range(k),)]
-    size = max(len(rows) for lanes in colours for rows in lanes)
+    split = workers > 1 and spec.monotone and any(upper for _, upper in colours) and _may_fork()
+    # Rows 1..K of ``bounds`` are the fits, with open bounds beyond the ends
+    # of the grid, so a batch's neighbor fits are strided views of it. With
+    # a helper the state lives in shared memory, which the helper writes
+    # too. The batches take turns with one band storage, one path buffer
+    # and one increment buffer, whose leading rows serve a smaller batch; a
+    # helper draws into its own copies.
+    bounds = np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
+                        np.full(t_len, np.inf)])
+    if split:
+        bounds, state.beta, state.sigma2 = (_shared(a) for a in (bounds, state.beta, state.sigma2))
+    state.fitted = bounds[1:-1]
+    work = []
+    for lanes in colours:
+        rows = range(lanes[0].start, lanes[-1].stop, lanes[0].step)
+        work.append(list(zip(lanes, gens)) if split else [
+            (rows, _Lanes(gens, len(lanes[0]), len(rows)) if len(lanes) > 1 else gens[0])])
+    size = max(len(rows) for batches in work for rows, _ in batches)
     precision = _StackedPrecision(design, size)
     paths = np.empty((size, t_len, d)) if spec.monotone else state.beta
     increments = np.empty((size, t_len - 1, d))
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
-    work = []
-    for lanes in colours:
-        work.append([])
-        for rows, gen in zip(lanes, gens):
-            batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
-            neighbors = ((bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
-                         if spec.monotone else ())
-            work[-1].append((batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
-                             increments[: len(rows)], neighbors, gen))
+
+    def workspace(rows, gen):
+        batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
+        neighbors = ((bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
+                     if spec.monotone else ())
+        return (batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
+                increments[: len(rows)], neighbors, gen)
+
+    work = [[workspace(*batch) for batch in batches] for batches in work]
 
     def update(it, batch, rows, box, into, inc, neighbors, gen):
         if not rows:
@@ -770,24 +783,23 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
 
     def draw_lane_1(handoff):
         for it in range(spec.iterations):
-            for lanes in work:
-                update(it, *lanes[1])
+            for batches in work:
+                update(it, *batches[1])
                 handoff.post()
                 handoff.wait()
 
-    helper = None
-    if workers > 1 and spec.monotone and any(upper for _, upper in colours) and _may_fork():
-        # the first path draw imports LAPACK; imported here it is shared, not
-        # imported again in each process after the fork
-        from scipy.linalg import lapack  # noqa: F401
-        helper = _fork_helper(draw_lane_1)
-    pid, handoff = helper or (None, None)
-    drawn = 1 if handoff else 2  # the lanes of each colour this process draws
+    pid = handoff = None
     try:
+        if split:
+            # the first path draw imports LAPACK; imported here it is shared,
+            # not imported again in each process after the fork
+            from scipy.linalg import lapack  # noqa: F401
+            pid, handoff = _fork_helper(draw_lane_1)
+        drawn = 1 if handoff else 2  # the batches of each colour this process draws
         for it in range(spec.iterations):
-            for c, lanes in enumerate(work):
-                for lane in lanes[:drawn]:
-                    update(it, *lane)
+            for c, batches in enumerate(work):
+                for batch in batches[:drawn]:
+                    update(it, *batch)
                 if handoff:
                     handoff.wait()
                 # the helper writes the state again only after the post below
@@ -797,12 +809,13 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
                 if handoff:
                     handoff.post()
     except BaseException:
-        if handoff:
+        if pid:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         if handoff:
             handoff.close()
+        if pid:
             with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
                 os.waitpid(pid, 0)
 

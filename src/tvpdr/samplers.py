@@ -91,6 +91,61 @@ def stream_generator(seed, stream=0, lane=0) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
+class _Lanes:
+    """The generator of one draw stacked from a colour's two lanes, lane 0
+    first: of a draw of ``size`` rows, the first ``cut`` are lane 0's,
+    drawn from ``gens[0]``, and the rest lane 1's, from ``gens[1]``. So
+    each lane draws what it would alone, and a batch of a colour's two
+    lanes draws what the lanes drawn one at a time, or in two processes,
+    would. It draws as a Generator does, for the draws a sampler makes;
+    ``take`` gives the lanes of a subset of a draw."""
+
+    __slots__ = ("gens", "cut", "size")
+
+    def __init__(self, gens, cut: int, size: int):
+        self.gens, self.cut, self.size = gens, cut, size
+
+    def _halves(self, out: np.ndarray) -> tuple:
+        flat = out.reshape(-1)
+        at = flat.size // self.size * self.cut
+        return flat[:at], flat[at:]
+
+    def standard_normal(self, size) -> np.ndarray:
+        out = np.empty(size)
+        lane0, lane1 = self._halves(out)
+        self.gens[0].standard_normal(out=lane0)
+        self.gens[1].standard_normal(out=lane1)
+        return out
+
+    def random(self, size) -> np.ndarray:
+        out = np.empty(size)
+        lane0, lane1 = self._halves(out)
+        self.gens[0].random(out=lane0)
+        self.gens[1].random(out=lane1)
+        return out
+
+    def standard_gamma(self, shape, size) -> np.ndarray:
+        out = np.empty(size)
+        lane0, lane1 = self._halves(out)
+        self.gens[0].standard_gamma(shape, out=lane0)
+        self.gens[1].standard_gamma(shape, out=lane1)
+        return out
+
+    def take(self, keep: np.ndarray, size: int) -> _Lanes:
+        """The lanes of the elements ``keep`` of a draw of ``size``: a
+        boolean mask, or indices in increasing order."""
+        at = size // self.size * self.cut
+        if keep.dtype == bool:
+            keep = keep.ravel()
+            return _Lanes(self.gens, int(np.count_nonzero(keep[:at])), int(np.count_nonzero(keep)))
+        return _Lanes(self.gens, int(keep.searchsorted(at)), keep.size)
+
+
+def _part(gen, keep: np.ndarray, size: int):
+    """The generator of the elements ``keep`` of a draw of ``size`` from ``gen``."""
+    return gen.take(keep, size) if isinstance(gen, _Lanes) else gen
+
+
 def _tail_reject(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Standardized draws on [a, b) with a >= _TAIL (b possibly inf).
 
@@ -107,8 +162,9 @@ def _tail_reject(a: np.ndarray, b: np.ndarray, gen: np.random.Generator) -> np.n
         idx = np.nonzero(pending)[0]
         aa, bb, ll = a[idx], b[idx], lam[idx]
         w = wide[idx]
-        u1 = 1.0 - gen.random(idx.size)  # in (0, 1], keeps log finite
-        u2 = gen.random(idx.size)
+        part = _part(gen, idx, a.size)
+        u1 = 1.0 - part.random(idx.size)  # in (0, 1], keeps log finite
+        u2 = part.random(idx.size)
         x = np.where(w, aa - np.log(u1) / ll, aa + u1 * np.where(np.isfinite(bb), bb - aa, 0.0))
         logacc = np.where(w, -0.5 * (x - ll) ** 2, 0.5 * (aa * aa - x * x))
         ok = np.log(np.maximum(u2, 1e-300)) <= logacc
@@ -134,7 +190,7 @@ def _truncated_std_normal(a: np.ndarray, b: np.ndarray, gen: np.random.Generator
     fa = ndtr(lo)
     z = ndtri(fa + gen.random(a.shape) * (ndtr(hi) - fa))  # tail slots are redrawn below
     if tail.any():
-        z[tail] = -_tail_reject(-hi[tail], -lo[tail], gen)
+        z[tail] = -_tail_reject(-hi[tail], -lo[tail], _part(gen, tail, tail.size))
     return np.where(flip, -z, z)
 
 
@@ -153,9 +209,10 @@ def _draw(mean, sd, lower, upper, lower_in, upper_in, gen):
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     z = gen.standard_normal(a.shape)
-    miss = ((z <= a) | (z >= b)).ravel().nonzero()[0]  # indices gather faster than a random mask
+    miss = np.flatnonzero((z <= a) | (z >= b))  # indices gather faster than a random mask
     if miss.size:
-        z.ravel()[miss] = _truncated_std_normal(a.ravel()[miss], b.ravel()[miss], gen)
+        z.ravel()[miss] = _truncated_std_normal(a.ravel()[miss], b.ravel()[miss],
+                                                _part(gen, miss, z.size))
     return np.minimum(np.maximum(mean + sd * z, lower_in), upper_in)
 
 
@@ -273,7 +330,13 @@ def _truncated_mvn(diag, off, rhs, lower, upper, init, sweeps: int, gen) -> np.n
     construction: float64 vectors of one length, a non-empty box holding
     ``init``, a finite positive diagonal and a positive integer ``sweeps``.
     Checks only that the conditional means it draws around are finite, which
-    a non-finite rhs breaks too."""
+    a non-finite rhs breaks too.
+
+    With ``_Lanes`` in place of a Generator the vector is a colour's two
+    lanes, which never couple, and each lane's colours alternate from its
+    own first coordinate, so each lane is swept, and drawn, as it would be
+    alone.
+    """
     n = diag.size
     # x sits between two zeros, so a colour's neighbours on either side are
     # strided slices of the padded state; those past an end have coupling 0.
@@ -284,18 +347,29 @@ def _truncated_mvn(diag, off, rhs, lower, upper, init, sweeps: int, gen) -> np.n
     left[1:] = right[:-1] = off[:-1]
     sd = 1.0 / np.sqrt(diag)
     lower_in, upper_in = np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf)
+    lanes = isinstance(gen, _Lanes)
+    cut = gen.cut if lanes else n  # lane 1's first coordinate
     colours = []
-    for c in range(min(n, 2)):
-        own = slice(c, n, 2)
-        colours.append((own, slice(c + 2, n + 2, 2), rhs[own], left[own], right[own],
-                        diag[own],
-                        (sd[own], lower[own], upper[own], lower_in[own], upper_in[own])))
+    for c in range(2):
+        # lane 0's coordinates of this colour are own[:cut_c], lane 1's the rest
+        cut_c = len(range(c, cut, 2))
+        size_c = cut_c + len(range(cut + c, n, 2))
+        if not size_c:
+            continue
+        if lanes and cut % 2:  # lane 1's colours start on the other parity
+            own = np.r_[c:cut:2, cut + c : n : 2]
+            after = own + 2
+        else:
+            own, after = slice(c, n, 2), slice(c + 2, n + 2, 2)
+        colours.append((own, after, rhs[own], left[own], right[own], diag[own],
+                        (sd[own], lower[own], upper[own], lower_in[own], upper_in[own]),
+                        _Lanes(gen.gens, cut_c, size_c) if lanes else gen))
 
     for _ in range(sweeps):
-        for own, after, rhs_c, left_c, right_c, diag_c, box in colours:
+        for own, after, rhs_c, left_c, right_c, diag_c, box, gen_c in colours:
             # padded[own] holds each coordinate's left neighbour, padded[after] its right
             m = (rhs_c - left_c * padded[own] - right_c * padded[after]) / diag_c
-            if not np.isfinite(m).all():
+            if not np.all(np.isfinite(m)):
                 raise ValueError("truncated MVN conditional mean is not finite")
-            x[own] = _draw(m, *box, gen)
+            x[own] = _draw(m, *box, gen_c)
     return x

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tvpdr.cli
 import tvpdr.model
 from tvpdr.cli import COMMANDS, _build_spec, build_parser, main
 from tvpdr.data import assemble_design, load_csv
@@ -802,9 +803,12 @@ real = tvpdr.model._draw_monotone
 calls = [0, 0]
 
 def faulty(*args):
-    lane = len(args[7].bit_generator.seed_seq.spawn_key) - 1  # the lane's generator
+    if not fault:
+        return real(*args)
+    # on two CPUs each process draws one lane, from the lane's generator
+    lane = len(args[7].bit_generator.seed_seq.spawn_key) - 1
     calls[lane] += 1
-    if fault and fault["lane"] == lane and calls[lane] == 3:  # iteration 1, even colour
+    if fault["lane"] == lane and calls[lane] == 3:  # iteration 1, even colour
         if fault["kind"] == "leftover":
             raise tvpdr.model.MonotonicityError("injected leftover", path=1)
         if fault["kind"] == "die":
@@ -909,6 +913,24 @@ print(json.dumps({"same": bool(np.array_equal(alone.beta, lanes.beta)
                                and np.array_equal(alone.sigma2, lanes.sigma2)),
                   "forked": usage.ru_utime + usage.ru_stime > 0.0}))
 """
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({"cpu.max": "max 100000\n"}, None), ({"cpu.max": "150000 100000\n"}, 1),
+    ({"cpu.max": "400000 100000\n"}, 4), ({"cpu.max": "50000 100000\n"}, 0),
+    ({"quota": "-1\n", "period": "100000\n"}, None),
+    ({"quota": "200000\n", "period": "100000\n"}, 2), ({}, None)],
+    ids=["v2-none", "v2-1.5", "v2-4", "v2-0.5", "v1-none", "v1-2", "no-files"])
+def test_a_cgroup_cpu_quota_caps_the_usable_cpus(tmp_path, monkeypatch, files, quota):
+    # an affinity mask of three CPUs under a quota of fewer: an estimate
+    # forks its lane helper only where two whole CPUs of quota are left
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(tvpdr.cli, "_CPU_QUOTA_FILES", (
+        (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert tvpdr.cli._quota_cpus() == quota
+    assert tvpdr.cli._usable_cpus() == (3 if quota is None else max(1, min(3, quota)))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lane helpers fork on Linux only")

@@ -679,21 +679,24 @@ def test_run_gibbs_equals_the_public_draws_bitwise(monotone, d, buffers):
         assert np.array_equal(draws.beta, beta[:, :, -1:])
         assert np.array_equal(draws.sigma2, sigma2)
         return
-    y, x = small_problem(seed=40 + d, t_len=12, d=d)
-    lo = float(np.quantile(y, 0.1))
-    # monotone: each colour's two lanes on two streams; at K = 2 and 3 a
-    # colour of one threshold leaves its upper lane empty
-    for n_thresholds in (2, 3, 4, 5) if monotone else (4, 5):
-        step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
-        grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
-        assert grid.n == n_thresholds
-        spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
-                         seed=d + n_thresholds)
-        draws = run_gibbs(spec, (y, x))
-        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed),
-                                        stream_generator(spec.seed, lane=1))
-        assert np.array_equal(draws.beta, beta)
-        assert np.array_equal(draws.sigma2, sigma2)
+    # monotone: each colour's two lanes on two streams, drawn here as one
+    # batch; at K = 2 and 3 a colour of one threshold leaves its upper lane
+    # empty, and at T = 13 a lower lane of one threshold has an odd number
+    # of intercepts, so the upper lane's colours start on the other parity
+    for t_len in (12, 13) if monotone else (12,):
+        y, x = small_problem(seed=40 + d, t_len=t_len, d=d)
+        lo = float(np.quantile(y, 0.1))
+        for n_thresholds in (2, 3, 4, 5) if monotone else (4, 5):
+            step = (float(np.quantile(y, 0.9)) - lo) / (n_thresholds - 1)
+            grid = build_threshold_grid(lo, lo + step * (n_thresholds - 1), step)
+            assert grid.n == n_thresholds
+            spec = ModelSpec(d=d, grid=grid, iterations=6, burnin=2, monotone=monotone,
+                             seed=d + n_thresholds)
+            draws = run_gibbs(spec, (y, x))
+            beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed),
+                                            stream_generator(spec.seed, lane=1))
+            assert np.array_equal(draws.beta, beta)
+            assert np.array_equal(draws.sigma2, sigma2)
 
 
 @pytest.mark.parametrize("monotone", [False, True])

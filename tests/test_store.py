@@ -454,8 +454,8 @@ def test_fit_crashing_mid_sampling_keeps_the_previous_estimate(tmp_path, monkeyp
 
     def failing(*args, **kwargs):
         calls.append(1)
-        # K = 5: two colours of two lanes, four variance draws an iteration
-        if len(calls) == 17:  # iteration 4, kept: draws are already streaming
+        # K = 5: a batch per colour, two variance draws an iteration
+        if len(calls) == 9:  # iteration 4, kept: draws are already streaming
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 
@@ -561,8 +561,8 @@ def test_fit_crashing_mid_block_holds_no_file_and_keeps_the_previous_estimate(
 
     def failing(*args, **kwargs):
         calls.append(1)
-        # K = 5: two colours of two lanes, four variance draws an iteration
-        if len(calls) == 29:  # iteration 7: kept draws 0-2 are written, 3 waits in the block
+        # K = 5: a batch per colour, two variance draws an iteration
+        if len(calls) == 15:  # iteration 7: kept draws 0-2 are written, 3 waits in the block
             raise FloatingPointError("injected")
         return real(*args, **kwargs)
 

@@ -40,7 +40,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
-from .samplers import DRAW_SCHEME, LANE_SCHEME, _integer
+from .samplers import DRAW_SCHEME, _integer
 
 __all__ = [
     "BacktestPlan",
@@ -229,13 +229,12 @@ def read_records(data: bytes, name) -> tuple:
 def _records_meta(plan: BacktestPlan, spec: ModelSpec, aligned, covariates) -> str:
     """Sidecar text: everything the records depend on, as sorted JSON.
 
-    The worker count is left out, since records are identical for any. A
-    monotone spec's records name the lanes its colours are drawn in.
+    The worker count is left out, since records are identical for any.
     """
     meta = {
         "covariates": list(covariates),
         "data_hash": hash_data(aligned.y, aligned.x),
-        "draws": LANE_SCHEME if spec.monotone else DRAW_SCHEME,
+        "draws": DRAW_SCHEME,
         "predictive": PREDICTIVE_DRAW,
         "seed": spec.seed,
         "spec_hash": spec.spec_hash(),
@@ -292,13 +291,15 @@ def _last_quarter(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
 
 
-def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, job) -> tuple:
+def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, workers: int,
+               job) -> tuple:
     """Fit once on stream ``job[0]`` of ``spec.seed``, forecast each origin
     of block ``job[1]``.
 
     Top level so it pickles. Training rows run from ``train_lo`` to
     ``last``, the last row whose outcome was known at the block's first
     origin; beta_T is that row's state, and origin i lies i - last steps on.
+    ``workers`` is the fit's (``run_gibbs``).
     """
     stream, block = job
     last = block[0] - aligned.offset
@@ -307,7 +308,7 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, job)
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
         draws = run_gibbs(replace(spec, grid=grid), (y_train, aligned.x[train]),
-                          stream=stream, buffers=_last_quarter)
+                          stream=stream, buffers=_last_quarter, workers=workers)
     except Exception as exc:
         return [], [(aligned.origin_dates[i], f"refit failed: {exc}") for i in block]
     records = []
@@ -350,13 +351,16 @@ def expanding_window_backtest(
     ``out_path`` the result holds every record of that file, in file order:
     the rows read back, then the new ones. A fresh file gets the sidecar
     ``out_path + ".meta"``: sorted JSON with the spec hash, the hash of the
-    aligned (y, x), ``spec.seed``, the covariates, the plan and the
-    predictive scheme (``distribution.PREDICTIVE_DRAW``). A resume whose
-    sidecar is missing or differs is refused with a ValueError naming the
-    keys that differ. ``workers`` above 1 fans refit blocks out to
-    processes; per-block streams keep the output byte-identical either
-    way. The process pool is imported only then. A worker count below 1 is
-    refused before anything is written.
+    aligned (y, x), ``spec.seed``, the covariates, the plan, the draw
+    scheme (``samplers.DRAW_SCHEME``) and the predictive scheme
+    (``distribution.PREDICTIVE_DRAW``). A resume whose sidecar is missing or
+    differs is refused with a ValueError naming the keys that differ.
+    ``workers`` above 1 fans refit blocks out to processes, whose fits draw
+    their two lanes in turn; otherwise the blocks run here, and each fit is
+    ``run_gibbs(workers=2)``, which may fork a lane helper. Per-block
+    streams keep the output byte-identical either way. The process pool is
+    imported only then. A worker count below 1 is refused before anything
+    is written.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -400,9 +404,12 @@ def expanding_window_backtest(
         done = {rec.date for rec in records}
         jobs = [(1 + b, block) for b, block in enumerate(blocks)
                 if not all(aligned.outcome_dates[i] in done for i in block)]
-        run = partial(_run_block, spec, aligned, train_lo, plan)
+        pool = workers > 1 and len(jobs) > 1
+        # a fit in this process may fork its lane helper; one in a pool
+        # worker draws its lanes in turn, so forks never nest
+        run = partial(_run_block, spec, aligned, train_lo, plan, 1 if pool else 2)
         results = map(run, jobs)
-        if workers > 1 and len(jobs) > 1:
+        if pool:
             from concurrent.futures import ProcessPoolExecutor
 
             # map yields in submission order, which keeps the file deterministic

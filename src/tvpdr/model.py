@@ -23,6 +23,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -536,11 +537,42 @@ def _lanes(rows: range) -> tuple:
     return rows[:half], rows[half:]
 
 
+# A cgroup's CPU quota, v2 then v1, read at the mount root, where a container
+# sees its own group: "quota period", or the quota and the period in two files.
+_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _quota_cpus():
+    """Whole CPUs of the cgroup CPU quota, or None where none is set or readable."""
+    for files in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(f).read_text() for f in files).split()
+            return None if quota in ("max", "-1") else int(quota) // int(period)
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    capped by the whole CPUs of its cgroup's quota, which the mask does not
+    show. A fit's lanes in two processes both spin while they wait for each
+    other, so on a quota of fewer than two CPUs they would throttle each
+    other."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    quota = _quota_cpus()
+    return cpus if quota is None else max(1, min(cpus, quota))
+
+
 def _may_fork() -> bool:
-    """True on Linux in a process that runs one OS thread: forking one that
-    runs more (BLAS threads, say) can deadlock the child."""
+    """True on Linux, in a process that runs one OS thread and may use two
+    CPUs (``_usable_cpus``): forking a process that runs more threads (BLAS
+    threads, say) can deadlock the child, and two lane processes on one CPU
+    only take turns."""
     try:
-        return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+        return (sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+                and _usable_cpus() >= 2)
     except OSError:  # no /proc to count them
         return False
 
@@ -645,27 +677,29 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
     or not) and one variance draw on each stacked batch. The draws exchange
     fits: after every batch ``state.fitted`` holds ``fitted_values(design,
     state.beta)``, and the next latent draw of a batch reads its fits from
-    there instead of recomputing them. Unconstrained mode is one batch of
-    all K, drawn from ``stream_generator(spec.seed, stream)``.
+    there instead of recomputing them. Unconstrained mode is one colour of
+    all K thresholds, which are independent given the data.
 
     In monotone mode a threshold sees the others only through its
     neighbors' fits, which bound it below and above, so all even thresholds
     update given the odd ones, then all odd ones given the even ones: a
     red-black systematic-scan Gibbs sampler that leaves every kept
     iteration exactly ordered across the whole grid. Given the other
-    colour, the thresholds of a colour are independent, so each colour
-    splits into two fixed lanes (``_lanes``), each drawn from its own
-    ``stream_generator(spec.seed, stream, lane)``. With ``workers`` >= 2,
-    on Linux, in a process that runs one OS thread, one helper process is
-    forked per fit, after the workspace is built, and draws lane 1 of every
-    colour while this process draws lane 0, each lane one batch; the two
-    meet at the end of each colour (``_Handoff``). Otherwise this process
-    draws each colour as one batch whose draws ``samplers._Lanes`` takes
-    from the two lanes' streams, lane by lane. With a helper the state's
-    paths, variances and fits live in shared memory, and a lane's draws
-    depend only on its stream and the state, so the draws are the same
-    either way. No helper outlives the call: it is reaped on success and
-    killed on any exception, and a helper that dies fails the fit with
+    colour, the thresholds of a colour are independent.
+
+    In either mode each colour splits into two fixed lanes (``_lanes``),
+    each drawn from its own ``stream_generator(spec.seed, stream, lane)``.
+    With ``workers`` >= 2, on Linux, in a process that runs one OS thread
+    and may use two CPUs (``_may_fork``), one helper process is forked per
+    fit, after the workspace is built, and draws lane 1 of every colour
+    while this process draws lane 0, each lane one batch; the two meet at
+    the end of each colour (``_Handoff``). Otherwise this process draws
+    each colour as one batch whose draws ``samplers._Lanes`` takes from the
+    two lanes' streams, lane by lane. With a helper the state's paths,
+    variances and fits live in shared memory, and a lane's draws depend
+    only on its stream and the state, so the draws are the same either
+    way. No helper outlives the call: it is reaped on success and killed
+    on any exception, and a helper that dies fails the fit with
     EstimationError.
 
     What does not change within a fit is built and checked once, before
@@ -674,10 +708,11 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
     and factors in place, the buffer the paths are drawn into and the
     variance draw's increment buffer. The batches take turns with one set
     of buffers, sized for the largest. Batches are strided views of the
-    state. An unconstrained batch is all of it, so its paths are drawn
-    straight into the state, and its fits and variances are written there
-    too. In monotone mode the fits the ordering check computes become the
-    state's fits, and so the neighbors' bounds, directly. Per batch, only
+    state. An unconstrained batch is a run of contiguous rows of it, so its
+    paths are drawn straight into the state, and its fits and variances are
+    written there too. In monotone mode the fits the ordering check
+    computes become the state's fits, and so the neighbors' bounds,
+    directly. Per batch, only
     what depends on the draws is checked: finite fits and X'z, positive
     variances and positive finite pivots. The draws are those of calling
     the public draws batch by batch, which run the same cores on buffers of
@@ -726,8 +761,9 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
     # process and one for a helper, or, drawn alone, the whole colour as one
     # batch on both lanes' streams. Either way each lane draws from its own.
     gens = [stream_generator(spec.seed, stream, lane) for lane in range(2)]
-    colours = [_lanes(range(c, k, 2)) for c in range(min(k, 2))] if spec.monotone else [(range(k),)]
-    split = workers > 1 and spec.monotone and any(upper for _, upper in colours) and _may_fork()
+    colours = ([_lanes(range(c, k, 2)) for c in range(min(k, 2))] if spec.monotone
+               else [_lanes(range(k))])
+    split = workers > 1 and any(upper for _, upper in colours) and _may_fork()
     # Rows 1..K of ``bounds`` are the fits, with open bounds beyond the ends
     # of the grid, so a batch's neighbor fits are strided views of it. With
     # a helper the state lives in shared memory, which the helper writes
@@ -742,19 +778,22 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
     work = []
     for lanes in colours:
         rows = range(lanes[0].start, lanes[-1].stop, lanes[0].step)
-        work.append(list(zip(lanes, gens)) if split else [
-            (rows, _Lanes(gens, len(lanes[0]), len(rows)) if len(lanes) > 1 else gens[0])])
+        work.append(list(zip(lanes, gens)) if split
+                    else [(rows, _Lanes(gens, len(lanes[0]), len(rows)))])
     size = max(len(rows) for batches in work for rows, _ in batches)
     precision = _StackedPrecision(design, size)
-    paths = np.empty((size, t_len, d)) if spec.monotone else state.beta
+    paths = np.empty((size, t_len, d)) if spec.monotone else None
     increments = np.empty((size, t_len - 1, d))
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
 
     def workspace(rows, gen):
         batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
-        neighbors = ((bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
-                     if spec.monotone else ())
-        return (batch, rows, _latent_box(grid.points[batch], y), paths[: len(rows)],
+        if spec.monotone:
+            neighbors = (bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
+            into = paths[: len(rows)]
+        else:  # an unconstrained batch is contiguous rows of the state
+            neighbors, into = (), state.beta[batch]
+        return (batch, rows, _latent_box(grid.points[batch], y), into,
                 increments[: len(rows)], neighbors, gen)
 
     work = [[workspace(*batch) for batch in batches] for batches in work]
@@ -770,7 +809,7 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
                     state.beta[batch], gen, spec.truncation_sweeps, into)
                 state.beta[batch] = beta
                 state.fitted[batch] = fits
-            else:  # the batch is the whole state, and ``into`` is state.beta
+            else:  # ``into`` is the batch's rows of state.beta
                 beta = _draw_paths(design, precision, latent, state.sigma2[batch], gen, into)
                 np.einsum(_FITS, design, beta, out=state.fitted[batch])
             _draw_sigma2(beta, nu, s, gen, inc, out=state.sigma2[batch])

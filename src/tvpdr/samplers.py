@@ -29,7 +29,6 @@ from .banded import _factor, _solve
 
 __all__ = [
     "DRAW_SCHEME",
-    "LANE_SCHEME",
     "stream_generator",
     "sample_truncated_normal",
     "sample_gaussian_precision",
@@ -40,11 +39,11 @@ __all__ = [
 # out to this many sds: ndtr(-30) ~ 5e-198 is still a normal double.
 # Intervals lying entirely beyond it are drawn by rejection.
 _TAIL = 30.0
-# Records name this, so draws of another generator or scheme never mix into them.
-DRAW_SCHEME = "SFC64 streams; truncated normals: one normal proposal, inversion for the misses"
-# What a monotone fit's records name: its colours are drawn in two lanes,
-# each on its own stream, so its draws differ from those of one stream.
-LANE_SCHEME = DRAW_SCHEME + "; monotone colours in two lanes, the upper on spawn key (stream, 1)"
+# Records name this, so draws of another generator or scheme never mix into
+# them: every fit draws each colour of thresholds in two lanes, each on its
+# own stream, so its draws differ from those of one stream.
+DRAW_SCHEME = ("SFC64 streams; truncated normals: one normal proposal, inversion for the "
+               "misses; every fit in two lanes, the upper on spawn key (stream, 1)")
 
 
 def _integer(name: str, value) -> int:
@@ -79,7 +78,7 @@ def stream_generator(seed, stream=0, lane=0) -> np.random.Generator:
     lets backtest origins run in any order, or in parallel, without changing
     the numbers. A ``lane`` >= 1 names a sub-stream of the stream, spawn key
     (stream, lane), independent of it and of the other lanes; lane 0 is the
-    stream itself. A monotone fit draws each lane of a colour from its own,
+    stream itself. A fit draws each lane of a colour from its own,
     whichever process draws it. Seed, stream and lane follow
     ``ModelSpec.seed``'s rule.
     """
@@ -92,13 +91,14 @@ def stream_generator(seed, stream=0, lane=0) -> np.random.Generator:
 
 
 class _Lanes:
-    """The generator of one draw stacked from a colour's two lanes, lane 0
+    """The generator of one draw stacked from a batch's two lanes (a
+    monotone colour, or all thresholds of an unconstrained fit), lane 0
     first: of a draw of ``size`` rows, the first ``cut`` are lane 0's,
     drawn from ``gens[0]``, and the rest lane 1's, from ``gens[1]``. So
-    each lane draws what it would alone, and a batch of a colour's two
-    lanes draws what the lanes drawn one at a time, or in two processes,
-    would. It draws as a Generator does, for the draws a sampler makes;
-    ``take`` gives the lanes of a subset of a draw."""
+    each lane draws what it would alone, and a batch of two lanes draws
+    what the lanes drawn one at a time, or in two processes, would. It
+    draws as a Generator does, for the draws a sampler makes; ``take``
+    gives the lanes of a subset of a draw."""
 
     __slots__ = ("gens", "cut", "size")
 

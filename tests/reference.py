@@ -398,15 +398,15 @@ def frozen_assemble_bands(design, sigma2) -> np.ndarray:
     return bands.reshape(d + 1, -1)
 
 
-def public_draw_loop(spec, y, x, gen: np.random.Generator, lane_gen: np.random.Generator = None):
+def public_draw_loop(spec, y, x, gen: np.random.Generator, lane_gen: np.random.Generator):
     """The Gibbs loop written against the package's public draws, batch by
-    batch, with nothing built ahead: fancy-indexed red-black colours, each
-    split into its lower half (one threshold larger at an odd size), drawn
-    from ``gen``, then its upper half, drawn from ``lane_gen`` (one batch
-    of all thresholds from ``gen`` when unconstrained), neighbor bounds
-    stacked afresh, fits recomputed after every monotone draw and the
-    latents drawn around fits recomputed from the current paths. Returns
-    the kept (beta, sigma2)."""
+    batch, with nothing built ahead: fancy-indexed red-black colours (one
+    colour of all thresholds when unconstrained), each split into its lower
+    half (one threshold larger at an odd size), drawn from ``gen``, then
+    its upper half, drawn from ``lane_gen``, neighbor bounds stacked
+    afresh, fits recomputed after every monotone draw and the latents drawn
+    around fits recomputed from the current paths. Returns the kept (beta,
+    sigma2)."""
     from tvpdr.distribution import PROBIT, apply_design_transform
     from tvpdr.model import (draw_beta_monotone, draw_beta_unconstrained, draw_latent, draw_sigma2,
                              fitted_values, initial_state)
@@ -417,12 +417,11 @@ def public_draw_loop(spec, y, x, gen: np.random.Generator, lane_gen: np.random.G
     k = spec.grid.n
     state = initial_state(y, spec.grid, t_len, d, PROBIT)
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
-    batches = [(np.arange(k), gen)]
-    if spec.monotone:
-        batches = []
-        for colour in (np.arange(c, k, 2) for c in range(min(k, 2))):
-            half = len(colour) - len(colour) // 2
-            batches += [(colour[:half], gen), (colour[half:], lane_gen)]
+    batches = []
+    for colour in ((np.arange(c, k, 2) for c in range(min(k, 2))) if spec.monotone
+                   else [np.arange(k)]):
+        half = len(colour) - len(colour) // 2
+        batches += [(colour[:half], gen), (colour[half:], lane_gen)]
     edge = np.full((1, t_len), np.inf)
     kept_beta, kept_sigma2 = [], []
     for it in range(spec.iterations):

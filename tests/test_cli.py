@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import tvpdr.cli
 import tvpdr.model
 from tvpdr.cli import COMMANDS, _build_spec, build_parser, main
 from tvpdr.data import assemble_design, load_csv
@@ -788,8 +788,8 @@ def test_read_commands_load_no_fit_only_module(estimate_dir, capsys, tmp_path):
 
 
 # Run one CLI command in a fresh interpreter on the given CPUs, with one
-# fault injected into the monotone path draws of one lane, then report the
-# exit code, whether a child process is left and the CPU time of the reaped
+# fault injected into the path draws of one lane, then report the exit
+# code, whether a child process is left and the CPU time of the reaped
 # ones. ``-X dev -W error`` makes any warning, a fork from a process with
 # threads included, an error.
 LANE_RUN = """
@@ -799,16 +799,18 @@ from tvpdr.cli import main
 
 cpus, fault, argv = json.loads(sys.argv[1])
 os.sched_setaffinity(0, cpus)
-real = tvpdr.model._draw_monotone
+real = tvpdr.model._draw_paths
 calls = [0, 0]
 
 def faulty(*args):
     if not fault:
         return real(*args)
-    # on two CPUs each process draws one lane, from the lane's generator
-    lane = len(args[7].bit_generator.seed_seq.spawn_key) - 1
+    # on two CPUs each process draws one lane, from the lane's generator; a
+    # helper counts on from its parent, which draws lane 0 only
+    lane = len(args[4].bit_generator.seed_seq.spawn_key) - 1
     calls[lane] += 1
-    if fault["lane"] == lane and calls[lane] == 3:  # iteration 1, even colour
+    # monotone: iteration 1, even colour; unconstrained: iteration 2
+    if fault["lane"] == lane and calls[lane] == 3:
         if fault["kind"] == "leftover":
             raise tvpdr.model.MonotonicityError("injected leftover", path=1)
         if fault["kind"] == "die":
@@ -816,7 +818,7 @@ def faulty(*args):
         raise KeyboardInterrupt
     return real(*args)
 
-tvpdr.model._draw_monotone = faulty
+tvpdr.model._draw_paths = faulty
 try:
     code = main(argv)
 except KeyboardInterrupt:
@@ -830,17 +832,26 @@ usage = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(json.dumps({"code": code, "left": left, "children_cpu": usage.ru_utime + usage.ru_stime}))
 """
 
-# K = 9 thresholds: the even colour (5) and its lanes {0, 2, 4} and {6, 8}
-# have odd sizes
-LANE_MODEL = ["--iters", "12", "--burnin", "4", "--monotone", "on", "--grid-min", "0.5",
-              "--grid-max", "4.5", "--grid-step", "0.5", "--seed", "8"]
+# K = 9 thresholds. Monotone: the even colour (5) and its lanes {0, 2, 4}
+# and {6, 8} have odd sizes; unconstrained: one colour, lanes {0..4} and
+# {5..8}. Each refit of the backtest builds its own grid.
+LANE_FIT = ["--iters", "12", "--burnin", "4", "--grid-min", "0.5", "--grid-max", "4.5",
+            "--grid-step", "0.5", "--seed", "8"]
+LANE_COMMANDS = {
+    "estimate": ["estimate", "--monotone", "on"],
+    "estimate-unconstrained": ["estimate", "--monotone", "off"],
+    "evaluate": ["evaluate", "--monotone", "off", "--initial-start", "1990Q1",
+                 "--initial-end", "2000Q1", "--refit-every", "4"],
+}
 
 
-def _lane_run(tmp_path, out, cpus, fault=None):
+def _lane_run(tmp_path, command, out, cpus, fault=None, options=()):
     csv = str(tmp_path / "macro.csv")
     if not os.path.exists(csv):
         write_csv(csv)
-    argv = ["estimate", "--data", csv, *DATA_ARGS, *LANE_MODEL, "--out", str(tmp_path / out)]
+    name, *mode = LANE_COMMANDS[command]
+    target = tmp_path / out / "records.tsv" if name == "evaluate" else tmp_path / out
+    argv = [name, "--data", csv, *DATA_ARGS, *LANE_FIT, *mode, *options, "--out", str(target)]
     src = str(Path(tvpdr.model.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -860,28 +871,69 @@ def _two_cpus():
     return cpus[:2]
 
 
-def test_monotone_estimate_is_the_same_with_and_without_the_lane_helper(tmp_path):
+def _same_with_and_without_the_lane_helper(tmp_path, command):
+    # a helper forks only on two CPUs and outside evaluate's process pool,
+    # whose fits draw their lanes in turn
     cpus = _two_cpus()
-    two, printed_two, err_two = _lane_run(tmp_path, "two", cpus)
-    one, printed_one, err_one = _lane_run(tmp_path, "one", cpus[:1])
-    assert two["code"] == one["code"] == 0 and not (two["left"] or one["left"])
-    assert two["children_cpu"] > 0.0 and one["children_cpu"] == 0.0  # only two CPUs fork
-    assert err_two == err_one == ""
-    assert printed_two[1:] == printed_one[1:]  # all but the estimate's path
-    assert dict(parse_table("\n".join(printed_two)))["thresholds"] == "9"
+    runs = {"two": (cpus, ()), "one": (cpus[:1], ())}
+    if command == "evaluate":
+        runs["pool"] = (cpus, ("--workers", "2"))
+    got = {out: _lane_run(tmp_path, command, out, on, options=options)
+           for out, (on, options) in runs.items()}
+    summary = 0 if command == "evaluate" else 1  # an estimate's first line is its path
+    for out, (report, printed, stderr) in got.items():
+        assert report["code"] == 0 and not report["left"] and stderr == ""
+        assert (report["children_cpu"] > 0.0) == (out != "one")
+        assert printed[summary:] == got["one"][1][summary:]
     names = sorted(os.listdir(tmp_path / "two"))
-    assert names == sorted(os.listdir(tmp_path / "one")) and "beta.f64" in names
-    for name in names:
-        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    assert names == (["records.tsv", "records.tsv.meta"] if command == "evaluate"
+                     else sorted(os.listdir(tmp_path / "one")))
+    for out in runs:
+        assert sorted(os.listdir(tmp_path / out)) == names
+        for name in names:
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    return got["two"][1]
+
+
+def test_monotone_estimate_is_the_same_with_and_without_the_lane_helper(tmp_path):
+    printed = _same_with_and_without_the_lane_helper(tmp_path, "estimate")
+    assert dict(parse_table("\n".join(printed)))["thresholds"] == "9"
+    assert "beta.f64" in os.listdir(tmp_path / "two")
+
+
+@pytest.mark.parametrize("command", ["estimate-unconstrained", "evaluate"])
+def test_unconstrained_fits_are_the_same_with_and_without_the_lane_helper(tmp_path, command):
+    printed = dict(parse_table("\n".join(
+        _same_with_and_without_the_lane_helper(tmp_path, command))))
+    if command == "evaluate":
+        assert printed["failures"] == "0" and int(printed["records"]) > 8
+    else:
+        assert printed["thresholds"] == "9"
 
 
 @pytest.mark.parametrize("fault", [{"lane": 1, "kind": "leftover"}, {"lane": 1, "kind": "die"},
-                                   {"lane": 0, "kind": "interrupt"}],
-                         ids=["lane1-error", "lane1-dies", "lane0-interrupt"])
+                                   {"lane": 0, "kind": "interrupt"},
+                                   {"lane": 1, "kind": "leftover", "command": "evaluate"}],
+                         ids=["lane1-error", "lane1-dies", "lane0-interrupt",
+                              "evaluate-lane1-error"])
 def test_a_failing_lane_stops_the_fit_and_leaves_no_process(tmp_path, fault):
     cpus = _two_cpus()
-    got, printed, stderr = _lane_run(tmp_path, "est", cpus, fault)
-    assert printed == [] and not got["left"] and got["children_cpu"] > 0.0
+    command = fault.get("command", "estimate")
+    got, printed, stderr = _lane_run(tmp_path, command, "est", cpus, fault)
+    assert not got["left"] and got["children_cpu"] > 0.0
+    if command == "evaluate":
+        # every refit's helper fails in iteration 2, at path 1 of its upper
+        # lane, which is at least threshold 2; the block's rows are skipped
+        table = dict(parse_table("\n".join(printed)))
+        assert got["code"] == 0 and table["records"] == "0"
+        lines = stderr.splitlines()
+        assert len(lines) == int(table["failures"]) > 8
+        for line in lines:
+            m = re.fullmatch(r"refit skipped at \S+: refit failed: iteration 2, threshold "
+                             r"(\d+) \(y=\S+\): injected leftover", line)
+            assert m and int(m[1]) >= 2, line
+        return
+    assert printed == []
     if fault["kind"] == "leftover":
         # path 1 of the even colour's upper lane {6, 8} is threshold 8, y = 4.5
         assert got["code"] == 1
@@ -893,25 +945,30 @@ def test_a_failing_lane_stops_the_fit_and_leaves_no_process(tmp_path, fault):
     assert not [name for name in os.listdir(tmp_path / "est") if name.endswith(".partial")]
 
 
-# Two lane processes on one CPU: each wait yields the CPU to the other, and
-# the barrier must still hand every colour over whole.
+# Two lane processes on one CPU, which ``run_gibbs`` is told it has two of:
+# each wait yields the CPU to the other, and the barrier must still hand
+# every colour over whole, in either mode.
 ONE_CPU_LANES = """
 import json, os, resource, sys
 import numpy as np
+import tvpdr.model
 from tvpdr.distribution import build_threshold_grid
 from tvpdr.model import ModelSpec, run_gibbs
 
 os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+tvpdr.model._usable_cpus = lambda: 2
 rng = np.random.default_rng(3)
 x = np.column_stack([np.ones(60), rng.standard_normal(60)])
 y = rng.standard_normal(60) + 0.5 * x[:, 1]
-spec = ModelSpec(d=2, grid=build_threshold_grid(-1.5, 1.5, 0.25), iterations=40, burnin=10,
-                 seed=13)
-alone, lanes = (run_gibbs(spec, (y, x), workers=w) for w in (1, 2))
+same = []
+for monotone in (True, False):
+    spec = ModelSpec(d=2, grid=build_threshold_grid(-1.5, 1.5, 0.25), iterations=40, burnin=10,
+                     monotone=monotone, seed=13)
+    alone, lanes = (run_gibbs(spec, (y, x), workers=w) for w in (1, 2))
+    same.append(bool(np.array_equal(alone.beta, lanes.beta)
+                     and np.array_equal(alone.sigma2, lanes.sigma2)))
 usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(json.dumps({"same": bool(np.array_equal(alone.beta, lanes.beta)
-                               and np.array_equal(alone.sigma2, lanes.sigma2)),
-                  "forked": usage.ru_utime + usage.ru_stime > 0.0}))
+print(json.dumps({"same": same, "forked": usage.ru_utime + usage.ru_stime > 0.0}))
 """
 
 
@@ -922,15 +979,15 @@ print(json.dumps({"same": bool(np.array_equal(alone.beta, lanes.beta)
     ({"quota": "200000\n", "period": "100000\n"}, 2), ({}, None)],
     ids=["v2-none", "v2-1.5", "v2-4", "v2-0.5", "v1-none", "v1-2", "no-files"])
 def test_a_cgroup_cpu_quota_caps_the_usable_cpus(tmp_path, monkeypatch, files, quota):
-    # an affinity mask of three CPUs under a quota of fewer: an estimate
-    # forks its lane helper only where two whole CPUs of quota are left
+    # an affinity mask of three CPUs under a quota of fewer: a fit forks its
+    # lane helper only where two whole CPUs of quota are left
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    monkeypatch.setattr(tvpdr.cli, "_CPU_QUOTA_FILES", (
+    monkeypatch.setattr(tvpdr.model, "_CPU_QUOTA_FILES", (
         (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert tvpdr.cli._quota_cpus() == quota
-    assert tvpdr.cli._usable_cpus() == (3 if quota is None else max(1, min(3, quota)))
+    assert tvpdr.model._quota_cpus() == quota
+    assert tvpdr.model._usable_cpus() == (3 if quota is None else max(1, min(3, quota)))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="lane helpers fork on Linux only")
@@ -942,4 +999,4 @@ def test_lane_processes_sharing_one_cpu_draw_the_same_fit():
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", ONE_CPU_LANES],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == {"same": True, "forked": True}
+    assert json.loads(proc.stdout) == {"same": [True, True], "forked": True}

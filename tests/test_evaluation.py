@@ -19,7 +19,7 @@ from tvpdr.evaluation import (
     _tsv_columns,
 )
 from tvpdr.model import ModelSpec
-from tvpdr.samplers import DRAW_SCHEME, LANE_SCHEME, stream_generator
+from tvpdr.samplers import DRAW_SCHEME, stream_generator
 
 from reference import KS95_N100, KSTWO_PPF, frozen_pit_uniformity_band
 
@@ -357,13 +357,23 @@ def test_backtest_resume_refuses_records_of_another_draw_scheme(tmp_path, stored
     _resume_under_a_changed_sidecar_key(tmp_path, "draws", DRAW_SCHEME, stored_draws)
 
 
+# What the sidecar named when every fit drew from one stream
+ONE_LANE_SCHEME = "SFC64 streams; truncated normals: one normal proposal, inversion for the misses"
+
+
 def test_monotone_backtest_resume_refuses_records_drawn_in_one_lane(tmp_path):
     # a monotone fit draws each colour in two lanes on two streams, so the
     # records of a monotone backtest written before the lanes came from
-    # other draws; unconstrained records keep their scheme, and their draws
-    assert LANE_SCHEME.startswith(DRAW_SCHEME) and LANE_SCHEME != DRAW_SCHEME
-    _resume_under_a_changed_sidecar_key(tmp_path, "draws", LANE_SCHEME, DRAW_SCHEME,
+    # other draws
+    assert DRAW_SCHEME.startswith(ONE_LANE_SCHEME) and DRAW_SCHEME != ONE_LANE_SCHEME
+    _resume_under_a_changed_sidecar_key(tmp_path, "draws", DRAW_SCHEME, ONE_LANE_SCHEME,
                                         monotone=True)
+
+
+def test_unconstrained_backtest_resume_refuses_records_drawn_in_one_lane(tmp_path):
+    # an unconstrained fit draws its thresholds in two lanes too, so its
+    # records written from one stream are refused as well
+    _resume_under_a_changed_sidecar_key(tmp_path, "draws", DRAW_SCHEME, ONE_LANE_SCHEME)
 
 
 def test_backtest_layout_mismatch_refuses(tmp_path):

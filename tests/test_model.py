@@ -666,21 +666,23 @@ def test_run_gibbs_equals_the_public_draws_bitwise(monotone, d, buffers):
     # strided batches, reused fits, paths, fits and variances drawn into
     # the state) must not move a single draw
     if buffers is not None:
-        # a backtest refit: unconstrained, one batch of K >= 9 thresholds,
-        # on its own stream, keeping the last quarter of each path
+        # a backtest refit: unconstrained, one colour of K >= 9 thresholds
+        # in two lanes, on its own stream, keeping the last quarter of each
+        # path
         y, x = small_problem(seed=46, t_len=48, d=d)
         lo, hi = (float(q) for q in np.quantile(y, [0.05, 0.95]))
         grid = build_threshold_grid(lo, hi, (hi - lo) / 10)
         assert grid.n >= 9
         spec = ModelSpec(d=d, grid=grid, iterations=10, burnin=4, monotone=False, seed=47)
         draws = run_gibbs(spec, (y, x), stream=3, buffers=buffers)
-        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed, 3))
+        beta, sigma2 = public_draw_loop(spec, y, x, stream_generator(spec.seed, 3),
+                                        stream_generator(spec.seed, 3, 1))
         assert draws.n_obs == 1
         assert np.array_equal(draws.beta, beta[:, :, -1:])
         assert np.array_equal(draws.sigma2, sigma2)
         return
-    # monotone: each colour's two lanes on two streams, drawn here as one
-    # batch; at K = 2 and 3 a colour of one threshold leaves its upper lane
+    # each colour's two lanes (unconstrained: one colour of all K) on two
+    # streams, drawn here as one batch; monotone at K = 2 and 3 a colour of one threshold leaves its upper lane
     # empty, and at T = 13 a lower lane of one threshold has an odd number
     # of intercepts, so the upper lane's colours start on the other parity
     for t_len in (12, 13) if monotone else (12,):

@@ -162,8 +162,7 @@ def _cmd_estimate(args) -> int:
     aligned = assemble_design(_load_dataset(args), args.covariates, lag=args.lag)
     spec = _build_spec(args, aligned)
     try:
-        draws = run_gibbs(spec, (aligned.y, aligned.x), buffers=partial(draw_buffers, args.out),
-                          workers=2)
+        draws = run_gibbs(spec, (aligned.y, aligned.x), buffers=partial(draw_buffers, args.out))
         save_estimate(args.out, draws)
     except BaseException:
         # the temp blobs are the full kept-draw size and never load

@@ -218,9 +218,10 @@ def forecast_predictive(draws, x_next, steps: int = 1) -> ConditionalCdf:
     link E_eta Phi(x'beta_T + x'eta) = Phi(x'beta_T / sqrt(1 + j x' diag(sigma2) x))
     exactly. The curve is the mean of that over kept draws, rearranged, so
     it takes no random numbers and carries no Monte Carlo error from the
-    steps ahead; ``PREDICTIVE_DRAW`` names the scheme.
+    steps ahead; ``PREDICTIVE_DRAW`` names the scheme. ``steps`` is an
+    integer count: a bool is refused like a float.
     """
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     x_next = _design_row(draws, x_next, "x_next")
     # j x^2 is x^2 to the bit at j = 1

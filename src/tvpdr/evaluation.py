@@ -291,15 +291,13 @@ def _last_quarter(kept: int, k: int, t_len: int, d: int):
     return np.empty((kept, k, 1, d)), np.empty((kept, k, d))
 
 
-def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, workers: int,
-               job) -> tuple:
+def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, job) -> tuple:
     """Fit once on stream ``job[0]`` of ``spec.seed``, forecast each origin
     of block ``job[1]``.
 
     Top level so it pickles. Training rows run from ``train_lo`` to
     ``last``, the last row whose outcome was known at the block's first
     origin; beta_T is that row's state, and origin i lies i - last steps on.
-    ``workers`` is the fit's (``run_gibbs``).
     """
     stream, block = job
     last = block[0] - aligned.offset
@@ -308,7 +306,7 @@ def _run_block(spec: ModelSpec, aligned, train_lo: int, plan: BacktestPlan, work
     try:
         grid = build_threshold_grid(float(y_train.min()), float(y_train.max()), spec.grid.step)
         draws = run_gibbs(replace(spec, grid=grid), (y_train, aligned.x[train]),
-                          stream=stream, buffers=_last_quarter, workers=workers)
+                          stream=stream, buffers=_last_quarter)
     except Exception as exc:
         return [], [(aligned.origin_dates[i], f"refit failed: {exc}") for i in block]
     records = []
@@ -356,13 +354,13 @@ def expanding_window_backtest(
     (``distribution.PREDICTIVE_DRAW``). A resume whose sidecar is missing or
     differs is refused with a ValueError naming the keys that differ.
     ``workers`` above 1 fans refit blocks out to processes, whose fits draw
-    their two lanes in turn; otherwise the blocks run here, and each fit is
-    ``run_gibbs(workers=2)``, which may fork a lane helper. Per-block
-    streams keep the output byte-identical either way. The process pool is
-    imported only then. A worker count below 1 is refused before anything
-    is written.
+    each colour as one batch; otherwise the blocks run here, and each fit
+    may fork a lane helper (``run_gibbs``). Per-block streams keep the
+    output byte-identical either way. The process pool is imported only
+    then. A worker count that is not an integer (TypeError) or is below 1
+    (ValueError) is refused before anything is written.
     """
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
 
     aligned = assemble_design(data, covariates, lag=plan.lag)
@@ -405,9 +403,7 @@ def expanding_window_backtest(
         jobs = [(1 + b, block) for b, block in enumerate(blocks)
                 if not all(aligned.outcome_dates[i] in done for i in block)]
         pool = workers > 1 and len(jobs) > 1
-        # a fit in this process may fork its lane helper; one in a pool
-        # worker draws its lanes in turn, so forks never nest
-        run = partial(_run_block, spec, aligned, train_lo, plan, 1 if pool else 2)
+        run = partial(_run_block, spec, aligned, train_lo, plan)
         results = map(run, jobs)
         if pool:
             from concurrent.futures import ProcessPoolExecutor

@@ -566,13 +566,15 @@ def _usable_cpus() -> int:
 
 
 def _may_fork() -> bool:
-    """True on Linux, in a process that runs one OS thread and may use two
-    CPUs (``_usable_cpus``): forking a process that runs more threads (BLAS
+    """True on Linux, in a process that runs one OS thread, may use two CPUs
+    (``_usable_cpus``) and is no multiprocessing worker, whose pool shares
+    the CPUs already: forking a process that runs more threads (BLAS
     threads, say) can deadlock the child, and two lane processes on one CPU
     only take turns."""
+    mp = sys.modules.get("multiprocessing")
     try:
-        return (sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
-                and _usable_cpus() >= 2)
+        return (sys.platform == "linux" and not (mp and mp.parent_process())
+                and len(os.listdir("/proc/self/task")) == 1 and _usable_cpus() >= 2)
     except OSError:  # no /proc to count them
         return False
 
@@ -621,53 +623,67 @@ class _Handoff:
         os.close(self.write)
 
 
-def _fork_helper(draw):
+@contextlib.contextmanager
+def _lane_helper(draw):
     """Fork a helper that runs ``draw(handoff)`` and leaves through
-    ``os._exit``; returns its pid and this process's ``_Handoff``, or two
-    Nones when the system refuses the fork.
+    ``os._exit``; yield this process's ``_Handoff``, or None when the system
+    refuses the fork. The helper is killed if the block raises and reaped
+    in every case, so it never outlives the block.
 
     The helper ignores SIGINT (its parent takes ^C and stops it), runs no
     garbage collection, so no finalizer of its parent's objects runs twice,
     and writes to /dev/null in place of stdout and stderr. A failed lane's
     EstimationError goes to the parent as its message.
     """
+    # the first path draw imports LAPACK; imported here it is shared, not
+    # imported again in each process after the fork
+    from scipy.linalg import lapack  # noqa: F401
     down, up = os.pipe(), os.pipe()  # parent to helper, helper to parent
     os.set_blocking(down[0], False)
     os.set_blocking(up[0], False)
     try:
         pid = os.fork()
-    except OSError:  # out of processes or memory: the lanes run in turn
+    except OSError:  # out of processes or memory: this process draws alone
         for fd in (*down, *up):
             os.close(fd)
-        return None, None
-    if pid:
-        os.close(down[0])
-        os.close(up[1])
-        return pid, _Handoff(up[0], down[1])
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        gc.disable()
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.dup2(null, 2)
-        os.close(null)
-        os.close(down[1])
-        os.close(up[0])
-        handoff = _Handoff(down[0], up[1])
+        yield None
+        return
+    if not pid:
+        code = 1
         try:
-            draw(handoff)
-            code = 0
-        except EstimationError as exc:
-            handoff.fail(str(exc))
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            gc.disable()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            os.close(null)
+            os.close(down[1])
+            os.close(up[0])
+            handoff = _Handoff(down[0], up[1])
+            try:
+                draw(handoff)
+                code = 0
+            except EstimationError as exc:
+                handoff.fail(str(exc))
+            finally:
+                handoff.close()
         finally:
-            handoff.close()
+            os._exit(code)
+    os.close(down[0])
+    os.close(up[1])
+    handoff = _Handoff(up[0], down[1])
+    try:
+        yield handoff
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        os._exit(code)
+        handoff.close()
+        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
+            os.waitpid(pid, 0)
 
 
-def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
-              workers: int = 1) -> PosteriorDraws:
+def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory) -> PosteriorDraws:
     """Full Gibbs pass over thresholds and iterations.
 
     ``data`` is (y, x): outcomes of length T and raw design rows (T, d0)
@@ -689,25 +705,26 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
 
     In either mode each colour splits into two fixed lanes (``_lanes``),
     each drawn from its own ``stream_generator(spec.seed, stream, lane)``.
-    With ``workers`` >= 2, on Linux, in a process that runs one OS thread
-    and may use two CPUs (``_may_fork``), one helper process is forked per
-    fit, after the workspace is built, and draws lane 1 of every colour
-    while this process draws lane 0, each lane one batch; the two meet at
-    the end of each colour (``_Handoff``). Otherwise this process draws
-    each colour as one batch whose draws ``samplers._Lanes`` takes from the
-    two lanes' streams, lane by lane. With a helper the state's paths,
-    variances and fits live in shared memory, and a lane's draws depend
-    only on its stream and the state, so the draws are the same either
-    way. No helper outlives the call: it is reaped on success and killed
-    on any exception, and a helper that dies fails the fit with
+    Where ``_may_fork`` allows it (Linux, one OS thread, two usable CPUs,
+    not a multiprocessing worker), one helper process is forked per fit
+    (``_lane_helper``) and draws lane 1 of every colour while this process
+    draws lane 0, each lane one batch; the two meet at the end of each
+    colour (``_Handoff``). Otherwise, a refused fork included, this process
+    draws each colour as one batch whose draws ``samplers._Lanes`` takes
+    from the two lanes' streams, lane by lane. With a helper the state's
+    paths, variances and fits live in shared memory, and a lane's draws
+    depend only on its stream and the state, so the draws are the same
+    either way. No helper outlives the call: it is reaped on success and
+    killed on any exception, and a helper that dies fails the fit with
     EstimationError.
 
     What does not change within a fit is built and checked once, before
     the first iteration: the likelihood band X'X, the walk diagonal, each
     batch's latent bounds, the band storage, which every path draw refills
     and factors in place, the buffer the paths are drawn into and the
-    variance draw's increment buffer. The batches take turns with one set
-    of buffers, sized for the largest. Batches are strided views of the
+    variance draw's increment buffer. Each process builds them for the
+    batches it draws, after the fork, and its batches take turns with one
+    set of buffers, sized for the largest. Batches are strided views of the
     state. An unconstrained batch is a run of contiguous rows of it, so its
     paths are drawn straight into the state, and its fits and variances are
     written there too. In monotone mode the fits the ordering check
@@ -743,8 +760,6 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
         raise ValueError("need at least two time points")
     if spec.monotone and not np.all(design[:, 0] == 1.0):
         raise ValueError("monotone estimation requires an intercept column of ones")
-    if _integer("workers", workers) < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
 
     grid = spec.grid
     k = grid.n
@@ -757,48 +772,46 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
         raise ValueError(f"buffers gave beta of shape {out_beta.shape} for "
                          f"{(kept, k, t_len, d)}")
 
-    # Per-fit workspace. A colour's batches are its two lanes, one for this
-    # process and one for a helper, or, drawn alone, the whole colour as one
-    # batch on both lanes' streams. Either way each lane draws from its own.
+    # each lane of a colour draws from its own stream, whichever process draws it
     gens = [stream_generator(spec.seed, stream, lane) for lane in range(2)]
-    colours = ([_lanes(range(c, k, 2)) for c in range(min(k, 2))] if spec.monotone
-               else [_lanes(range(k))])
-    split = workers > 1 and any(upper for _, upper in colours) and _may_fork()
+    colours = [range(c, k, 2) for c in range(min(k, 2))] if spec.monotone else [range(k)]
+    fork = any(len(rows) > 1 for rows in colours) and _may_fork()  # some lane 1 not empty
     # Rows 1..K of ``bounds`` are the fits, with open bounds beyond the ends
     # of the grid, so a batch's neighbor fits are strided views of it. With
-    # a helper the state lives in shared memory, which the helper writes
-    # too. The batches take turns with one band storage, one path buffer
-    # and one increment buffer, whose leading rows serve a smaller batch; a
-    # helper draws into its own copies.
+    # a helper the state lives in shared memory, which the helper writes too.
     bounds = np.vstack([np.full(t_len, -np.inf), fitted_values(design, state.beta),
                         np.full(t_len, np.inf)])
-    if split:
+    if fork:
         bounds, state.beta, state.sigma2 = (_shared(a) for a in (bounds, state.beta, state.sigma2))
     state.fitted = bounds[1:-1]
-    work = []
-    for lanes in colours:
-        rows = range(lanes[0].start, lanes[-1].stop, lanes[0].step)
-        work.append(list(zip(lanes, gens)) if split
-                    else [(rows, _Lanes(gens, len(lanes[0]), len(rows)))])
-    size = max(len(rows) for batches in work for rows, _ in batches)
-    precision = _StackedPrecision(design, size)
-    paths = np.empty((size, t_len, d)) if spec.monotone else None
-    increments = np.empty((size, t_len - 1, d))
     nu, s = spec.ig_prior_nu, spec.ig_prior_s
 
-    def workspace(rows, gen):
-        batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
-        if spec.monotone:
-            neighbors = (bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
-            into = paths[: len(rows)]
-        else:  # an unconstrained batch is contiguous rows of the state
-            neighbors, into = (), state.beta[batch]
-        return (batch, rows, _latent_box(grid.points[batch], y), into,
-                increments[: len(rows)], neighbors, gen)
+    def workspace(lane):
+        """Each colour's batch that one process draws, lane 0 or 1 on its
+        own stream or, for ``lane`` None, the whole colour. The batches take
+        turns with one band storage, one path buffer and one increment
+        buffer, whose leading rows serve a smaller batch."""
+        if lane is None:
+            drawn = [(rows, _Lanes(gens, len(_lanes(rows)[0]), len(rows))) for rows in colours]
+        else:
+            drawn = [(_lanes(rows)[lane], gens[lane]) for rows in colours]
+        size = max(len(rows) for rows, _ in drawn)
+        precision = _StackedPrecision(design, size)
+        paths = np.empty((size, t_len, d)) if spec.monotone else None
+        increments = np.empty((size, t_len - 1, d))
+        work = []
+        for rows, gen in drawn:
+            batch = slice(rows.start, rows.start + rows.step * len(rows), rows.step)
+            if spec.monotone:
+                neighbors = (bounds[batch], bounds[batch.start + 2 : batch.stop + 2 : 2])
+                into = paths[: len(rows)]
+            else:  # an unconstrained batch is contiguous rows of the state
+                neighbors, into = (), state.beta[batch]
+            work.append((batch, rows, _latent_box(grid.points[batch], y), precision, into,
+                         increments[: len(rows)], neighbors, gen))
+        return work
 
-    work = [[workspace(*batch) for batch in batches] for batches in work]
-
-    def update(it, batch, rows, box, into, inc, neighbors, gen):
+    def update(it, batch, rows, box, precision, into, inc, neighbors, gen):
         if not rows:
             return
         try:
@@ -821,24 +834,18 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
             ) from exc
 
     def draw_lane_1(handoff):
+        work = workspace(1)
         for it in range(spec.iterations):
-            for batches in work:
-                update(it, *batches[1])
+            for batch in work:
+                update(it, *batch)
                 handoff.post()
                 handoff.wait()
 
-    pid = handoff = None
-    try:
-        if split:
-            # the first path draw imports LAPACK; imported here it is shared,
-            # not imported again in each process after the fork
-            from scipy.linalg import lapack  # noqa: F401
-            pid, handoff = _fork_helper(draw_lane_1)
-        drawn = 1 if handoff else 2  # the batches of each colour this process draws
+    with (_lane_helper(draw_lane_1) if fork else contextlib.nullcontext()) as handoff:
+        work = workspace(0 if handoff else None)
         for it in range(spec.iterations):
-            for c, batches in enumerate(work):
-                for batch in batches[:drawn]:
-                    update(it, *batch)
+            for c, batch in enumerate(work):
+                update(it, *batch)
                 if handoff:
                     handoff.wait()
                 # the helper writes the state again only after the post below
@@ -847,16 +854,6 @@ def run_gibbs(spec: ModelSpec, data, *, stream: int = 0, buffers=_in_memory,
                     out_sigma2[it - spec.burnin] = state.sigma2
                 if handoff:
                     handoff.post()
-    except BaseException:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        if handoff:
-            handoff.close()
-        if pid:
-            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
-                os.waitpid(pid, 0)
 
     beta, sigma2 = (out if isinstance(out, np.ndarray) else out.finish()
                     for out in (out_beta, out_sigma2))

@@ -945,9 +945,10 @@ def test_a_failing_lane_stops_the_fit_and_leaves_no_process(tmp_path, fault):
     assert not [name for name in os.listdir(tmp_path / "est") if name.endswith(".partial")]
 
 
-# Two lane processes on one CPU, which ``run_gibbs`` is told it has two of:
-# each wait yields the CPU to the other, and the barrier must still hand
-# every colour over whole, in either mode.
+# Two lane processes on one CPU, which ``run_gibbs`` is told it has two of,
+# against one process told it has one: each wait yields the CPU to the
+# other, and the barrier must still hand every colour over whole, in either
+# mode.
 ONE_CPU_LANES = """
 import json, os, resource, sys
 import numpy as np
@@ -956,7 +957,11 @@ from tvpdr.distribution import build_threshold_grid
 from tvpdr.model import ModelSpec, run_gibbs
 
 os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
-tvpdr.model._usable_cpus = lambda: 2
+
+def fit(spec, cpus):
+    tvpdr.model._usable_cpus = lambda: cpus
+    return run_gibbs(spec, (y, x))
+
 rng = np.random.default_rng(3)
 x = np.column_stack([np.ones(60), rng.standard_normal(60)])
 y = rng.standard_normal(60) + 0.5 * x[:, 1]
@@ -964,7 +969,7 @@ same = []
 for monotone in (True, False):
     spec = ModelSpec(d=2, grid=build_threshold_grid(-1.5, 1.5, 0.25), iterations=40, burnin=10,
                      monotone=monotone, seed=13)
-    alone, lanes = (run_gibbs(spec, (y, x), workers=w) for w in (1, 2))
+    alone, lanes = (fit(spec, cpus) for cpus in (1, 2))
     same.append(bool(np.array_equal(alone.beta, lanes.beta)
                      and np.array_equal(alone.sigma2, lanes.sigma2)))
 usage = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -990,13 +995,75 @@ def test_a_cgroup_cpu_quota_caps_the_usable_cpus(tmp_path, monkeypatch, files, q
     assert tvpdr.model._usable_cpus() == (3 if quota is None else max(1, min(3, quota)))
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="lane helpers fork on Linux only")
-def test_lane_processes_sharing_one_cpu_draw_the_same_fit():
+def _one_thread_env():
+    """The environment of a fresh interpreter on this checkout whose BLAS
+    runs one thread, so that the process runs one OS thread."""
     src = str(Path(tvpdr.model.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    return dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lane helpers fork on Linux only")
+def test_lane_processes_sharing_one_cpu_draw_the_same_fit():
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", ONE_CPU_LANES],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_one_thread_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
     assert json.loads(proc.stdout) == {"same": [True, True], "forked": True}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+@pytest.mark.parametrize("monotone", [True, False])
+def test_a_refused_fork_draws_the_fit_in_one_process(monkeypatch, monotone):
+    # a fit that may fork, whose fork the system refuses (out of processes
+    # or memory), draws each colour as one batch, as an unforked fit does,
+    # and closes the pipes it opened for the helper
+    rng = np.random.default_rng(5)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    y = rng.standard_normal(40) + 0.5 * x[:, 1]
+    spec = ModelSpec(d=2, grid=build_threshold_grid(-1.0, 1.0, 0.25), iterations=12, burnin=4,
+                     monotone=monotone, seed=21)
+    monkeypatch.setattr(tvpdr.model, "_may_fork", lambda: False)
+    alone = tvpdr.model.run_gibbs(spec, (y, x))
+    tries = []
+
+    def refuse():
+        tries.append(1)
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(tvpdr.model, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", refuse)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    refused = tvpdr.model.run_gibbs(spec, (y, x))
+    assert sorted(os.listdir("/proc/self/fd")) == fds and tries == [1]
+    assert np.array_equal(refused.beta, alone.beta)
+    assert np.array_equal(refused.sigma2, alone.sigma2)
+
+
+# ``_may_fork`` in this one-thread process and in a process pool's worker,
+# under each start method.
+POOL_WORKER_FORK = """
+import json, multiprocessing, os, sys
+from concurrent.futures import ProcessPoolExecutor
+import tvpdr.model
+
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+got = {"parent": tvpdr.model._may_fork()}
+for method in ("fork", "forkserver", "spawn"):
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        got[method] = pool.submit(tvpdr.model._may_fork).result()
+print(json.dumps(got))
+"""
+
+
+def test_pool_workers_never_fork_a_lane_helper():
+    # the pool's workers share the CPUs already, so a fit in one draws
+    # alone; a spawned or forkserver worker runs one thread on two CPUs, so
+    # only its being a worker tells it
+    cpus = _two_cpus()
+    proc = subprocess.run([sys.executable, "-c", POOL_WORKER_FORK, json.dumps(cpus)],
+                          env=_one_thread_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"parent": True, "fork": False, "forkserver": False,
+                                       "spawn": False}

@@ -264,6 +264,10 @@ def test_backtest_refuses_a_worker_count_below_one(tmp_path):
     for workers in (0, -3):
         with pytest.raises(ValueError, match=rf"workers must be a positive integer, got {workers}"):
             expanding_window_backtest(plan, spec, ds, cov, out_path=str(out), workers=workers)
+    # a count that is no integer, even 2.0 or True, as every count of a plan or spec
+    for workers in (2.0, True):
+        with pytest.raises(TypeError, match=rf"workers must be an integer, got {workers}"):
+            expanding_window_backtest(plan, spec, ds, cov, out_path=str(out), workers=workers)
     assert list(tmp_path.iterdir()) == []
 
 

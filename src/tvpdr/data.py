@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .samplers import _count, _integer
+
 __all__ = [
     "QuarterAxis",
     "MacroDataset",
@@ -56,7 +58,7 @@ class QuarterAxis(tuple):
 
 def apply_transform(values: np.ndarray, code: int, name: str = "series") -> np.ndarray:
     """Apply one transform code; differencing leaves leading NaNs in place."""
-    x = np.asarray(values, dtype=np.float64)
+    x, code = np.asarray(values, dtype=np.float64), _integer("code", code)
     if code not in TRANSFORM_CODES:
         raise ValueError(f"unknown transform code {code} for {name}")
     if code in (4, 5, 6):
@@ -76,8 +78,7 @@ def inflation(prices: np.ndarray, horizon: int) -> np.ndarray:
 
     The first h entries are NaN; prices must be positive where observed.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be a positive number of quarters")
+    horizon = _count("horizon", horizon)
     p = np.asarray(prices, dtype=np.float64)
     if np.any(p[np.isfinite(p)] <= 0.0):
         raise ValueError("price index must be strictly positive")
@@ -98,10 +99,7 @@ class MacroDataset:
 
     def __post_init__(self):
         if self.horizon is not None:  # replace() checks a new horizon here too
-            if (isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer))
-                    or self.horizon < 1):
-                raise ValueError("horizon must be a positive number of quarters")
-            self.horizon = int(self.horizon)
+            self.horizon = _count("horizon", self.horizon)
         if not isinstance(self.dates, QuarterAxis):  # a bad axis raises every time
             idx = [parse_quarter(d) for d in self.dates]
             for a, b, lbl in zip(idx, idx[1:], self.dates[1:]):
@@ -281,9 +279,7 @@ def assemble_design(dataset: MacroDataset, covariates, lag: int = 1) -> AlignedD
     """
     if dataset.target is None or dataset.horizon is None:
         raise ValueError("dataset has no inflation target; call with_inflation first")
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    offset = dataset.horizon + (lag - 1)
+    offset = dataset.horizon + (_count("lag", lag) - 1)
     n = dataset.n
 
     cols = [dataset.transformed(c) for c in covariates]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .samplers import _count, _integer
+
 # How forecast_predictive integrates the innovation step; records computed
 # from its curves name this, so a change of scheme is never mixed into old
 # records.
@@ -194,7 +196,7 @@ def conditional_cdf(draws, x, t: int) -> ConditionalCdf:
     no adjustment; otherwise the averaged curve is rearranged (sorted
     ascending) before finalization.
     """
-    x = _design_row(draws, x, "x")
+    x, t = _design_row(draws, x, "x"), _integer("t", t)
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
     beta_t = draws.beta[:, :, t, :]
@@ -218,12 +220,10 @@ def forecast_predictive(draws, x_next, steps: int = 1) -> ConditionalCdf:
     link E_eta Phi(x'beta_T + x'eta) = Phi(x'beta_T / sqrt(1 + j x' diag(sigma2) x))
     exactly. The curve is the mean of that over kept draws, rearranged, so
     it takes no random numbers and carries no Monte Carlo error from the
-    steps ahead; ``PREDICTIVE_DRAW`` names the scheme. ``steps`` is an
-    integer count: a bool is refused like a float.
+    steps ahead; ``PREDICTIVE_DRAW`` names the scheme. ``steps`` is a count
+    (``samplers._count``).
     """
-    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    x_next = _design_row(draws, x_next, "x_next")
+    steps, x_next = _count("steps", steps), _design_row(draws, x_next, "x_next")
     # j x^2 is x^2 to the bit at j = 1
     beta_last, var = draws.beta[:, :, -1, :], steps * (x_next * x_next)
     kept, k = beta_last.shape[:2]
@@ -306,7 +306,7 @@ def cdf_derivative(draws, x, t: int, j: int) -> np.ndarray:
     """
     if draws.design_transform != "identity":
         raise ValueError("cdf_derivative is defined for the identity design transform")
-    x = _design_row(draws, x, "x")
+    x, t, j = _design_row(draws, x, "x"), _integer("t", t), _integer("j", j)
     if not 0 <= t < draws.n_obs:
         raise ValueError(f"time index {t} outside 0..{draws.n_obs - 1}")
     if not 0 <= j < draws.n_thresholds:

@@ -40,7 +40,7 @@ from .distribution import (
     quantile_from_cdf,
 )
 from .model import ModelSpec, hash_data, run_gibbs
-from .samplers import DRAW_SCHEME, _integer
+from .samplers import DRAW_SCHEME, _count
 
 __all__ = [
     "BacktestPlan",
@@ -81,13 +81,10 @@ def pit_uniformity_band(n: int, level: float = 0.95) -> float:
     asymptotic value is 1.3581 / sqrt(n)). ``n`` must be a positive
     integer count.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer count of evaluation points, got {n!r}")
-    if n < 1:
-        raise ValueError("need at least one evaluation point")
+    n = _count("n", n)
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    return float(smirnovi(int(n), (1.0 - level) / 2.0))
+    return float(smirnovi(n, (1.0 - level) / 2.0))
 
 
 def quantile_score(realization: float, qhat: float, tau: float, variant: str = "standard") -> float:
@@ -110,8 +107,8 @@ class BacktestPlan:
     """Evaluation design: window, refit cadence, and scored quantiles.
 
     ``lag`` is the covariate lag the rows are aligned with, as in
-    ``assemble_design``. ``refit_every`` and ``lag`` are integers: a bool or
-    a float is refused, and a numpy integer is stored as a plain int.
+    ``assemble_design``. ``refit_every`` and ``lag`` are counts (``samplers._count``):
+    a bool or a float is refused, and a numpy integer is stored as a plain int.
     """
 
     initial_start: str
@@ -124,11 +121,7 @@ class BacktestPlan:
         if parse_quarter(self.initial_start) >= parse_quarter(self.initial_end):
             raise ValueError("initial window must start before it ends")
         for name in ("refit_every", "lag"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         taus = tuple(sorted(float(t) for t in self.taus))
         if not taus or any(not 0.0 < t < 1.0 for t in taus):
             raise ValueError("taus must be a non-empty set inside (0, 1)")
@@ -360,8 +353,7 @@ def expanding_window_backtest(
     then. A worker count that is not an integer (TypeError) or is below 1
     (ValueError) is refused before anything is written.
     """
-    if _integer("workers", workers) < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    workers = _count("workers", workers)
 
     aligned = assemble_design(data, covariates, lag=plan.lag)
     width = apply_design_transform(aligned.x[:1], spec.design_transform).shape[1]

@@ -31,7 +31,7 @@ from .banded import (FIRST_STATE_VARIANCE, NotPositiveDefiniteError, _StackedPre
                      add_prior_diagonal, walk_diagonal)
 from .distribution import (DESIGN_TRANSFORMS, PROBIT, LinkFunction, ThresholdGrid,
                            apply_design_transform)
-from .samplers import (_draw, _gaussian_precision, _integer, _Lanes, _part, _sweeps,
+from .samplers import (_count, _draw, _gaussian_precision, _integer, _Lanes, _part,
                        _truncated_mvn, _uint64, stream_generator)
 
 __all__ = [
@@ -112,16 +112,13 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d", "iterations", "burnin", "truncation_sweeps"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+        for name, rule in (("d", _count), ("iterations", _integer), ("burnin", _integer),
+                           ("truncation_sweeps", _count)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
         if self.design_transform not in DESIGN_TRANSFORMS:
             raise ValueError(f"unknown design transform {self.design_transform!r}")
         if self.burnin < 0 or self.iterations <= self.burnin:
             raise ValueError("need iterations > burnin >= 0")
-        if self.truncation_sweeps < 1:
-            raise ValueError("truncation_sweeps must be >= 1")
         for name, value in (("ig_prior_nu", self.ig_prior_nu), ("ig_prior_s", self.ig_prior_s)):
             if np.ndim(value) != 0 or not value > 0.0:
                 raise ValueError(f"{name} must be one positive number")
@@ -494,7 +491,7 @@ def draw_beta_monotone(
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if sigma2.shape != latent.shape[:-1] + (d,):
         raise ValueError(f"sigma2 has shape {sigma2.shape}, expected {latent.shape[:-1] + (d,)}")
-    sweeps = _sweeps(sweeps)
+    sweeps = _count("sweeps", sweeps)
     lo_path, up_path, latent = (np.atleast_2d(a) for a in (lo_path, up_path, latent))
     beta, fits = _draw_monotone(lo_path, up_path, design, _StackedPrecision(design, len(latent)),
                                 latent, sigma2.reshape(-1, d), current, gen, sweeps,

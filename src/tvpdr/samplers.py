@@ -54,11 +54,11 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _sweeps(value) -> int:
-    """``_integer("sweeps", value)``, at least 1."""
-    value = _integer("sweeps", value)
+def _count(name: str, value) -> int:
+    """``_integer(name, value)``, at least 1: the one rule for a count."""
+    value = _integer(name, value)
     if value < 1:
-        raise ValueError("sweeps must be a positive integer")
+        raise ValueError(f"{name} must be a positive integer, got {value}")
     return value
 
 
@@ -319,7 +319,7 @@ def sample_truncated_mvn(
         raise ValueError(f"empty truncation box at coordinate {int(np.argmin(nonempty))}")
     if np.any(init < lower) or np.any(init > upper):
         raise ValueError("init point lies outside the truncation box")
-    sweeps = _sweeps(sweeps)
+    sweeps = _count("sweeps", sweeps)
     if not np.all(np.isfinite(diag) & (diag > 0.0)):
         raise ValueError("precision diagonal must be finite and positive")
     return _truncated_mvn(diag, off, rhs, lower, upper, init, sweeps, gen)

@@ -34,18 +34,16 @@ import contextlib
 import math
 import mmap
 import os
-import re
 
 import numpy as np
 
 from .distribution import DESIGN_TRANSFORMS, ThresholdGrid
 from .model import LINKS, PosteriorDraws
+from .samplers import _uint64
 
 __all__ = ["save_estimate", "load_estimate", "read_manifest", "draw_buffers", "StoreError"]
 
 FORMAT_TAG = "tvpdr-estimate-2"
-_V1_TAG = "tvpdr-estimate-1"
-_V1_BLOB = re.compile(r"(?:beta|sigma2)_\d+\.f64")
 _PARTIAL = ".partial"
 # A streamed fit holds at most this many bytes of kept draws in RAM (or one
 # draw, when a single draw is larger).
@@ -192,11 +190,7 @@ def _put_text(path: str, name: str, text: str) -> None:
 
 
 def save_estimate(path: str, draws: PosteriorDraws) -> None:
-    """Write the two draw blobs, grid.tsv and, last, MANIFEST.
-
-    Blobs of the per-threshold layout of older versions are removed, so a
-    re-save over such a directory leaves only this version's files.
-    """
+    """Write the two draw blobs, grid.tsv and, last, MANIFEST."""
     os.makedirs(path, exist_ok=True)
     manifest = {
         "format": FORMAT_TAG,
@@ -220,9 +214,6 @@ def save_estimate(path: str, draws: PosteriorDraws) -> None:
     _put_blob(path, "sigma2.f64", draws.sigma2)
     _put_text(path, "grid.tsv", "index\tthreshold\n" + "".join(
         f"{j}\t{_fmt(float(y))}\n" for j, y in enumerate(draws.grid.points)))
-    for name in os.listdir(path):
-        if _V1_BLOB.fullmatch(name):
-            os.remove(os.path.join(path, name))
     _put_text(path, "MANIFEST", "".join(f"{key}={_fmt(manifest[key])}\n"
                                         for key in sorted(manifest)))
 
@@ -241,9 +232,6 @@ def read_manifest(path: str) -> dict:
                 raise StoreError(f"{name}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             out[key] = value
-    if out.get("format") == _V1_TAG:
-        raise StoreError(f"{path}: format {_V1_TAG} (one blob per threshold) is no longer "
-                         "read; refit the estimate with `tvpdr estimate`")
     if out.get("format") != FORMAT_TAG:
         raise StoreError(f"{path}: unsupported format {out.get('format')!r}")
     return out
@@ -267,7 +255,8 @@ def load_estimate(path: str, expect_data_hash: str | None = None) -> PosteriorDr
         grid_min = float(man["grid_min"])
         grid_max = float(man["grid_max"])
         grid_step = float(man["grid_step"])
-        seed, stream = int(man["seed"]), int(man["stream"])
+        seed = _uint64("seed", int(man["seed"]))
+        stream = _uint64("stream", int(man["stream"]))
         spec_hash, data_hash = man["spec_hash"], man["data_hash"]
     except (KeyError, ValueError) as exc:
         raise StoreError(f"{path}: manifest is missing or corrupt: {exc}") from exc

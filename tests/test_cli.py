@@ -558,7 +558,7 @@ def test_every_path_refuses_a_horizon_below_one(tmp_path, capsys, route, horizon
                   "--initial-end", dates[-10], "--out", str(tmp_path / "r.tsv")]):
         code, stdout, stderr = run(capsys, argv)
         assert (code, stdout) == (1, ""), argv[0]
-        assert stderr == "error: horizon must be a positive number of quarters\n", argv[0]
+        assert stderr == f"error: horizon must be a positive integer, got {horizon}\n", argv[0]
     assert sorted(os.listdir(tmp_path)) == ["m.csv"]
 
 

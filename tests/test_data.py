@@ -78,10 +78,14 @@ def test_dataset_is_the_one_owner_of_the_horizon():
     # a horizon below 1 would pair the target with same-quarter or later
     # covariates; the dataset refuses it however it is set, replace() included
     ds = MacroDataset(dates=make_dates(n=6), series={"pi": np.arange(6.0)}, codes={})
-    for bad in (0, -1, True, 1.5, "1"):
-        with pytest.raises(ValueError, match="horizon must be a positive number of quarters"):
+    for bad, error, message in ((0, ValueError, "must be a positive integer, got 0"),
+                                (-1, ValueError, "must be a positive integer, got -1"),
+                                (True, TypeError, "must be an integer, got True"),
+                                (1.5, TypeError, "must be an integer, got 1.5"),
+                                ("1", TypeError, "must be an integer, got '1'")):
+        with pytest.raises(error, match=f"horizon {message}"):
             MacroDataset(dates=ds.dates, series=ds.series, codes={}, target="pi", horizon=bad)
-        with pytest.raises(ValueError, match="horizon must be a positive number of quarters"):
+        with pytest.raises(error, match=f"horizon {message}"):
             replace(ds, target="pi", horizon=bad)
     assert replace(ds, target="pi", horizon=np.int64(2)).horizon == 2
     assert type(replace(ds, horizon=np.int64(2)).horizon) is int

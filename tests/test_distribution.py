@@ -258,8 +258,11 @@ def test_forecast_predictive_one_step_is_the_default_and_steps_are_counts():
     assert forecast_predictive(draws, x[-1], steps=1).values.tobytes() == one.values.tobytes()
     assert forecast_predictive(draws, x[-1], steps=np.int64(1)).values.tobytes() == \
         one.values.tobytes()
-    for bad in (0, -1, 1.5, None, True):
-        with pytest.raises(ValueError, match="steps must be a positive integer"):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"steps must be a positive integer, got {bad}"):
+            forecast_predictive(draws, x[-1], steps=bad)
+    for bad in (1.5, None, True):
+        with pytest.raises(TypeError, match=f"steps must be an integer, got {bad}"):
             forecast_predictive(draws, x[-1], steps=bad)
 
 

@@ -69,7 +69,7 @@ def test_pit_uniformity_band_near_asymptotic():
     with pytest.raises(ValueError):
         pit_uniformity_band(10, level=1.0)
     for n in (100.0, 7.5, True, "100"):
-        with pytest.raises(TypeError, match="integer count"):
+        with pytest.raises(TypeError, match="n must be an integer"):
             pit_uniformity_band(n)
 
 

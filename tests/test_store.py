@@ -219,6 +219,23 @@ def test_non_integer_seed_or_stream_is_a_store_error(tmp_path, line, value):
         load_estimate(where)
 
 
+@pytest.mark.parametrize("line, value", [("seed=0", "seed=-7"), ("seed=0", f"seed={2**70}"),
+                                         ("stream=0", "stream=-1"),
+                                         ("stream=0", f"stream={2**64}")])
+def test_seed_or_stream_outside_the_seed_rule_is_a_store_error(tmp_path, line, value):
+    # a seed no fit could have drawn from loaded as if one had
+    where = str(tmp_path / "est")
+    save_estimate(where, make_draws())
+    name = os.path.join(where, "MANIFEST")
+    text = Path(name).read_text(encoding="utf-8")
+    assert line + "\n" in text
+    Path(name).write_text(text.replace(line + "\n", value + "\n"), encoding="utf-8")
+    key, got = value.split("=")
+    with pytest.raises(StoreError, match=rf"missing or corrupt: {key} must lie in \[0, 2\*\*64\), "
+                                         rf"got {got}$"):
+        load_estimate(where)
+
+
 @pytest.mark.parametrize("line, value", [("link=probit", "link=logit"),
                                          ("design_transform=identity", "design_transform=cubic")])
 def test_unknown_link_or_design_transform_is_refused(tmp_path, line, value):
@@ -353,27 +370,15 @@ def small_fit(seed=11, iterations=8, burnin=3):
 
 
 def test_v1_directory_is_refused_with_a_refit_hint(tmp_path):
+    # the format-1 reader is gone: the generic refusal names the format
     where = str(tmp_path / "est")
     save_estimate(where, make_draws())
     name = os.path.join(where, "MANIFEST")
     text = Path(name).read_text(encoding="utf-8")
     with open(name, "w", encoding="utf-8") as fh:
         fh.write(text.replace("tvpdr-estimate-2", "tvpdr-estimate-1"))
-    with pytest.raises(StoreError, match="tvpdr-estimate-1.*refit"):
+    with pytest.raises(StoreError, match="unsupported format 'tvpdr-estimate-1'"):
         load_estimate(where)
-
-
-def test_resave_over_a_v1_directory_leaves_no_per_threshold_blobs(tmp_path):
-    where = tmp_path / "est"
-    where.mkdir()
-    (where / "MANIFEST").write_text("format=tvpdr-estimate-1\n", encoding="utf-8")
-    for j in range(5):
-        for kind in ("beta", "sigma2"):
-            (where / f"{kind}_{j}.f64").write_bytes(b"\0" * 8)
-    draws = make_draws(seed=4)
-    save_estimate(str(where), draws)
-    assert sorted(os.listdir(where)) == ["MANIFEST", "beta.f64", "grid.tsv", "sigma2.f64"]
-    assert same_bits(load_estimate(str(where)).beta, draws.beta)
 
 
 def test_loaded_beta_is_a_read_only_view(tmp_path):
